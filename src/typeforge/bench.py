@@ -1,41 +1,47 @@
 """Ping-pong timing harness with median-of-runs reduction.
 
-A case is measured as `r` independent runs over fresh endpoints.  Each run
-performs a few untimed warmup repetitions and then `nrep` timed ones.  Both
+One scheduler measures every case.  The cases to compare (one for
+run_case, two for run_pair) get `r` independent runs over fresh endpoints;
+each run alternates single repetitions of the cases on one channel, first
+a few untimed warmups, then `nrep` timed repetitions per case.  Both
 parties time each repetition locally and swap their readings, and the
 repetition's sample is the larger of the two.  A run reduces to the median
-of its samples; the case reports mean, min and max over the `r` run
-medians.
+of its samples; a case reports mean, min and max over its `r` run medians.
 
 The wall clock is injectable so the whole pipeline can be exercised with a
-deterministic fake.  With an injected clock both parties stay in this
-process; with the real clock the tcp carrier places the echo side in a
-separate spawned process.
+deterministic fake.  With an injected clock, or on the inmem carrier, the
+echo side is a thread of this process; with the real clock the tcp carrier
+places it in one spawned process that serves all runs.  A failure on the
+echo side is raised to the caller.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import multiprocessing
 import statistics
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import transport as tp
 from .packer import make_engine
-from .typecore import Datatype, commit, datatype_dumps, datatype_loads
+from .typecore import CommittedType, Datatype
 
 WARMUP_REPS = 3
 DEFAULT_RUNS = 5
 DEFAULT_SEED = 1
 
 VARIANTS = ("typed", "packed", "raw")
+
+# how long a finished measurement waits for its echo side to wind down
+_JOIN_TIMEOUT = 60.0
 
 
 def nrep_schedule(m_bytes: int) -> int:
@@ -49,10 +55,11 @@ def nrep_schedule(m_bytes: int) -> int:
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One measurable configuration of layout, engine and carrier."""
+    """One measurable configuration of layout, engine and carrier.
+    A committed `datatype` is never committed again."""
 
     case_id: str
-    datatype: Optional[Datatype]
+    datatype: Optional[Datatype | CommittedType]
     count: int
     variant: str
     engine: str
@@ -87,19 +94,18 @@ def _fill_region(size: int, seed: int) -> bytearray:
     return bytearray(rng.bytes(size))
 
 
-def _region_size(case: BenchCase) -> int:
-    if case.variant == "raw":
-        return case.m_bytes
-    ct = commit(case.datatype)
-    lo = min(ct.lb, 0)
-    hi = max(ct.ub, ct.lb + case.count * ct.extent)
-    return hi - lo
-
-
-def _case_engine(case: BenchCase):
-    if case.variant == "raw":
-        return None
-    return make_engine(case.engine, case.datatype, case.count)
+def _prepare(cases: Sequence[BenchCase], seed: int) -> list[tuple]:
+    """One party's (case, region, engine) per case; the region is the
+    engine's window, or the message itself for the raw variant."""
+    sides = []
+    for case in cases:
+        if case.variant == "raw":
+            eng, size = None, case.m_bytes
+        else:
+            eng = make_engine(case.engine, case.datatype, case.count)
+            size = eng.span
+        sides.append((case, _fill_region(size, seed), eng))
+    return sides
 
 
 def _one_rep(ep: tp.Endpoint, case: BenchCase, region, eng, clock) -> float:
@@ -115,177 +121,101 @@ def _one_rep(ep: tp.Endpoint, case: BenchCase, region, eng, clock) -> float:
     return max(elapsed, other)
 
 
-def _side_loop(
-    ep: tp.Endpoint,
-    case: BenchCase,
-    region,
-    nrep: int,
-    warmups: int,
-    clock: Callable[[], float],
-    eng=None,
-) -> list[float]:
-    """Run warmups + nrep repetitions from one side; return timed samples.
-
-    Both sides execute this same loop, so both see identical max-of-pair
-    samples.
-    """
-    if eng is None:
-        eng = _case_engine(case)
-    samples: list[float] = []
-    for rep in range(warmups + nrep):
-        sample = _one_rep(ep, case, region, eng, clock)
-        if rep >= warmups:
-            samples.append(sample)
-    return samples
-
-
-def _pong_thread_main(ep, case, nrep, warmups, clock, seed, eng=None):
-    region = _fill_region(_region_size(case), seed)
-    try:
-        _side_loop(ep, case, region, nrep, warmups, clock, eng)
-    finally:
-        ep.close()
-
-
-def _pong_process_main(port, case_wire, nrep, warmups, seed):
-    case = _case_from_wire(case_wire)
-    ep = tp.tcp_connect(port, peer_id="pong")
-    region = _fill_region(_region_size(case), seed)
-    try:
-        _side_loop(ep, case, region, nrep, warmups, time.perf_counter)
-    finally:
-        ep.close()
-
-
-def _case_to_wire(case: BenchCase) -> tuple:
-    dt = datatype_dumps(case.datatype) if case.datatype is not None else None
-    return (case.case_id, dt, case.count, case.variant, case.engine,
-            case.transport, case.m_bytes, case.A, case.spec_json)
-
-
-def _case_from_wire(wire: tuple) -> BenchCase:
-    case_id, dt, count, variant, engine, carrier, m_bytes, a, spec_json = wire
-    datatype = datatype_loads(dt) if dt is not None else None
-    return BenchCase(case_id, datatype, count, variant, engine, carrier,
-                     m_bytes, a, spec_json)
-
-
-def _one_run(case: BenchCase, nrep: int, warmups: int, clock, seed: int,
-             eng_ping=None, eng_pong=None) -> list[float]:
-    """One run over fresh endpoints; returns the timed samples."""
-    in_process = case.transport == "inmem" or clock is not None
-    tick = clock if clock is not None else time.perf_counter
-
-    if in_process:
-        ping_ep, pong_ep = tp.make_pair(case.transport)
-        worker = threading.Thread(
-            target=_pong_thread_main,
-            args=(pong_ep, case, nrep, warmups, tick, seed + 1, eng_pong),
-            daemon=True,
-        )
-        worker.start()
-        try:
-            region = _fill_region(_region_size(case), seed)
-            samples = _side_loop(ping_ep, case, region, nrep, warmups, tick, eng_ping)
-        finally:
-            ping_ep.close()
-        worker.join(timeout=60.0)
-        return samples
-
-    listener, port = tp.tcp_listener()
-    ctx = multiprocessing.get_context("spawn")
-    child = ctx.Process(
-        target=_pong_process_main,
-        args=(port, _case_to_wire(case), nrep, warmups, seed + 1),
-        daemon=True,
-    )
-    child.start()
-    try:
-        ping_ep = tp.tcp_accept(listener, peer_id="ping")
-    finally:
-        listener.close()
-    try:
-        region = _fill_region(_region_size(case), seed)
-        samples = _side_loop(ping_ep, case, region, nrep, warmups, tick, eng_ping)
-    finally:
-        ping_ep.close()
-    child.join(timeout=60.0)
-    if child.is_alive():
-        child.terminate()
-        raise tp.TransportUnavailable("echo process did not exit")
-    return samples
-
-
-def _interleaved_loop(ep, sides, clock) -> list[list[float]]:
+def _interleaved_loop(ep, sides, nreps, warmups, clock) -> list[list[float]]:
     """Alternate single repetitions across cases on one endpoint.
 
-    `sides` holds (case, region, eng, total, warmups) tuples.  Both halves
-    of the endpoint pair run this same loop, so the repetition schedule
-    agrees step for step.  Returns one post-warmup sample list per side.
+    `sides` holds one (case, region, engine) per case and `nreps` its timed
+    repetitions.  Both halves of the endpoint pair run this same loop, so
+    the repetition schedule agrees step for step.  Returns one post-warmup
+    sample list per case.
     """
     out: list[list[float]] = [[] for _ in sides]
-    longest = max(total for _, _, _, total, _ in sides)
-    for rep in range(longest):
-        for i, (case, region, eng, total, warmups) in enumerate(sides):
-            if rep < total:
+    for rep in range(warmups + max(nreps)):
+        for i, (case, region, eng) in enumerate(sides):
+            if rep < warmups + nreps[i]:
                 sample = _one_rep(ep, case, region, eng, clock)
                 if rep >= warmups:
                     out[i].append(sample)
     return out
 
 
-def _paired_pong_main(ep, cases, nreps, warmups, clock, seed, engines):
-    sides = [
-        (case, _fill_region(_region_size(case), seed), eng, warmups + nrep, warmups)
-        for case, nrep, eng in zip(cases, nreps, engines)
-    ]
+def _runs(endpoints: Iterable[tp.Endpoint], sides, nreps, warmups, clock) -> list:
+    """One interleaved run per endpoint, closing each after its run."""
+    out = []
+    for ep in endpoints:
+        try:
+            out.append(_interleaved_loop(ep, sides, nreps, warmups, clock))
+        finally:
+            ep.close()
+    return out
+
+
+def _echo_process_main(port, cases, nreps, warmups, seed, r) -> None:
+    endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r))
+    _runs(endpoints, _prepare(cases, seed), nreps, warmups, time.perf_counter)
+
+
+def _thread_runs(cases, sides, nreps, warmups, clock, seed, r) -> list:
+    pairs = [tp.make_pair(cases[0].transport) for _ in range(r)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        echo = pool.submit(_runs, [pong for _, pong in pairs], _prepare(cases, seed + 1),
+                           nreps, warmups, clock)
+        try:
+            return _runs([ping for ping, _ in pairs], sides, nreps, warmups, clock)
+        except tp.PeerClosed:
+            # the echo side closed the channel; its own error is the cause
+            cause = echo.exception(_JOIN_TIMEOUT)
+            if cause is not None:
+                raise cause from None
+            raise
+        finally:
+            for ep in itertools.chain(*pairs):
+                ep.close()
+
+
+def _process_runs(cases, sides, nreps, warmups, seed, r) -> list:
+    listener, port = tp.tcp_listener()
+    child = multiprocessing.get_context("spawn").Process(
+        target=_echo_process_main, args=(port, cases, nreps, warmups, seed + 1, r),
+        daemon=True)
+    child.start()
     try:
-        _interleaved_loop(ep, sides, clock)
+        pings = (tp.tcp_accept(listener, peer_id="ping") for _ in range(r))
+        runs = _runs(pings, sides, nreps, warmups, time.perf_counter)
+    except (tp.PeerClosed, tp.TransportUnavailable) as exc:
+        child.join(_JOIN_TIMEOUT)
+        if child.exitcode:
+            raise tp.PeerClosed(f"echo process exited with code {child.exitcode}") from exc
+        raise
     finally:
-        ep.close()
+        listener.close()
+        child.join(_JOIN_TIMEOUT)
+        if child.is_alive():
+            child.terminate()
+    if child.exitcode is None:
+        raise tp.TransportUnavailable("echo process did not exit")
+    return runs
 
 
-def _paired_run(
-    case_a: BenchCase,
-    case_b: BenchCase,
-    nrep_a: int,
-    nrep_b: int,
-    warmups: int,
-    clock,
-    seed: int,
-    engines_a: tuple,
-    engines_b: tuple,
-) -> tuple[list[float], list[float]]:
-    """One run of each case with single repetitions alternating a, b.
+def _measure(cases: Sequence[BenchCase], r: int, nrep: Optional[int], warmups: int,
+             clock: Optional[Callable[[], float]], seed: int) -> list[RunStats]:
+    """The one scheduler: r runs over fresh endpoints, each alternating
+    single repetitions of all cases on one channel.
 
-    Both cases share one endpoint pair, so every repetition is echoed by
-    the same thread on the same core.  With one channel per case the two
-    echo threads land on different cores often enough that handoff latency
-    differs by several microseconds, which swamps sub-millisecond
-    payloads; a shared channel makes that latency common to both sides of
-    the ratio.
+    Each party prepares every case once, so its regions keep their contents
+    from run to run; the warmups absorb first touch.  The cases share one
+    channel, so they must share one transport.
     """
-    tick = clock if clock is not None else time.perf_counter
-    ping_ep, pong_ep = tp.make_pair(case_a.transport)
-    worker = threading.Thread(
-        target=_paired_pong_main,
-        args=(pong_ep, (case_a, case_b), (nrep_a, nrep_b), warmups, tick,
-              seed + 1, (engines_a[1], engines_b[1])),
-        daemon=True,
-    )
-    worker.start()
-    sides = [
-        (case_a, _fill_region(_region_size(case_a), seed), engines_a[0],
-         warmups + nrep_a, warmups),
-        (case_b, _fill_region(_region_size(case_b), seed), engines_b[0],
-         warmups + nrep_b, warmups),
-    ]
-    try:
-        samples_a, samples_b = _interleaved_loop(ping_ep, sides, tick)
-    finally:
-        ping_ep.close()
-    worker.join(timeout=60.0)
-    return samples_a, samples_b
+    if len({case.transport for case in cases}) != 1:
+        raise ValueError("cases measured together need one transport")
+    nreps = [nrep if nrep is not None else nrep_schedule(c.m_bytes) for c in cases]
+    sides = _prepare(cases, seed)
+    if clock is None and cases[0].transport == "tcp":
+        runs = _process_runs(cases, sides, nreps, warmups, seed, r)
+    else:
+        runs = _thread_runs(cases, sides, nreps, warmups, clock or time.perf_counter, seed, r)
+    return [_reduce(case, n, [tuple(run[i]) for run in runs])
+            for i, (case, n) in enumerate(zip(cases, nreps))]
 
 
 def _reduce(case: BenchCase, nrep: int, per_run: list[tuple[float, ...]]) -> RunStats:
@@ -311,16 +241,7 @@ def run_case(
     seed: int = DEFAULT_SEED,
 ) -> RunStats:
     """Measure one case: r runs of nrep repetitions each."""
-    if nrep is None:
-        nrep = nrep_schedule(case.m_bytes)
-    in_process = case.transport == "inmem" or clock is not None
-    eng_ping = _case_engine(case)
-    eng_pong = _case_engine(case) if in_process else None
-    per_run = [
-        tuple(_one_run(case, nrep, warmups, clock, seed + i, eng_ping, eng_pong))
-        for i in range(r)
-    ]
-    return _reduce(case, nrep, per_run)
+    return _measure([case], r, nrep, warmups, clock, seed)[0]
 
 
 def run_pair(
@@ -335,32 +256,15 @@ def run_pair(
     """Measure two cases with single repetitions interleaved a, b, a, b.
 
     Each case still gets r runs reduced exactly as in run_case; only the
-    schedule differs.  Both cases share one channel per run, so every
-    pair of adjacent samples sees the same thread placement and the same
-    few milliseconds of machine conditions; load drift, throttling bursts
-    and scheduler asymmetry all cancel out of the ratio.  When the cases
-    use different transports, or an echo side lives in another process
-    (tcp under the real clock), they fall back to alternating whole runs.
+    schedule differs.  Both cases share one channel per run and one echo
+    side (for tcp under the real clock, one process), so every pair of
+    adjacent samples sees the same thread placement and the same few
+    milliseconds of machine conditions; load drift, throttling bursts and
+    scheduler asymmetry all cancel out of the ratio.  A pair of cases on
+    different transports raises ValueError.
     """
-    nrep_a = nrep if nrep is not None else nrep_schedule(case_a.m_bytes)
-    nrep_b = nrep if nrep is not None else nrep_schedule(case_b.m_bytes)
-    in_process = clock is not None or (
-        case_a.transport == "inmem" and case_b.transport == "inmem")
-    paired = in_process and case_a.transport == case_b.transport
-    engines_a = (_case_engine(case_a), _case_engine(case_a) if in_process else None)
-    engines_b = (_case_engine(case_b), _case_engine(case_b) if in_process else None)
-    runs_a: list[tuple[float, ...]] = []
-    runs_b: list[tuple[float, ...]] = []
-    for i in range(r):
-        if paired:
-            sa, sb = _paired_run(case_a, case_b, nrep_a, nrep_b, warmups,
-                                 clock, seed + i, engines_a, engines_b)
-        else:
-            sa = _one_run(case_a, nrep_a, warmups, clock, seed + i, *engines_a)
-            sb = _one_run(case_b, nrep_b, warmups, clock, seed + i, *engines_b)
-        runs_a.append(tuple(sa))
-        runs_b.append(tuple(sb))
-    return _reduce(case_a, nrep_a, runs_a), _reduce(case_b, nrep_b, runs_b)
+    stats_a, stats_b = _measure([case_a, case_b], r, nrep, warmups, clock, seed)
+    return stats_a, stats_b
 
 
 # --- CSV output ---------------------------------------------------------

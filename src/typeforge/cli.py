@@ -25,6 +25,7 @@ from .layouts import BadParams, build, spec_from_json
 from .normalizer import normalize
 from .packer import pack
 from .typecore import (
+    CommittedType,
     Datatype,
     MalformedType,
     commit,
@@ -32,6 +33,7 @@ from .typecore import (
     datatype_to_json,
     equivalent,
     flatten,
+    window,
 )
 
 EXIT_OK = 0
@@ -55,14 +57,12 @@ def _load_described_type(path: str) -> tuple[Datatype, int]:
     raise MalformedType(f"{path}: neither a constructor tree (kind) nor a layout (id)")
 
 
-def _seeded_region(t: Datatype, count: int, seed: int) -> bytearray:
+def _seeded_region(ct: CommittedType, count: int, seed: int) -> bytearray:
     import numpy as np
 
-    ct = commit(t)
-    lo = min(ct.lb, 0)
-    hi = max(ct.ub, ct.lb + count * ct.extent)
+    _, length = window(ct, count)
     rng = np.random.default_rng(seed)
-    return bytearray(rng.bytes(hi - lo))
+    return bytearray(rng.bytes(length))
 
 
 def cmd_flatten(args) -> int:
@@ -102,8 +102,9 @@ def cmd_equiv(args) -> int:
 def cmd_pack(args) -> int:
     t, natural = _load_described_type(args.spec)
     count = args.count if args.count is not None else natural
-    region = _seeded_region(t, count, args.seed)
-    payload = pack(t, count, region)
+    ct = commit(t)
+    region = _seeded_region(ct, count, args.seed)
+    payload = pack(ct, count, region)
     print(json.dumps({
         "m_bytes": len(payload),
         "payload_hex": payload.hex(),

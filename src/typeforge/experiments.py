@@ -42,7 +42,7 @@ from .layouts import (
     build_alternatives,
     spec_dumps,
 )
-from .typecore import Base, BaseKind, Contiguous
+from .typecore import Base, BaseKind, Contiguous, commit
 
 _SWEEP6 = (2, 10, 100, 1000, 1024, 10000)
 _HET_KINDS = (BaseKind.CHAR, BaseKind.INT, BaseKind.DOUBLE, BaseKind.SHORT)
@@ -180,7 +180,7 @@ def _bench_row(plan: ExperimentPlan, case_id: str, built, A: Optional[int],
                m_bytes: int, clock) -> RunStats:
     case = BenchCase(
         case_id=case_id,
-        datatype=built.datatype,
+        datatype=commit(built.datatype),
         count=built.count,
         variant="typed",
         engine=plan.engine,

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from .bench import BenchCase, RunStats, run_case, run_pair
 from .layouts import LayoutSpec, build_alternatives
 from .normalizer import normalize
-from .typecore import Contiguous, Datatype, commit, datatype_dumps, equivalent
+from .typecore import CommittedType, Contiguous, Datatype, commit, datatype_dumps, equivalent
 
 DEFAULT_THRESHOLD = 1.10
 
@@ -101,38 +101,24 @@ def judge(case: GuidelineCase, lhs_stats: RunStats, rhs_stats: RunStats) -> Guid
     return GuidelineVerdict(case, lhs_stats, rhs_stats, ratio, violated, severity)
 
 
-def _require_same_layout(lhs_t: Datatype, lhs_c: int, rhs_t: Datatype, rhs_c: int, what: str) -> None:
-    if not equivalent(lhs_t, lhs_c, rhs_t, rhs_c):
+def _require_same_layout(lhs: CommittedType, lhs_c: int, rhs: CommittedType, rhs_c: int, what: str) -> None:
+    if not equivalent(lhs, lhs_c, rhs, rhs_c):
         raise LayoutMismatch(f"{what}: sides describe different byte layouts")
 
 
-def _payload_bytes(t: Datatype, count: int) -> int:
-    return commit(t).size * count
-
-
-def _bench_case(case_id: str, t: Datatype, count: int, variant: str, engine: str,
+def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engine: str,
                 transport: str, A: Optional[int]) -> BenchCase:
     return BenchCase(
         case_id=case_id,
-        datatype=t,
+        datatype=ct,
         count=count,
         variant=variant,
         engine=engine,
         transport=transport,
-        m_bytes=_payload_bytes(t, count),
+        m_bytes=ct.size * count,
         A=A,
-        spec_json=datatype_dumps(t),
+        spec_json=datatype_dumps(ct.datatype),
     )
-
-
-def _measure(case: BenchCase, r: int, nrep: Optional[int], clock, seed: int) -> RunStats:
-    return run_case(case, r=r, nrep=nrep, clock=clock, seed=seed)
-
-
-def _measure_pair(lhs: BenchCase, rhs: BenchCase, r: int, nrep: Optional[int],
-                  clock, seed: int) -> tuple[RunStats, RunStats]:
-    """Both sides of a comparison run interleaved so drift hits them alike."""
-    return run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
 
 
 def check_g1(
@@ -151,13 +137,14 @@ def check_g1(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Count instances vs one contiguous wrapper, expected similar."""
-    wrapper = Contiguous(c, t)
-    _require_same_layout(t, c, wrapper, 1, "G1_CONTIG")
-    lhs = _bench_case(f"{case_id}/typed-count", t, c, "typed", engine, transport, A)
+    ct = commit(t)
+    wrapper = commit(Contiguous(c, ct.datatype))
+    _require_same_layout(ct, c, wrapper, 1, "G1_CONTIG")
+    lhs = _bench_case(f"{case_id}/typed-count", ct, c, "typed", engine, transport, A)
     rhs = _bench_case(f"{case_id}/contig-one", wrapper, 1, "typed",
                       rhs_engine or engine, transport, A)
     case = GuidelineCase("G1_CONTIG", case_id, SIMILAR, lhs, rhs, threshold)
-    lhs_stats, rhs_stats = _measure_pair(lhs, rhs, r, nrep, clock, seed)
+    lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
     return [judge(case, lhs_stats, rhs_stats)]
 
 
@@ -181,9 +168,10 @@ def check_g2_g3(
     the sending and the receiving side, so the one measurement yields a
     send-side and a receive-side verdict with the same ratio.
     """
-    lhs = _bench_case(f"{case_id}/typed", t, c, "typed", engine, transport, A)
-    rhs = _bench_case(f"{case_id}/packed", t, c, "packed", engine, transport, A)
-    lhs_stats, rhs_stats = _measure_pair(lhs, rhs, r, nrep, clock, seed)
+    ct = commit(t)
+    lhs = _bench_case(f"{case_id}/typed", ct, c, "typed", engine, transport, A)
+    rhs = _bench_case(f"{case_id}/packed", ct, c, "packed", engine, transport, A)
+    lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
     out = []
     for gid in ("G2_PACK_SEND", "G3_RECV_UNPACK"):
         case = GuidelineCase(gid, case_id, NO_SLOWER, lhs, rhs, threshold)
@@ -209,17 +197,19 @@ def check_g4(
     """Description vs its normalization (no slower), plus similarity
     across the layout's alternative-description family when `spec` names
     one."""
-    report = normalize(t)
-    _require_same_layout(t, c, report.output, c, "G4_NORMALIZE")
-    lhs = _bench_case(f"{case_id}/given", t, c, "typed", engine, transport, A)
-    rhs = _bench_case(f"{case_id}/normalized", report.output, c, "typed",
+    ct = commit(t)
+    report = normalize(ct.datatype)
+    normal = commit(report.output) if report.changed else ct
+    _require_same_layout(ct, c, normal, c, "G4_NORMALIZE")
+    lhs = _bench_case(f"{case_id}/given", ct, c, "typed", engine, transport, A)
+    rhs = _bench_case(f"{case_id}/normalized", normal, c, "typed",
                       engine, transport, A)
     case = GuidelineCase("G4_NORMALIZE", case_id, NO_SLOWER, lhs, rhs, threshold)
     if report.changed:
-        lhs_stats, rhs_stats = _measure_pair(lhs, rhs, r, nrep, clock, seed)
+        lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
     else:
         # already normal: both sides are the same description
-        lhs_stats = _measure(lhs, r, nrep, clock, seed)
+        lhs_stats = run_case(lhs, r=r, nrep=nrep, clock=clock, seed=seed)
         rhs_stats = lhs_stats
     out = [judge(case, lhs_stats, rhs_stats)]
     if spec is not None:
@@ -246,17 +236,20 @@ def check_alternatives(
     """Compare every family member against the family's reference."""
     family = build_alternatives(spec)
     ref = family[0]
-    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.datatype, ref.count,
+    ref_ct = commit(ref.datatype)
+    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref_ct, ref.count,
                            "typed", engine, transport, A)
     out = []
     for member in family[1:]:
-        _require_same_layout(member.datatype, member.count,
-                             ref.datatype, ref.count, "G4_ALT_DESCRIPTION")
-        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member.datatype,
+        member_ct = commit(member.datatype)
+        _require_same_layout(member_ct, member.count,
+                             ref_ct, ref.count, "G4_ALT_DESCRIPTION")
+        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member_ct,
                                member.count, "typed", engine, transport, A)
         case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
                              alt_case, ref_case, threshold)
-        alt_stats, ref_stats = _measure_pair(alt_case, ref_case, r, nrep, clock, seed)
+        alt_stats, ref_stats = run_pair(alt_case, ref_case, r=r, nrep=nrep,
+                                        clock=clock, seed=seed)
         out.append(judge(case, alt_stats, ref_stats))
     return out
 

@@ -35,6 +35,7 @@ from .typecore import (
     Vector,
     commit,
     flatten,
+    window,
 )
 
 # below this, bulk copy setup costs more than moving bytes one at a time
@@ -55,22 +56,6 @@ class RegionTooSmall(ValueError):
 
 class SizeMismatch(ValueError):
     """Raised when packed data length does not match the layout payload."""
-
-
-def _span(ct: CommittedType, count: int) -> tuple[int, int]:
-    """Byte window [origin, origin+length) a region must provide for
-    `count` instances.  Bounds markers and payload both count."""
-    flat = ct.flat
-    if count == 0 or ct.size == 0 and ct.lb == 0 and ct.ub == 0:
-        return 0, 0
-    if len(flat.offsets):
-        c_lo = int(flat.offsets.min())
-        c_hi = int((flat.offsets + flat.lengths).max())
-    else:
-        c_lo, c_hi = ct.lb, ct.lb
-    origin = min(ct.lb, c_lo)
-    hi = max(ct.ub, c_hi) + (count - 1) * ct.extent
-    return origin, hi - origin
 
 
 def _check_region(buf, origin: int, length: int, what: str) -> None:
@@ -164,7 +149,7 @@ class PackProgram:
 def compile(t: Datatype | CommittedType, count: int) -> PackProgram:
     ct = commit(t)
     flat = flatten(ct, count)
-    origin, span = _span(ct, count)
+    origin, span = window(ct, count)
     return PackProgram(
         offsets=flat.offsets,
         lengths=flat.lengths,
@@ -209,12 +194,9 @@ def _unpack_periodic(p: PackProgram, plan: tuple, data: np.ndarray, dst: np.ndar
         _strided_rows(dst, base + a, rows, period, ln)[:] = d2[:, b : b + ln]
 
 
-def pack_compiled(p: PackProgram, src) -> bytes:
-    return bytes(pack_compiled_buffer(p, src))
-
-
 def pack_compiled_buffer(p: PackProgram, src):
-    """Like pack_compiled but may return any buffer-backed object."""
+    """Pack with a compiled program; returns a buffer-backed object, which
+    for a single-segment program is a view into `src`."""
     _check_region(src, p.origin, p.span, "source")
     n_ops = len(p.offsets)
     if n_ops == 0:
@@ -429,7 +411,7 @@ def _unpack_walk(plan, data, base: int, dst, pos: int) -> int:
 
 
 def _pack_with_plan(ct: CommittedType, plan, count: int, src) -> bytes:
-    origin, span = _span(ct, count)
+    origin, span = window(ct, count)
     _check_region(src, origin, span, "source")
     total = ct.size * count
     if total == 0:
@@ -449,7 +431,7 @@ def _unpack_with_plan(ct: CommittedType, plan, count: int, data, dst) -> None:
         raise SizeMismatch(f"packed data holds {len(data)} bytes, layout payload is {total}")
     if total == 0:
         return
-    origin, span = _span(ct, count)
+    origin, span = window(ct, count)
     _check_region(dst, origin, span, "destination")
     mv = memoryview(data)
     dmv = memoryview(dst)
@@ -487,7 +469,7 @@ class InterpretedEngine:
         self.committed = commit(t)
         self.count = count
         self.total_bytes = self.committed.size * count
-        self.origin, self.span = _span(self.committed, count)
+        self.origin, self.span = window(self.committed, count)
         self._plan = _prep(self.committed.datatype)
         self.is_contiguous = False  # never shortcuts; that is the point
 

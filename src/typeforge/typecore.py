@@ -396,6 +396,25 @@ def flatten(t: Datatype | CommittedType, count: int = 1) -> FlatLayout:
     return FlatLayout(off, ln, ct.size * count, ct.extent * count, ct.lb)
 
 
+def window(t: Datatype | CommittedType, count: int) -> tuple[int, int]:
+    """Byte window (origin, length) a region must provide for `count`
+    instances: layout offset x lives at region index x - origin.  Bounds
+    markers and payload both count, so a Resized lower bound above the
+    payload still leaves room for the payload."""
+    ct = commit(t)
+    flat = ct.flat
+    if count == 0 or ct.size == 0 and ct.lb == 0 and ct.ub == 0:
+        return 0, 0
+    if len(flat.offsets):
+        c_lo = int(flat.offsets.min())
+        c_hi = int((flat.offsets + flat.lengths).max())
+    else:
+        c_lo, c_hi = ct.lb, ct.lb
+    origin = min(ct.lb, c_lo)
+    hi = max(ct.ub, c_hi) + (count - 1) * ct.extent
+    return origin, hi - origin
+
+
 def equivalent(
     t1: Datatype | CommittedType,
     count1: int,

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import typeforge.bench as bench
+import typeforge.typecore as typecore
 from conftest import FakeClock
+from treegen import datatypes
 from typeforge.bench import (
     BenchCase,
     RunStats,
@@ -19,7 +21,15 @@ from typeforge.bench import (
     write_raw_json,
     write_stats_csv,
 )
-from typeforge.typecore import Base, BaseKind, Contiguous, Vector
+from typeforge.typecore import (
+    Base,
+    BaseKind,
+    Contiguous,
+    Indexed,
+    Resized,
+    Vector,
+    commit,
+)
 
 INT = Base(BaseKind.INT)
 
@@ -230,3 +240,77 @@ def test_stats_csv_survives_very_large_spec_fields(tmp_path):
     write_stats_csv(str(path), [stats])
     rows = read_stats_csv(str(path))
     assert rows[0]["spec_json"] == huge
+
+
+# --- one scheduler --------------------------------------------------------
+
+
+def test_region_covers_payload_below_resized_lower_bound(fake_clock):
+    t = Resized(0, 8, Indexed(((1, -1), (1, 1)), INT))
+    for variant in ("typed", "packed"):
+        case = _case(variant=variant, datatype=t, count=3, m_bytes=24)
+        assert run_case(case, r=1, nrep=2, clock=fake_clock).nrep == 2
+
+
+@given(datatypes(), st.integers(0, 3), st.sampled_from(("typed", "packed")),
+       st.sampled_from(("compiled", "interpreted")))
+def test_random_trees_are_measurable(t, count, variant, engine):
+    ct = commit(t)
+    case = BenchCase("tree", ct, count, variant, engine, "inmem", ct.size * count)
+    stats = run_case(case, r=1, nrep=1, clock=FakeClock())
+    assert len(stats.raw_samples[0]) == 1
+
+
+def test_echo_failure_is_raised_to_the_caller(monkeypatch, fake_clock):
+    import threading
+
+    class EchoBroke(RuntimeError):
+        pass
+
+    real = bench._one_rep
+
+    def failing(ep, case, region, eng, clock):
+        if threading.current_thread() is not threading.main_thread():
+            raise EchoBroke("echo side failed")
+        return real(ep, case, region, eng, clock)
+
+    monkeypatch.setattr(bench, "_one_rep", failing)
+    with pytest.raises(EchoBroke):
+        run_case(_case(), r=2, nrep=2, clock=fake_clock)
+
+
+def test_committed_cases_are_not_committed_again(monkeypatch, fake_clock):
+    a = commit(Vector(4, 2, 4, INT))
+    b = commit(Contiguous(32, INT))
+    calls = []
+    real = typecore._layout
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(typecore, "_layout", counting)
+    run_pair(
+        _case("a", variant="typed", datatype=a, count=4, m_bytes=a.size * 4),
+        _case("b", variant="packed", datatype=b, count=1, m_bytes=b.size),
+        r=2, nrep=2, clock=fake_clock,
+    )
+    assert calls == []
+
+
+def test_pair_needs_one_transport(fake_clock):
+    with pytest.raises(ValueError, match="one transport"):
+        run_pair(_case("a"), _case("b", transport="tcp"), r=1, nrep=1, clock=fake_clock)
+
+
+def test_tcp_pair_with_real_clock_interleaves_in_one_echo_process():
+    v = commit(Vector(4, 2, 4, INT))
+    sa, sb = run_pair(
+        _case("raw", transport="tcp", m_bytes=64),
+        _case("typed", variant="typed", datatype=v, count=2, m_bytes=v.size * 2,
+              transport="tcp"),
+        r=1, nrep=2,
+    )
+    assert [len(run) for run in sa.raw_samples] == [2]
+    assert [len(run) for run in sb.raw_samples] == [2]
+    assert sa.mean_s > 0.0 and sb.mean_s > 0.0

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import typeforge.cli as cli
@@ -104,6 +105,22 @@ def test_pack_is_seed_deterministic(tiled_spec, capsys):
     assert len(first["payload_hex"]) == 64
     assert cli.main(["pack", "--spec", tiled_spec, "--seed", "8"]) == 0
     assert json.loads(capsys.readouterr().out) != first
+
+
+def test_pack_region_covers_payload_below_resized_lower_bound(tmp_path, capsys):
+    # payload at [-4, 0) and [4, 8) per instance, bounds [0, 8): the region
+    # window starts at byte -4 and spans 28 bytes for three instances
+    spec = _write_json(tmp_path, "resized.json", {
+        "kind": "resized", "lb": 0, "extent": 8,
+        "inner": {"kind": "indexed", "blocks": [[1, -1], [1, 1]],
+                  "inner": {"kind": "base", "base": "int"}},
+    })
+    assert cli.main(["pack", "--spec", spec, "--count", "3", "--seed", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    region = np.random.default_rng(5).bytes(28)
+    expected = b"".join(region[i : i + 4] for i in (0, 8, 8, 16, 16, 24))
+    assert out["m_bytes"] == 24
+    assert out["payload_hex"] == expected.hex()
 
 
 # --- failure modes ------------------------------------------------------
