@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import statistics
 import sys
 import time
@@ -42,6 +43,8 @@ VARIANTS = ("typed", "packed", "raw")
 
 # how long a finished measurement waits for its echo side to wind down
 _JOIN_TIMEOUT = 60.0
+# how long the caller waits for the echo process to connect
+_ACCEPT_TIMEOUT = 30.0
 
 
 def nrep_schedule(m_bytes: int) -> int:
@@ -89,22 +92,24 @@ class RunStats:
     raw_samples: tuple[tuple[float, ...], ...]
 
 
-def _fill_region(size: int, seed: int) -> bytearray:
-    rng = np.random.default_rng(seed)
-    return bytearray(rng.bytes(size))
-
-
 def _prepare(cases: Sequence[BenchCase], seed: int) -> list[tuple]:
-    """One party's (case, region, engine) per case; the region is the
-    engine's window, or the message itself for the raw variant."""
+    """One party's (case, region, engine) per case.
+
+    The region is the engine's window, zeroed, with a seeded payload
+    unpacked into it, so only the bytes the layout reads are drawn; for
+    the raw variant the seeded bytes are the whole message.  A zeroed
+    numpy array leaves the pages of the gaps untouched.
+    """
     sides = []
     for case in cases:
+        rng = np.random.default_rng(seed)
         if case.variant == "raw":
-            eng, size = None, case.m_bytes
+            eng, region = None, bytearray(rng.bytes(case.m_bytes))
         else:
             eng = make_engine(case.engine, case.datatype, case.count)
-            size = eng.span
-        sides.append((case, _fill_region(size, seed), eng))
+            region = np.zeros(eng.span, dtype=np.uint8)
+            eng.unpack_message(rng.bytes(eng.total_bytes), region)
+        sides.append((case, region, eng))
     return sides
 
 
@@ -173,6 +178,17 @@ def _thread_runs(cases, sides, nreps, warmups, clock, seed, r) -> list:
                 ep.close()
 
 
+def _accept_echo(listener, child) -> tp.TcpEndpoint:
+    """The echo process's next connection.  An echo process that exits
+    before it connects is reported at once, not after the accept timeout."""
+    ready = multiprocessing.connection.wait([listener, child.sentinel], _ACCEPT_TIMEOUT)
+    if listener in ready:
+        return tp.tcp_accept(listener, peer_id="ping")
+    if ready:
+        raise tp.PeerClosed("echo process exited before it connected")
+    raise tp.TransportUnavailable("echo process did not connect")
+
+
 def _process_runs(cases, sides, nreps, warmups, seed, r) -> list:
     listener, port = tp.tcp_listener()
     child = multiprocessing.get_context("spawn").Process(
@@ -180,7 +196,7 @@ def _process_runs(cases, sides, nreps, warmups, seed, r) -> list:
         daemon=True)
     child.start()
     try:
-        pings = (tp.tcp_accept(listener, peer_id="ping") for _ in range(r))
+        pings = (_accept_echo(listener, child) for _ in range(r))
         runs = _runs(pings, sides, nreps, warmups, time.perf_counter)
     except (tp.PeerClosed, tp.TransportUnavailable) as exc:
         child.join(_JOIN_TIMEOUT)

@@ -22,7 +22,7 @@ from .bench import BenchCase, RunStats, run_case
 from .guidelines import (
     DEFAULT_THRESHOLD,
     GuidelineVerdict,
-    check_alternatives,
+    _check_family,
     check_g1,
     check_g2_g3,
     check_g4,
@@ -169,18 +169,11 @@ def _try_build(spec: LayoutSpec):
         return None
 
 
-def _try_family(spec: LayoutSpec):
-    try:
-        return build_alternatives(spec)
-    except BadParams:
-        return None
-
-
 def _bench_row(plan: ExperimentPlan, case_id: str, built, A: Optional[int],
                m_bytes: int, clock) -> RunStats:
     case = BenchCase(
         case_id=case_id,
-        datatype=commit(built.datatype),
+        datatype=built.committed,
         count=built.count,
         variant="typed",
         engine=plan.engine,
@@ -215,7 +208,7 @@ def _run_tiled_het(plan: ExperimentPlan, result: ExperimentResult, clock) -> Non
             built = _try_build(spec)
             if built is None:
                 continue
-            ref_type = Contiguous(m, Base(BaseKind.BYTE))
+            ref_type = commit(Contiguous(m, Base(BaseKind.BYTE)))
             ref = BuiltLayout(ref_type, 1, 1, m, LayoutSpec(id="contiguous", n=m,
                                                             basetype=BaseKind.BYTE))
             result.add_stats(
@@ -232,7 +225,7 @@ def _run_pack_unpack(plan: ExperimentPlan, result: ExperimentResult, clock) -> N
             if built is None:
                 continue
             result.add_verdicts(check_g2_g3(
-                built.datatype, built.count,
+                built.committed, built.count,
                 engine=plan.engine, transport=plan.transport,
                 threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                 clock=clock, seed=plan.seed,
@@ -250,7 +243,7 @@ def _run_contig(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
                 if built is None:
                     continue
                 result.add_verdicts(check_g1(
-                    built.datatype, built.count,
+                    built.committed, built.count,
                     engine=plan.engine, transport=plan.transport,
                     threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                     clock=clock, seed=plan.seed,
@@ -276,17 +269,18 @@ def _family_points(plan: ExperimentPlan):
 
 def _run_family(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
     for spec, a, size, tag in _family_points(plan):
-        family = _try_family(spec)
-        if family is None:
+        try:
+            family = build_alternatives(spec)
+        except BadParams:
             continue
-        result.add_verdicts(check_alternatives(
-            spec, engine=plan.engine, transport=plan.transport,
+        result.add_verdicts(_check_family(
+            family, engine=plan.engine, transport=plan.transport,
             threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
             clock=clock, seed=plan.seed, case_id=tag, A=a,
         ))
         for member in family:
             result.add_verdicts(check_g4(
-                member.datatype, member.count,
+                member.committed, member.count,
                 engine=plan.engine, transport=plan.transport,
                 threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                 clock=clock, seed=plan.seed,

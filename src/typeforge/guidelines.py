@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bench import BenchCase, RunStats, run_case, run_pair
-from .layouts import LayoutSpec, build_alternatives
+from .layouts import BuiltLayout, LayoutSpec, build_alternatives
 from .normalizer import normalize
 from .typecore import CommittedType, Contiguous, Datatype, commit, datatype_dumps, equivalent
 
@@ -122,7 +122,7 @@ def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engin
 
 
 def check_g1(
-    t: Datatype,
+    t: Datatype | CommittedType,
     c: int,
     *,
     engine: str = "compiled",
@@ -149,7 +149,7 @@ def check_g1(
 
 
 def check_g2_g3(
-    t: Datatype,
+    t: Datatype | CommittedType,
     c: int,
     *,
     engine: str = "compiled",
@@ -180,7 +180,7 @@ def check_g2_g3(
 
 
 def check_g4(
-    t: Datatype,
+    t: Datatype | CommittedType,
     c: int,
     *,
     engine: str = "compiled",
@@ -198,7 +198,7 @@ def check_g4(
     across the layout's alternative-description family when `spec` names
     one."""
     ct = commit(t)
-    report = normalize(ct.datatype)
+    report = normalize(ct)
     normal = commit(report.output) if report.changed else ct
     _require_same_layout(ct, c, normal, c, "G4_NORMALIZE")
     lhs = _bench_case(f"{case_id}/given", ct, c, "typed", engine, transport, A)
@@ -234,17 +234,26 @@ def check_alternatives(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Compare every family member against the family's reference."""
-    family = build_alternatives(spec)
+    return _check_family(
+        build_alternatives(spec), engine=engine, transport=transport,
+        threshold=threshold, r=r, nrep=nrep, clock=clock, seed=seed,
+        case_id=case_id, A=A,
+    )
+
+
+def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
+                  threshold: float, r: int, nrep: Optional[int],
+                  clock: Optional[Callable[[], float]], seed: int, case_id: str,
+                  A: Optional[int]) -> list[GuidelineVerdict]:
+    """check_alternatives over an already built family, reference first."""
     ref = family[0]
-    ref_ct = commit(ref.datatype)
-    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref_ct, ref.count,
+    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
                            "typed", engine, transport, A)
     out = []
     for member in family[1:]:
-        member_ct = commit(member.datatype)
-        _require_same_layout(member_ct, member.count,
-                             ref_ct, ref.count, "G4_ALT_DESCRIPTION")
-        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member_ct,
+        _require_same_layout(member.committed, member.count,
+                             ref.committed, ref.count, "G4_ALT_DESCRIPTION")
+        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member.committed,
                                member.count, "typed", engine, transport, A)
         case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
                              alt_case, ref_case, threshold)

@@ -20,6 +20,7 @@ from typing import Optional
 from .typecore import (
     Base,
     BaseKind,
+    CommittedType,
     Composite,
     Contiguous,
     Datatype,
@@ -121,11 +122,24 @@ class Params:
 
 @dataclass(frozen=True)
 class BuiltLayout:
-    datatype: Datatype
+    """A built layout: its committed description, the instance count, and
+    the region it covers in elements of `elem_size` bytes."""
+
+    committed: CommittedType
     count: int
     elem_size: int
     total_extent_elems: int
     spec: LayoutSpec
+
+    @property
+    def datatype(self) -> Datatype:
+        return self.committed.datatype
+
+
+def _built(t: Datatype | CommittedType, count: int, es: int, spec: LayoutSpec) -> BuiltLayout:
+    """Commit `t` once and record the region `count` instances cover."""
+    ct = commit(t)
+    return BuiltLayout(ct, count, es, count * ct.extent // es, spec)
 
 
 def derive_params(spec: LayoutSpec) -> Params:
@@ -253,7 +267,9 @@ def make_tiled_heterogeneous(A: int, kinds: tuple[BaseKind, ...] | list[BaseKind
     max_align = max(k.alignment for k in kinds)
     extent = (cursor + max_align - 1) // max_align * max_align
     struct: Datatype = Composite(tuple(members))
-    if extent != commit(struct).extent:
+    # the struct's own extent runs from its first member to the end of
+    # its last, which is `cursor`
+    if extent != cursor:
         struct = Resized(0, extent, struct)
     return struct
 
@@ -269,14 +285,13 @@ def build(spec: LayoutSpec) -> BuiltLayout:
     _require(spec.n >= 1, f"{spec.id}: n must be positive, got {spec.n}")
 
     if spec.id == CONTIGUOUS:
-        return BuiltLayout(base, spec.n, es, spec.n, spec)
+        return _built(base, spec.n, es, spec)
 
     if spec.id == TILED_HET:
         kinds = spec.kinds or ()
-        unit = make_tiled_heterogeneous(spec.A, kinds)
-        payload = commit(unit).size
-        count = _divisible(spec.n, payload, "tiled_het (n in bytes)")
-        return BuiltLayout(unit, count, 1, count * commit(unit).extent, spec)
+        unit = commit(make_tiled_heterogeneous(spec.A, kinds))
+        count = _divisible(spec.n, unit.size, "tiled_het (n in bytes)")
+        return _built(unit, count, 1, spec)
 
     p = derive_params(spec)
 
@@ -284,8 +299,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         block = _BASIC_BLOCKS[spec.id](p, es, base)
         k = unit_elems(spec)
         count = _divisible(spec.n, k, spec.id)
-        ext = commit(block).extent
-        return BuiltLayout(block, count, es, count * ext // es, spec)
+        return _built(block, count, es, spec)
 
     if spec.id == CONTIG_SUBTYPE:
         _require(
@@ -295,7 +309,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         inner_spec = replace(spec, id=spec.subtype)
         inner = build(inner_spec)
         dt = Contiguous(inner.count, inner.datatype)
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id == TILED_STRUCT:
         s1 = spec.S1 if spec.S1 is not None else 1
@@ -310,13 +324,13 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             )
         )
         count = _divisible(spec.n, (s1 + s2) * p.A, "tiled_struct")
-        return BuiltLayout(dt, count, es, count * commit(dt).extent // es, spec)
+        return _built(dt, count, es, spec)
 
     if spec.id == TILED_VECTOR:
         _require(p.B > p.A >= 1, f"tiled_vector requires B > A >= 1, got {p}")
         blocks = _divisible(spec.n, p.A, "tiled_vector")
         dt = Resized(0, blocks * p.B * es, Vector(blocks, p.A, p.B, base))
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id == VECTOR_TILED:
         s = spec.S1 if spec.S1 is not None else 5
@@ -324,7 +338,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         _require(p.B > p.A >= 1, f"vector_tiled requires B > A >= 1, got {p}")
         outer = _divisible(spec.n, s * p.A, "vector_tiled")
         dt = HVector(outer, 1, s * p.B * es, Vector(s, p.A, p.B, base))
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id == BLOCK_INDEXED:
         _require(p.B1 >= p.A and p.B2 >= p.A, f"block_indexed requires B1,B2 >= A, got {p}")
@@ -335,7 +349,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             i * period + offset for i in range(pairs) for offset in (0, p.B1)
         )
         dt = IndexedBlock(p.A, displs, base)
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id == ALTERNATING_INDEXED:
         _require(
@@ -350,7 +364,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             for blk in ((p.A1, i * period), (p.A2, i * period + p.B1))
         )
         dt = Indexed(blocks, base)
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id == ALTERNATING_STRUCT:
         # B2 == A2, so all interior blocks line up on a dense grid that a
@@ -363,7 +377,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             members.append((1, p.B1 * es, Vector(c - 1, k, period, base)))
         members.append((1, ((c - 1) * period + p.B1) * es, Contiguous(p.A2, base)))
         dt = Composite(tuple(members))
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     if spec.id in ROWCOL_IDS:
         _require(spec.A >= 1, f"rowcol requires A >= 1, got A={spec.A}")
@@ -380,7 +394,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             if n > a:
                 members.append((1, a * es, Vector(n - a, 1, a, base)))
             dt = Composite(tuple(members))
-        return BuiltLayout(dt, 1, es, commit(dt).extent // es, spec)
+        return _built(dt, 1, es, spec)
 
     raise BadParams(f"unknown layout id: {spec.id!r}")
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .typecore import (
     Base,
+    CommittedType,
     Composite,
     Contiguous,
     Datatype,
@@ -30,8 +31,8 @@ from .typecore import (
     IndexedBlock,
     Resized,
     Vector,
+    block_bounds,
     commit,
-    flatten,
 )
 
 _MAX_ITERATIONS = 32
@@ -75,9 +76,10 @@ def descr_size(t: Datatype) -> int:
     raise TypeError(f"not a datatype node: {t!r}")
 
 
-def cost(t: Datatype) -> int:
+def cost(t: Datatype | CommittedType) -> int:
     """Canonical segments of one instance plus description size."""
-    return len(flatten(t, 1).offsets) + descr_size(t)
+    ct = commit(t)
+    return len(ct.flat.offsets) + descr_size(ct.datatype)
 
 
 def _bounds(t: Datatype) -> tuple[int, int]:
@@ -230,7 +232,9 @@ def _regular_stride(t: Datatype) -> Datatype | None:
         if bool((np.diff(displs) == step).all()):
             return Vector(c, int(lens[0]), step, t.inner)
 
-    in_lb, in_ub = _bounds(t)
+    base_lb, base_ub = _bounds(t.inner)
+    base_ext = base_ub - base_lb
+    in_lb, in_ub = block_bounds(lens, displs * base_ext, base_lb, base_ub)
     for period in (2, 3, 4):
         if c % period or c < 2 * period + 1:
             continue
@@ -245,8 +249,6 @@ def _regular_stride(t: Datatype) -> Datatype | None:
             unit: Datatype = IndexedBlock(t.blocklen, tuple(d for _, d in prefix), t.inner)
         else:
             unit = Indexed(prefix, t.inner)
-        base_lb, base_ub = _bounds(t.inner)
-        base_ext = base_ub - base_lb
         unit = _wrap_bounds(unit, 0, shift * base_ext)
         candidate = _wrap_bounds(Contiguous(c // period, unit), in_lb, in_ub)
         if descr_size(candidate) < descr_size(t):
@@ -334,9 +336,11 @@ def _rewrite(t: Datatype, fn) -> tuple[Datatype, bool]:
     return replacement, True
 
 
-def normalize(t: Datatype) -> NormalizationReport:
-    """Drive the passes to a fixpoint and report what happened."""
-    commit(t)  # validate before rewriting
+def normalize(t: Datatype | CommittedType) -> NormalizationReport:
+    """Drive the passes to a fixpoint and report what happened.  The input
+    is committed once, which validates it before rewriting and prices it."""
+    ct = commit(t)
+    t = ct.datatype
     current = t
     applied: list[str] = []
     iterations = 0
@@ -352,8 +356,8 @@ def normalize(t: Datatype) -> NormalizationReport:
         any_change = any_change or round_changed
         if not round_changed:
             break
-    in_cost = cost(t)
-    out_cost = cost(current)
+    in_cost = cost(ct)
+    out_cost = in_cost if current is t else cost(current)
     return NormalizationReport(
         input=t,
         output=current,

@@ -1,14 +1,18 @@
 """Pack and unpack engines over flattened layouts.
 
-Two engines with identical observable behavior:
+Two engines with identical observable behavior, each with one copy routine
+that takes the direction as an argument, so packing and unpacking cannot
+drift apart:
 
-* interpreted: walks the constructor tree instance by instance, copying one
-  contiguous run at a time.  Runs shorter than 16 bytes are moved with a
-  per-byte loop.  Deliberately naive; it models a library that performs no
-  cross-constructor analysis, so deeply fragmented descriptions pay their
-  full per-block overhead.
+* interpreted: one walker (`_walk`) steps through the constructor tree
+  instance by instance, copying one contiguous run at a time between the
+  region and the packed payload.  Runs shorter than 16 bytes are moved
+  with a per-byte loop.  Deliberately naive; it models a library that
+  performs no cross-constructor analysis, so deeply fragmented
+  descriptions pay their full per-block overhead.
 * compiled: one-time translation of the canonical segment list into a copy
-  program executed with bulk (vectorized) moves.
+  program executed with bulk (vectorized) moves.  A layout that is one
+  contiguous run filling its window is sent straight from the region.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.
@@ -65,6 +69,11 @@ def _check_region(buf, origin: int, length: int, what: str) -> None:
             f"{what} region holds {have} bytes, layout spans {length} "
             f"(window starts at byte {origin})"
         )
+
+
+def _check_payload(data, total: int) -> None:
+    if len(data) != total:
+        raise SizeMismatch(f"packed data holds {len(data)} bytes, layout payload is {total}")
 
 
 # --- compiled engine ----------------------------------------------------
@@ -174,289 +183,148 @@ def _strided_rows(buf: np.ndarray, start: int, rows: int, period: int, ln: int) 
     return np.lib.stride_tricks.as_strided(window, (rows, ln), (period, 1))
 
 
-def _pack_periodic(p: PackProgram, plan: tuple, src: np.ndarray) -> np.ndarray:
+def _periodic_copy(p: PackProgram, plan: tuple, region: np.ndarray, packed: np.ndarray,
+                   packing: bool) -> None:
     rows, period, rel, pat, prefix, row_bytes, first = plan
     base = first - p.origin
-    out = np.empty(p.total_bytes, dtype=np.uint8)
-    o2 = out.reshape(rows, row_bytes)
+    p2 = packed.reshape(rows, row_bytes)
     for j in range(len(rel)):
         a, b, ln = int(rel[j]), int(prefix[j]), int(pat[j])
-        o2[:, b : b + ln] = _strided_rows(src, base + a, rows, period, ln)
-    return out
+        strided = _strided_rows(region, base + a, rows, period, ln)
+        if packing:
+            p2[:, b : b + ln] = strided
+        else:
+            strided[:] = p2[:, b : b + ln]
 
 
-def _unpack_periodic(p: PackProgram, plan: tuple, data: np.ndarray, dst: np.ndarray) -> None:
-    rows, period, rel, pat, prefix, row_bytes, first = plan
-    base = first - p.origin
-    d2 = data.reshape(rows, row_bytes)
-    for j in range(len(rel)):
-        a, b, ln = int(rel[j]), int(prefix[j]), int(pat[j])
-        _strided_rows(dst, base + a, rows, period, ln)[:] = d2[:, b : b + ln]
-
-
-def pack_compiled_buffer(p: PackProgram, src):
-    """Pack with a compiled program; returns a buffer-backed object, which
-    for a single-segment program is a view into `src`."""
-    _check_region(src, p.origin, p.span, "source")
+def _run_program(p: PackProgram, region, data=None):
+    """The compiled copy in either direction.  Without `data`, pack `region`
+    and return a buffer-backed payload; with `data`, unpack it into
+    `region`.  Short programs copy slice by slice, long ones by
+    two-dimensional slices when periodic, else through the gather index."""
+    packing = data is None
+    if not packing:
+        _check_payload(data, p.total_bytes)
+    _check_region(region, p.origin, p.span, "source" if packing else "destination")
     n_ops = len(p.offsets)
     if n_ops == 0:
         return b""
-    mv = memoryview(src)
-    if n_ops == 1:
-        start = int(p.offsets[0]) - p.origin
-        return mv[start : start + int(p.lengths[0])]
     if n_ops <= _SLICE_OP_LIMIT:
-        out = bytearray(p.total_bytes)
+        out = bytearray(p.total_bytes) if packing else None
+        reg = memoryview(region)
+        packed = memoryview(out if packing else data)
         pos = 0
         for off, ln in zip(p.offsets.tolist(), p.lengths.tolist()):
             start = off - p.origin
-            out[pos : pos + ln] = mv[start : start + ln]
+            if packing:
+                packed[pos : pos + ln] = reg[start : start + ln]
+            else:
+                reg[start : start + ln] = packed[pos : pos + ln]
             pos += ln
         return out
-    plan = p.periodic_plan()
-    if plan is not None:
-        return _pack_periodic(p, plan, _as_u8(src))
-    return np.take(_as_u8(src), p.gather_index())
-
-
-def unpack_compiled(p: PackProgram, data, dst) -> None:
-    if len(data) != p.total_bytes:
-        raise SizeMismatch(
-            f"packed data holds {len(data)} bytes, layout payload is {p.total_bytes}"
-        )
-    _check_region(dst, p.origin, p.span, "destination")
-    n_ops = len(p.offsets)
-    if n_ops == 0:
-        return
-    if n_ops <= _SLICE_OP_LIMIT:
-        mv = memoryview(data)
-        out = memoryview(dst)
-        pos = 0
-        for off, ln in zip(p.offsets.tolist(), p.lengths.tolist()):
-            start = off - p.origin
-            out[start : start + ln] = mv[pos : pos + ln]
-            pos += ln
-        return
-    dst_arr = _as_u8(dst)
-    if not dst_arr.flags.writeable:
+    reg = _as_u8(region)
+    if not packing and not reg.flags.writeable:
         raise TypeError("destination region is read-only")
     plan = p.periodic_plan()
     if plan is not None:
-        _unpack_periodic(p, plan, _as_u8(data), dst_arr)
-        return
-    dst_arr[p.gather_index()] = _as_u8(data)
+        packed = np.empty(p.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
+        _periodic_copy(p, plan, reg, packed, packing)
+        return packed
+    if packing:
+        return np.take(reg, p.gather_index())
+    reg[p.gather_index()] = _as_u8(data)
 
 
 # --- interpreted engine -------------------------------------------------
 #
-# Node plans mirror the tree one to one.  The only lookahead is that a
-# constructor whose inner type is a bare base kind emits its block as a
-# single run, which is the granularity the constructor itself describes.
+# Node plans mirror the tree one to one, in three shapes:
+#
+#   ("runs", ((displ, nbytes), ...))          contiguous byte runs
+#   ("blocks", ((displ, n), ...), ext, plan)  n inner instances, `ext` apart,
+#                                             at each byte displacement
+#   ("struct", (plan, ...))                   members in order
+#
+# The only lookahead is that a constructor whose inner type is a bare base
+# kind emits each of its blocks as one run, which is the granularity the
+# constructor itself describes.
 
 
 def _prep(t: Datatype):
     if isinstance(t, Base):
-        return ("run", 0, t.kind.size)
+        return ("runs", ((0, t.kind.size),))
     if isinstance(t, Resized):
         return _prep(t.inner)
-
-    def ext_of(node: Datatype) -> int:
-        return commit(node).extent
-
-    if isinstance(t, Contiguous):
-        if isinstance(t.inner, Base):
-            return ("run", 0, t.count * t.inner.kind.size)
-        return ("loop", t.count, ext_of(t.inner), _prep(t.inner))
-    if isinstance(t, (Vector, HVector)):
-        inner_ext = ext_of(t.inner)
-        stride = t.stride_bytes if isinstance(t, HVector) else t.stride * inner_ext
-        if isinstance(t.inner, Base):
-            return (
-                "runs",
-                tuple((i * stride, t.blocklen * t.inner.kind.size) for i in range(t.count)),
-            )
-        block = ("loop", t.blocklen, inner_ext, _prep(t.inner))
-        return ("places", tuple(i * stride for i in range(t.count)), block)
-    if isinstance(t, Indexed):
-        inner_ext = ext_of(t.inner)
-        if isinstance(t.inner, Base):
-            es = t.inner.kind.size
-            return ("runs", tuple((d * inner_ext, bl * es) for bl, d in t.blocks))
-        plan = _prep(t.inner)
-        return (
-            "ragged",
-            tuple((d * inner_ext, bl) for bl, d in t.blocks),
-            inner_ext,
-            plan,
-        )
-    if isinstance(t, IndexedBlock):
-        inner_ext = ext_of(t.inner)
-        if isinstance(t.inner, Base):
-            es = t.inner.kind.size
-            return ("runs", tuple((d * inner_ext, t.blocklen * es) for d in t.displs))
-        plan = _prep(t.inner)
-        return (
-            "ragged",
-            tuple((d * inner_ext, t.blocklen) for d in t.displs),
-            inner_ext,
-            plan,
-        )
     if isinstance(t, Composite):
-        parts = []
-        for count, displ, member in t.members:
-            if isinstance(member, Base):
-                parts.append(("run", displ, count * member.kind.size))
-            else:
-                parts.append(("loop_at", displ, count, ext_of(member), _prep(member)))
-        return ("struct", tuple(parts))
-    raise MalformedType(f"not a datatype node: {t!r}")
+        return ("struct", tuple(_placed(member, _extent(member), ((displ, count),))
+                                for count, displ, member in t.members))
+    if not isinstance(t, (Contiguous, Vector, HVector, Indexed, IndexedBlock)):
+        raise MalformedType(f"not a datatype node: {t!r}")
+    ext = _extent(t.inner)
+    if isinstance(t, Contiguous):
+        blocks = ((0, t.count),)
+    elif isinstance(t, Vector):
+        blocks = tuple((i * t.stride * ext, t.blocklen) for i in range(t.count))
+    elif isinstance(t, HVector):
+        blocks = tuple((i * t.stride_bytes, t.blocklen) for i in range(t.count))
+    elif isinstance(t, Indexed):
+        blocks = tuple((d * ext, bl) for bl, d in t.blocks)
+    else:
+        blocks = tuple((d * ext, t.blocklen) for d in t.displs)
+    return _placed(t.inner, ext, blocks)
 
 
-def _pack_walk(plan, src, base: int, out: bytearray, pos: int) -> int:
+def _extent(t: Datatype) -> int:
+    return t.kind.size if isinstance(t, Base) else commit(t).extent
+
+
+def _placed(inner: Datatype, ext: int, blocks: tuple) -> tuple:
+    """Plan for `n` consecutive instances of `inner`, `ext` apart, at each
+    (displ, n) of `blocks`."""
+    if isinstance(inner, Base):
+        return ("runs", tuple((d, n * ext) for d, n in blocks))
+    return ("blocks", blocks, ext, _prep(inner))
+
+
+def _walk(plan, src, dst, base: int, pos: int, packing: bool) -> int:
+    """Copy one instance's runs between the region, at `base` plus each
+    run's displacement, and the packed payload, at `pos`; returns the
+    payload position after the last run.  Packing reads the region and
+    writes the payload, unpacking the other way round."""
     tag = plan[0]
-    if tag == "run":
-        off = base + plan[1]
-        n = plan[2]
-        if n >= _BYTE_LOOP_LIMIT:
-            out[pos : pos + n] = src[off : off + n]
-        else:
-            for i in range(n):
-                out[pos + i] = src[off + i]
-        return pos + n
     if tag == "runs":
         for displ, n in plan[1]:
-            off = base + displ
+            if packing:
+                s, d = base + displ, pos
+            else:
+                s, d = pos, base + displ
             if n >= _BYTE_LOOP_LIMIT:
-                out[pos : pos + n] = src[off : off + n]
+                dst[d : d + n] = src[s : s + n]
             else:
                 for i in range(n):
-                    out[pos + i] = src[off + i]
+                    dst[d + i] = src[s + i]
             pos += n
         return pos
-    if tag == "loop":
-        _, count, ext, inner = plan
-        for i in range(count):
-            pos = _pack_walk(inner, src, base + i * ext, out, pos)
-        return pos
-    if tag == "places":
-        _, shifts, inner = plan
-        for shift in shifts:
-            pos = _pack_walk(inner, src, base + shift, out, pos)
-        return pos
-    if tag == "ragged":
+    if tag == "blocks":
         _, blocks, ext, inner = plan
-        for displ, bl in blocks:
-            for i in range(bl):
-                pos = _pack_walk(inner, src, base + displ + i * ext, out, pos)
+        for displ, n in blocks:
+            for i in range(n):
+                pos = _walk(inner, src, dst, base + displ + i * ext, pos, packing)
         return pos
     if tag == "struct":
         for part in plan[1]:
-            if part[0] == "run":
-                pos = _pack_walk(part, src, base, out, pos)
-            else:
-                _, displ, count, ext, inner = part
-                for i in range(count):
-                    pos = _pack_walk(inner, src, base + displ + i * ext, out, pos)
+            pos = _walk(part, src, dst, base, pos, packing)
         return pos
     raise AssertionError(f"unknown plan tag {tag!r}")
-
-
-def _unpack_walk(plan, data, base: int, dst, pos: int) -> int:
-    tag = plan[0]
-    if tag == "run":
-        off = base + plan[1]
-        n = plan[2]
-        if n >= _BYTE_LOOP_LIMIT:
-            dst[off : off + n] = data[pos : pos + n]
-        else:
-            for i in range(n):
-                dst[off + i] = data[pos + i]
-        return pos + n
-    if tag == "runs":
-        for displ, n in plan[1]:
-            off = base + displ
-            if n >= _BYTE_LOOP_LIMIT:
-                dst[off : off + n] = data[pos : pos + n]
-            else:
-                for i in range(n):
-                    dst[off + i] = data[pos + i]
-            pos += n
-        return pos
-    if tag == "loop":
-        _, count, ext, inner = plan
-        for i in range(count):
-            pos = _unpack_walk(inner, data, base + i * ext, dst, pos)
-        return pos
-    if tag == "places":
-        _, shifts, inner = plan
-        for shift in shifts:
-            pos = _unpack_walk(inner, data, base + shift, dst, pos)
-        return pos
-    if tag == "ragged":
-        _, blocks, ext, inner = plan
-        for displ, bl in blocks:
-            for i in range(bl):
-                pos = _unpack_walk(inner, data, base + displ + i * ext, dst, pos)
-        return pos
-    if tag == "struct":
-        for part in plan[1]:
-            if part[0] == "run":
-                pos = _unpack_walk(part, data, base, dst, pos)
-            else:
-                _, displ, count, ext, inner = part
-                for i in range(count):
-                    pos = _unpack_walk(inner, data, base + displ + i * ext, dst, pos)
-        return pos
-    raise AssertionError(f"unknown plan tag {tag!r}")
-
-
-def _pack_with_plan(ct: CommittedType, plan, count: int, src) -> bytes:
-    origin, span = window(ct, count)
-    _check_region(src, origin, span, "source")
-    total = ct.size * count
-    if total == 0:
-        return b""
-    out = bytearray(total)
-    mv = memoryview(src)
-    pos = 0
-    for i in range(count):
-        pos = _pack_walk(plan, mv, i * ct.extent - origin, out, pos)
-    assert pos == total
-    return bytes(out)
-
-
-def _unpack_with_plan(ct: CommittedType, plan, count: int, data, dst) -> None:
-    total = ct.size * count
-    if len(data) != total:
-        raise SizeMismatch(f"packed data holds {len(data)} bytes, layout payload is {total}")
-    if total == 0:
-        return
-    origin, span = window(ct, count)
-    _check_region(dst, origin, span, "destination")
-    mv = memoryview(data)
-    dmv = memoryview(dst)
-    if dmv.readonly:
-        raise TypeError("destination region is read-only")
-    pos = 0
-    for i in range(count):
-        pos = _unpack_walk(plan, mv, i * ct.extent - origin, dmv, pos)
-    assert pos == total
 
 
 def pack(t: Datatype | CommittedType, count: int, src) -> bytes:
     """Pack `count` instances from `src` with the interpreted engine."""
-    if count < 0:
-        raise MalformedType(f"count must be >= 0, got {count}")
-    ct = commit(t)
-    return _pack_with_plan(ct, _prep(ct.datatype), count, src)
+    return InterpretedEngine(t, count).pack_message(src)
 
 
 def unpack(t: Datatype | CommittedType, count: int, data, dst) -> None:
     """Scatter packed payload back into `dst`, leaving gap bytes alone."""
-    if count < 0:
-        raise MalformedType(f"count must be >= 0, got {count}")
-    ct = commit(t)
-    _unpack_with_plan(ct, _prep(ct.datatype), count, data, dst)
+    InterpretedEngine(t, count).unpack_message(data, dst)
 
 
 # --- engine objects for the transport layer -----------------------------
@@ -466,6 +334,8 @@ class InterpretedEngine:
     name = "interpreted"
 
     def __init__(self, t: Datatype | CommittedType, count: int):
+        if count < 0:
+            raise MalformedType(f"count must be >= 0, got {count}")
         self.committed = commit(t)
         self.count = count
         self.total_bytes = self.committed.size * count
@@ -474,10 +344,36 @@ class InterpretedEngine:
         self.is_contiguous = False  # never shortcuts; that is the point
 
     def pack_message(self, region) -> bytes:
-        return _pack_with_plan(self.committed, self._plan, self.count, region)
+        return self._copy(region)
 
     def unpack_message(self, data, region) -> None:
-        _unpack_with_plan(self.committed, self._plan, self.count, data, region)
+        self._copy(region, data)
+
+    def _copy(self, region, data=None):
+        """The interpreted copy in either direction.  Without `data`, pack
+        the instances out of `region` and return the payload; with `data`,
+        unpack it into `region`, leaving gap bytes alone."""
+        packing = data is None
+        if not packing:
+            _check_payload(data, self.total_bytes)
+        _check_region(region, self.origin, self.span,
+                      "source" if packing else "destination")
+        if self.total_bytes == 0:
+            return b""
+        reg = memoryview(region)
+        if packing:
+            out = bytearray(self.total_bytes)
+            src, dst = reg, out
+        elif reg.readonly:
+            raise TypeError("destination region is read-only")
+        else:
+            src, dst = memoryview(data), reg
+        pos = 0
+        ext = self.committed.extent
+        for i in range(self.count):
+            pos = _walk(self._plan, src, dst, i * ext - self.origin, pos, packing)
+        assert pos == self.total_bytes
+        return bytes(out) if packing else None
 
 
 class CompiledEngine:
@@ -493,10 +389,20 @@ class CompiledEngine:
         self.is_contiguous = self.program.is_contiguous
 
     def pack_message(self, region):
-        return pack_compiled_buffer(self.program, region)
+        """Payload of `region`; a view into it when the layout is one
+        contiguous run that fills the window."""
+        if self.is_contiguous:
+            _check_region(region, self.origin, self.span, "source")
+            return memoryview(region)[: self.span]
+        return _run_program(self.program, region)
 
     def unpack_message(self, data, region) -> None:
-        unpack_compiled(self.program, data, region)
+        if self.is_contiguous:
+            _check_payload(data, self.total_bytes)
+            _check_region(region, self.origin, self.span, "destination")
+            memoryview(region)[: self.span] = data
+            return
+        _run_program(self.program, region, data)
 
 
 ENGINES = ("interpreted", "compiled")

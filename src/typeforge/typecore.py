@@ -232,6 +232,19 @@ def _place_blocks(
     return _canonicalize(out_off, out_len)
 
 
+def block_bounds(blocklens: np.ndarray, displs: np.ndarray, lb: int, ub: int) -> tuple[int, int]:
+    """Bounds of indexed blocks without building their segments: block j
+    holds blocklens[j] instances of an inner type with bounds (lb, ub),
+    the first at byte displs[j], and spans from that instance's lb to its
+    last instance's ub.  Empty blocks do not count."""
+    live = blocklens > 0
+    if not live.any():
+        return 0, 0
+    ext = ub - lb
+    return (int((displs[live] + lb).min()),
+            int((displs[live] + (blocklens[live] - 1) * ext + ub).max()))
+
+
 def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """Return (offsets, lengths, size, lb, ub) for one instance of `t`.
 
@@ -275,30 +288,20 @@ def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         hi = int((shifts + (t.blocklen - 1) * ext + ub).max())
         return out_off, out_ln, size * t.blocklen * t.count, lo, hi
 
-    if isinstance(t, Indexed):
+    if isinstance(t, (Indexed, IndexedBlock)):
         off, ln, size, lb, ub = _layout(t.inner)
         ext = ub - lb
-        blocklens = np.array([b for b, _ in t.blocks], dtype=np.int64)
-        displs = np.array([d for _, d in t.blocks], dtype=np.int64) * ext
-        live = blocklens > 0
-        if not live.any() or (size == 0 and lb == 0 and ub == 0):
+        if isinstance(t, Indexed):
+            blocklens = np.array([b for b, _ in t.blocks], dtype=np.int64)
+            displs = np.array([d for _, d in t.blocks], dtype=np.int64) * ext
+        else:
+            blocklens = np.full(len(t.displs), t.blocklen, dtype=np.int64)
+            displs = np.asarray(t.displs, dtype=np.int64) * ext
+        if not (blocklens > 0).any() or (size == 0 and lb == 0 and ub == 0):
             return _EMPTY, _EMPTY, 0, 0, 0
         out_off, out_ln = _place_blocks(blocklens, displs, (off, ln), ext)
-        lo = int((displs[live] + lb).min())
-        hi = int((displs[live] + (blocklens[live] - 1) * ext + ub).max())
+        lo, hi = block_bounds(blocklens, displs, lb, ub)
         return out_off, out_ln, size * int(blocklens.sum()), lo, hi
-
-    if isinstance(t, IndexedBlock):
-        off, ln, size, lb, ub = _layout(t.inner)
-        ext = ub - lb
-        if t.blocklen == 0 or len(t.displs) == 0 or (size == 0 and lb == 0 and ub == 0):
-            return _EMPTY, _EMPTY, 0, 0, 0
-        displs = np.asarray(t.displs, dtype=np.int64) * ext
-        blocklens = np.full(len(t.displs), t.blocklen, dtype=np.int64)
-        out_off, out_ln = _place_blocks(blocklens, displs, (off, ln), ext)
-        lo = int(displs.min()) + lb
-        hi = int(displs.max()) + (t.blocklen - 1) * ext + ub
-        return out_off, out_ln, size * t.blocklen * len(t.displs), lo, hi
 
     if isinstance(t, Composite):
         parts_off: list[np.ndarray] = []

@@ -1,6 +1,8 @@
 """Timing harness: schedules, reduction, determinism and output files."""
 
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from typeforge.bench import (
     write_raw_json,
     write_stats_csv,
 )
+from typeforge.transport import PeerClosed
 from typeforge.typecore import (
     Base,
     BaseKind,
@@ -277,6 +280,18 @@ def test_echo_failure_is_raised_to_the_caller(monkeypatch, fake_clock):
     monkeypatch.setattr(bench, "_one_rep", failing)
     with pytest.raises(EchoBroke):
         run_case(_case(), r=2, nrep=2, clock=fake_clock)
+
+
+def _exit_before_connecting(*args):
+    sys.exit(3)
+
+
+def test_echo_process_that_dies_before_connecting_is_reported_at_once(monkeypatch):
+    monkeypatch.setattr(bench, "_echo_process_main", _exit_before_connecting)
+    started = time.monotonic()
+    with pytest.raises(PeerClosed, match="exited with code 3"):
+        run_case(_case(transport="tcp", m_bytes=64), r=1, nrep=2)
+    assert time.monotonic() - started < 5.0
 
 
 def test_committed_cases_are_not_committed_again(monkeypatch, fake_clock):

@@ -1,8 +1,11 @@
 """Experiment registry: grids, defaults, emission order and skip rules."""
 
+from collections import Counter
+
 import pytest
 
 import typeforge.bench as bench
+import typeforge.typecore as typecore
 from typeforge.bench import BenchCase
 from typeforge.experiments import (
     EXPERIMENT_IDS,
@@ -11,7 +14,7 @@ from typeforge.experiments import (
     make_plan,
     run_experiment,
 )
-from typeforge.layouts import ALL_IDS
+from typeforge.layouts import ALL_IDS, BLOCK_INDEXED, LayoutSpec, build_alternatives
 
 _SWEEP6 = (2, 10, 100, 1000, 1024, 10000)
 
@@ -211,3 +214,27 @@ def test_rowcol_uses_element_sizes(fake_clock):
     ]
     for v in result.verdicts:
         assert not v.violated  # deterministic clock, ratio exactly 1
+
+
+def test_family_point_commits_each_member_once(monkeypatch, fake_clock):
+    spec = LayoutSpec(id=BLOCK_INDEXED, n=800, A=2)
+    members = [m.datatype for m in build_alternatives(spec)]
+    calls = Counter()
+    depth = [0]
+    real = typecore._layout
+
+    def counting(t):
+        # only commits count, not the recursion into subtrees
+        if depth[0] == 0:
+            calls[t] += 1
+        depth[0] += 1
+        try:
+            return real(t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(typecore, "_layout", counting)
+    plan = make_plan("block_indexed", A_values=(2,), sizes=(3_200,), r=1, nrep=1)
+    result = run_experiment(plan, clock=fake_clock)
+    assert len(result.verdicts) == 3
+    assert [calls[t] for t in members] == [1, 1]

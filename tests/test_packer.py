@@ -195,36 +195,47 @@ def test_pack_zero_count_is_empty():
 # --- error handling -----------------------------------------------------
 
 
+# fragmented (slice copies), long and periodic, and contiguous (sent
+# straight from the region)
+_CHECKED = (Vector(3, 2, 4, INT), Vector(100, 1, 2, INT), Contiguous(6, INT))
+
+
 def test_short_region_is_rejected():
-    t = Vector(3, 2, 4, INT)
-    with pytest.raises(RegionTooSmall):
-        pack(t, 1, bytes(16))
-    with pytest.raises(RegionTooSmall):
-        CompiledEngine(t, 1).pack_message(bytes(16))
-    with pytest.raises(RegionTooSmall):
-        unpack(t, 1, bytes(24), bytearray(16))
+    for t in _CHECKED:
+        eng = CompiledEngine(t, 1)
+        short = eng.span - 1
+        payload = bytes(eng.total_bytes)
+        with pytest.raises(RegionTooSmall):
+            pack(t, 1, bytes(short))
+        with pytest.raises(RegionTooSmall):
+            eng.pack_message(bytes(short))
+        with pytest.raises(RegionTooSmall):
+            unpack(t, 1, payload, bytearray(short))
+        with pytest.raises(RegionTooSmall):
+            eng.unpack_message(payload, bytearray(short))
 
 
 def test_payload_length_is_checked():
-    t = Vector(3, 2, 4, INT)
-    with pytest.raises(SizeMismatch):
-        unpack(t, 1, bytes(23), bytearray(40))
-    with pytest.raises(SizeMismatch):
-        CompiledEngine(t, 1).unpack_message(bytes(25), bytearray(40))
+    for t in _CHECKED:
+        eng = CompiledEngine(t, 1)
+        with pytest.raises(SizeMismatch):
+            unpack(t, 1, bytes(eng.total_bytes - 1), bytearray(eng.span))
+        with pytest.raises(SizeMismatch):
+            eng.unpack_message(bytes(eng.total_bytes + 1), bytearray(eng.span))
 
 
 def test_read_only_destination_is_rejected():
-    t = Vector(3, 2, 4, INT)
-    payload = bytes(24)
-    with pytest.raises(TypeError):
-        unpack(t, 1, payload, bytes(40))
-    with pytest.raises(TypeError):
-        CompiledEngine(t, 1).unpack_message(payload, bytes(40))
-    wide = Vector(100, 1, 2, INT)
-    frozen = np.zeros(compile(wide, 1).span, dtype=np.uint8)
-    frozen.flags.writeable = False
-    with pytest.raises(TypeError):
-        CompiledEngine(wide, 1).unpack_message(bytes(400), frozen)
+    for t in _CHECKED:
+        eng = CompiledEngine(t, 1)
+        payload = bytes(eng.total_bytes)
+        with pytest.raises(TypeError):
+            unpack(t, 1, payload, bytes(eng.span))
+        with pytest.raises(TypeError):
+            eng.unpack_message(payload, bytes(eng.span))
+        frozen = np.zeros(eng.span, dtype=np.uint8)
+        frozen.flags.writeable = False
+        with pytest.raises(TypeError):
+            eng.unpack_message(payload, frozen)
 
 
 def test_negative_count_is_rejected():

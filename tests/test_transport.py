@@ -3,8 +3,10 @@
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from treegen import oracle_walk
+from treegen import datatypes, oracle_walk
 from typeforge.packer import make_engine, pack
 from typeforge.transport import (
     PeerClosed,
@@ -165,19 +167,19 @@ def test_typed_wire_format_is_the_packed_payload():
 
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
-@pytest.mark.parametrize("op", [pingpong_typed, pingpong_packed])
-def test_echo_copies_payload_and_skips_gaps(op, engine):
-    t = Vector(3, 2, 4, INT)
-    count = 2
-    span = make_engine(engine, t, count).span
-    ping_region = _fill(span)
-    pong_region = _fill(span, salt=100)
+@pytest.mark.parametrize("op", [pingpong_typed, pingpong_packed],
+                         ids=["pingpong_typed", "pingpong_packed"])
+@given(datatypes(), st.integers(0, 3))
+def test_echo_copies_payload_and_skips_gaps(op, engine, t, count):
+    eng = make_engine(engine, t, count)
+    ping_region = _fill(eng.span)
+    pong_region = _fill(eng.span, salt=100)
     before_ping = bytes(ping_region)
     before_pong = bytes(pong_region)
 
     addrs, _, _, _ = oracle_walk(t)
     ext = commit(t).extent
-    payload = {i * ext + a for i in range(count) for a in addrs}
+    payload = {i * ext + a - eng.origin for i in range(count) for a in addrs}
 
     ping, pong = make_pair("inmem")
     try:
@@ -191,7 +193,7 @@ def test_echo_copies_payload_and_skips_gaps(op, engine):
 
     # the echo returns the initiator's own payload, so its region is intact
     assert bytes(ping_region) == before_ping
-    for pos in range(span):
+    for pos in range(eng.span):
         want = before_ping[pos] if pos in payload else before_pong[pos]
         assert pong_region[pos] == want
 
