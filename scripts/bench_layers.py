@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time the packer layer by layer for a fixed reference set of layouts.
+
+For each layout it times `packer.compile`, one pack, one unpack and one
+memcpy of the same payload size, and prints the segment count and the copy
+path that ran (`PackProgram.strategy`; the interpreted engine always walks
+the tree).  Pack, unpack and memcpy are interleaved within each repetition
+so host speed drift hits all three alike; each figure is a median with its
+quartiles, in microseconds.
+
+The results, with the host, CPU count, Python and numpy versions, the git
+sha (with "-dirty" when the tree has uncommitted changes) and the clock's
+resolution and call cost, are stored under `--label`
+in the JSON file `--out`, so runs of two trees can sit side by side:
+
+    PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH_5.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import socket
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+from typeforge import layouts, packer
+
+# (layout, elements, A, engine): the five fine_inmem layouts of the
+# benchmark, then coarse_tcp's tiled A=1000; 2.56 MB of INT payload unless
+# the element count says otherwise
+REFERENCE = (
+    ("tiled", 640_000, 2, "compiled"),
+    ("bucket", 640_000, 2, "compiled"),
+    ("alternating", 640_000, 10, "compiled"),
+    ("rowcol_fully_indexed", 10_240, 100, "compiled"),
+    ("tiled", 800, 2, "interpreted"),
+    ("tiled", 640_000, 1000, "compiled"),
+)
+
+
+def _quartiles(samples: list[float]) -> dict[str, float]:
+    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"p25_us": q1 * 1e6, "median_us": med * 1e6, "p75_us": q3 * 1e6}
+
+
+def _clock_call_ns(calls: int = 100_000) -> float:
+    clock = time.perf_counter
+    start = clock()
+    for _ in range(calls):
+        clock()
+    return (clock() - start) / calls * 1e9
+
+
+def environment() -> dict:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        sha = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             cwd=root, capture_output=True, text=True,
+                             timeout=10).stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        sha = None
+    return {
+        "host": socket.gethostname(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": sha,
+        "clock_resolution_s": time.get_clock_info("perf_counter").resolution,
+        "clock_call_ns": round(_clock_call_ns(), 1),
+    }
+
+
+def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
+    built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
+    ct, count = built.committed, built.count
+    compile_s = []
+    for _ in range(5):
+        start = time.perf_counter()
+        program = packer.compile(ct, count)
+        compile_s.append(time.perf_counter() - start)
+    eng = packer.make_engine(engine, ct, count)
+    region = np.zeros(eng.span, dtype=np.uint8)
+    eng.unpack_message(np.random.default_rng(1).bytes(eng.total_bytes), region)
+    src = np.frombuffer(bytes(eng.pack_message(region)), dtype=np.uint8)
+    dst = np.empty_like(src)
+    times = {"pack": [], "unpack": [], "memcpy": []}
+    for _ in range(reps):
+        start = time.perf_counter()
+        eng.pack_message(region)
+        times["pack"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        eng.unpack_message(src, region)
+        times["unpack"].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        np.copyto(dst, src)
+        times["memcpy"].append(time.perf_counter() - start)
+    out = {
+        "layout": layout, "n": n, "A": A, "engine": engine,
+        "payload_bytes": eng.total_bytes,
+        "segments": len(program.offsets),
+        "strategy": program.strategy if engine == "compiled" else "walk",
+        "compile": _quartiles(compile_s),
+    }
+    out.update({k: _quartiles(v) for k, v in times.items()})
+    memcpy = out["memcpy"]["median_us"]
+    out["pack_vs_memcpy"] = out["pack"]["median_us"] / memcpy
+    out["unpack_vs_memcpy"] = out["unpack"]["median_us"] / memcpy
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", default="BENCH.json", help="JSON file to add the run to")
+    ap.add_argument("--reps", type=int, default=41, help="timed repetitions per layout")
+    args = ap.parse_args(argv)
+
+    rows = []
+    print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
+          f"{'compile':>9}{'pack':>9}{'unpack':>9}{'memcpy':>9}{'pack/mc':>8}")
+    for layout, n, A, engine in REFERENCE:
+        row = measure(layout, n, A, engine, args.reps)
+        rows.append(row)
+        print(f"{f'{layout}/A{A}/n{n}':<34}{engine:<12}{row['segments']:>9} "
+              f"{row['strategy']:<9}{row['compile']['median_us']:>9.0f}"
+              f"{row['pack']['median_us']:>9.0f}{row['unpack']['median_us']:>9.0f}"
+              f"{row['memcpy']['median_us']:>9.0f}{row['pack_vs_memcpy']:>8.1f}", flush=True)
+
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows}
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {args.label} to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

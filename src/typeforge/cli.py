@@ -6,8 +6,8 @@ expanded through the layout builder).  Experiment runs write a bench CSV
 and a verdict CSV into the output directory; the TYPEFORGE_OUT environment
 variable overrides --out.
 
-Exit codes: 0 success, 1 execution failure, 2 usage error or inequivalent
-layouts, 3 guideline violation.
+Exit codes: 0 success, 1 execution failure (an out-of-memory failure
+included), 2 usage error or inequivalent layouts, 3 guideline violation.
 """
 
 from __future__ import annotations
@@ -263,6 +263,10 @@ def main(argv: Optional[list[str]] = None,
     except (MalformedType, BadParams, FileNotFoundError, json.JSONDecodeError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError as exc:
+        # a spec can describe far more bytes than the host holds
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return EXIT_FAILURE
     raise AssertionError(f"unhandled command {args.command!r}")
 

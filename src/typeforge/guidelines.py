@@ -199,7 +199,7 @@ def check_g4(
     one."""
     ct = commit(t)
     report = normalize(ct)
-    normal = commit(report.output) if report.changed else ct
+    normal = report.committed_output
     _require_same_layout(ct, c, normal, c, "G4_NORMALIZE")
     lhs = _bench_case(f"{case_id}/given", ct, c, "typed", engine, transport, A)
     rhs = _bench_case(f"{case_id}/normalized", normal, c, "typed",

@@ -16,7 +16,7 @@ explicitly indexed descriptions expensive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class NormalizationReport:
     input_cost: int
     output_cost: int
     changed: bool
+    # the output, committed once here for its cost, for callers that
+    # measure it next
+    committed_output: CommittedType = field(repr=False, compare=False)
 
 
 def descr_size(t: Datatype) -> int:
@@ -356,16 +359,18 @@ def normalize(t: Datatype | CommittedType) -> NormalizationReport:
         any_change = any_change or round_changed
         if not round_changed:
             break
+    changed = current is not t and current != t
+    out_ct = commit(current) if changed else ct
     in_cost = cost(ct)
-    out_cost = in_cost if current is t else cost(current)
     return NormalizationReport(
         input=t,
         output=current,
         passes=tuple(applied),
         iterations=iterations,
         input_cost=in_cost,
-        output_cost=out_cost,
-        changed=current is not t and current != t,
+        output_cost=cost(out_ct) if changed else in_cost,
+        changed=changed,
+        committed_output=out_ct,
     )
 
 

@@ -11,8 +11,20 @@ drift apart:
   performs no cross-constructor analysis, so deeply fragmented
   descriptions pay their full per-block overhead.
 * compiled: one-time translation of the canonical segment list into a copy
-  program executed with bulk (vectorized) moves.  A layout that is one
-  contiguous run filling its window is sent straight from the region.
+  program executed with bulk (vectorized) moves, by one of four strategies
+  (`PackProgram.strategy`):
+  - view: a layout that is one contiguous run filling its window is sent
+    straight from the region;
+  - slices: up to 64 segments, one slice copy each;
+  - periodic: `rows` repetitions of a pattern of up to 8 segments at a
+    uniform byte period move in one record-wise assignment.  The region is
+    viewed as `rows` records `period` bytes apart, field j a void of the
+    pattern's j-th length at its offset in the period, and the payload as
+    records of the same fields back to back; whole records move per row
+    instead of bytes per column;
+  - gather: anything else moves as words of width w, the widest of 8, 4, 2
+    and 1 bytes that divides every segment's region offset and length,
+    through an index of `total_bytes / w` word positions.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.
@@ -21,6 +33,7 @@ segments survive a round trip untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +58,10 @@ from .typecore import (
 # below this, bulk copy setup costs more than moving bytes one at a time
 _BYTE_LOOP_LIMIT = 16
 # programs up to this many ops run as python slice copies; larger ones
-# switch to two-dimensional slicing or a precomputed gather/scatter index
+# switch to the record-wise periodic copy or the word gather
 _SLICE_OP_LIMIT = 64
 # a periodic program needs at least this many repetitions of its pattern
-# before two-dimensional slicing is worth detecting
+# before the record-wise copy is worth detecting
 _PERIOD_MIN_ROWS = 8
 # patterns longer than this are left to the gather index
 _PERIOD_PATTERN_MAX = 8
@@ -85,7 +98,9 @@ class PackProgram:
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  `total_bytes` is the packed payload size and `span` the region
-    window length.
+    window length.  Everything derived from the segments (periodic plan,
+    record dtypes, word width, gather index) is built on first use, not
+    here, so compiling stays as cheap as flattening.
     """
 
     offsets: np.ndarray
@@ -93,9 +108,10 @@ class PackProgram:
     total_bytes: int
     origin: int
     span: int
-    _gather: np.ndarray | None = field(default=None, repr=False)
+    _gather: dict = field(default_factory=dict, repr=False)
     _periodic: tuple | None = field(default=None, repr=False)
     _periodic_known: bool = field(default=False, repr=False)
+    _records: tuple | None = field(default=None, repr=False)
 
     @property
     def ops(self) -> list[tuple[int, int]]:
@@ -105,15 +121,41 @@ class PackProgram:
     def is_contiguous(self) -> bool:
         return len(self.offsets) == 1 and int(self.lengths[0]) == self.total_bytes == self.span
 
-    def gather_index(self) -> np.ndarray:
-        """Region index of every packed byte, built once on demand."""
-        if self._gather is None:
-            rel = self.offsets - self.origin
-            starts = np.repeat(rel, self.lengths)
-            pos = np.arange(self.total_bytes, dtype=np.int64)
-            seg_base = np.repeat(np.cumsum(self.lengths) - self.lengths, self.lengths)
-            self._gather = starts + (pos - seg_base)
-        return self._gather
+    @cached_property
+    def strategy(self) -> str:
+        """The copy path this program runs: "view" (the region itself is
+        the payload), "slices" (one slice copy per segment), "periodic"
+        (one record-wise copy) or "gather" (one indexed word copy)."""
+        if self.is_contiguous:
+            return "view"
+        if len(self.offsets) <= _SLICE_OP_LIMIT:
+            return "slices"
+        if self.periodic_plan() is not None:
+            return "periodic"
+        return "gather"
+
+    @cached_property
+    def word_width(self) -> int:
+        """Widest of 8, 4, 2 and 1 bytes that divides every segment's
+        region offset and every length, so the gather can move whole
+        words of that width."""
+        bits = int(np.bitwise_or.reduce(self.offsets - self.origin)
+                   | np.bitwise_or.reduce(self.lengths))
+        return next(w for w in (8, 4, 2, 1) if bits % w == 0)
+
+    def gather_index(self, width: int = 1) -> np.ndarray:
+        """Region index, in `width`-byte words, of every packed word; built
+        once per width on demand.  `width` must divide every region offset
+        and every length (see `word_width`)."""
+        index = self._gather.get(width)
+        if index is None:
+            rel = (self.offsets - self.origin) // width
+            lens = self.lengths // width
+            starts = np.repeat(rel, lens)
+            pos = np.arange(self.total_bytes // width, dtype=np.int64)
+            seg_base = np.repeat(np.cumsum(lens) - lens, lens)
+            index = self._gather[width] = starts + (pos - seg_base)
+        return index
 
     def periodic_plan(self) -> tuple | None:
         """Uniform-period description of the segment list, if one exists.
@@ -154,6 +196,30 @@ class PackProgram:
             break
         return self._periodic
 
+    def periodic_records(self) -> tuple[np.dtype, np.dtype]:
+        """(region, payload) record dtypes of a periodic program, built once.
+
+        Both have one void field per pattern segment: the region record
+        places field j at its offset within the period and is only as long
+        as the bytes the pattern covers, so a strided view of `rows`
+        records never reaches past the window; the payload record places
+        the fields back to back.
+        """
+        if self._records is None:
+            _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan()
+            self._records = (_record(rel, pat, int((rel + pat).max())),
+                             _record(prefix, pat, row_bytes))
+        return self._records
+
+
+def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:
+    return np.dtype({
+        "names": [f"f{j}" for j in range(len(offsets))],
+        "formats": [f"V{int(n)}" for n in lengths],
+        "offsets": offsets.tolist(),
+        "itemsize": itemsize,
+    })
+
 
 def compile(t: Datatype | CommittedType, count: int) -> PackProgram:
     ct = commit(t)
@@ -172,44 +238,43 @@ def _as_u8(buf) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
 
 
-def _strided_rows(buf: np.ndarray, start: int, rows: int, period: int, ln: int) -> np.ndarray:
-    """(rows, ln) view of one pattern segment across every period.
-
-    The window is sliced to exactly the bytes the strided view addresses,
-    so the view never reaches past the region even when the last period's
-    trailing gap is not part of it.
-    """
-    window = buf[start : start + (rows - 1) * period + ln]
-    return np.lib.stride_tricks.as_strided(window, (rows, ln), (period, 1))
-
-
-def _periodic_copy(p: PackProgram, plan: tuple, region: np.ndarray, packed: np.ndarray,
+def _periodic_copy(p: PackProgram, region: np.ndarray, packed: np.ndarray,
                    packing: bool) -> None:
-    rows, period, rel, pat, prefix, row_bytes, first = plan
-    base = first - p.origin
-    p2 = packed.reshape(rows, row_bytes)
-    for j in range(len(rel)):
-        a, b, ln = int(rel[j]), int(prefix[j]), int(pat[j])
-        strided = _strided_rows(region, base + a, rows, period, ln)
-        if packing:
-            p2[:, b : b + ln] = strided
-        else:
-            strided[:] = p2[:, b : b + ln]
+    """One record-wise assignment: row i of the region, at `period` bytes
+    apart, is record i of the payload."""
+    rows, period, _, _, _, _, first = p.periodic_plan()
+    region_rec, packed_rec = p.periodic_records()
+    strided = np.ndarray((rows,), region_rec, region, first - p.origin, (period,))
+    records = packed.view(packed_rec)
+    if packing:
+        records[...] = strided
+    else:
+        strided[...] = records
+
+
+def _words(buf: np.ndarray, width: int) -> np.ndarray:
+    """`buf` as whole `width`-byte words, any trailing partial word cut."""
+    return buf[: len(buf) - len(buf) % width].view(f"u{width}")
 
 
 def _run_program(p: PackProgram, region, data=None):
-    """The compiled copy in either direction.  Without `data`, pack `region`
-    and return a buffer-backed payload; with `data`, unpack it into
-    `region`.  Short programs copy slice by slice, long ones by
-    two-dimensional slices when periodic, else through the gather index."""
+    """The compiled copy in either direction, by `p.strategy`.  Without
+    `data`, pack `region` and return a buffer-backed payload (a view of the
+    region itself when the layout fills its window); with `data`, unpack it
+    into `region`."""
     packing = data is None
     if not packing:
         _check_payload(data, p.total_bytes)
     _check_region(region, p.origin, p.span, "source" if packing else "destination")
-    n_ops = len(p.offsets)
-    if n_ops == 0:
+    strategy = p.strategy
+    if strategy == "view":
+        if packing:
+            return memoryview(region)[: p.span]
+        memoryview(region)[: p.span] = data
+        return None
+    if len(p.offsets) == 0:
         return b""
-    if n_ops <= _SLICE_OP_LIMIT:
+    if strategy == "slices":
         out = bytearray(p.total_bytes) if packing else None
         reg = memoryview(region)
         packed = memoryview(out if packing else data)
@@ -225,14 +290,15 @@ def _run_program(p: PackProgram, region, data=None):
     reg = _as_u8(region)
     if not packing and not reg.flags.writeable:
         raise TypeError("destination region is read-only")
-    plan = p.periodic_plan()
-    if plan is not None:
+    if strategy == "periodic":
         packed = np.empty(p.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
-        _periodic_copy(p, plan, reg, packed, packing)
+        _periodic_copy(p, reg, packed, packing)
         return packed
+    w = p.word_width
+    words = _words(reg, w)
     if packing:
-        return np.take(reg, p.gather_index())
-    reg[p.gather_index()] = _as_u8(data)
+        return np.take(words, p.gather_index(w)).view(np.uint8)
+    words[p.gather_index(w)] = _as_u8(data).view(words.dtype)
 
 
 # --- interpreted engine -------------------------------------------------
@@ -391,17 +457,9 @@ class CompiledEngine:
     def pack_message(self, region):
         """Payload of `region`; a view into it when the layout is one
         contiguous run that fills the window."""
-        if self.is_contiguous:
-            _check_region(region, self.origin, self.span, "source")
-            return memoryview(region)[: self.span]
         return _run_program(self.program, region)
 
     def unpack_message(self, data, region) -> None:
-        if self.is_contiguous:
-            _check_payload(data, self.total_bytes)
-            _check_region(region, self.origin, self.span, "destination")
-            memoryview(region)[: self.span] = data
-            return
         _run_program(self.program, region, data)
 
 

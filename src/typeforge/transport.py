@@ -44,7 +44,10 @@ class Endpoint:
     def send_msg(self, payload) -> None:
         raise NotImplementedError
 
-    def recv_msg(self):
+    def recv_msg(self, limit: int | None = None):
+        """The next message.  A frame announcing more than `limit` bytes
+        (by default a sanity cap of 1 TiB) raises PeerClosed before any
+        buffer is allocated for it."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -53,11 +56,24 @@ class Endpoint:
     def barrier(self) -> None:
         """1-byte exchange; returns once both sides arrived."""
         self.send_msg(b"\x01")
-        self.recv_msg()
+        self.recv_msg(1)
 
     def exchange_f64(self, value: float) -> float:
         self.send_msg(_F64.pack(value))
-        return _F64.unpack(bytes(self.recv_msg()))[0]
+        return _F64.unpack(bytes(self.recv_msg(_F64.size)))[0]
+
+
+def _check_length(length: int, limit: int | None) -> None:
+    cap = _MAX_REASONABLE if limit is None else limit
+    if length > cap:
+        raise PeerClosed(f"frame announces {length} bytes, at most {cap} expected")
+
+
+def _recv_bounded(ep, limit: int):
+    """`ep.recv_msg(limit)`; a stand-in endpoint that is not an Endpoint (a
+    proxy that records calls, say) is asked without a bound, as before
+    bounds existed."""
+    return ep.recv_msg(limit) if isinstance(ep, Endpoint) else ep.recv_msg()
 
 
 _CLOSED = object()
@@ -78,11 +94,12 @@ class InMemEndpoint(Endpoint):
         self._tx.put(_HEADER.pack(len(payload)))
         self._tx.put(payload)
 
-    def recv_msg(self):
+    def recv_msg(self, limit: int | None = None):
         header = self._rx.get()
         if header is _CLOSED:
             raise PeerClosed("peer closed the channel")
         (length,) = _HEADER.unpack(header)
+        _check_length(length, limit)
         payload = self._rx.get()
         if payload is _CLOSED:
             raise PeerClosed("peer closed the channel mid-message")
@@ -124,10 +141,9 @@ class TcpEndpoint(Endpoint):
             got += chunk
         return buf
 
-    def recv_msg(self):
+    def recv_msg(self, limit: int | None = None):
         (length,) = _HEADER.unpack(bytes(self._recv_exact(8)))
-        if length > _MAX_REASONABLE:
-            raise PeerClosed(f"implausible frame length {length}")
+        _check_length(length, limit)
         return self._recv_exact(length)
 
     def close(self) -> None:
@@ -218,9 +234,9 @@ def pingpong_typed(
     start = clock()
     if ep.peer_id == "ping":
         ep.send_msg(eng.pack_message(region))
-        eng.unpack_message(ep.recv_msg(), region)
+        eng.unpack_message(_recv_bounded(ep, eng.total_bytes), region)
     else:
-        eng.unpack_message(ep.recv_msg(), region)
+        eng.unpack_message(_recv_bounded(ep, eng.total_bytes), region)
         ep.send_msg(eng.pack_message(region))
     return clock() - start
 
@@ -233,10 +249,10 @@ def pingpong_raw(ep: Endpoint, region, clock=time.perf_counter) -> float:
     start = clock()
     if ep.peer_id == "ping":
         ep.send_msg(memoryview(region))
-        data = ep.recv_msg()
+        data = _recv_bounded(ep, memoryview(region).nbytes)
         memoryview(region)[: len(data)] = data
     else:
-        data = ep.recv_msg()
+        data = _recv_bounded(ep, memoryview(region).nbytes)
         memoryview(region)[: len(data)] = data
         ep.send_msg(memoryview(region))
     return clock() - start

@@ -141,6 +141,21 @@ def test_spec_without_kind_or_id_fails(tmp_path, capsys):
     assert cli.main(["flatten", "--spec", _write_json(tmp_path, "x.json", {"a": 1})]) == 1
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("cannot allocate 745 GiB"), "error: out of memory cannot allocate 745 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_is_an_execution_failure(tiled_spec, monkeypatch, capsys, exc, line):
+    # raised, not provoked: whether a huge allocation fails at once depends
+    # on the host's overcommit policy
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_pack", exhausted)
+    assert cli.main(["pack", "--spec", tiled_spec]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_unknown_experiment_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--experiment", "mosaic"])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import typeforge.bench as bench
+from typeforge import typecore
 from typeforge.bench import BenchCase
 from typeforge.guidelines import (
     DEFAULT_THRESHOLD,
@@ -23,7 +24,8 @@ from typeforge.guidelines import (
     read_verdicts_csv,
     write_verdicts_csv,
 )
-from typeforge.layouts import LayoutSpec, build
+from typeforge.layouts import BLOCK_INDEXED, LayoutSpec, build, build_alternatives
+from typeforge.normalizer import normalize
 from typeforge.typecore import Base, BaseKind, Contiguous, Vector
 
 INT = Base(BaseKind.INT)
@@ -163,6 +165,38 @@ def test_g4_measures_both_sides_when_rewritten(fake_clock):
     assert v.case.lhs.case_id == "g4/given"
     assert v.case.rhs.case_id == "g4/normalized"
     assert v.ratio == 1.0
+
+
+def test_g4_point_commits_the_normalized_form_once(monkeypatch, fake_clock):
+    # normalize commits its output for the cost; check_g4 measures that
+    # committed form instead of committing it again
+    calls = []
+    depth = [0]
+    real = typecore._layout
+
+    def counting(t):
+        # only commits count, not the recursion into subtrees
+        if depth[0] == 0:
+            calls.append(t)
+        depth[0] += 1
+        try:
+            return real(t)
+        finally:
+            depth[0] -= 1
+
+    rewritten = 0
+    for member in build_alternatives(LayoutSpec(id=BLOCK_INDEXED, n=800, A=2)):
+        normal = normalize(member.committed).output
+        calls.clear()
+        monkeypatch.setattr(typecore, "_layout", counting)
+        verdicts = check_g4(member.committed, member.count, r=1, nrep=1, clock=fake_clock)
+        monkeypatch.setattr(typecore, "_layout", real)
+        assert [v.case.guideline for v in verdicts] == ["G4_NORMALIZE"]
+        assert calls.count(member.datatype) == 0
+        if normal != member.datatype:
+            rewritten += 1
+            assert calls.count(normal) == 1
+    assert rewritten == 1
 
 
 def test_g4_with_spec_appends_family_verdicts(fake_clock):

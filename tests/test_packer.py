@@ -255,3 +255,107 @@ def test_make_engine_names():
 def test_interpreted_engine_never_claims_contiguity():
     assert InterpretedEngine(Contiguous(4, INT), 1).is_contiguous is False
     assert isinstance(InterpretedEngine(Contiguous(4, INT), 1).pack_message(_fill(16)), bytes)
+
+
+# --- compiled kernels against the interpreted engine --------------------
+
+_KERNEL_KINDS = (BaseKind.BYTE, BaseKind.SHORT, BaseKind.INT, BaseKind.DOUBLE)
+_REGION_FORMS = ("bytearray", "ndarray", "odd_memoryview")
+
+
+def _region(form: str, content: bytes):
+    if form == "bytearray":
+        return bytearray(content)
+    if form == "ndarray":
+        return np.frombuffer(bytearray(content), dtype=np.uint8)
+    # one byte in, so every word of the region is unaligned
+    return memoryview(bytearray(b"\x00" + content))[1:]
+
+
+def _check_against_walker(t, count: int, form: str) -> PackProgram:
+    comp = CompiledEngine(t, count)
+    interp = InterpretedEngine(t, count)
+    src = _fill(comp.span)
+    payload = interp.pack_message(src)
+    assert bytes(comp.pack_message(_region(form, src))) == payload
+    expected = bytearray(b"\xaa" * comp.span)
+    interp.unpack_message(payload, expected)
+    dst = _region(form, b"\xaa" * comp.span)
+    comp.unpack_message(payload, dst)
+    assert bytes(dst) == bytes(expected)
+    return comp.program
+
+
+@st.composite
+def _periodic_types(draw):
+    kind = draw(st.sampled_from(_KERNEL_KINDS))
+    n_blocks = draw(st.integers(1, 4))
+    blocks, displ = [], 0
+    for _ in range(n_blocks):
+        blocklen = draw(st.integers(1, 3))
+        blocks.append((blocklen, displ))
+        displ += blocklen + draw(st.integers(1, 3))
+    inner = Indexed(tuple(blocks), Base(kind))
+    # a stride past the pattern's extent, so the last period is shorter
+    # than its stride
+    period = displ * kind.size + draw(st.integers(0, 5))
+    return HVector(draw(st.integers(8, 200)), 1, period, inner)
+
+
+@given(_periodic_types(), st.integers(1, 3), st.sampled_from(_REGION_FORMS))
+def test_periodic_kernel_matches_walker(t, count, form):
+    p = _check_against_walker(t, count, form)
+    if count == 1 and len(p.offsets) > 64:
+        assert p.strategy == "periodic"
+        assert p.span < p.periodic_plan()[0] * p.periodic_plan()[1]
+
+
+@st.composite
+def _gathered_types(draw):
+    kind = draw(st.sampled_from(_KERNEL_KINDS))
+    # blocks at elements 0 and 3 pin the word width to the element size
+    blocks, displ = [(1, 0), (1, 3)], 3
+    for _ in range(draw(st.integers(70, 120))):
+        displ += draw(st.integers(2, 9))
+        blocks.append((draw(st.integers(1, 2)), displ))
+    if draw(st.booleans()):
+        blocks.reverse()
+    return Indexed(tuple(blocks), Base(kind))
+
+
+@given(_gathered_types(), st.integers(1, 3), st.sampled_from(_REGION_FORMS))
+def test_gather_kernel_matches_walker(t, count, form):
+    p = _check_against_walker(t, count, form)
+    assert p.word_width == t.inner.kind.size
+
+
+def test_word_width_is_the_widest_common_divisor():
+    assert compile(Indexed(((2, 0), (2, 6)), Base(BaseKind.SHORT)), 1).word_width == 4
+    assert compile(Indexed(((1, 0), (1, 3)), Base(BaseKind.DOUBLE)), 1).word_width == 8
+    assert compile(Indexed(((1, 0), (2, 3)), Base(BaseKind.BYTE)), 1).word_width == 1
+    p = compile(Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), INT), 1)
+    assert p.strategy == "gather"
+    assert len(p.gather_index(p.word_width)) == p.total_bytes // p.word_width
+
+
+def test_strategy_names_the_copy_path():
+    assert compile(Contiguous(6, INT), 1).strategy == "view"
+    assert compile(Vector(3, 2, 4, INT), 1).strategy == "slices"
+    assert compile(Vector(100, 1, 2, INT), 1).strategy == "periodic"
+
+
+def test_periodic_records_are_built_once_per_program(monkeypatch):
+    import typeforge.packer as packer
+
+    built = []
+    real = packer._record
+    monkeypatch.setattr(packer, "_record", lambda *a: built.append(a) or real(*a))
+    eng = CompiledEngine(Vector(100, 1, 2, INT), 1)
+    assert built == []  # nothing is built with the engine
+    region = _fill(eng.span)
+    payload = bytes(eng.pack_message(region))
+    records = eng.program.periodic_records()
+    assert bytes(eng.pack_message(region)) == payload
+    eng.unpack_message(payload, bytearray(eng.span))
+    assert eng.program.periodic_records() is records
+    assert len(built) == 2

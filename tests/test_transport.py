@@ -1,6 +1,9 @@
 """Endpoints, framing and ping-pong message operations."""
 
+import socket
+import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -15,7 +18,9 @@ from typeforge.transport import (
     pingpong_packed,
     pingpong_raw,
     pingpong_typed,
+    tcp_accept,
     tcp_connect,
+    tcp_listener,
 )
 from typeforge.typecore import Base, BaseKind, Contiguous, Vector, commit
 
@@ -234,3 +239,42 @@ def test_elapsed_uses_the_injected_clock(fake_clock):
         pong.close()
     # exactly one start and one stop reading per side
     assert elapsed == pytest.approx(fake_clock.step)
+
+
+def test_oversized_frame_is_refused_before_allocation():
+    # a raw socket peer announces 2**40 bytes and sends none of them: a
+    # receiver that allocated first would try to reserve 1 TiB
+    listener, port = tcp_listener()
+    try:
+        peer = socket.create_connection(("127.0.0.1", port), timeout=10)
+        ep = tcp_accept(listener, peer_id="pong")
+    finally:
+        listener.close()
+    eng = make_engine("compiled", Vector(4, 1, 2, INT), 1)
+    region = bytearray(eng.span)
+    try:
+        peer.sendall(struct.pack("<Q", 1 << 40))
+        started = time.perf_counter()
+        with pytest.raises(PeerClosed, match="frame announces"):
+            pingpong_typed(ep, Vector(4, 1, 2, INT), 1, region, eng)
+        peer.sendall(struct.pack("<Q", eng.span + 1))
+        with pytest.raises(PeerClosed, match="frame announces"):
+            pingpong_raw(ep, region)
+        assert time.perf_counter() - started < 5
+    finally:
+        ep.close()
+        peer.close()
+
+
+@pytest.mark.parametrize("kind", ["inmem", "tcp"])
+def test_receive_bound_is_the_expected_length(kind):
+    ping, pong = make_pair(kind)
+    try:
+        ping.send_msg(bytes(16))
+        assert len(pong.recv_msg(16)) == 16
+        ping.send_msg(bytes(17))
+        with pytest.raises(PeerClosed, match="frame announces 17 bytes"):
+            pong.recv_msg(16)
+    finally:
+        ping.close()
+        pong.close()
