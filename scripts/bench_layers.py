@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time the packer layer by layer for a fixed reference set of layouts.
+"""Time the pipeline layer by layer for a fixed reference set of layouts.
 
-For each layout it times `packer.compile`, one pack, one unpack and one
-memcpy of the same payload size, and prints the segment count and the copy
-path that ran (`PackProgram.strategy`; the interpreted engine always walks
-the tree).  Pack, unpack and memcpy are interleaved within each repetition
-so host speed drift hits all three alike; each figure is a median with its
+For each layout it times the set-up (`layouts.build`, `typecore.commit` of
+the built tree, `normalizer.normalize`, `typecore.equivalent` of the
+layout against its normalized form, `packer.compile`, and `plan`: compile
+plus choosing the copy path, all a first copy does before moving bytes),
+then one pack, one unpack and one memcpy of the same payload size, and
+prints the segment count and the copy path that ran
+(`PackProgram.strategy`; the interpreted engine always walks the tree).
+Pack, unpack and memcpy are interleaved within each repetition so host
+speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
 
 The results, with the host, CPU count, Python and numpy versions, the git
@@ -13,7 +17,7 @@ sha (with "-dirty" when the tree has uncommitted changes) and the clock's
 resolution and call cost, are stored under `--label`
 in the JSON file `--out`, so runs of two trees can sit side by side:
 
-    PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH_5.json
+    PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH_6.json
 """
 
 import argparse
@@ -28,7 +32,7 @@ import time
 
 import numpy as np
 
-from typeforge import layouts, packer
+from typeforge import layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
 # benchmark, then coarse_tcp's tiled A=1000; 2.56 MB of INT payload unless
@@ -75,14 +79,36 @@ def environment() -> dict:
     }
 
 
+def _timed(fn, reps: int) -> tuple[dict, object]:
+    """Quartiles of `reps` calls of `fn`, and the last call's result."""
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - start)
+    return _quartiles(times), out
+
+
+def setup(layout: str, n: int, A: int, reps: int) -> dict:
+    """Set-up stages of one layout, each timed on its own."""
+    spec = layouts.LayoutSpec(id=layout, n=n, A=A)
+    out = {}
+    out["build"], built = _timed(lambda: layouts.build(spec), reps)
+    ct, count = built.committed, built.count
+    out["commit"], _ = _timed(lambda: typecore.commit(built.datatype), reps)
+    out["normalize"], report = _timed(lambda: normalizer.normalize(ct), reps)
+    normal = report.committed_output
+    out["equivalent"], _ = _timed(lambda: typecore.equivalent(ct, count, normal, count), reps)
+    out["compile"], _ = _timed(lambda: packer.compile(ct, count), reps)
+    out["plan"], _ = _timed(lambda: packer.compile(ct, count).strategy, reps)
+    return out
+
+
 def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
     built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
     ct, count = built.committed, built.count
-    compile_s = []
-    for _ in range(5):
-        start = time.perf_counter()
-        program = packer.compile(ct, count)
-        compile_s.append(time.perf_counter() - start)
+    stages = setup(layout, n, A, 5)
+    program = packer.compile(ct, count)
     eng = packer.make_engine(engine, ct, count)
     region = np.zeros(eng.span, dtype=np.uint8)
     eng.unpack_message(np.random.default_rng(1).bytes(eng.total_bytes), region)
@@ -104,7 +130,8 @@ def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
         "payload_bytes": eng.total_bytes,
         "segments": len(program.offsets),
         "strategy": program.strategy if engine == "compiled" else "walk",
-        "compile": _quartiles(compile_s),
+        "compile": stages.pop("compile"),
+        "setup": stages,
     }
     out.update({k: _quartiles(v) for k, v in times.items()})
     memcpy = out["memcpy"]["median_us"]
@@ -122,14 +149,17 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
-          f"{'compile':>9}{'pack':>9}{'unpack':>9}{'memcpy':>9}{'pack/mc':>8}")
+          f"{'build':>8}{'commit':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'plan':>8}"
+          f"{'pack':>8}{'unpack':>8}{'memcpy':>8}{'pack/mc':>8}")
     for layout, n, A, engine in REFERENCE:
         row = measure(layout, n, A, engine, args.reps)
         rows.append(row)
+        stages = [row["setup"][k] for k in ("build", "commit", "normalize", "equivalent")]
+        stages += [row["compile"], row["setup"]["plan"]]
+        stages += [row[k] for k in ("pack", "unpack", "memcpy")]
         print(f"{f'{layout}/A{A}/n{n}':<34}{engine:<12}{row['segments']:>9} "
-              f"{row['strategy']:<9}{row['compile']['median_us']:>9.0f}"
-              f"{row['pack']['median_us']:>9.0f}{row['unpack']['median_us']:>9.0f}"
-              f"{row['memcpy']['median_us']:>9.0f}{row['pack_vs_memcpy']:>8.1f}", flush=True)
+              f"{row['strategy']:<9}" + "".join(f"{q['median_us']:>8.0f}" for q in stages)
+              + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
 
     doc = {}
     if os.path.exists(args.out):

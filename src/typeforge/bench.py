@@ -26,7 +26,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -92,13 +92,27 @@ class RunStats:
     raw_samples: tuple[tuple[float, ...], ...]
 
 
-def _prepare(cases: Sequence[BenchCase], seed: int) -> list[tuple]:
+@dataclass
+class EngineCache:
+    """Each party's engines by (type, count, engine name), shared by every
+    measurement given this cache, so each party builds one program per
+    type, and its gather index, once.  A type is keyed by identity and
+    held here, so its key cannot be reused while the cache lives.  The
+    echo side of a tcp measurement under the real clock runs in a process
+    of its own and builds its engines there."""
+
+    ping: dict = field(default_factory=dict)
+    echo: dict = field(default_factory=dict)
+
+
+def _prepare(cases: Sequence[BenchCase], seed: int, engines: dict) -> list[tuple]:
     """One party's (case, region, engine) per case.
 
     The region is the engine's window, zeroed, with a seeded payload
     unpacked into it, so only the bytes the layout reads are drawn; for
     the raw variant the seeded bytes are the whole message.  A zeroed
-    numpy array leaves the pages of the gaps untouched.
+    numpy array leaves the pages of the gaps untouched.  Engines come from
+    the party's `engines` (see EngineCache); regions are one per case.
     """
     sides = []
     for case in cases:
@@ -106,7 +120,11 @@ def _prepare(cases: Sequence[BenchCase], seed: int) -> list[tuple]:
         if case.variant == "raw":
             eng, region = None, bytearray(rng.bytes(case.m_bytes))
         else:
-            eng = make_engine(case.engine, case.datatype, case.count)
+            key = (id(case.datatype), case.count, case.engine)
+            if key not in engines:
+                engines[key] = (case.datatype,
+                                make_engine(case.engine, case.datatype, case.count))
+            eng = engines[key][1]
             region = np.zeros(eng.span, dtype=np.uint8)
             eng.unpack_message(rng.bytes(eng.total_bytes), region)
         sides.append((case, region, eng))
@@ -157,14 +175,14 @@ def _runs(endpoints: Iterable[tp.Endpoint], sides, nreps, warmups, clock) -> lis
 
 def _echo_process_main(port, cases, nreps, warmups, seed, r) -> None:
     endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r))
-    _runs(endpoints, _prepare(cases, seed), nreps, warmups, time.perf_counter)
+    _runs(endpoints, _prepare(cases, seed, {}), nreps, warmups, time.perf_counter)
 
 
-def _thread_runs(cases, sides, nreps, warmups, clock, seed, r) -> list:
+def _thread_runs(cases, sides, nreps, warmups, clock, seed, r, engines: dict) -> list:
     pairs = [tp.make_pair(cases[0].transport) for _ in range(r)]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        echo = pool.submit(_runs, [pong for _, pong in pairs], _prepare(cases, seed + 1),
-                           nreps, warmups, clock)
+        echo = pool.submit(_runs, [pong for _, pong in pairs],
+                           _prepare(cases, seed + 1, engines), nreps, warmups, clock)
         try:
             return _runs([ping for ping, _ in pairs], sides, nreps, warmups, clock)
         except tp.PeerClosed:
@@ -214,22 +232,28 @@ def _process_runs(cases, sides, nreps, warmups, seed, r) -> list:
 
 
 def _measure(cases: Sequence[BenchCase], r: int, nrep: Optional[int], warmups: int,
-             clock: Optional[Callable[[], float]], seed: int) -> list[RunStats]:
+             clock: Optional[Callable[[], float]], seed: int,
+             engines: Optional[EngineCache] = None) -> list[RunStats]:
     """The one scheduler: r runs over fresh endpoints, each alternating
     single repetitions of all cases on one channel.
 
     Each party prepares every case once, so its regions keep their contents
-    from run to run; the warmups absorb first touch.  The cases share one
-    channel, so they must share one transport.
+    from run to run; the warmups absorb first touch.  Cases of one type
+    share an engine, across measurements too when they are given the same
+    `engines`.  The cases share one channel, so they must share one
+    transport.
     """
     if len({case.transport for case in cases}) != 1:
         raise ValueError("cases measured together need one transport")
+    if engines is None:
+        engines = EngineCache()
     nreps = [nrep if nrep is not None else nrep_schedule(c.m_bytes) for c in cases]
-    sides = _prepare(cases, seed)
+    sides = _prepare(cases, seed, engines.ping)
     if clock is None and cases[0].transport == "tcp":
         runs = _process_runs(cases, sides, nreps, warmups, seed, r)
     else:
-        runs = _thread_runs(cases, sides, nreps, warmups, clock or time.perf_counter, seed, r)
+        runs = _thread_runs(cases, sides, nreps, warmups, clock or time.perf_counter, seed, r,
+                            engines.echo)
     return [_reduce(case, n, [tuple(run[i]) for run in runs])
             for i, (case, n) in enumerate(zip(cases, nreps))]
 
@@ -255,9 +279,10 @@ def run_case(
     warmups: int = WARMUP_REPS,
     clock: Optional[Callable[[], float]] = None,
     seed: int = DEFAULT_SEED,
+    engines: Optional[EngineCache] = None,
 ) -> RunStats:
     """Measure one case: r runs of nrep repetitions each."""
-    return _measure([case], r, nrep, warmups, clock, seed)[0]
+    return _measure([case], r, nrep, warmups, clock, seed, engines)[0]
 
 
 def run_pair(
@@ -268,6 +293,7 @@ def run_pair(
     warmups: int = WARMUP_REPS,
     clock: Optional[Callable[[], float]] = None,
     seed: int = DEFAULT_SEED,
+    engines: Optional[EngineCache] = None,
 ) -> tuple[RunStats, RunStats]:
     """Measure two cases with single repetitions interleaved a, b, a, b.
 
@@ -279,7 +305,7 @@ def run_pair(
     scheduler asymmetry all cancel out of the ratio.  A pair of cases on
     different transports raises ValueError.
     """
-    stats_a, stats_b = _measure([case_a, case_b], r, nrep, warmups, clock, seed)
+    stats_a, stats_b = _measure([case_a, case_b], r, nrep, warmups, clock, seed, engines)
     return stats_a, stats_b
 
 

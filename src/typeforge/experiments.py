@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bench import BenchCase, RunStats, run_case
+from .bench import BenchCase, EngineCache, RunStats, run_case
 from .guidelines import (
     DEFAULT_THRESHOLD,
     GuidelineVerdict,
@@ -273,10 +273,13 @@ def _run_family(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
             family = build_alternatives(spec)
         except BadParams:
             continue
+        # the checks of one grid point measure the same members again and
+        # again; each party builds one engine per member
+        engines = EngineCache()
         result.add_verdicts(_check_family(
             family, engine=plan.engine, transport=plan.transport,
             threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
-            clock=clock, seed=plan.seed, case_id=tag, A=a,
+            clock=clock, seed=plan.seed, case_id=tag, A=a, engines=engines,
         ))
         for member in family:
             result.add_verdicts(check_g4(
@@ -284,7 +287,7 @@ def _run_family(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
                 engine=plan.engine, transport=plan.transport,
                 threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                 clock=clock, seed=plan.seed,
-                case_id=f"{tag}/{member.spec.id}", A=a,
+                case_id=f"{tag}/{member.spec.id}", A=a, engines=engines,
             ), ref_first=False)
 
 

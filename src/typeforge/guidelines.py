@@ -25,7 +25,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bench import BenchCase, RunStats, run_case, run_pair
+from .bench import BenchCase, EngineCache, RunStats, run_case, run_pair
 from .layouts import BuiltLayout, LayoutSpec, build_alternatives
 from .normalizer import normalize
 from .typecore import CommittedType, Contiguous, Datatype, commit, datatype_dumps, equivalent
@@ -193,10 +193,11 @@ def check_g4(
     case_id: str = "g4",
     A: Optional[int] = None,
     spec: Optional[LayoutSpec] = None,
+    engines: Optional[EngineCache] = None,
 ) -> list[GuidelineVerdict]:
     """Description vs its normalization (no slower), plus similarity
     across the layout's alternative-description family when `spec` names
-    one."""
+    one.  `engines` shares engines with other checks of the same types."""
     ct = commit(t)
     report = normalize(ct)
     normal = report.committed_output
@@ -206,10 +207,11 @@ def check_g4(
                       engine, transport, A)
     case = GuidelineCase("G4_NORMALIZE", case_id, NO_SLOWER, lhs, rhs, threshold)
     if report.changed:
-        lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
+        lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed,
+                                        engines=engines)
     else:
         # already normal: both sides are the same description
-        lhs_stats = run_case(lhs, r=r, nrep=nrep, clock=clock, seed=seed)
+        lhs_stats = run_case(lhs, r=r, nrep=nrep, clock=clock, seed=seed, engines=engines)
         rhs_stats = lhs_stats
     out = [judge(case, lhs_stats, rhs_stats)]
     if spec is not None:
@@ -244,7 +246,8 @@ def check_alternatives(
 def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
                   threshold: float, r: int, nrep: Optional[int],
                   clock: Optional[Callable[[], float]], seed: int, case_id: str,
-                  A: Optional[int]) -> list[GuidelineVerdict]:
+                  A: Optional[int], engines: Optional[EngineCache] = None
+                  ) -> list[GuidelineVerdict]:
     """check_alternatives over an already built family, reference first."""
     ref = family[0]
     ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
@@ -258,7 +261,7 @@ def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
         case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
                              alt_case, ref_case, threshold)
         alt_stats, ref_stats = run_pair(alt_case, ref_case, r=r, nrep=nrep,
-                                        clock=clock, seed=seed)
+                                        clock=clock, seed=seed, engines=engines)
         out.append(judge(case, alt_stats, ref_stats))
     return out
 

@@ -32,6 +32,9 @@ from .typecore import (
     Resized,
     Vector,
     block_bounds,
+    block_table,
+    bounds,
+    canonicalize,
     commit,
 )
 
@@ -85,14 +88,9 @@ def cost(t: Datatype | CommittedType) -> int:
     return len(ct.flat.offsets) + descr_size(ct.datatype)
 
 
-def _bounds(t: Datatype) -> tuple[int, int]:
-    ct = commit(t)
-    return ct.lb, ct.ub
-
-
 def _wrap_bounds(node: Datatype, lb: int, ub: int) -> Datatype:
     """Give `node` exactly the bounds (lb, ub), folding nested resizes."""
-    if _bounds(node) == (lb, ub):
+    if bounds(node) == (lb, ub):
         return node
     if isinstance(node, Resized):
         node = node.inner
@@ -109,7 +107,7 @@ def _fold_resized(t: Datatype) -> Datatype | None:
         return None
     if isinstance(t.inner, Resized):
         return Resized(t.lb, t.extent, t.inner.inner)
-    lb, ub = _bounds(t.inner)
+    lb, ub = bounds(t.inner)
     if t.lb == lb and t.extent == ub - lb:
         return t.inner
     return None
@@ -127,7 +125,7 @@ def _collapse_dense(t: Datatype) -> Datatype | None:
             return Contiguous(t.count * t.blocklen, t.inner)
         return None
     if isinstance(t, HVector):
-        lb, ub = _bounds(t.inner)
+        lb, ub = bounds(t.inner)
         ext = ub - lb
         if t.count == 1:
             return Contiguous(t.blocklen, t.inner)
@@ -145,9 +143,10 @@ def _fuse_nested_vectors(t: Datatype) -> Datatype | None:
         return None
     if inner.count < 1 or inner.blocklen < 1:
         return None
-    base_lb, base_ub = _bounds(inner.inner)
+    base_lb, base_ub = bounds(inner.inner)
     base_ext = base_ub - base_lb
-    inner_ext = commit(inner).extent
+    inner_lb, inner_ub = bounds(inner)
+    inner_ext = inner_ub - inner_lb
     inner_stride_bytes = (
         inner.stride_bytes if isinstance(inner, HVector) else inner.stride * base_ext
     )
@@ -193,7 +192,7 @@ def _struct_to_indexed(t: Datatype) -> Datatype | None:
             return None
         unit = stripped[0]
         blocks.append((c * stripped[1], d))
-    lb, ub = _bounds(unit)
+    lb, ub = bounds(unit)
     ext = ub - lb
     if ext <= 0:
         return None
@@ -208,34 +207,28 @@ def _struct_to_indexed(t: Datatype) -> Datatype | None:
 def _indexed_to_block(t: Datatype) -> Datatype | None:
     if not isinstance(t, Indexed) or not t.blocks:
         return None
-    lens = {bl for bl, _ in t.blocks}
-    if len(lens) != 1:
+    lens, displs = block_table(t)
+    if not (lens == lens[0]).all():
         return None
-    bl = lens.pop()
-    return IndexedBlock(bl, tuple(d for _, d in t.blocks), t.inner)
+    return IndexedBlock(int(lens[0]), tuple(displs.tolist()), t.inner)
 
 
 def _regular_stride(t: Datatype) -> Datatype | None:
     """Arithmetic displacements become a vector; displacements periodic with
     period p >= 2 become a contiguous run of a p-block unit."""
-    if isinstance(t, IndexedBlock):
-        pairs = [(t.blocklen, d) for d in t.displs]
-    elif isinstance(t, Indexed):
-        pairs = list(t.blocks)
-    else:
+    if not isinstance(t, (Indexed, IndexedBlock)):
         return None
-    c = len(pairs)
-    if c < 3 or pairs[0][1] != 0:
+    lens, displs = block_table(t)
+    c = len(displs)
+    if c < 3 or displs[0] != 0:
         return None
-    lens = np.fromiter((bl for bl, _ in pairs), dtype=np.int64, count=c)
-    displs = np.fromiter((d for _, d in pairs), dtype=np.int64, count=c)
 
-    if len(np.unique(lens)) == 1:
+    if (lens == lens[0]).all():
         step = int(displs[1] - displs[0])
         if bool((np.diff(displs) == step).all()):
             return Vector(c, int(lens[0]), step, t.inner)
 
-    base_lb, base_ub = _bounds(t.inner)
+    base_lb, base_ub = bounds(t.inner)
     base_ext = base_ub - base_lb
     in_lb, in_ub = block_bounds(lens, displs * base_ext, base_lb, base_ub)
     for period in (2, 3, 4):
@@ -247,11 +240,10 @@ def _regular_stride(t: Datatype) -> Datatype | None:
             and (displs[period:] - displs[:-period] == shift).all()
         ):
             continue
-        prefix = tuple(pairs[:period])
         if isinstance(t, IndexedBlock):
-            unit: Datatype = IndexedBlock(t.blocklen, tuple(d for _, d in prefix), t.inner)
+            unit: Datatype = IndexedBlock(t.blocklen, t.displs[:period], t.inner)
         else:
-            unit = Indexed(prefix, t.inner)
+            unit = Indexed(t.blocks[:period], t.inner)
         unit = _wrap_bounds(unit, 0, shift * base_ext)
         candidate = _wrap_bounds(Contiguous(c // period, unit), in_lb, in_ub)
         if descr_size(candidate) < descr_size(t):
@@ -260,28 +252,20 @@ def _regular_stride(t: Datatype) -> Datatype | None:
 
 
 def _merge_adjacent_blocks(t: Datatype) -> Datatype | None:
-    if isinstance(t, IndexedBlock):
-        pairs = [(t.blocklen, d) for d in t.displs if t.blocklen > 0]
-    elif isinstance(t, Indexed):
-        pairs = [(bl, d) for bl, d in t.blocks if bl > 0]
-    else:
+    if not isinstance(t, (Indexed, IndexedBlock)):
         return None
-    if not pairs:
+    # blocks are runs of inner instances: drop empty ones and merge those
+    # adjacent in serialization order, as segments are
+    lens, displs = block_table(t)
+    displs, lens = canonicalize(displs, lens)
+    if not len(displs):
         return None
-    merged = [pairs[0]]
-    for bl, d in pairs[1:]:
-        last_bl, last_d = merged[-1]
-        if d == last_d + last_bl:
-            merged[-1] = (last_bl + bl, last_d)
-        else:
-            merged.append((bl, d))
-
-    if len(merged) == 1 and merged[0][1] == 0:
-        candidate: Datatype = Contiguous(merged[0][0], t.inner)
-    elif len(set(bl for bl, _ in merged)) == 1:
-        candidate = IndexedBlock(merged[0][0], tuple(d for _, d in merged), t.inner)
+    if len(displs) == 1 and displs[0] == 0:
+        candidate: Datatype = Contiguous(int(lens[0]), t.inner)
+    elif (lens == lens[0]).all():
+        candidate = IndexedBlock(int(lens[0]), tuple(displs.tolist()), t.inner)
     else:
-        candidate = Indexed(tuple(merged), t.inner)
+        candidate = Indexed(tuple(zip(lens.tolist(), displs.tolist())), t.inner)
     if candidate == t:
         return None
     after, before = descr_size(candidate), descr_size(t)

@@ -10,9 +10,12 @@ drift apart:
   with a per-byte loop.  Deliberately naive; it models a library that
   performs no cross-constructor analysis, so deeply fragmented
   descriptions pay their full per-block overhead.
-* compiled: one-time translation of the canonical segment list into a copy
-  program executed with bulk (vectorized) moves, by one of four strategies
-  (`PackProgram.strategy`):
+* compiled: a copy program for `count` instances of the committed type,
+  executed with bulk (vectorized) moves, by one of four strategies
+  (`PackProgram.strategy`).  The program is compiled from the committed
+  unit: its segment count, strategy and, for a short unit tiled without
+  joins, its periodic plan follow from (count, extent, unit segments), so
+  the canonical segment list is built only for the paths that read it:
   - view: a layout that is one contiguous run filling its window is sent
     straight from the region;
   - slices: up to 64 segments, one slice copy each;
@@ -27,7 +30,9 @@ drift apart:
     through an index of `total_bytes / w` word positions.
 
 Both read gaps never and write gaps never, so sentinel bytes between
-segments survive a round trip untouched.
+segments survive a round trip untouched.  Regions and payloads may be any
+C-contiguous buffer; both engines count and move them as bytes, whatever
+their element type.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .typecore import (
     MalformedType,
     Resized,
     Vector,
+    bounds,
     commit,
     flatten,
     window,
@@ -76,7 +82,7 @@ class SizeMismatch(ValueError):
 
 
 def _check_region(buf, origin: int, length: int, what: str) -> None:
-    have = len(buf)
+    have = memoryview(buf).nbytes
     if have < length:
         raise RegionTooSmall(
             f"{what} region holds {have} bytes, layout spans {length} "
@@ -85,8 +91,16 @@ def _check_region(buf, origin: int, length: int, what: str) -> None:
 
 
 def _check_payload(data, total: int) -> None:
-    if len(data) != total:
-        raise SizeMismatch(f"packed data holds {len(data)} bytes, layout payload is {total}")
+    have = memoryview(data).nbytes
+    if have != total:
+        raise SizeMismatch(f"packed data holds {have} bytes, layout payload is {total}")
+
+
+def _byte_view(buf) -> memoryview:
+    """`buf` as a flat memoryview of bytes, whatever its element type; a
+    buffer that is not C-contiguous raises TypeError."""
+    view = memoryview(buf)
+    return view if view.format == "B" and view.ndim == 1 else view.cast("B")
 
 
 # --- compiled engine ----------------------------------------------------
@@ -94,32 +108,63 @@ def _check_payload(data, total: int) -> None:
 
 @dataclass(eq=False)
 class PackProgram:
-    """Copy program: canonical segments in serialization order.
+    """Copy program for `count` instances of a committed type.
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  `total_bytes` is the packed payload size and `span` the region
-    window length.  Everything derived from the segments (periodic plan,
-    record dtypes, word width, gather index) is built on first use, not
-    here, so compiling stays as cheap as flattening.
+    window length.  The segment arrays are built on first use, and only by
+    the paths that read them (slices and gather); the strategy, and the
+    periodic plan of a unit that tiles without joins, come from the
+    committed unit alone, so compiling costs the size of the unit, not the
+    instance count.
     """
 
-    offsets: np.ndarray
-    lengths: np.ndarray
-    total_bytes: int
-    origin: int
-    span: int
+    committed: CommittedType
+    count: int
     _gather: dict = field(default_factory=dict, repr=False)
-    _periodic: tuple | None = field(default=None, repr=False)
-    _periodic_known: bool = field(default=False, repr=False)
-    _records: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.total_bytes = self.committed.size * self.count
+        self.origin, self.span = window(self.committed, self.count)
+
+    @cached_property
+    def _flat(self) -> FlatLayout:
+        return flatten(self.committed, self.count)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._flat.offsets
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._flat.lengths
 
     @property
     def ops(self) -> list[tuple[int, int]]:
         return list(zip(self.offsets.tolist(), self.lengths.tolist()))
 
+    @cached_property
+    def _touching(self) -> bool:
+        """Whether an instance's last segment runs into the next one's
+        first, the only join tiling the canonical unit can make."""
+        unit = self.committed.flat
+        if len(unit.offsets) == 0:
+            return False
+        return bool(unit.offsets[-1] + unit.lengths[-1]
+                    == unit.offsets[0] + self.committed.extent)
+
+    @cached_property
+    def segment_count(self) -> int:
+        """Canonical segments of the program, counted without building
+        them: `count` copies of the unit, less one per join."""
+        k = len(self.committed.flat.offsets)
+        if self.count == 0 or k == 0:
+            return 0
+        return self.count * k - (self.count - 1) * self._touching
+
     @property
     def is_contiguous(self) -> bool:
-        return len(self.offsets) == 1 and int(self.lengths[0]) == self.total_bytes == self.span
+        return self.segment_count == 1 and self.total_bytes == self.span
 
     @cached_property
     def strategy(self) -> str:
@@ -128,7 +173,7 @@ class PackProgram:
         (one record-wise copy) or "gather" (one indexed word copy)."""
         if self.is_contiguous:
             return "view"
-        if len(self.offsets) <= _SLICE_OP_LIMIT:
+        if self.segment_count <= _SLICE_OP_LIMIT:
             return "slices"
         if self.periodic_plan() is not None:
             return "periodic"
@@ -160,41 +205,33 @@ class PackProgram:
     def periodic_plan(self) -> tuple | None:
         """Uniform-period description of the segment list, if one exists.
 
-        Detects whether the segments are `rows` repetitions of one short
-        pattern shifted by a constant byte period, with every pattern
-        segment inside its own period window.  Returns (rows, period,
-        rel_offsets, seg_lengths, out_prefix, row_bytes, first_offset) or
-        None; the result is cached either way.
+        The segments are `rows` repetitions of one short pattern shifted by
+        a constant byte period, with every pattern segment inside its own
+        period window.  Returns (rows, period, rel_offsets, seg_lengths,
+        out_prefix, row_bytes, first_offset) or None; built once.
         """
-        if self._periodic_known:
-            return self._periodic
-        self._periodic_known = True
-        offs = self.offsets
-        lens = self.lengths
-        n = len(offs)
-        for g in range(1, _PERIOD_PATTERN_MAX + 1):
-            if n % g or n // g < _PERIOD_MIN_ROWS:
-                continue
-            rows = n // g
-            period = int(offs[g] - offs[0])
-            if period <= 0:
-                continue
-            l2 = lens.reshape(rows, g)
-            if not (l2 == l2[0]).all():
-                continue
-            o2 = offs.reshape(rows, g)
-            steps = period * np.arange(rows, dtype=np.int64)[:, None]
-            if not (o2 == o2[0][None, :] + steps).all():
-                continue
-            rel = (o2[0] - offs[0]).astype(np.int64)
-            pat = l2[0].astype(np.int64)
-            if (rel < 0).any() or (rel + pat > period).any():
-                continue
-            prefix = np.cumsum(pat) - pat
-            self._periodic = (rows, period, rel, pat, prefix, int(pat.sum()),
-                              int(offs[0]))
-            break
         return self._periodic
+
+    @cached_property
+    def _periodic(self) -> tuple | None:
+        unit = self.committed.flat
+        k = len(unit.offsets)
+        ext = self.committed.extent
+        rel = unit.offsets - unit.offsets[0] if k else unit.offsets
+        if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
+                and not self._touching and self.count * k > _SLICE_OP_LIMIT
+                and (rel >= 0).all() and (rel + unit.lengths <= ext).all()):
+            # `count` copies, `ext` apart, of a unit that fits in one extent
+            # and does not touch the next copy: the shortest repeating
+            # pattern lies within the unit, so the detector finds in the
+            # first few copies what it would find in all of them, and only
+            # the rows scale
+            sample = _PERIOD_MIN_ROWS
+            off = (np.arange(sample, dtype=np.int64)[:, None] * ext
+                   + unit.offsets[None, :]).ravel()
+            plan = _detect_period(off, np.tile(unit.lengths, sample))
+            return (self.count * k // len(plan[2]),) + plan[1:]
+        return _detect_period(self.offsets, self.lengths)
 
     def periodic_records(self) -> tuple[np.dtype, np.dtype]:
         """(region, payload) record dtypes of a periodic program, built once.
@@ -205,11 +242,41 @@ class PackProgram:
         records never reaches past the window; the payload record places
         the fields back to back.
         """
-        if self._records is None:
-            _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan()
-            self._records = (_record(rel, pat, int((rel + pat).max())),
-                             _record(prefix, pat, row_bytes))
         return self._records
+
+    @cached_property
+    def _records(self) -> tuple[np.dtype, np.dtype]:
+        _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan()
+        return (_record(rel, pat, int((rel + pat).max())),
+                _record(prefix, pat, row_bytes))
+
+
+def _detect_period(offs: np.ndarray, lens: np.ndarray) -> tuple | None:
+    """`PackProgram.periodic_plan` of a segment list: the shortest pattern
+    of at most `_PERIOD_PATTERN_MAX` segments that repeats, at least
+    `_PERIOD_MIN_ROWS` times, at a constant positive byte period."""
+    n = len(offs)
+    for g in range(1, _PERIOD_PATTERN_MAX + 1):
+        if n % g or n // g < _PERIOD_MIN_ROWS:
+            continue
+        rows = n // g
+        period = int(offs[g] - offs[0])
+        if period <= 0:
+            continue
+        l2 = lens.reshape(rows, g)
+        if not (l2 == l2[0]).all():
+            continue
+        o2 = offs.reshape(rows, g)
+        steps = period * np.arange(rows, dtype=np.int64)[:, None]
+        if not (o2 == o2[0][None, :] + steps).all():
+            continue
+        rel = (o2[0] - offs[0]).astype(np.int64)
+        pat = l2[0].astype(np.int64)
+        if (rel < 0).any() or (rel + pat > period).any():
+            continue
+        prefix = np.cumsum(pat) - pat
+        return rows, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
+    return None
 
 
 def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:
@@ -222,20 +289,15 @@ def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype
 
 
 def compile(t: Datatype | CommittedType, count: int) -> PackProgram:
-    ct = commit(t)
-    flat = flatten(ct, count)
-    origin, span = window(ct, count)
-    return PackProgram(
-        offsets=flat.offsets,
-        lengths=flat.lengths,
-        total_bytes=flat.total_size,
-        origin=origin,
-        span=span,
-    )
+    if count < 0:
+        raise MalformedType(f"count must be >= 0, got {count}")
+    return PackProgram(commit(t), count)
 
 
 def _as_u8(buf) -> np.ndarray:
-    return np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
+    if isinstance(buf, np.ndarray) and buf.dtype == np.uint8 and buf.ndim == 1:
+        return buf
+    return np.frombuffer(_byte_view(buf), dtype=np.uint8)
 
 
 def _periodic_copy(p: PackProgram, region: np.ndarray, packed: np.ndarray,
@@ -269,15 +331,15 @@ def _run_program(p: PackProgram, region, data=None):
     strategy = p.strategy
     if strategy == "view":
         if packing:
-            return memoryview(region)[: p.span]
-        memoryview(region)[: p.span] = data
+            return _byte_view(region)[: p.span]
+        _byte_view(region)[: p.span] = _byte_view(data)
         return None
-    if len(p.offsets) == 0:
+    if p.total_bytes == 0:
         return b""
     if strategy == "slices":
         out = bytearray(p.total_bytes) if packing else None
-        reg = memoryview(region)
-        packed = memoryview(out if packing else data)
+        reg = _byte_view(region)
+        packed = _byte_view(out if packing else data)
         pos = 0
         for off, ln in zip(p.offsets.tolist(), p.lengths.tolist()):
             start = off - p.origin
@@ -340,7 +402,8 @@ def _prep(t: Datatype):
 
 
 def _extent(t: Datatype) -> int:
-    return t.kind.size if isinstance(t, Base) else commit(t).extent
+    lb, ub = bounds(t)
+    return ub - lb
 
 
 def _placed(inner: Datatype, ext: int, blocks: tuple) -> tuple:
@@ -426,14 +489,14 @@ class InterpretedEngine:
                       "source" if packing else "destination")
         if self.total_bytes == 0:
             return b""
-        reg = memoryview(region)
+        reg = _byte_view(region)
         if packing:
             out = bytearray(self.total_bytes)
             src, dst = reg, out
         elif reg.readonly:
             raise TypeError("destination region is read-only")
         else:
-            src, dst = memoryview(data), reg
+            src, dst = _byte_view(data), reg
         pos = 0
         ext = self.committed.extent
         for i in range(self.count):

@@ -4,13 +4,22 @@ A datatype is an immutable tree built from a small set of constructors over
 fixed-width base kinds.  Committing a tree derives its payload size, its
 bounds (lb, ub) and the canonical flat layout of one instance.  Flattening
 `count` instances tiles the single-instance layout at multiples of the
-extent and re-canonicalizes, so two descriptions are interchangeable exactly
-when their flattened segment lists agree byte for byte.
+extent, so two descriptions are interchangeable exactly when their
+flattened segment lists agree byte for byte.
+
+Tiling is closed-form: a canonical unit can join the next instance only
+where its last segment touches the next one's first, so a unit that does
+not touch is a plain broadcast and a single touching segment becomes one
+run, neither re-canonicalized.  `bounds` reads (lb, ub) from the tree
+without building segments, and `equivalent` answers from the committed
+units when the counts and extents match, so set-up grows with the size of
+a description, not with its instance count.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Union
@@ -176,7 +185,7 @@ class CommittedType:
     flat: FlatLayout = field(repr=False)
 
 
-def _canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop empty segments and merge runs adjacent in serialization order."""
     if len(off) == 0:
         return _EMPTY, _EMPTY
@@ -199,15 +208,25 @@ def _canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _tile(off: np.ndarray, ln: np.ndarray, count: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat a segment list `count` times shifted by multiples of `stride`."""
+    """Canonical segments of `count` copies of a canonical segment list,
+    copy i shifted by i * `stride`.
+
+    A canonical list has no empty segment and no neighbours that touch, so
+    the only join tiling can make is one copy's last segment with the next
+    copy's first.  A unit whose copies do not touch is a plain broadcast; a
+    single touching segment becomes one run of `count` times its length.
+    """
     if count == 0 or len(off) == 0:
         return _EMPTY, _EMPTY
     if count == 1:
         return off, ln
+    touching = bool(off[-1] + ln[-1] == off[0] + stride)
+    if touching and len(off) == 1:
+        return off, ln * count
     shifts = np.arange(count, dtype=np.int64) * stride
     out_off = (shifts[:, None] + off[None, :]).ravel()
     out_len = np.tile(ln, count)
-    return _canonicalize(out_off, out_len)
+    return canonicalize(out_off, out_len) if touching else (out_off, out_len)
 
 
 def _place_blocks(
@@ -229,7 +248,7 @@ def _place_blocks(
     in_off, in_ln = inner
     out_off = (instance_off[:, None] + in_off[None, :]).ravel()
     out_len = np.tile(in_ln, total)
-    return _canonicalize(out_off, out_len)
+    return canonicalize(out_off, out_len)
 
 
 def block_bounds(blocklens: np.ndarray, displs: np.ndarray, lb: int, ub: int) -> tuple[int, int]:
@@ -245,14 +264,95 @@ def block_bounds(blocklens: np.ndarray, displs: np.ndarray, lb: int, ub: int) ->
             int((displs[live] + (blocklens[live] - 1) * ext + ub).max()))
 
 
-def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """Return (offsets, lengths, size, lb, ub) for one instance of `t`.
+# (size, lb, ub) of a node with no placed instances
+_NOTHING = (0, 0, 0)
 
-    Bounds follow the committed-type rules: each placed inner instance
-    contributes [displ + inner lb, displ + inner ub], so a Resized inner
-    widens or narrows the bounds without moving payload.  Constructors with
-    no placed instances have lb = ub = 0.
+
+def block_table(t: Indexed | IndexedBlock, ext: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(blocklens, displacements) of an indexed node's blocks as arrays,
+    displacements in units of `ext` bytes."""
+    if isinstance(t, Indexed):
+        table = np.fromiter(itertools.chain.from_iterable(t.blocks), dtype=np.int64,
+                            count=2 * len(t.blocks)).reshape(-1, 2)
+        return table[:, 0], table[:, 1] * ext
+    return (np.full(len(t.displs), t.blocklen, dtype=np.int64),
+            np.fromiter(t.displs, dtype=np.int64, count=len(t.displs)) * ext)
+
+
+def _vector_stride(t: Vector | HVector, ext: int) -> int:
+    return t.stride_bytes if isinstance(t, HVector) else t.stride * ext
+
+
+def _wrapped_bounds(t: Datatype, inner: tuple[int, int, int], table=None) -> tuple[int, int, int]:
+    """(size, lb, ub) of a one-child node whose child has (size, lb, ub)
+    `inner`; `table` is an indexed node's `block_table`, if already made.
+
+    Each placed inner instance contributes [displ + inner lb, displ + inner
+    ub], so a Resized inner widens or narrows the bounds without moving
+    payload.  Constructors with no placed instances have lb = ub = 0.
     """
+    size, lb, ub = inner
+    if isinstance(t, Resized):
+        return size, t.lb, t.lb + t.extent
+    if inner == _NOTHING:
+        return _NOTHING
+    ext = ub - lb
+    if isinstance(t, Contiguous):
+        if t.count == 0:
+            return _NOTHING
+        return size * t.count, lb, (t.count - 1) * ext + ub
+    if isinstance(t, (Vector, HVector)):
+        if t.count == 0 or t.blocklen == 0:
+            return _NOTHING
+        reach = (t.count - 1) * _vector_stride(t, ext)
+        return (size * t.blocklen * t.count, lb + min(reach, 0),
+                (t.blocklen - 1) * ext + ub + max(reach, 0))
+    blocklens, displs = table if table is not None else block_table(t, ext)
+    if not (blocklens > 0).any():
+        return _NOTHING
+    lo, hi = block_bounds(blocklens, displs, lb, ub)
+    return size * int(blocklens.sum()), lo, hi
+
+
+def _struct_bounds(t: Composite, members: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(size, lb, ub) of a struct whose members have (size, lb, ub)
+    `members`; members with no placed instances do not count."""
+    size, lo, hi = 0, None, None
+    for (count, displ, _), (msize, mlb, mub) in zip(t.members, members):
+        if count > 0 and (msize, mlb, mub) != _NOTHING:
+            ext = mub - mlb
+            size += msize * count
+            m_lo, m_hi = displ + mlb, displ + (count - 1) * ext + mub
+            lo = m_lo if lo is None else min(lo, m_lo)
+            hi = m_hi if hi is None else max(hi, m_hi)
+    return _NOTHING if lo is None else (size, lo, hi)
+
+
+_ONE_CHILD = (Contiguous, Vector, HVector, Indexed, IndexedBlock, Resized)
+
+
+def _size_bounds(t: Datatype) -> tuple[int, int, int]:
+    if isinstance(t, Base):
+        return t.kind.size, 0, t.kind.size
+    if isinstance(t, Composite):
+        return _struct_bounds(t, [_size_bounds(m) for _, _, m in t.members])
+    if isinstance(t, _ONE_CHILD):
+        return _wrapped_bounds(t, _size_bounds(t.inner))
+    raise MalformedType(f"not a datatype node: {t!r}")
+
+
+def bounds(t: Datatype | CommittedType) -> tuple[int, int]:
+    """(lb, ub) of one instance, as `commit` derives them, from a walk of
+    the tree alone: no segment is built, so the cost is the tree's size."""
+    if isinstance(t, CommittedType):
+        return t.lb, t.ub
+    _, lb, ub = _size_bounds(t)
+    return lb, ub
+
+
+def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Return (offsets, lengths, size, lb, ub) for one instance of `t`,
+    with bounds by `_wrapped_bounds` and `_struct_bounds`."""
     if isinstance(t, Base):
         size = t.kind.size
         return (
@@ -263,73 +363,40 @@ def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
             size,
         )
 
-    if isinstance(t, Resized):
-        off, ln, size, _, _ = _layout(t.inner)
-        return off, ln, size, t.lb, t.lb + t.extent
-
-    if isinstance(t, Contiguous):
-        off, ln, size, lb, ub = _layout(t.inner)
-        ext = ub - lb
-        if t.count == 0 or (size == 0 and lb == 0 and ub == 0):
-            return _EMPTY, _EMPTY, 0, 0, 0
-        out = _tile(off, ln, t.count, ext)
-        return out[0], out[1], size * t.count, lb, (t.count - 1) * ext + ub
-
-    if isinstance(t, (Vector, HVector)):
-        off, ln, size, lb, ub = _layout(t.inner)
-        ext = ub - lb
-        stride_bytes = t.stride_bytes if isinstance(t, HVector) else t.stride * ext
-        if t.count == 0 or t.blocklen == 0 or (size == 0 and lb == 0 and ub == 0):
-            return _EMPTY, _EMPTY, 0, 0, 0
-        block = _tile(off, ln, t.blocklen, ext)
-        out_off, out_ln = _tile(block[0], block[1], t.count, stride_bytes)
-        shifts = np.arange(t.count, dtype=np.int64) * stride_bytes
-        lo = int((shifts + lb).min())
-        hi = int((shifts + (t.blocklen - 1) * ext + ub).max())
-        return out_off, out_ln, size * t.blocklen * t.count, lo, hi
-
-    if isinstance(t, (Indexed, IndexedBlock)):
-        off, ln, size, lb, ub = _layout(t.inner)
-        ext = ub - lb
-        if isinstance(t, Indexed):
-            blocklens = np.array([b for b, _ in t.blocks], dtype=np.int64)
-            displs = np.array([d for _, d in t.blocks], dtype=np.int64) * ext
-        else:
-            blocklens = np.full(len(t.displs), t.blocklen, dtype=np.int64)
-            displs = np.asarray(t.displs, dtype=np.int64) * ext
-        if not (blocklens > 0).any() or (size == 0 and lb == 0 and ub == 0):
-            return _EMPTY, _EMPTY, 0, 0, 0
-        out_off, out_ln = _place_blocks(blocklens, displs, (off, ln), ext)
-        lo, hi = block_bounds(blocklens, displs, lb, ub)
-        return out_off, out_ln, size * int(blocklens.sum()), lo, hi
-
     if isinstance(t, Composite):
+        parts = [_layout(member) for _, _, member in t.members]
+        size, lb, ub = _struct_bounds(t, [part[2:] for part in parts])
         parts_off: list[np.ndarray] = []
         parts_len: list[np.ndarray] = []
-        size = 0
-        lo: int | None = None
-        hi: int | None = None
-        for count, displ, member in t.members:
-            off, ln, msize, mlb, mub = _layout(member)
-            ext = mub - mlb
-            if count > 0 and not (msize == 0 and mlb == 0 and mub == 0):
-                m_off, m_ln = _tile(off, ln, count, ext)
+        for (count, displ, _), (off, ln, msize, mlb, mub) in zip(t.members, parts):
+            if count > 0 and (msize, mlb, mub) != _NOTHING:
+                m_off, m_ln = _tile(off, ln, count, mub - mlb)
                 parts_off.append(m_off + displ)
                 parts_len.append(m_ln)
-                size += msize * count
-                m_lo = displ + mlb
-                m_hi = displ + (count - 1) * ext + mub
-                lo = m_lo if lo is None else min(lo, m_lo)
-                hi = m_hi if hi is None else max(hi, m_hi)
-        if lo is None:
-            return _EMPTY, _EMPTY, 0, 0, 0
-        out_off, out_ln = _canonicalize(
+        out_off, out_ln = canonicalize(
             np.concatenate(parts_off) if parts_off else _EMPTY,
             np.concatenate(parts_len) if parts_len else _EMPTY,
         )
-        return out_off, out_ln, size, lo, hi
+        return out_off, out_ln, size, lb, ub
 
-    raise MalformedType(f"not a datatype node: {t!r}")
+    if not isinstance(t, _ONE_CHILD):
+        raise MalformedType(f"not a datatype node: {t!r}")
+    off, ln, *inner = _layout(t.inner)
+    ext = inner[2] - inner[1]
+    table = block_table(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
+    size, lb, ub = _wrapped_bounds(t, tuple(inner), table)
+    if isinstance(t, Resized):
+        return off, ln, size, lb, ub
+    if (size, lb, ub) == _NOTHING:
+        return _EMPTY, _EMPTY, 0, 0, 0
+    if isinstance(t, Contiguous):
+        off, ln = _tile(off, ln, t.count, ext)
+    elif isinstance(t, (Vector, HVector)):
+        block = _tile(off, ln, t.blocklen, ext)
+        off, ln = _tile(block[0], block[1], t.count, _vector_stride(t, ext))
+    else:
+        off, ln = _place_blocks(table[0], table[1], (off, ln), ext)
+    return off, ln, size, lb, ub
 
 
 def _validate(t: Datatype) -> None:
@@ -427,9 +494,18 @@ def equivalent(
     """True when both descriptions touch the same bytes in the same order.
 
     Equality is taken over canonical segments, so base kinds inside the
-    trees do not matter once their byte footprints coincide.
+    trees do not matter once their byte footprints coincide.  Unequal
+    payload sizes differ at once, and equal counts of units with the same
+    extent and the same segments agree without tiling either side.
     """
-    return flatten(t1, count1).same_segments(flatten(t2, count2))
+    if count1 < 0 or count2 < 0:
+        raise MalformedType(f"count must be >= 0, got {min(count1, count2)}")
+    ct1, ct2 = commit(t1), commit(t2)
+    if ct1.size * count1 != ct2.size * count2:
+        return False
+    if count1 == count2 and ct1.extent == ct2.extent and ct1.flat.same_segments(ct2.flat):
+        return True
+    return flatten(ct1, count1).same_segments(flatten(ct2, count2))
 
 
 # --- JSON codec ---------------------------------------------------------

@@ -238,3 +238,23 @@ def test_family_point_commits_each_member_once(monkeypatch, fake_clock):
     result = run_experiment(plan, clock=fake_clock)
     assert len(result.verdicts) == 3
     assert [calls[t] for t in members] == [1, 1]
+
+
+def test_family_point_builds_one_engine_per_type_and_party(monkeypatch, fake_clock):
+    import typeforge.packer as packer
+
+    built = []
+    real = packer.CompiledEngine.__init__
+
+    def counting(self, t, count):
+        built.append((t, count))
+        real(self, t, count)
+
+    monkeypatch.setattr(packer.CompiledEngine, "__init__", counting)
+    plan = make_plan("alternating_repeated", r=1, nrep=1)
+    run_experiment(plan, clock=fake_clock)
+    distinct = {(id(t), count) for t, count in built}
+    # every grid point measures its members again in each G4 check; the
+    # ping and the echo side each build one engine per type
+    assert len(distinct) == 26
+    assert len(built) == 2 * len(distinct)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import typeforge.packer as packer
 from treegen import datatypes, oracle_walk
+from typeforge import layouts, normalizer
 from typeforge.packer import (
+    ENGINES,
     CompiledEngine,
     InterpretedEngine,
     PackProgram,
@@ -359,3 +362,118 @@ def test_periodic_records_are_built_once_per_program(monkeypatch):
     eng.unpack_message(payload, bytearray(eng.span))
     assert eng.program.periodic_records() is records
     assert len(built) == 2
+
+
+# --- element types of the region ----------------------------------------
+
+
+_GATHERED = Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), Base(BaseKind.DOUBLE))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_regions_of_wider_elements_count_bytes(engine, dtype):
+    # view, slices, periodic and gather programs; every window is a whole
+    # number of doubles
+    for t in (Contiguous(6, INT), Vector(3, 2, 4, INT), Vector(100, 2, 4, INT), _GATHERED):
+        eng = make_engine(engine, t, 1)
+        region = np.arange(eng.span // np.dtype(dtype).itemsize, dtype=dtype)
+        payload = bytes(eng.pack_message(region))
+        assert payload == bytes(eng.pack_message(region.view(np.uint8)))
+        dst = np.zeros_like(region)
+        eng.unpack_message(np.frombuffer(payload, dtype=np.uint8), dst)
+        expected = np.zeros(eng.span, dtype=np.uint8)
+        eng.unpack_message(payload, expected)
+        assert dst.tobytes() == expected.tobytes()
+        with pytest.raises(RegionTooSmall):
+            eng.pack_message(region[:-1])
+
+
+def test_int32_region_is_measured_in_bytes():
+    region = np.arange(199, dtype=np.int32)  # 796 bytes, exactly the window
+    eng = CompiledEngine(Vector(100, 1, 2, INT), 1)
+    assert np.frombuffer(bytes(eng.pack_message(region)), dtype=np.int32).tolist() == \
+        list(range(0, 199, 2))
+
+
+# --- programs from the committed unit -----------------------------------
+
+
+def _segment_rule(p: PackProgram) -> tuple:
+    """Strategy and periodic plan read off the materialized segments, the
+    way every program was planned before plans came from the unit."""
+    off, ln = p.offsets, p.lengths
+    plan = packer._detect_period(off, ln)
+    if len(off) == 1 and int(ln[0]) == p.total_bytes == p.span:
+        return "view", plan
+    if len(off) <= 64:
+        return "slices", plan
+    return ("periodic" if plan is not None else "gather"), plan
+
+
+def _same_plan(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _planned_from_unit(p: PackProgram) -> tuple:
+    """Strategy and periodic plan, and whether planning built segments."""
+    strategy, plan = p.strategy, p.periodic_plan()
+    return strategy, plan, "_flat" in vars(p)
+
+
+def test_tiled_compile_builds_no_segments(monkeypatch):
+    built = layouts.build(layouts.LayoutSpec(id="tiled", n=640_000, A=2))
+    assert built.count == 320_000
+    monkeypatch.setattr(packer, "flatten", None)  # any call would raise
+    p = compile(built.committed, built.count)
+    strategy, plan, materialized = _planned_from_unit(p)
+    assert (strategy, plan[0], plan[1]) == ("periodic", 320_000, 16)
+    assert not materialized
+    monkeypatch.undo()
+    assert _segment_rule(p)[0] == "periodic"
+    assert _same_plan(plan, _segment_rule(p)[1])
+
+
+# every catalog layout and alternative description, with its normalized
+# form, at the blocksizes the benchmark sweeps
+_CATALOG = [(lid, n, A) for lid in layouts.ALL_IDS if lid not in layouts.ROWCOL_IDS
+            for A in (2, 10, 1000) for n in (800, 640_000)] + \
+    [(lid, 10_240, A) for lid in layouts.ROWCOL_IDS for A in (100, 1000)]
+
+
+def _catalog_types(lid: str, n: int, A: int) -> list[tuple]:
+    spec = layouts.LayoutSpec(id=lid, n=n, A=A, S1=2 if lid == "tiled_struct" else None,
+                              S2=3 if lid == "tiled_struct" else None,
+                              subtype="tiled" if lid == "contig_subtype" else None,
+                              kinds=(BaseKind.CHAR, BaseKind.INT) if lid == "tiled_het" else None)
+    try:
+        built = layouts.build(spec)
+    except layouts.BadParams:
+        return []
+    return [(built.committed, built.count),
+            (normalizer.normalize(built.committed).committed_output, built.count)]
+
+
+@pytest.mark.parametrize("lid,n,A", _CATALOG)
+def test_unit_plans_match_the_segment_rule(lid, n, A):
+    for ct, count in _catalog_types(lid, n, A):
+        p = compile(ct, count)
+        strategy, plan, materialized = _planned_from_unit(p)
+        assert strategy == _segment_rule(p)[0]
+        assert _same_plan(plan, _segment_rule(p)[1])
+        unit = len(ct.flat.offsets)
+        if count >= 8 and unit <= 8 and strategy == "periodic":
+            # a tiled unit of few segments is planned without its segments
+            # unless its instances touch
+            assert not materialized or p._touching
+
+
+@given(datatypes(), st.integers(8, 40))
+def test_random_unit_plans_match_the_segment_rule(t, count):
+    p = compile(t, count)
+    strategy, plan, _ = _planned_from_unit(p)
+    assert strategy == _segment_rule(p)[0]
+    assert _same_plan(plan, _segment_rule(p)[1])
+    assert p.segment_count == len(p.offsets)

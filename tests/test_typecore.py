@@ -1,9 +1,11 @@
 """Constructor trees, flattening, bounds and equivalence."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import typeforge.typecore as typecore
 from treegen import datatypes, oracle_segments, oracle_walk
 from typeforge.typecore import (
     Base,
@@ -16,6 +18,8 @@ from typeforge.typecore import (
     MalformedType,
     Resized,
     Vector,
+    bounds,
+    canonicalize,
     commit,
     datatype_dumps,
     datatype_from_json,
@@ -168,6 +172,45 @@ def test_commit_is_idempotent(t):
     assert flatten(ct).same_segments(flatten(t))
 
 
+def _tiled_reference(t, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` instances by the definition: every unit segment copied at
+    each multiple of the extent, then one canonicalizing pass."""
+    ct = commit(t)
+    shifts = np.arange(count, dtype=np.int64)[:, None] * ct.extent
+    off = (shifts + ct.flat.offsets[None, :]).ravel()
+    return canonicalize(off, np.tile(ct.flat.lengths, count))
+
+
+# units whose instances touch (one segment, and two with the join between
+# instances), and vector strides that are zero, negative or touching
+_TILING_EDGES = [
+    INT,
+    Indexed(((1, 0), (1, 2)), INT),
+    Resized(0, 0, INT),
+    Resized(4, 4, INT),
+    HVector(3, 1, 0, INT),
+    HVector(3, 2, -8, INT),
+    HVector(3, 2, 8, INT),
+    HVector(3, 1, 4, Indexed(((1, 0), (1, 2)), SHORT)),
+    Contiguous(2, HVector(2, 1, -4, INT)),
+]
+
+
+@given(st.one_of(datatypes(), st.sampled_from(_TILING_EDGES)), st.integers(0, 20))
+def test_closed_form_tiling_matches_tile_and_canonicalize(t, count):
+    off, ln = _tiled_reference(t, count)
+    flat = flatten(t, count)
+    assert flat.offsets.tolist() == off.tolist()
+    assert flat.lengths.tolist() == ln.tolist()
+
+
+@given(datatypes())
+def test_bounds_walk_matches_commit(t):
+    ct = commit(t)
+    assert bounds(t) == (ct.lb, ct.ub)
+    assert bounds(ct) == (ct.lb, ct.ub)
+
+
 @given(datatypes())
 def test_json_round_trip(t):
     assert datatype_loads(datatype_dumps(t)) == t
@@ -195,6 +238,29 @@ def test_equivalence_is_order_sensitive():
 
 def test_equivalent_distinguishes_gaps():
     assert not equivalent(Vector(2, 1, 2, INT), 1, Contiguous(2, INT), 1)
+
+
+def test_equivalent_answers_from_units_without_flattening(monkeypatch):
+    def no_flatten(*_):
+        raise AssertionError("flatten called")
+
+    monkeypatch.setattr(typecore, "flatten", no_flatten)
+    tiles = Vector(2, 1, 2, INT)
+    assert equivalent(tiles, 320_000, HVector(2, 1, 8, INT), 320_000)
+    assert equivalent(tiles, 320_000, Indexed(((1, 0), (1, 2)), INT), 320_000)
+    assert equivalent(Contiguous(4, SHORT), 5, DOUBLE, 5)
+    # unequal payload sizes differ at once
+    assert not equivalent(INT, 640_000, INT, 639_999)
+    assert not equivalent(tiles, 2, Contiguous(3, INT), 1)
+
+
+def test_equivalent_flattens_when_units_differ():
+    # equal payloads, different counts or extents: decided on the segments
+    assert equivalent(INT, 640_000, Contiguous(640_000, INT), 1)
+    assert equivalent(Contiguous(2, INT), 3, Contiguous(3, INT), 2)
+    assert not equivalent(Vector(2, 1, 2, INT), 2, Vector(4, 1, 2, INT), 1)
+    with pytest.raises(MalformedType):
+        equivalent(INT, -1, INT, -1)
 
 
 # --- validation ---------------------------------------------------------
