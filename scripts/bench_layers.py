@@ -5,6 +5,7 @@ For each layout it times the set-up (`layouts.build`, `typecore.commit` of
 the built tree, `normalizer.normalize`, `typecore.equivalent` of the
 layout against its normalized form, `packer.compile`, and `plan`: compile
 plus choosing the copy path, all a first copy does before moving bytes),
+committing and normalizing a freshly built tree in every repetition,
 then one pack, one unpack and one memcpy of the same payload size, and
 prints the segment count and the copy path that ran
 (`PackProgram.strategy`; the interpreted engine always walks the tree).
@@ -35,8 +36,9 @@ import numpy as np
 from typeforge import layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
-# benchmark, then coarse_tcp's tiled A=1000; 2.56 MB of INT payload unless
-# the element count says otherwise
+# benchmark, then coarse_tcp's tiled A=1000, then describe_sweep's long
+# index tables; 2.56 MB of INT payload unless the element count says
+# otherwise
 REFERENCE = (
     ("tiled", 640_000, 2, "compiled"),
     ("bucket", 640_000, 2, "compiled"),
@@ -44,6 +46,9 @@ REFERENCE = (
     ("rowcol_fully_indexed", 10_240, 100, "compiled"),
     ("tiled", 800, 2, "interpreted"),
     ("tiled", 640_000, 1000, "compiled"),
+    ("block_indexed", 640_000, 2, "compiled"),
+    ("alternating_indexed", 640_000, 2, "compiled"),
+    ("rowcol_fully_indexed", 10_240, 1000, "compiled"),
 )
 
 
@@ -79,24 +84,29 @@ def environment() -> dict:
     }
 
 
-def _timed(fn, reps: int) -> tuple[dict, object]:
-    """Quartiles of `reps` calls of `fn`, and the last call's result."""
+def _timed(fn, reps: int, fresh=None) -> tuple[dict, object]:
+    """Quartiles of `reps` calls of `fn`, and the last call's result.  With
+    `fresh`, every call gets a new `fresh()`, made outside the timing."""
     times = []
     for _ in range(reps):
+        args = (fresh(),) if fresh else ()
         start = time.perf_counter()
-        out = fn()
+        out = fn(*args)
         times.append(time.perf_counter() - start)
     return _quartiles(times), out
 
 
 def setup(layout: str, n: int, A: int, reps: int) -> dict:
-    """Set-up stages of one layout, each timed on its own."""
+    """Set-up stages of one layout, each timed on its own.  Commit and
+    normalize read a tree built afresh for each call, as a new experiment
+    would."""
     spec = layouts.LayoutSpec(id=layout, n=n, A=A)
     out = {}
     out["build"], built = _timed(lambda: layouts.build(spec), reps)
     ct, count = built.committed, built.count
-    out["commit"], _ = _timed(lambda: typecore.commit(built.datatype), reps)
-    out["normalize"], report = _timed(lambda: normalizer.normalize(ct), reps)
+    out["commit"], _ = _timed(typecore.commit, reps, lambda: layouts.build(spec).datatype)
+    out["normalize"], report = _timed(normalizer.normalize, reps,
+                                      lambda: layouts.build(spec).committed)
     normal = report.committed_output
     out["equivalent"], _ = _timed(lambda: typecore.equivalent(ct, count, normal, count), reps)
     out["compile"], _ = _timed(lambda: packer.compile(ct, count), reps)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import transport as tp
 from .packer import make_engine
-from .typecore import CommittedType, Datatype
+from .typecore import CommittedType, Datatype, datatype_dumps
 
 WARMUP_REPS = 3
 DEFAULT_RUNS = 5
@@ -59,7 +59,9 @@ def nrep_schedule(m_bytes: int) -> int:
 @dataclass(frozen=True)
 class BenchCase:
     """One measurable configuration of layout, engine and carrier.
-    A committed `datatype` is never committed again."""
+    A committed `datatype` is never committed again.  `spec_json` None
+    stands for the datatype's own JSON, serialized only when a stats CSV
+    is written."""
 
     case_id: str
     datatype: Optional[Datatype | CommittedType]
@@ -69,7 +71,7 @@ class BenchCase:
     transport: str
     m_bytes: int
     A: Optional[int] = None
-    spec_json: str = ""
+    spec_json: Optional[str] = ""
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -112,9 +114,13 @@ def _prepare(cases: Sequence[BenchCase], seed: int, engines: dict) -> list[tuple
     unpacked into it, so only the bytes the layout reads are drawn; for
     the raw variant the seeded bytes are the whole message.  A zeroed
     numpy array leaves the pages of the gaps untouched.  Engines come from
-    the party's `engines` (see EngineCache); regions are one per case.
+    the party's `engines` (see EngineCache).  Cases whose engines have the
+    same window (origin, span) share one region, filled once, so the two
+    sides of a comparison copy to and from the same pages, as two
+    datatypes over one buffer do; a raw case keeps bytes of its own.
     """
     sides = []
+    regions: dict[tuple[int, int], np.ndarray] = {}
     for case in cases:
         rng = np.random.default_rng(seed)
         if case.variant == "raw":
@@ -125,8 +131,11 @@ def _prepare(cases: Sequence[BenchCase], seed: int, engines: dict) -> list[tuple
                 engines[key] = (case.datatype,
                                 make_engine(case.engine, case.datatype, case.count))
             eng = engines[key][1]
-            region = np.zeros(eng.span, dtype=np.uint8)
-            eng.unpack_message(rng.bytes(eng.total_bytes), region)
+            window = (eng.origin, eng.span)
+            if window not in regions:
+                regions[window] = np.zeros(eng.span, dtype=np.uint8)
+                eng.unpack_message(rng.bytes(eng.total_bytes), regions[window])
+            region = regions[window]
         sides.append((case, region, eng))
     return sides
 
@@ -324,14 +333,25 @@ def _sec(v: float) -> str:
     return f"{v:.9f}"
 
 
+def _tree_json(t: Datatype | CommittedType) -> str:
+    return datatype_dumps(t.datatype if isinstance(t, CommittedType) else t)
+
+
 def write_stats_csv(path: str, rows: Sequence[RunStats]) -> None:
+    """One row per case; a tree several cases share is serialized once."""
+    trees: dict[int, str] = {}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(STATS_HEADER)
         for s in rows:
             c = s.case
+            spec = c.spec_json
+            if spec is None:
+                if id(c.datatype) not in trees:
+                    trees[id(c.datatype)] = _tree_json(c.datatype)
+                spec = trees[id(c.datatype)]
             w.writerow([
-                c.case_id, c.spec_json, c.variant, c.engine, c.transport,
+                c.case_id, spec, c.variant, c.engine, c.transport,
                 c.m_bytes, "" if c.A is None else c.A, s.r, s.nrep,
                 _sec(s.mean_s), _sec(s.min_s), _sec(s.max_s),
             ])

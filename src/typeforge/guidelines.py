@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 from .bench import BenchCase, EngineCache, RunStats, run_case, run_pair
 from .layouts import BuiltLayout, LayoutSpec, build_alternatives
 from .normalizer import normalize
-from .typecore import CommittedType, Contiguous, Datatype, commit, datatype_dumps, equivalent
+from .typecore import CommittedType, Contiguous, Datatype, commit, equivalent
 
 DEFAULT_THRESHOLD = 1.10
 
@@ -117,7 +117,7 @@ def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engin
         transport=transport,
         m_bytes=ct.size * count,
         A=A,
-        spec_json=datatype_dumps(ct.datatype),
+        spec_json=None,
     )
 
 

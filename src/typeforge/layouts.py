@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .typecore import (
     Base,
     BaseKind,
@@ -252,6 +254,12 @@ _BASIC_BLOCKS = {
 }
 
 
+def _pair_displs(pairs: int, period: int, second: int) -> np.ndarray:
+    """(pairs, 2) displacements of two blocks per period, the second
+    `second` after the first."""
+    return np.arange(pairs, dtype=np.int64)[:, None] * period + np.array((0, second))
+
+
 def make_tiled_heterogeneous(A: int, kinds: tuple[BaseKind, ...] | list[BaseKind]) -> Datatype:
     """One tile unit of A elements per kind, members at naturally aligned
     displacements, extent rounded up to the widest member alignment."""
@@ -344,11 +352,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         _require(p.B1 >= p.A and p.B2 >= p.A, f"block_indexed requires B1,B2 >= A, got {p}")
         _require(p.B1 != p.B2, f"block_indexed requires B1 != B2, got B1=B2={p.B1}")
         pairs = _divisible(spec.n, 2 * p.A, "block_indexed")
-        period = p.B1 + p.B2
-        displs = tuple(
-            i * period + offset for i in range(pairs) for offset in (0, p.B1)
-        )
-        dt = IndexedBlock(p.A, displs, base)
+        dt = IndexedBlock(p.A, _pair_displs(pairs, p.B1 + p.B2, p.B1).ravel(), base)
         return _built(dt, 1, es, spec)
 
     if spec.id == ALTERNATING_INDEXED:
@@ -357,13 +361,10 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             f"alternating_indexed requires B1 >= A1 and B2 >= A2, got {p}",
         )
         pairs = _divisible(spec.n, p.A1 + p.A2, "alternating_indexed")
-        period = p.B1 + p.B2
-        blocks = tuple(
-            blk
-            for i in range(pairs)
-            for blk in ((p.A1, i * period), (p.A2, i * period + p.B1))
-        )
-        dt = Indexed(blocks, base)
+        blocks = np.empty((pairs, 2, 2), dtype=np.int64)
+        blocks[:, :, 0] = (p.A1, p.A2)
+        blocks[:, :, 1] = _pair_displs(pairs, p.B1 + p.B2, p.B1)
+        dt = Indexed(blocks.reshape(-1, 2), base)
         return _built(dt, 1, es, spec)
 
     if spec.id == ALTERNATING_STRUCT:
@@ -383,11 +384,14 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         _require(spec.A >= 1, f"rowcol requires A >= 1, got A={spec.A}")
         _require(spec.n >= spec.A, f"rowcol requires n >= A, got n={spec.n}, A={spec.A}")
         a, n = spec.A, spec.n
+        # the first row, then column 0 of each later row
+        rows = np.arange(1, n - a + 1, dtype=np.int64) * a
         if spec.id == ROWCOL_FULLY_INDEXED:
-            displs = tuple(range(a)) + tuple(r * a for r in range(1, n - a + 1))
-            dt: Datatype = IndexedBlock(1, displs, base)
+            dt: Datatype = IndexedBlock(1, np.concatenate((np.arange(a), rows)), base)
         elif spec.id == ROWCOL_CONTIG_INDEXED:
-            blocks = ((a, 0),) + tuple((1, r * a) for r in range(1, n - a + 1))
+            blocks = np.ones((len(rows) + 1, 2), dtype=np.int64)
+            blocks[0] = (a, 0)
+            blocks[1:, 1] = rows
             dt = Indexed(blocks, base)
         else:
             members: list[tuple[int, int, Datatype]] = [(1, 0, Contiguous(a, base))]

@@ -205,12 +205,12 @@ def _struct_to_indexed(t: Datatype) -> Datatype | None:
 
 
 def _indexed_to_block(t: Datatype) -> Datatype | None:
-    if not isinstance(t, Indexed) or not t.blocks:
+    if not isinstance(t, Indexed) or not len(t.blocks):
         return None
     lens, displs = block_table(t)
     if not (lens == lens[0]).all():
         return None
-    return IndexedBlock(int(lens[0]), tuple(displs.tolist()), t.inner)
+    return IndexedBlock(int(lens[0]), displs, t.inner)
 
 
 def _regular_stride(t: Datatype) -> Datatype | None:
@@ -263,9 +263,9 @@ def _merge_adjacent_blocks(t: Datatype) -> Datatype | None:
     if len(displs) == 1 and displs[0] == 0:
         candidate: Datatype = Contiguous(int(lens[0]), t.inner)
     elif (lens == lens[0]).all():
-        candidate = IndexedBlock(int(lens[0]), tuple(displs.tolist()), t.inner)
+        candidate = IndexedBlock(int(lens[0]), displs, t.inner)
     else:
-        candidate = Indexed(tuple(zip(lens.tolist(), displs.tolist())), t.inner)
+        candidate = Indexed(np.column_stack((lens, displs)), t.inner)
     if candidate == t:
         return None
     after, before = descr_size(candidate), descr_size(t)

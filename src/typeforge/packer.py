@@ -55,6 +55,7 @@ from .typecore import (
     MalformedType,
     Resized,
     Vector,
+    block_table,
     bounds,
     commit,
     flatten,
@@ -394,10 +395,9 @@ def _prep(t: Datatype):
         blocks = tuple((i * t.stride * ext, t.blocklen) for i in range(t.count))
     elif isinstance(t, HVector):
         blocks = tuple((i * t.stride_bytes, t.blocklen) for i in range(t.count))
-    elif isinstance(t, Indexed):
-        blocks = tuple((d * ext, bl) for bl, d in t.blocks)
     else:
-        blocks = tuple((d * ext, t.blocklen) for d in t.displs)
+        lens, displs = block_table(t, ext)
+        blocks = tuple(zip(displs.tolist(), lens.tolist()))
     return _placed(t.inner, ext, blocks)
 
 

@@ -14,12 +14,18 @@ run, neither re-canonicalized.  `bounds` reads (lb, ub) from the tree
 without building segments, and `equivalent` answers from the committed
 units when the counts and extents match, so set-up grows with the size of
 a description, not with its instance count.
+
+An indexed node stores its table once, as a read-only int64 array that
+commit, validation, the normalizer and the packer's planner all read
+without converting it entry by entry.  Block placement is closed-form
+too: over an inner unit of one segment as long as its extent (a base
+kind, say), block j is the single run (displ_j, blocklen_j x extent), so
+no instance is expanded only to be merged back.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Union
@@ -92,25 +98,75 @@ class HVector:
     inner: "Datatype"
 
 
-@dataclass(frozen=True)
+def _table(values, row: tuple[int, ...], what: str) -> np.ndarray:
+    """`values` as a new read-only int64 array whose rows have shape
+    `row`; an empty sequence gives an empty table."""
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedType(f"{what} must be int64 integers: {exc}") from exc
+    if arr.size == 0:
+        arr = np.empty((0, *row), dtype=np.int64)
+    if arr.shape[1:] != row:
+        raise MalformedType(f"{what} need rows of shape {row}, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Indexed:
     """Blocks of varying length at displacements in units of the inner extent.
 
-    `blocks` is a sequence of (blocklen, displ) pairs kept in serialization
-    order; displacements may be unsorted or negative.
+    `blocks` holds one (blocklen, displ) row per block in serialization
+    order; displacements may be unsorted or negative.  Any sequence of
+    pairs is accepted and stored once, as a read-only (n, 2) int64 array.
+    Equality and hashing are by value.
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    blocks: np.ndarray
     inner: "Datatype"
 
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", _table(self.blocks, (2,), "indexed blocks"))
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if type(other) is not Indexed:
+            return NotImplemented
+        return bool(np.array_equal(self.blocks, other.blocks)) and self.inner == other.inner
+
+    def __hash__(self):
+        return hash((Indexed, self.blocks.tobytes(), self.inner))
+
+    def __reduce__(self):
+        return Indexed, (self.blocks, self.inner)
+
+
+@dataclass(frozen=True, eq=False)
 class IndexedBlock:
-    """Constant-length blocks at displacements in units of the inner extent."""
+    """Constant-length blocks at displacements in units of the inner extent.
+
+    `displs` is stored once, as a read-only int64 array; equality and
+    hashing are by value."""
 
     blocklen: int
-    displs: tuple[int, ...]
+    displs: np.ndarray
     inner: "Datatype"
+
+    def __post_init__(self):
+        object.__setattr__(self, "displs", _table(self.displs, (), "indexed_block displs"))
+
+    def __eq__(self, other):
+        if type(other) is not IndexedBlock:
+            return NotImplemented
+        return (self.blocklen == other.blocklen
+                and bool(np.array_equal(self.displs, other.displs))
+                and self.inner == other.inner)
+
+    def __hash__(self):
+        return hash((IndexedBlock, self.blocklen, self.displs.tobytes(), self.inner))
+
+    def __reduce__(self):
+        return IndexedBlock, (self.blocklen, self.displs, self.inner)
 
 
 @dataclass(frozen=True)
@@ -201,10 +257,8 @@ def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.not_equal(off[:-1] + ln[:-1], off[1:], out=starts[1:])
     if starts.all():
         return off, ln
-    group = np.cumsum(starts) - 1
-    merged_off = off[starts]
-    merged_len = np.bincount(group, weights=ln).astype(np.int64)
-    return merged_off, merged_len
+    # integer sums, so merged lengths stay exact at any size
+    return off[starts], np.add.reduceat(ln, np.flatnonzero(starts))
 
 
 def _tile(off: np.ndarray, ln: np.ndarray, count: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +291,15 @@ def _place_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lay out ragged blocks: block j holds blocklens[j] inner instances
     starting at byte displacement displs[j], instances spaced by the inner
-    extent.  Serialization order is block order, then instance order."""
+    extent.  Serialization order is block order, then instance order.
+
+    An inner unit of one segment as long as its extent fills each block
+    densely, so block j is the single run (displs[j] + offset, blocklens[j]
+    times the extent), with no instance expanded.
+    """
+    in_off, in_ln = inner
+    if len(in_off) == 1 and in_ln[0] == inner_extent:
+        return canonicalize(displs + in_off[0], blocklens * inner_extent)
     total = int(blocklens.sum())
     if total == 0:
         return _EMPTY, _EMPTY
@@ -245,7 +307,6 @@ def _place_blocks(
     intra = np.arange(total, dtype=np.int64)
     run_starts = np.repeat(np.cumsum(blocklens) - blocklens, blocklens)
     instance_off = base + (intra - run_starts) * inner_extent
-    in_off, in_ln = inner
     out_off = (instance_off[:, None] + in_off[None, :]).ravel()
     out_len = np.tile(in_ln, total)
     return canonicalize(out_off, out_len)
@@ -257,11 +318,12 @@ def block_bounds(blocklens: np.ndarray, displs: np.ndarray, lb: int, ub: int) ->
     the first at byte displs[j], and spans from that instance's lb to its
     last instance's ub.  Empty blocks do not count."""
     live = blocklens > 0
-    if not live.any():
-        return 0, 0
-    ext = ub - lb
-    return (int((displs[live] + lb).min()),
-            int((displs[live] + (blocklens[live] - 1) * ext + ub).max()))
+    if not live.all():
+        if not live.any():
+            return 0, 0
+        blocklens, displs = blocklens[live], displs[live]
+    return (int(displs.min()) + lb,
+            int((displs + (blocklens - 1) * (ub - lb)).max()) + ub)
 
 
 # (size, lb, ub) of a node with no placed instances
@@ -269,14 +331,11 @@ _NOTHING = (0, 0, 0)
 
 
 def block_table(t: Indexed | IndexedBlock, ext: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(blocklens, displacements) of an indexed node's blocks as arrays,
-    displacements in units of `ext` bytes."""
+    """(blocklens, displacements) of an indexed node's blocks, read from
+    its stored table, displacements in units of `ext` bytes."""
     if isinstance(t, Indexed):
-        table = np.fromiter(itertools.chain.from_iterable(t.blocks), dtype=np.int64,
-                            count=2 * len(t.blocks)).reshape(-1, 2)
-        return table[:, 0], table[:, 1] * ext
-    return (np.full(len(t.displs), t.blocklen, dtype=np.int64),
-            np.fromiter(t.displs, dtype=np.int64, count=len(t.displs)) * ext)
+        return t.blocks[:, 0], t.blocks[:, 1] * ext
+    return np.full(len(t.displs), t.blocklen, dtype=np.int64), t.displs * ext
 
 
 def _vector_stride(t: Vector | HVector, ext: int) -> int:
@@ -417,9 +476,9 @@ def _validate(t: Datatype) -> None:
         _validate(t.inner)
         return
     if isinstance(t, Indexed):
-        for bl, _ in t.blocks:
-            if bl < 0:
-                raise MalformedType(f"indexed blocklen must be >= 0, got {bl}")
+        lens = t.blocks[:, 0]
+        if len(lens) and lens.min() < 0:
+            raise MalformedType(f"indexed blocklen must be >= 0, got {lens[lens < 0][0]}")
         _validate(t.inner)
         return
     if isinstance(t, IndexedBlock):
@@ -547,14 +606,14 @@ def datatype_to_json(t: Datatype) -> dict:
     if isinstance(t, Indexed):
         return {
             "kind": "indexed",
-            "blocks": [[bl, d] for bl, d in t.blocks],
+            "blocks": t.blocks.tolist(),
             "inner": datatype_to_json(t.inner),
         }
     if isinstance(t, IndexedBlock):
         return {
             "kind": "indexed_block",
             "blocklen": t.blocklen,
-            "displs": list(t.displs),
+            "displs": t.displs.tolist(),
             "inner": datatype_to_json(t.inner),
         }
     if isinstance(t, Composite):

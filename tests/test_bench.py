@@ -313,6 +313,47 @@ def test_committed_cases_are_not_committed_again(monkeypatch, fake_clock):
     assert calls == []
 
 
+def _regions(cases) -> list:
+    """One party's region of each case (each party prepares its own)."""
+    return [region for _, region, _ in bench._prepare(cases, 1, {})]
+
+
+def _typed(case_id, built_or_ct, count, variant="typed"):
+    ct = getattr(built_or_ct, "committed", built_or_ct)
+    return _case(case_id, variant=variant, datatype=ct, count=count,
+                 m_bytes=ct.size * count)
+
+
+def test_pairs_with_one_window_share_one_region(fake_clock):
+    from typeforge.layouts import LayoutSpec, build, build_alternatives
+
+    tiled = build(LayoutSpec(id="tiled", n=400, A=2))
+    wrapper = commit(Contiguous(tiled.count, tiled.datatype))
+    rowcol = build_alternatives(LayoutSpec(id="rowcol_fully_indexed", n=100, A=10))
+    pairs = {
+        "G1": [_typed("count", tiled, tiled.count), _typed("wrapper", wrapper, 1)],
+        "G2": [_typed("typed", tiled, tiled.count),
+               _typed("packed", tiled, tiled.count, variant="packed")],
+        "G4_ALT": [_typed(m.spec.id, m, m.count) for m in rowcol],
+    }
+    for name, cases in pairs.items():
+        regions = _regions(cases)
+        assert all(r is regions[0] for r in regions), name
+        stats = run_pair(cases[0], cases[1], r=1, nrep=2, clock=fake_clock)
+        assert [s.nrep for s in stats] == [2, 2]
+
+
+def test_cases_with_different_windows_get_regions_of_their_own():
+    from typeforge.layouts import LayoutSpec, build_alternatives
+
+    block, indexed = build_alternatives(LayoutSpec(id="block_indexed", n=400, A=2))
+    assert (typecore.window(block.committed, block.count)
+            != typecore.window(indexed.committed, indexed.count))
+    raw = _case("raw", m_bytes=block.committed.size * block.count)
+    cases = [_typed("block", block, block.count), _typed("indexed", indexed, indexed.count), raw]
+    assert len({id(r) for r in _regions(cases)}) == 3
+
+
 def test_pair_needs_one_transport(fake_clock):
     with pytest.raises(ValueError, match="one transport"):
         run_pair(_case("a"), _case("b", transport="tcp"), r=1, nrep=1, clock=fake_clock)

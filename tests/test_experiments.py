@@ -240,6 +240,34 @@ def test_family_point_commits_each_member_once(monkeypatch, fake_clock):
     assert [calls[t] for t in members] == [1, 1]
 
 
+def test_tree_json_is_written_only_with_the_stats_csv(monkeypatch, fake_clock, tmp_path):
+    serialized, dumped = [], []
+    real_to_json, real_dumps = typecore.datatype_to_json, bench.datatype_dumps
+
+    def to_json(t):
+        serialized.append(t)
+        return real_to_json(t)
+
+    def dumps(t):
+        dumped.append(t)
+        return real_dumps(t)
+
+    monkeypatch.setattr(typecore, "datatype_to_json", to_json)
+    monkeypatch.setattr(bench, "datatype_dumps", dumps)
+    plan = make_plan("block_indexed", A_values=(2,), sizes=(3_200,), r=1, nrep=1)
+    result = run_experiment(plan, clock=fake_clock)
+    assert serialized == []
+    path = tmp_path / "bench.csv"
+    bench.write_stats_csv(str(path), result.stats)
+    rows = bench.read_stats_csv(str(path))
+    trees = {id(s.case.datatype): s.case.datatype.datatype for s in result.stats}
+    # each distinct tree once, however many rows share it
+    assert len(dumped) == len(trees) < len(result.stats)
+    for s, row in zip(result.stats, rows):
+        assert s.case.spec_json is None
+        assert row["spec_json"] == real_dumps(s.case.datatype.datatype)
+
+
 def test_family_point_builds_one_engine_per_type_and_party(monkeypatch, fake_clock):
     import typeforge.packer as packer
 

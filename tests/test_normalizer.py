@@ -1,5 +1,6 @@
 """Normalization: cheaper descriptions of identical layouts."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -169,6 +170,20 @@ def test_unchanged_report_shape():
     assert report.passes == ()
     assert report.iterations == 1
     assert report.input is report.output
+
+
+# 2.56 MB of INT payload: 320000 and 640000 table entries
+@pytest.mark.parametrize("layout", ["block_indexed", "alternating_indexed"])
+def test_long_index_tables_are_not_converted_entry_by_entry(layout, monkeypatch):
+    def entry_by_entry(*_, **__):
+        raise AssertionError("an index table was converted entry by entry")
+
+    monkeypatch.setattr(np, "fromiter", entry_by_entry)
+    built = build(LayoutSpec(id=layout, n=640_000, A=2))
+    ct = commit(built.datatype)
+    report = normalize(built.datatype)
+    assert report.changed
+    assert report.committed_output.size == ct.size == 2_560_000
 
 
 def test_normalize_validates_first():

@@ -1,12 +1,14 @@
 """Constructor trees, flattening, bounds and equivalence."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import typeforge.typecore as typecore
-from treegen import datatypes, oracle_segments, oracle_walk
+from treegen import base_types, datatypes, oracle_segments, oracle_walk
 from typeforge.typecore import (
     Base,
     BaseKind,
@@ -214,6 +216,109 @@ def test_bounds_walk_matches_commit(t):
 @given(datatypes())
 def test_json_round_trip(t):
     assert datatype_loads(datatype_dumps(t)) == t
+
+
+def _indexed_nodes(t):
+    """Every Indexed and IndexedBlock node of a tree."""
+    if isinstance(t, (Indexed, IndexedBlock)):
+        yield t
+    if isinstance(t, Composite):
+        for _, _, member in t.members:
+            yield from _indexed_nodes(member)
+    elif not isinstance(t, Base):
+        yield from _indexed_nodes(t.inner)
+
+
+def _expanded_blocks(t) -> tuple[list[int], list[int]]:
+    """Placement of an indexed node by the definition: the inner unit's
+    segments copied at every instance of every block, then one
+    canonicalizing pass."""
+    inner = commit(t.inner)
+    if isinstance(t, Indexed):
+        blocks = [(int(bl), int(d)) for bl, d in t.blocks]
+    else:
+        blocks = [(t.blocklen, int(d)) for d in t.displs]
+    starts = [(d + i) * inner.extent for bl, d in blocks for i in range(bl)]
+    if not starts or (inner.size, inner.lb, inner.ub) == (0, 0, 0):
+        return [], []
+    off = np.array([s + o for s in starts for o in inner.flat.offsets.tolist()],
+                   dtype=np.int64)
+    off, ln = canonicalize(off, np.tile(inner.flat.lengths, len(starts)))
+    return off.tolist(), ln.tolist()
+
+
+# inner units of one segment as long as their extent, which place in
+# closed form, next to random ones
+_DENSE = st.one_of(base_types(), st.builds(Contiguous, st.integers(1, 3), base_types()),
+                   st.builds(Resized, st.integers(-4, 4), st.just(4), st.just(INT)),
+                   st.integers(-8, 8).map(lambda d: Composite(((1, d, INT),))))
+_INDEXED = st.one_of(
+    st.builds(Indexed, st.lists(st.tuples(st.integers(0, 3), st.integers(-6, 12)),
+                                max_size=6).map(tuple), st.one_of(_DENSE, datatypes(2))),
+    st.builds(IndexedBlock, st.integers(0, 3), st.lists(st.integers(-6, 12), max_size=6),
+              st.one_of(_DENSE, datatypes(2))),
+)
+
+
+@given(st.one_of(datatypes(), _INDEXED))
+def test_block_placement_matches_expanded_instances(t):
+    for node in _indexed_nodes(t):
+        flat = commit(node).flat
+        assert (flat.offsets.tolist(), flat.lengths.tolist()) == _expanded_blocks(node)
+
+
+def test_merged_lengths_are_exact_past_float_precision():
+    big = 2**53 + 1
+    ct = commit(Composite(((1, 0, Contiguous(big, Base(BaseKind.BYTE))),
+                           (1, big, Contiguous(2, Base(BaseKind.BYTE))))))
+    assert ct.size == big + 2
+    assert ct.flat.lengths.tolist() == [big + 2]
+    assert int(ct.flat.lengths.sum()) == ct.size
+
+
+# --- index tables ---------------------------------------------------------
+
+
+def test_index_tables_compare_and_hash_by_value():
+    pairs = ((2, 0), (1, 5), (3, -2))
+    from_tuples = Indexed(pairs, INT)
+    from_array = Indexed(np.array(pairs, dtype=np.int32), INT)
+    assert from_tuples == from_array
+    assert hash(from_tuples) == hash(from_array)
+    assert from_tuples != Indexed(((2, 0), (1, 5)), INT)
+    assert from_tuples != Indexed(pairs, SHORT)
+    assert IndexedBlock(2, (0, 4, 9), INT) == IndexedBlock(2, np.array([0, 4, 9]), INT)
+    assert hash(IndexedBlock(2, (0, 4, 9), INT)) == hash(IndexedBlock(2, [0, 4, 9], INT))
+    assert IndexedBlock(2, (0, 4, 9), INT) != IndexedBlock(1, (0, 4, 9), INT)
+    assert Indexed((), INT) == Indexed(np.empty((0, 2), dtype=np.int64), INT)
+    assert from_tuples != IndexedBlock(2, (0, 5, -2), INT)
+
+
+def test_index_tables_are_stored_once_read_only():
+    table = np.array([[1, 0], [2, 4]])
+    t = Indexed(table, INT)
+    table[0, 0] = 7
+    assert t.blocks.tolist() == [[1, 0], [2, 4]]
+    assert not t.blocks.flags.writeable
+    assert t.blocks.dtype == np.int64
+    assert not IndexedBlock(1, [0, 3], INT).displs.flags.writeable
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and not again.blocks.flags.writeable
+    assert datatype_dumps(t) == ('{"kind":"indexed","blocks":[[1,0],[2,4]],'
+                                 '"inner":{"kind":"base","base":"int"}}')
+
+
+def test_index_tables_of_the_wrong_shape_are_rejected():
+    for bad in (((1, 2, 3),), ((1,), (2,)), (("x", 0),), ((2**70, 0),)):
+        with pytest.raises(MalformedType):
+            Indexed(bad, INT)
+    with pytest.raises(MalformedType):
+        IndexedBlock(1, ((0, 1),), INT)
+
+
+def test_negative_blocklen_in_an_array_table_is_rejected():
+    with pytest.raises(MalformedType, match="got -1"):
+        commit(Indexed(np.array([[2, 0], [-1, 4]]), INT))
 
 
 # --- equivalence --------------------------------------------------------
