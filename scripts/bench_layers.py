@@ -13,6 +13,13 @@ Pack, unpack and memcpy are interleaved within each repetition so host
 speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
 
+It then times the harness's fixed cost on the tcp carrier under the real
+clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
+and stops an echo process of its own; the same measurement within an open
+`bench.echo_session`, whose process is already running (a library
+without echo sessions starts one per measurement here too); and one tcp
+`basic_layouts` experiment over the grid of perfbench's coarse_tcp sweep.
+
 The results, with the host, CPU count, Python and numpy versions, the git
 sha (with "-dirty" when the tree has uncommitted changes) and the clock's
 resolution and call cost, are stored under `--label`
@@ -22,6 +29,7 @@ in the JSON file `--out`, so runs of two trees can sit side by side:
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -33,7 +41,7 @@ import time
 
 import numpy as np
 
-from typeforge import layouts, normalizer, packer, typecore
+from typeforge import bench, experiments, layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
 # benchmark, then coarse_tcp's tiled A=1000, then describe_sweep's long
@@ -150,6 +158,26 @@ def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
     return out
 
 
+def harness() -> dict:
+    """Quartiles, in microseconds, of the fixed cost of real-clock tcp
+    measurements (see the module docstring): 5 lone measurements, 21
+    within one session, 3 experiments."""
+    case = bench.BenchCase("raw64", None, 0, "raw", "compiled", "tcp", 64)
+    plan = experiments.make_plan("basic_layouts", A_values=(10, 1000),
+                                 sizes=(3_200, 2_560_000), r=1, nrep=1, transport="tcp")
+
+    def measure_once():
+        return bench.run_case(case, r=1, nrep=1)
+
+    out = {}
+    out["lone_run_case"], _ = _timed(measure_once, 5)
+    with getattr(bench, "echo_session", contextlib.nullcontext)():
+        measure_once()
+        out["run_case_in_session"], _ = _timed(measure_once, 21)
+    out["coarse_tcp_experiment"], _ = _timed(lambda: experiments.run_experiment(plan), 3)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
@@ -171,11 +199,16 @@ def main(argv=None) -> int:
               f"{row['strategy']:<9}" + "".join(f"{q['median_us']:>8.0f}" for q in stages)
               + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
 
+    cost = harness()
+    print("tcp harness, real clock (median us): " + ", ".join(
+        f"{name} {q['median_us']:.0f}" for name, q in cost.items()), flush=True)
+
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows}
+    doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows,
+                       "tcp_harness": cost}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -10,13 +10,18 @@ of its samples; a case reports mean, min and max over its `r` run medians.
 
 The wall clock is injectable so the whole pipeline can be exercised with a
 deterministic fake.  With an injected clock, or on the inmem carrier, the
-echo side is a thread of this process; with the real clock the tcp carrier
-places it in one spawned process that serves all runs.  A failure on the
-echo side is raised to the caller.
+echo side is a thread of this process.  With the real clock the tcp carrier
+places it in a spawned echo process, one per `echo_session`: every
+measurement of an experiment is a job for the same process, and a lone
+`run_case` or `run_pair` is a session of one job.  A failure on the echo
+side is raised to the caller with its cause, and the session's process is
+stopped with it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import itertools
 import json
@@ -100,8 +105,10 @@ class EngineCache:
     measurement given this cache, so each party builds one program per
     type, and its gather index, once.  A type is keyed by identity and
     held here, so its key cannot be reused while the cache lives.  The
-    echo side of a tcp measurement under the real clock runs in a process
-    of its own and builds its engines there."""
+    echo side of a tcp measurement under the real clock runs in the
+    session's echo process, which builds its engines afresh for each
+    measurement, so that process does not grow from one grid point to the
+    next."""
 
     ping: dict = field(default_factory=dict)
     echo: dict = field(default_factory=dict)
@@ -182,9 +189,21 @@ def _runs(endpoints: Iterable[tp.Endpoint], sides, nreps, warmups, clock) -> lis
     return out
 
 
-def _echo_process_main(port, cases, nreps, warmups, seed, r) -> None:
-    endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r))
-    _runs(endpoints, _prepare(cases, seed, {}), nreps, warmups, time.perf_counter)
+def _echo_process_main(port, jobs) -> None:
+    """Body of the echo process: serve the jobs that arrive on `jobs` until
+    None.  A job (cases, nreps, warmups, seed, r) is r runs, one connection
+    each, over engines and regions of its own.  A failed job's cause goes
+    back over `jobs` before the process exits."""
+    try:
+        for cases, nreps, warmups, seed, r in iter(jobs.recv, None):
+            endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r))
+            _runs(endpoints, _prepare(cases, seed, {}), nreps, warmups, time.perf_counter)
+    except Exception as exc:
+        try:
+            jobs.send(f"{type(exc).__name__}: {exc}")
+        except OSError:
+            pass
+        raise
 
 
 def _thread_runs(cases, sides, nreps, warmups, clock, seed, r, engines: dict) -> list:
@@ -216,28 +235,96 @@ def _accept_echo(listener, child) -> tp.TcpEndpoint:
     raise tp.TransportUnavailable("echo process did not connect")
 
 
-def _process_runs(cases, sides, nreps, warmups, seed, r) -> list:
-    listener, port = tp.tcp_listener()
-    child = multiprocessing.get_context("spawn").Process(
-        target=_echo_process_main, args=(port, cases, nreps, warmups, seed + 1, r),
-        daemon=True)
-    child.start()
-    try:
-        pings = (_accept_echo(listener, child) for _ in range(r))
-        runs = _runs(pings, sides, nreps, warmups, time.perf_counter)
-    except (tp.PeerClosed, tp.TransportUnavailable) as exc:
-        child.join(_JOIN_TIMEOUT)
-        if child.exitcode:
-            raise tp.PeerClosed(f"echo process exited with code {child.exitcode}") from exc
-        raise
-    finally:
-        listener.close()
-        child.join(_JOIN_TIMEOUT)
+class EchoProcess:
+    """The ping side's hold on one spawned echo process: the listener the
+    echo side connects to, the job pipe and the child.  The child starts
+    with the first job and serves every later one; a failed job stops it
+    and forgets it, so the next job starts a fresh one."""
+
+    def __init__(self):
+        self._child = None
+
+    def _start(self) -> None:
+        ctx = multiprocessing.get_context("spawn")
+        self._listener, port = tp.tcp_listener()
+        self._jobs, child_end = ctx.Pipe()
+        child = ctx.Process(target=_echo_process_main, args=(port, child_end), daemon=True)
+        child.start()
+        child_end.close()
+        self._child = child
+
+    def runs(self, cases, sides, nreps, warmups, seed, r) -> list:
+        """r runs of `sides` against the echo side of `cases`, which the
+        echo process prepares from `seed`."""
+        if self._child is None:
+            self._start()
+        try:
+            return self._job(cases, sides, nreps, warmups, seed, r)
+        except BaseException:
+            self._stop()
+            raise
+
+    def _job(self, cases, sides, nreps, warmups, seed, r) -> list:
+        try:
+            self._jobs.send((cases, nreps, warmups, seed, r))
+            pings = (_accept_echo(self._listener, self._child) for _ in range(r))
+            return _runs(pings, sides, nreps, warmups, time.perf_counter)
+        except OSError as exc:
+            # a broken channel or job pipe: an echo process that failed is the cause
+            self._child.join(_JOIN_TIMEOUT)
+            if self._child.exitcode:
+                raise tp.PeerClosed(f"echo process exited with code "
+                                    f"{self._child.exitcode}{self._cause()}") from exc
+            raise
+
+    def _cause(self) -> str:
+        try:
+            return f": {self._jobs.recv()}" if self._jobs.poll() else ""
+        except (EOFError, OSError):
+            return ""
+
+    def _stop(self) -> None:
+        """Terminate the child if it is still alive, and forget it."""
+        child, self._child = self._child, None
         if child.is_alive():
             child.terminate()
-    if child.exitcode is None:
-        raise tp.TransportUnavailable("echo process did not exit")
-    return runs
+        child.join()
+        self._listener.close()
+        self._jobs.close()
+
+    def close(self) -> None:
+        """Tell the child to stop and wait for it; terminate it if it is
+        still alive after the join timeout."""
+        if self._child is None:
+            return
+        try:
+            self._jobs.send(None)
+        except OSError:
+            pass
+        self._child.join(_JOIN_TIMEOUT)
+        self._stop()
+
+
+_session: contextvars.ContextVar[Optional[EchoProcess]] = contextvars.ContextVar(
+    "echo_session", default=None)
+
+
+@contextlib.contextmanager
+def echo_session():
+    """The echo process of every real-clock tcp measurement made within.
+    It starts with the first such measurement and is stopped on leaving;
+    a session opened within another is the outer one."""
+    outer = _session.get()
+    if outer is not None:
+        yield outer
+        return
+    echo = EchoProcess()
+    token = _session.set(echo)
+    try:
+        yield echo
+    finally:
+        _session.reset(token)
+        echo.close()
 
 
 def _measure(cases: Sequence[BenchCase], r: int, nrep: Optional[int], warmups: int,
@@ -259,7 +346,8 @@ def _measure(cases: Sequence[BenchCase], r: int, nrep: Optional[int], warmups: i
     nreps = [nrep if nrep is not None else nrep_schedule(c.m_bytes) for c in cases]
     sides = _prepare(cases, seed, engines.ping)
     if clock is None and cases[0].transport == "tcp":
-        runs = _process_runs(cases, sides, nreps, warmups, seed, r)
+        with echo_session() as echo:
+            runs = echo.runs(cases, sides, nreps, warmups, seed + 1, r)
     else:
         runs = _thread_runs(cases, sides, nreps, warmups, clock or time.perf_counter, seed, r,
                             engines.echo)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bench import BenchCase, EngineCache, RunStats, run_case
+from .bench import BenchCase, EngineCache, RunStats, echo_session, run_case
 from .guidelines import (
     DEFAULT_THRESHOLD,
     GuidelineVerdict,
@@ -293,16 +293,18 @@ def _run_family(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
 
 def run_experiment(plan: ExperimentPlan,
                    clock: Optional[Callable[[], float]] = None) -> ExperimentResult:
-    """Execute every feasible grid point of the plan, sequentially."""
+    """Execute every feasible grid point of the plan, sequentially.  Its
+    real-clock tcp measurements share one echo process (`echo_session`)."""
     result = ExperimentResult(plan)
-    if plan.experiment == "basic_layouts":
-        _run_basic_layouts(plan, result, clock)
-    elif plan.experiment == "tiled_het":
-        _run_tiled_het(plan, result, clock)
-    elif plan.experiment == "pack_unpack":
-        _run_pack_unpack(plan, result, clock)
-    elif plan.experiment == "contig":
-        _run_contig(plan, result, clock)
-    else:
-        _run_family(plan, result, clock)
+    with echo_session():
+        if plan.experiment == "basic_layouts":
+            _run_basic_layouts(plan, result, clock)
+        elif plan.experiment == "tiled_het":
+            _run_tiled_het(plan, result, clock)
+        elif plan.experiment == "pack_unpack":
+            _run_pack_unpack(plan, result, clock)
+        elif plan.experiment == "contig":
+            _run_contig(plan, result, clock)
+        else:
+            _run_family(plan, result, clock)
     return result

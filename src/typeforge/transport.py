@@ -122,10 +122,25 @@ class TcpEndpoint(Endpoint):
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send_msg(self, payload) -> None:
+        """Header and payload in one `sendmsg`; a partial send goes on with
+        the unsent remainder."""
+        header = _HEADER.pack(len(payload))
         try:
-            self._sock.sendmsg([_HEADER.pack(len(payload)), payload])
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
+            sent = self._sock.sendmsg([header, payload])
+            if sent < len(header) + len(payload):
+                self._send_rest([memoryview(header), memoryview(payload).cast("B")], sent)
+        except OSError as exc:
             raise PeerClosed(f"send failed: {exc}") from exc
+
+    def _send_rest(self, parts: list, sent: int) -> None:
+        """Send what is left of `parts` after the first `sent` bytes."""
+        while parts:
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts[0])
+                del parts[0]
+            if parts:
+                parts[0] = parts[0][sent:]
+                sent = self._sock.sendmsg(parts)
 
     def _recv_exact(self, n: int) -> bytearray:
         buf = bytearray(n)

@@ -1,6 +1,7 @@
 """Timing harness: schedules, reduction, determinism and output files."""
 
 import json
+import multiprocessing
 import sys
 import time
 
@@ -16,6 +17,7 @@ from treegen import datatypes
 from typeforge.bench import (
     BenchCase,
     RunStats,
+    echo_session,
     nrep_schedule,
     read_stats_csv,
     run_case,
@@ -23,6 +25,7 @@ from typeforge.bench import (
     write_raw_json,
     write_stats_csv,
 )
+from typeforge.experiments import make_plan, run_experiment
 from typeforge.transport import PeerClosed
 from typeforge.typecore import (
     Base,
@@ -294,6 +297,26 @@ def test_echo_process_that_dies_before_connecting_is_reported_at_once(monkeypatc
     assert time.monotonic() - started < 5.0
 
 
+def _echo_with_broken_prepare(port, jobs):
+    """Echo process body whose echo side cannot prepare its cases."""
+
+    def broken(*args):
+        raise RuntimeError("no region for this case")
+
+    bench._prepare = broken
+    bench._echo_process_main(port, jobs)
+
+
+def test_echo_process_reports_its_cause(monkeypatch):
+    monkeypatch.setattr(bench, "_echo_process_main", _echo_with_broken_prepare)
+    started = time.monotonic()
+    with pytest.raises(PeerClosed, match="exited with code 1: "
+                                         "RuntimeError: no region for this case"):
+        run_case(_case(transport="tcp", m_bytes=64), r=1, nrep=2)
+    assert time.monotonic() - started < 5.0
+    assert multiprocessing.active_children() == []
+
+
 def test_committed_cases_are_not_committed_again(monkeypatch, fake_clock):
     a = commit(Vector(4, 2, 4, INT))
     b = commit(Contiguous(32, INT))
@@ -370,3 +393,96 @@ def test_tcp_pair_with_real_clock_interleaves_in_one_echo_process():
     assert [len(run) for run in sa.raw_samples] == [2]
     assert [len(run) for run in sb.raw_samples] == [2]
     assert sa.mean_s > 0.0 and sb.mean_s > 0.0
+
+
+# --- echo sessions ----------------------------------------------------------
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """Processes started while the test runs, in order."""
+    started = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def counting(proc):
+        started.append(proc)
+        real(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    return started
+
+
+def _tcp_raw():
+    return _case(transport="tcp", m_bytes=64)
+
+
+def test_real_clock_tcp_experiment_starts_one_echo_process(starts):
+    plan = make_plan("basic_layouts", A_values=(10,), sizes=(3200,), r=1, nrep=1,
+                     transport="tcp")
+    result = run_experiment(plan)
+    assert len(result.stats) > 1
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_lone_run_case_is_a_session_of_one_job(starts):
+    assert run_case(_tcp_raw(), r=2, nrep=2).r == 2
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_measurements_in_one_session_share_its_process(starts):
+    with echo_session() as echo:
+        with echo_session() as inner:
+            assert inner is echo
+            run_case(_tcp_raw(), r=1, nrep=1)
+        run_pair(_tcp_raw(), _case("b", transport="tcp", m_bytes=100), r=2, nrep=1)
+        assert len(multiprocessing.active_children()) == 1
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_session_starts_afresh_after_an_echo_failure(monkeypatch, starts):
+    real = bench._echo_process_main
+    with echo_session():
+        run_case(_tcp_raw(), r=1, nrep=1)
+        (child,) = multiprocessing.active_children()
+        child.kill()
+        child.join()
+        with pytest.raises(PeerClosed, match="exited with code -9"):
+            run_case(_tcp_raw(), r=1, nrep=1)
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.setattr(bench, "_echo_process_main", _echo_with_broken_prepare)
+        with pytest.raises(PeerClosed, match="RuntimeError: no region"):
+            run_case(_tcp_raw(), r=1, nrep=1)
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.setattr(bench, "_echo_process_main", real)
+        assert run_case(_tcp_raw(), r=1, nrep=2).nrep == 2
+    assert len(starts) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_ping_side_failure_stops_the_echo_process(monkeypatch, starts):
+    class PingBroke(RuntimeError):
+        pass
+
+    def failing(*args):
+        raise PingBroke("ping side failed")
+
+    with echo_session():
+        run_case(_tcp_raw(), r=1, nrep=1)
+        monkeypatch.setattr(bench, "_one_rep", failing)
+        with pytest.raises(PingBroke):
+            run_case(_tcp_raw(), r=1, nrep=1)
+        assert multiprocessing.active_children() == []
+    assert len(starts) == 1
+
+
+@pytest.mark.parametrize("transport,clock", [("inmem", None), ("tcp", FakeClock())])
+def test_thread_echo_experiments_start_no_process(starts, transport, clock):
+    plan = make_plan("basic_layouts", A_values=(10,), sizes=(3200,), r=1, nrep=1,
+                     transport=transport)
+    assert run_experiment(plan, clock=clock).stats
+    assert starts == []

@@ -13,6 +13,7 @@ from treegen import datatypes, oracle_walk
 from typeforge.packer import make_engine, pack
 from typeforge.transport import (
     PeerClosed,
+    TcpEndpoint,
     TransportUnavailable,
     make_pair,
     pingpong_packed,
@@ -278,3 +279,41 @@ def test_receive_bound_is_the_expected_length(kind):
     finally:
         ping.close()
         pong.close()
+
+
+class _TrickleSocket:
+    """Takes 1 byte on the first `sendmsg`, then half of what it is
+    offered (at least 1 byte); call number `fail_after` (from 0) raises."""
+
+    def __init__(self, fail_after=None):
+        self.wire = bytearray()
+        self.calls = 0
+        self.fail_after = fail_after
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendmsg(self, buffers):
+        if self.calls == self.fail_after:
+            raise ConnectionResetError("reset by peer")
+        offered = b"".join(bytes(b) for b in buffers)
+        take = 1 if self.calls == 0 else max(1, len(offered) // 2)
+        self.calls += 1
+        self.wire += offered[:take]
+        return take
+
+
+@pytest.mark.parametrize("payload", [b"", b"x", bytes(range(100)), bytearray(range(7))],
+                         ids=["empty", "one", "hundred", "bytearray"])
+def test_partial_sends_complete_the_frame(payload):
+    sock = _TrickleSocket()
+    TcpEndpoint("ping", sock).send_msg(payload)
+    assert bytes(sock.wire) == struct.pack("<Q", len(payload)) + bytes(payload)
+    assert sock.calls > 1
+
+
+def test_send_failure_after_a_partial_send_is_peer_closed():
+    sock = _TrickleSocket(fail_after=3)
+    with pytest.raises(PeerClosed, match="send failed"):
+        TcpEndpoint("ping", sock).send_msg(bytes(100))
+    assert sock.calls == 3
