@@ -3,12 +3,13 @@
 
 For each layout it times the set-up (`layouts.build`, `typecore.commit` of
 the built tree, `normalizer.normalize`, `typecore.equivalent` of the
-layout against its normalized form, `packer.compile`, and `plan`: compile
-plus choosing the copy path, all a first copy does before moving bytes),
-committing and normalizing a freshly built tree in every repetition,
-then one pack, one unpack and one memcpy of the same payload size, and
-prints the segment count and the copy path that ran
-(`PackProgram.strategy`; the interpreted engine always walks the tree).
+layout against its normalized form, `compile`: building a
+`packer.CompiledEngine`, and `plan`: compile plus choosing the copy path,
+all a first copy does before moving bytes), committing and normalizing a
+freshly built tree in every repetition, then one pack, one unpack and one
+memcpy of the same payload size, and prints the segment count and the copy
+path that ran (`CompiledEngine.strategy`; the interpreted engine always
+walks the tree).
 Pack, unpack and memcpy are interleaved within each repetition so host
 speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
@@ -117,8 +118,8 @@ def setup(layout: str, n: int, A: int, reps: int) -> dict:
                                       lambda: layouts.build(spec).committed)
     normal = report.committed_output
     out["equivalent"], _ = _timed(lambda: typecore.equivalent(ct, count, normal, count), reps)
-    out["compile"], _ = _timed(lambda: packer.compile(ct, count), reps)
-    out["plan"], _ = _timed(lambda: packer.compile(ct, count).strategy, reps)
+    out["compile"], _ = _timed(lambda: packer.CompiledEngine(ct, count), reps)
+    out["plan"], _ = _timed(lambda: packer.CompiledEngine(ct, count).strategy, reps)
     return out
 
 
@@ -126,7 +127,7 @@ def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
     built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
     ct, count = built.committed, built.count
     stages = setup(layout, n, A, 5)
-    program = packer.compile(ct, count)
+    program = packer.CompiledEngine(ct, count)
     eng = packer.make_engine(engine, ct, count)
     region = np.zeros(eng.span, dtype=np.uint8)
     eng.unpack_message(np.random.default_rng(1).bytes(eng.total_bytes), region)

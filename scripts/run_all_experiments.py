@@ -14,14 +14,15 @@ import time
 
 from typeforge.cli import main as typeforge_main
 from typeforge.experiments import EXPERIMENT_IDS
+from typeforge.packer import ENGINES
+from typeforge.transport import TRANSPORTS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--engine", default="compiled",
-                        choices=("interpreted", "compiled"))
-    parser.add_argument("--transport", default="inmem", choices=("inmem", "tcp"))
+    parser.add_argument("--engine", default="compiled", choices=ENGINES)
+    parser.add_argument("--transport", default="inmem", choices=TRANSPORTS)
     parser.add_argument("--variant", type=int, default=1, choices=(1, 2))
     parser.add_argument("--r", type=int, default=5, help="independent runs per case")
     parser.add_argument("--nrep", type=int, default=None,

@@ -28,10 +28,8 @@ from .normalizer import NormalizationReport, cost, descr_size, normalize
 from .packer import (
     CompiledEngine,
     InterpretedEngine,
-    PackProgram,
     RegionTooSmall,
     SizeMismatch,
-    compile,
     make_engine,
     pack,
     unpack,

@@ -23,7 +23,8 @@ from .experiments import EXPERIMENT_IDS, make_plan, run_experiment
 from .guidelines import write_verdicts_csv
 from .layouts import BadParams, build, spec_from_json
 from .normalizer import normalize
-from .packer import pack
+from .packer import ENGINES, pack
+from .transport import TRANSPORTS
 from .typecore import (
     CommittedType,
     Datatype,
@@ -225,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, action="append", help="element-count sizes to run")
     p.add_argument("--m", type=int, action="append", help="byte sizes to run")
     p.add_argument("--variant", type=int, default=1, choices=(1, 2))
-    p.add_argument("--engine", default="compiled", choices=("interpreted", "compiled"))
-    p.add_argument("--transport", default="inmem", choices=("inmem", "tcp"))
+    p.add_argument("--engine", default="compiled", choices=ENGINES)
+    p.add_argument("--transport", default="inmem", choices=TRANSPORTS)
     p.add_argument("--threshold", type=float, default=1.10)
     p.add_argument("--r", type=int, default=5, help="independent runs per case")
     p.add_argument("--nrep", type=int, default=None,

@@ -16,7 +16,7 @@ explicitly indexed descriptions expensive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -293,20 +293,7 @@ def _rewrite(t: Datatype, fn) -> tuple[Datatype, bool]:
         node, changed = t, False
     elif isinstance(t, (Contiguous, Vector, HVector, Indexed, IndexedBlock, Resized)):
         inner, changed = _rewrite(t.inner, fn)
-        if not changed:
-            node = t
-        elif isinstance(t, Contiguous):
-            node = Contiguous(t.count, inner)
-        elif isinstance(t, Vector):
-            node = Vector(t.count, t.blocklen, t.stride, inner)
-        elif isinstance(t, HVector):
-            node = HVector(t.count, t.blocklen, t.stride_bytes, inner)
-        elif isinstance(t, Indexed):
-            node = Indexed(t.blocks, inner)
-        elif isinstance(t, IndexedBlock):
-            node = IndexedBlock(t.blocklen, t.displs, inner)
-        else:
-            node = Resized(t.lb, t.extent, inner)
+        node = replace(t, inner=inner) if changed else t
     elif isinstance(t, Composite):
         members = []
         changed = False

@@ -1,8 +1,12 @@
 """Pack and unpack engines over flattened layouts.
 
-Two engines with identical observable behavior, each with one copy routine
-that takes the direction as an argument, so packing and unpacking cannot
-drift apart:
+Every engine is an `_Engine`, which commits the type once, holds the
+payload size and region window, and owns the one copy routine, `_copy`,
+for both directions: it checks the payload size, the region size and a
+writable destination, returns `b""` for an empty payload and sends a layout
+that fills its window in one run (`is_contiguous`) straight from the
+region.  So packing and unpacking cannot drift apart, and no engine skips
+a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 
 * interpreted: one walker (`_walk`) steps through the constructor tree
   instance by instance, copying one contiguous run at a time between the
@@ -12,7 +16,7 @@ drift apart:
   descriptions pay their full per-block overhead.
 * compiled: a copy program for `count` instances of the committed type,
   executed with bulk (vectorized) moves, by one of four strategies
-  (`PackProgram.strategy`).  The program is compiled from the committed
+  (`CompiledEngine.strategy`).  The program is compiled from the committed
   unit: its segment count, strategy and, for a short unit tiled without
   joins, its periodic plan follow from (count, extent, unit segments), so
   the canonical segment list is built only for the paths that read it:
@@ -32,12 +36,11 @@ drift apart:
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
 C-contiguous buffer; both engines count and move them as bytes, whatever
-their element type.
+their element type.  `make_engine` builds an engine by its `name`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,217 +85,11 @@ class SizeMismatch(ValueError):
     """Raised when packed data length does not match the layout payload."""
 
 
-def _check_region(buf, origin: int, length: int, what: str) -> None:
-    have = memoryview(buf).nbytes
-    if have < length:
-        raise RegionTooSmall(
-            f"{what} region holds {have} bytes, layout spans {length} "
-            f"(window starts at byte {origin})"
-        )
-
-
-def _check_payload(data, total: int) -> None:
-    have = memoryview(data).nbytes
-    if have != total:
-        raise SizeMismatch(f"packed data holds {have} bytes, layout payload is {total}")
-
-
 def _byte_view(buf) -> memoryview:
     """`buf` as a flat memoryview of bytes, whatever its element type; a
     buffer that is not C-contiguous raises TypeError."""
     view = memoryview(buf)
     return view if view.format == "B" and view.ndim == 1 else view.cast("B")
-
-
-# --- compiled engine ----------------------------------------------------
-
-
-@dataclass(eq=False)
-class PackProgram:
-    """Copy program for `count` instances of a committed type.
-
-    Offsets are absolute layout offsets; subtract `origin` to index the
-    region.  `total_bytes` is the packed payload size and `span` the region
-    window length.  The segment arrays are built on first use, and only by
-    the paths that read them (slices and gather); the strategy, and the
-    periodic plan of a unit that tiles without joins, come from the
-    committed unit alone, so compiling costs the size of the unit, not the
-    instance count.
-    """
-
-    committed: CommittedType
-    count: int
-    _gather: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.total_bytes = self.committed.size * self.count
-        self.origin, self.span = window(self.committed, self.count)
-
-    @cached_property
-    def _flat(self) -> FlatLayout:
-        return flatten(self.committed, self.count)
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self._flat.offsets
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self._flat.lengths
-
-    @property
-    def ops(self) -> list[tuple[int, int]]:
-        return list(zip(self.offsets.tolist(), self.lengths.tolist()))
-
-    @cached_property
-    def _touching(self) -> bool:
-        """Whether an instance's last segment runs into the next one's
-        first, the only join tiling the canonical unit can make."""
-        unit = self.committed.flat
-        if len(unit.offsets) == 0:
-            return False
-        return bool(unit.offsets[-1] + unit.lengths[-1]
-                    == unit.offsets[0] + self.committed.extent)
-
-    @cached_property
-    def segment_count(self) -> int:
-        """Canonical segments of the program, counted without building
-        them: `count` copies of the unit, less one per join."""
-        k = len(self.committed.flat.offsets)
-        if self.count == 0 or k == 0:
-            return 0
-        return self.count * k - (self.count - 1) * self._touching
-
-    @property
-    def is_contiguous(self) -> bool:
-        return self.segment_count == 1 and self.total_bytes == self.span
-
-    @cached_property
-    def strategy(self) -> str:
-        """The copy path this program runs: "view" (the region itself is
-        the payload), "slices" (one slice copy per segment), "periodic"
-        (one record-wise copy) or "gather" (one indexed word copy)."""
-        if self.is_contiguous:
-            return "view"
-        if self.segment_count <= _SLICE_OP_LIMIT:
-            return "slices"
-        if self.periodic_plan() is not None:
-            return "periodic"
-        return "gather"
-
-    @cached_property
-    def word_width(self) -> int:
-        """Widest of 8, 4, 2 and 1 bytes that divides every segment's
-        region offset and every length, so the gather can move whole
-        words of that width."""
-        bits = int(np.bitwise_or.reduce(self.offsets - self.origin)
-                   | np.bitwise_or.reduce(self.lengths))
-        return next(w for w in (8, 4, 2, 1) if bits % w == 0)
-
-    def gather_index(self, width: int = 1) -> np.ndarray:
-        """Region index, in `width`-byte words, of every packed word; built
-        once per width on demand.  `width` must divide every region offset
-        and every length (see `word_width`)."""
-        index = self._gather.get(width)
-        if index is None:
-            rel = (self.offsets - self.origin) // width
-            lens = self.lengths // width
-            starts = np.repeat(rel, lens)
-            pos = np.arange(self.total_bytes // width, dtype=np.int64)
-            seg_base = np.repeat(np.cumsum(lens) - lens, lens)
-            index = self._gather[width] = starts + (pos - seg_base)
-        return index
-
-    def periodic_plan(self) -> tuple | None:
-        """Uniform-period description of the segment list, if one exists.
-
-        The segments are `rows` repetitions of one short pattern shifted by
-        a constant byte period, with every pattern segment inside its own
-        period window.  Returns (rows, period, rel_offsets, seg_lengths,
-        out_prefix, row_bytes, first_offset) or None; built once.
-        """
-        return self._periodic
-
-    @cached_property
-    def _periodic(self) -> tuple | None:
-        unit = self.committed.flat
-        k = len(unit.offsets)
-        ext = self.committed.extent
-        rel = unit.offsets - unit.offsets[0] if k else unit.offsets
-        if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
-                and not self._touching and self.count * k > _SLICE_OP_LIMIT
-                and (rel >= 0).all() and (rel + unit.lengths <= ext).all()):
-            # `count` copies, `ext` apart, of a unit that fits in one extent
-            # and does not touch the next copy: the shortest repeating
-            # pattern lies within the unit, so the detector finds in the
-            # first few copies what it would find in all of them, and only
-            # the rows scale
-            sample = _PERIOD_MIN_ROWS
-            off = (np.arange(sample, dtype=np.int64)[:, None] * ext
-                   + unit.offsets[None, :]).ravel()
-            plan = _detect_period(off, np.tile(unit.lengths, sample))
-            return (self.count * k // len(plan[2]),) + plan[1:]
-        return _detect_period(self.offsets, self.lengths)
-
-    def periodic_records(self) -> tuple[np.dtype, np.dtype]:
-        """(region, payload) record dtypes of a periodic program, built once.
-
-        Both have one void field per pattern segment: the region record
-        places field j at its offset within the period and is only as long
-        as the bytes the pattern covers, so a strided view of `rows`
-        records never reaches past the window; the payload record places
-        the fields back to back.
-        """
-        return self._records
-
-    @cached_property
-    def _records(self) -> tuple[np.dtype, np.dtype]:
-        _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan()
-        return (_record(rel, pat, int((rel + pat).max())),
-                _record(prefix, pat, row_bytes))
-
-
-def _detect_period(offs: np.ndarray, lens: np.ndarray) -> tuple | None:
-    """`PackProgram.periodic_plan` of a segment list: the shortest pattern
-    of at most `_PERIOD_PATTERN_MAX` segments that repeats, at least
-    `_PERIOD_MIN_ROWS` times, at a constant positive byte period."""
-    n = len(offs)
-    for g in range(1, _PERIOD_PATTERN_MAX + 1):
-        if n % g or n // g < _PERIOD_MIN_ROWS:
-            continue
-        rows = n // g
-        period = int(offs[g] - offs[0])
-        if period <= 0:
-            continue
-        l2 = lens.reshape(rows, g)
-        if not (l2 == l2[0]).all():
-            continue
-        o2 = offs.reshape(rows, g)
-        steps = period * np.arange(rows, dtype=np.int64)[:, None]
-        if not (o2 == o2[0][None, :] + steps).all():
-            continue
-        rel = (o2[0] - offs[0]).astype(np.int64)
-        pat = l2[0].astype(np.int64)
-        if (rel < 0).any() or (rel + pat > period).any():
-            continue
-        prefix = np.cumsum(pat) - pat
-        return rows, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
-    return None
-
-
-def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:
-    return np.dtype({
-        "names": [f"f{j}" for j in range(len(offsets))],
-        "formats": [f"V{int(n)}" for n in lengths],
-        "offsets": offsets.tolist(),
-        "itemsize": itemsize,
-    })
-
-
-def compile(t: Datatype | CommittedType, count: int) -> PackProgram:
-    if count < 0:
-        raise MalformedType(f"count must be >= 0, got {count}")
-    return PackProgram(commit(t), count)
 
 
 def _as_u8(buf) -> np.ndarray:
@@ -301,67 +98,62 @@ def _as_u8(buf) -> np.ndarray:
     return np.frombuffer(_byte_view(buf), dtype=np.uint8)
 
 
-def _periodic_copy(p: PackProgram, region: np.ndarray, packed: np.ndarray,
-                   packing: bool) -> None:
-    """One record-wise assignment: row i of the region, at `period` bytes
-    apart, is record i of the payload."""
-    rows, period, _, _, _, _, first = p.periodic_plan()
-    region_rec, packed_rec = p.periodic_records()
-    strided = np.ndarray((rows,), region_rec, region, first - p.origin, (period,))
-    records = packed.view(packed_rec)
-    if packing:
-        records[...] = strided
-    else:
-        strided[...] = records
+class _Engine:
+    """The contract every engine keeps.  A subclass names itself (`name`)
+    and supplies `_move`; it may set `is_contiguous` for a layout that is
+    one run filling its window, which `_copy` then sends as a view."""
 
+    name: str
+    is_contiguous = False
 
-def _words(buf: np.ndarray, width: int) -> np.ndarray:
-    """`buf` as whole `width`-byte words, any trailing partial word cut."""
-    return buf[: len(buf) - len(buf) % width].view(f"u{width}")
+    def __init__(self, t: Datatype | CommittedType, count: int):
+        if count < 0:
+            raise MalformedType(f"count must be >= 0, got {count}")
+        self.committed = commit(t)
+        self.count = count
+        self.total_bytes = self.committed.size * count
+        self.origin, self.span = window(self.committed, count)
 
+    def pack_message(self, region):
+        """Payload of `region`; a view into it when the layout is one
+        contiguous run that fills the window."""
+        return self._copy(region)
 
-def _run_program(p: PackProgram, region, data=None):
-    """The compiled copy in either direction, by `p.strategy`.  Without
-    `data`, pack `region` and return a buffer-backed payload (a view of the
-    region itself when the layout fills its window); with `data`, unpack it
-    into `region`."""
-    packing = data is None
-    if not packing:
-        _check_payload(data, p.total_bytes)
-    _check_region(region, p.origin, p.span, "source" if packing else "destination")
-    strategy = p.strategy
-    if strategy == "view":
-        if packing:
-            return _byte_view(region)[: p.span]
-        _byte_view(region)[: p.span] = _byte_view(data)
-        return None
-    if p.total_bytes == 0:
-        return b""
-    if strategy == "slices":
-        out = bytearray(p.total_bytes) if packing else None
-        reg = _byte_view(region)
-        packed = _byte_view(out if packing else data)
-        pos = 0
-        for off, ln in zip(p.offsets.tolist(), p.lengths.tolist()):
-            start = off - p.origin
+    def unpack_message(self, data, region) -> None:
+        """Scatter `data` into `region`, leaving gap bytes alone."""
+        self._copy(region, data)
+
+    def _copy(self, region, data=None):
+        """The copy in either direction.  Without `data`, pack `region` and
+        return the payload; with `data`, unpack it into `region`."""
+        packing = data is None
+        if not packing:
+            have = memoryview(data).nbytes
+            if have != self.total_bytes:
+                raise SizeMismatch(f"packed data holds {have} bytes, "
+                                   f"layout payload is {self.total_bytes}")
+        view = memoryview(region)
+        if view.nbytes < self.span:
+            raise RegionTooSmall(
+                f"{'source' if packing else 'destination'} region holds {view.nbytes} "
+                f"bytes, layout spans {self.span} (window starts at byte {self.origin})"
+            )
+        if self.total_bytes == 0:
+            return b""
+        if not packing and view.readonly:
+            raise TypeError("destination region is read-only")
+        if self.is_contiguous:
+            window_bytes = _byte_view(view)[: self.span]
             if packing:
-                packed[pos : pos + ln] = reg[start : start + ln]
-            else:
-                reg[start : start + ln] = packed[pos : pos + ln]
-            pos += ln
-        return out
-    reg = _as_u8(region)
-    if not packing and not reg.flags.writeable:
-        raise TypeError("destination region is read-only")
-    if strategy == "periodic":
-        packed = np.empty(p.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
-        _periodic_copy(p, reg, packed, packing)
-        return packed
-    w = p.word_width
-    words = _words(reg, w)
-    if packing:
-        return np.take(words, p.gather_index(w)).view(np.uint8)
-    words[p.gather_index(w)] = _as_u8(data).view(words.dtype)
+                return window_bytes
+            window_bytes[:] = _byte_view(data)
+            return None
+        return self._move(region, data)
+
+    def _move(self, region, data):
+        """Pack a non-empty payload out of `region` and return it, or, given
+        `data`, unpack it into `region`; sizes are already checked."""
+        raise NotImplementedError
 
 
 # --- interpreted engine -------------------------------------------------
@@ -446,55 +238,22 @@ def _walk(plan, src, dst, base: int, pos: int, packing: bool) -> int:
     raise AssertionError(f"unknown plan tag {tag!r}")
 
 
-def pack(t: Datatype | CommittedType, count: int, src) -> bytes:
-    """Pack `count` instances from `src` with the interpreted engine."""
-    return InterpretedEngine(t, count).pack_message(src)
+class InterpretedEngine(_Engine):
+    """Walks the constructor tree for every message, even a contiguous
+    one: it never sends the region itself, which is the point."""
 
-
-def unpack(t: Datatype | CommittedType, count: int, data, dst) -> None:
-    """Scatter packed payload back into `dst`, leaving gap bytes alone."""
-    InterpretedEngine(t, count).unpack_message(data, dst)
-
-
-# --- engine objects for the transport layer -----------------------------
-
-
-class InterpretedEngine:
     name = "interpreted"
 
     def __init__(self, t: Datatype | CommittedType, count: int):
-        if count < 0:
-            raise MalformedType(f"count must be >= 0, got {count}")
-        self.committed = commit(t)
-        self.count = count
-        self.total_bytes = self.committed.size * count
-        self.origin, self.span = window(self.committed, count)
+        super().__init__(t, count)
         self._plan = _prep(self.committed.datatype)
-        self.is_contiguous = False  # never shortcuts; that is the point
 
-    def pack_message(self, region) -> bytes:
-        return self._copy(region)
-
-    def unpack_message(self, data, region) -> None:
-        self._copy(region, data)
-
-    def _copy(self, region, data=None):
-        """The interpreted copy in either direction.  Without `data`, pack
-        the instances out of `region` and return the payload; with `data`,
-        unpack it into `region`, leaving gap bytes alone."""
+    def _move(self, region, data):
         packing = data is None
-        if not packing:
-            _check_payload(data, self.total_bytes)
-        _check_region(region, self.origin, self.span,
-                      "source" if packing else "destination")
-        if self.total_bytes == 0:
-            return b""
         reg = _byte_view(region)
         if packing:
             out = bytearray(self.total_bytes)
             src, dst = reg, out
-        elif reg.readonly:
-            raise TypeError("destination region is read-only")
         else:
             src, dst = _byte_view(data), reg
         pos = 0
@@ -505,33 +264,227 @@ class InterpretedEngine:
         return bytes(out) if packing else None
 
 
-class CompiledEngine:
+# --- compiled engine ----------------------------------------------------
+
+
+class CompiledEngine(_Engine):
+    """Copy program for `count` instances of a committed type.
+
+    Offsets are absolute layout offsets; subtract `origin` to index the
+    region.  The segment arrays are built on first use, and only by the
+    paths that read them (slices and gather); the strategy, and the
+    periodic plan of a unit that tiles without joins, come from the
+    committed unit alone, so building the engine costs the size of the
+    unit, not the instance count.  What a copy reads (plan, record dtypes,
+    word width, gather index) is built on the first copy that needs it.
+    """
+
     name = "compiled"
 
-    def __init__(self, t: Datatype | CommittedType, count: int):
-        self.committed = commit(t)
-        self.count = count
-        self.program = compile(self.committed, count)
-        self.total_bytes = self.program.total_bytes
-        self.origin = self.program.origin
-        self.span = self.program.span
-        self.is_contiguous = self.program.is_contiguous
+    @cached_property
+    def _flat(self) -> FlatLayout:
+        return flatten(self.committed, self.count)
 
-    def pack_message(self, region):
-        """Payload of `region`; a view into it when the layout is one
-        contiguous run that fills the window."""
-        return _run_program(self.program, region)
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._flat.offsets
 
-    def unpack_message(self, data, region) -> None:
-        _run_program(self.program, region, data)
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._flat.lengths
+
+    @cached_property
+    def _touching(self) -> bool:
+        """Whether an instance's last segment runs into the next one's
+        first, the only join tiling the canonical unit can make."""
+        unit = self.committed.flat
+        if len(unit.offsets) == 0:
+            return False
+        return bool(unit.offsets[-1] + unit.lengths[-1]
+                    == unit.offsets[0] + self.committed.extent)
+
+    @cached_property
+    def segment_count(self) -> int:
+        """Canonical segments of the program, counted without building
+        them: `count` copies of the unit, less one per join."""
+        k = len(self.committed.flat.offsets)
+        if self.count == 0 or k == 0:
+            return 0
+        return self.count * k - (self.count - 1) * self._touching
+
+    @cached_property
+    def is_contiguous(self) -> bool:
+        return self.segment_count == 1 and self.total_bytes == self.span
+
+    @cached_property
+    def strategy(self) -> str:
+        """The copy path this program runs: "view" (the region itself is
+        the payload), "slices" (one slice copy per segment), "periodic"
+        (one record-wise copy) or "gather" (one indexed word copy)."""
+        if self.is_contiguous:
+            return "view"
+        if self.segment_count <= _SLICE_OP_LIMIT:
+            return "slices"
+        if self.periodic_plan is not None:
+            return "periodic"
+        return "gather"
+
+    @cached_property
+    def word_width(self) -> int:
+        """Widest of 8, 4, 2 and 1 bytes that divides every segment's
+        region offset and every length, so the gather can move whole
+        words of that width."""
+        bits = int(np.bitwise_or.reduce(self.offsets - self.origin)
+                   | np.bitwise_or.reduce(self.lengths))
+        return next(w for w in (8, 4, 2, 1) if bits % w == 0)
+
+    @cached_property
+    def gather_index(self) -> np.ndarray:
+        """Region index, in `word_width`-byte words, of every packed word."""
+        w = self.word_width
+        rel = (self.offsets - self.origin) // w
+        lens = self.lengths // w
+        starts = np.repeat(rel, lens)
+        pos = np.arange(self.total_bytes // w, dtype=np.int64)
+        seg_base = np.repeat(np.cumsum(lens) - lens, lens)
+        return starts + (pos - seg_base)
+
+    @cached_property
+    def periodic_plan(self) -> tuple | None:
+        """Uniform-period description of the segment list, if one exists.
+
+        The segments are `rows` repetitions of one short pattern shifted by
+        a constant byte period, with every pattern segment inside its own
+        period window.  (rows, period, rel_offsets, seg_lengths,
+        out_prefix, row_bytes, first_offset) or None.
+        """
+        unit = self.committed.flat
+        k = len(unit.offsets)
+        ext = self.committed.extent
+        rel = unit.offsets - unit.offsets[0] if k else unit.offsets
+        if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
+                and not self._touching and self.count * k > _SLICE_OP_LIMIT
+                and (rel >= 0).all() and (rel + unit.lengths <= ext).all()):
+            # `count` copies, `ext` apart, of a unit that fits in one extent
+            # and does not touch the next copy: the shortest repeating
+            # pattern lies within the unit, so the detector finds in the
+            # first few copies what it would find in all of them, and only
+            # the rows scale
+            sample = _PERIOD_MIN_ROWS
+            off = (np.arange(sample, dtype=np.int64)[:, None] * ext
+                   + unit.offsets[None, :]).ravel()
+            plan = _detect_period(off, np.tile(unit.lengths, sample))
+            return (self.count * k // len(plan[2]),) + plan[1:]
+        return _detect_period(self.offsets, self.lengths)
+
+    @cached_property
+    def periodic_records(self) -> tuple[np.dtype, np.dtype]:
+        """(region, payload) record dtypes of a periodic program.
+
+        Both have one void field per pattern segment: the region record
+        places field j at its offset within the period and is only as long
+        as the bytes the pattern covers, so a strided view of `rows`
+        records never reaches past the window; the payload record places
+        the fields back to back.
+        """
+        _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan
+        return (_record(rel, pat, int((rel + pat).max())),
+                _record(prefix, pat, row_bytes))
+
+    def _move(self, region, data):
+        packing = data is None
+        strategy = self.strategy
+        if strategy == "slices":
+            out = bytearray(self.total_bytes) if packing else None
+            reg = _byte_view(region)
+            packed = _byte_view(out if packing else data)
+            pos = 0
+            for off, ln in zip(self.offsets.tolist(), self.lengths.tolist()):
+                start = off - self.origin
+                if packing:
+                    packed[pos : pos + ln] = reg[start : start + ln]
+                else:
+                    reg[start : start + ln] = packed[pos : pos + ln]
+                pos += ln
+            return out
+        reg = _as_u8(region)
+        if strategy == "periodic":
+            # one record-wise assignment: row i of the region, `period`
+            # bytes apart, is record i of the payload
+            rows, period, _, _, _, _, first = self.periodic_plan
+            region_rec, packed_rec = self.periodic_records
+            strided = np.ndarray((rows,), region_rec, reg, first - self.origin, (period,))
+            packed = np.empty(self.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
+            records = packed.view(packed_rec)
+            if packing:
+                records[...] = strided
+                return packed
+            strided[...] = records
+            return None
+        # gather: whole words, any trailing partial word of the region cut
+        w = self.word_width
+        words = reg[: len(reg) - len(reg) % w].view(f"u{w}")
+        if packing:
+            return np.take(words, self.gather_index).view(np.uint8)
+        words[self.gather_index] = _as_u8(data).view(words.dtype)
+        return None
 
 
-ENGINES = ("interpreted", "compiled")
+def _detect_period(offs: np.ndarray, lens: np.ndarray) -> tuple | None:
+    """`CompiledEngine.periodic_plan` of a segment list: the shortest pattern
+    of at most `_PERIOD_PATTERN_MAX` segments that repeats, at least
+    `_PERIOD_MIN_ROWS` times, at a constant positive byte period."""
+    n = len(offs)
+    for g in range(1, _PERIOD_PATTERN_MAX + 1):
+        if n % g or n // g < _PERIOD_MIN_ROWS:
+            continue
+        rows = n // g
+        period = int(offs[g] - offs[0])
+        if period <= 0:
+            continue
+        l2 = lens.reshape(rows, g)
+        if not (l2 == l2[0]).all():
+            continue
+        o2 = offs.reshape(rows, g)
+        steps = period * np.arange(rows, dtype=np.int64)[:, None]
+        if not (o2 == o2[0][None, :] + steps).all():
+            continue
+        rel = (o2[0] - offs[0]).astype(np.int64)
+        pat = l2[0].astype(np.int64)
+        if (rel < 0).any() or (rel + pat > period).any():
+            continue
+        prefix = np.cumsum(pat) - pat
+        return rows, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
+    return None
 
 
-def make_engine(name: str, t: Datatype | CommittedType, count: int):
-    if name == "interpreted":
-        return InterpretedEngine(t, count)
-    if name == "compiled":
-        return CompiledEngine(t, count)
-    raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
+def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:
+    return np.dtype({
+        "names": [f"f{j}" for j in range(len(offsets))],
+        "formats": [f"V{int(n)}" for n in lengths],
+        "offsets": offsets.tolist(),
+        "itemsize": itemsize,
+    })
+
+
+# --- engines by name ----------------------------------------------------
+
+_ENGINE_TYPES = {cls.name: cls for cls in (InterpretedEngine, CompiledEngine)}
+ENGINES = tuple(_ENGINE_TYPES)
+
+
+def make_engine(name: str, t: Datatype | CommittedType, count: int) -> _Engine:
+    cls = _ENGINE_TYPES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
+    return cls(t, count)
+
+
+def pack(t: Datatype | CommittedType, count: int, src) -> bytes:
+    """Pack `count` instances from `src` with the interpreted engine."""
+    return InterpretedEngine(t, count).pack_message(src)
+
+
+def unpack(t: Datatype | CommittedType, count: int, data, dst) -> None:
+    """Scatter packed payload back into `dst`, leaving gap bytes alone."""
+    InterpretedEngine(t, count).unpack_message(data, dst)

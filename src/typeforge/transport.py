@@ -169,8 +169,14 @@ class TcpEndpoint(Endpoint):
         self._sock.close()
 
 
+TRANSPORTS = (InMemEndpoint.kind, TcpEndpoint.kind)
+
+
 def make_pair(kind: str) -> tuple[Endpoint, Endpoint]:
     """Connected (ping, pong) endpoints within this process."""
+    if kind not in TRANSPORTS:
+        raise TransportUnavailable(
+            f"unknown transport kind {kind!r}; expected one of {TRANSPORTS}")
     if kind == "inmem":
         a_to_b: SimpleQueue = SimpleQueue()
         b_to_a: SimpleQueue = SimpleQueue()
@@ -178,15 +184,13 @@ def make_pair(kind: str) -> tuple[Endpoint, Endpoint]:
             InMemEndpoint("ping", rx=b_to_a, tx=a_to_b),
             InMemEndpoint("pong", rx=a_to_b, tx=b_to_a),
         )
-    if kind == "tcp":
-        listener, port = tcp_listener()
-        try:
-            client = tcp_connect(port, peer_id="pong")
-            server = tcp_accept(listener, peer_id="ping")
-        finally:
-            listener.close()
-        return server, client
-    raise TransportUnavailable(f"unknown transport kind {kind!r}")
+    listener, port = tcp_listener()
+    try:
+        client = tcp_connect(port, peer_id="pong")
+        server = tcp_accept(listener, peer_id="ping")
+    finally:
+        listener.close()
+    return server, client
 
 
 def tcp_listener(host: str = "127.0.0.1") -> tuple[socket.socket, int]:
@@ -260,14 +264,17 @@ pingpong_packed = pingpong_typed
 
 
 def pingpong_raw(ep: Endpoint, region, clock=time.perf_counter) -> float:
-    """One round trip of the bare region bytes, no datatype involved."""
+    """One round trip of the bare region bytes, no datatype involved.  The
+    region travels as bytes, whatever its element type, so the frame
+    header, the receive bound and the copy back all count the same bytes."""
     start = clock()
+    buf = memoryview(region).cast("B")
     if ep.peer_id == "ping":
-        ep.send_msg(memoryview(region))
-        data = _recv_bounded(ep, memoryview(region).nbytes)
-        memoryview(region)[: len(data)] = data
+        ep.send_msg(buf)
+        data = _recv_bounded(ep, buf.nbytes)
+        buf[: len(data)] = data
     else:
-        data = _recv_bounded(ep, memoryview(region).nbytes)
-        memoryview(region)[: len(data)] = data
-        ep.send_msg(memoryview(region))
+        data = _recv_bounded(ep, buf.nbytes)
+        buf[: len(data)] = data
+        ep.send_msg(buf)
     return clock() - start

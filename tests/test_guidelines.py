@@ -199,19 +199,6 @@ def test_g4_point_commits_the_normalized_form_once(monkeypatch, fake_clock):
     assert rewritten == 1
 
 
-def test_g4_with_spec_appends_family_verdicts(fake_clock):
-    spec = LayoutSpec(id="rowcol_struct", n=10, A=3)
-    built = build(spec)
-    verdicts = check_g4(
-        built.datatype, built.count, spec=spec, r=1, nrep=2, clock=fake_clock
-    )
-    assert [v.case.guideline for v in verdicts] == [
-        "G4_NORMALIZE",
-        "G4_ALT_DESCRIPTION",
-        "G4_ALT_DESCRIPTION",
-    ]
-
-
 def test_alternatives_pair_members_with_reference(fake_clock):
     spec = LayoutSpec(id="rowcol_fully_indexed", n=10, A=3)
     verdicts = check_alternatives(spec, r=1, nrep=2, clock=fake_clock, case_id="fam")

@@ -12,10 +12,8 @@ from typeforge.packer import (
     ENGINES,
     CompiledEngine,
     InterpretedEngine,
-    PackProgram,
     RegionTooSmall,
     SizeMismatch,
-    compile,
     make_engine,
     pack,
     unpack,
@@ -29,6 +27,7 @@ from typeforge.typecore import (
     MalformedType,
     Vector,
     commit,
+    flatten,
 )
 
 INT = Base(BaseKind.INT)
@@ -48,21 +47,29 @@ def _payload_addresses(t, count: int) -> list[int]:
 
 
 def test_compile_emits_canonical_ops():
-    p = compile(Vector(3, 2, 4, INT), 1)
-    assert p.ops == [(0, 8), (16, 8), (32, 8)]
-    assert (p.total_bytes, p.origin, p.span) == (24, 0, 40)
+    t = Vector(3, 2, 4, INT)
+    p = CompiledEngine(t, 1)
+    assert flatten(t, 1).segments == [(0, 8), (16, 8), (32, 8)]
+    assert (p.segment_count, p.total_bytes, p.origin, p.span) == (3, 24, 0, 40)
     assert not p.is_contiguous
 
 
 def test_compile_merges_contiguous_runs():
-    p = compile(INT, 6)
-    assert p.ops == [(0, 24)]
+    assert flatten(INT, 6).segments == [(0, 24)]
+    p = CompiledEngine(INT, 6)
+    assert p.segment_count == 1
     assert p.is_contiguous
 
 
 def test_gather_index_enumerates_payload_bytes():
-    p = compile(Vector(2, 1, 2, INT), 1)
-    assert p.gather_index().tolist() == [0, 1, 2, 3, 8, 9, 10, 11]
+    # the index counts words of the program's word width: bytes here,
+    # 4-byte words below
+    p = CompiledEngine(Indexed(((1, 0), (2, 3)), Base(BaseKind.BYTE)), 1)
+    assert p.word_width == 1
+    assert p.gather_index.tolist() == [0, 3, 4]
+    p = CompiledEngine(Vector(2, 1, 2, INT), 1)
+    assert p.word_width == 4
+    assert p.gather_index.tolist() == [0, 2]
 
 
 def test_pack_strided_elements():
@@ -73,7 +80,7 @@ def test_pack_strided_elements():
 
 def test_negative_offsets_use_window_origin():
     t = Vector(2, 1, -2, INT)
-    p = compile(t, 1)
+    p = CompiledEngine(t, 1)
     assert (p.origin, p.span) == (-8, 12)
     region = _fill(12)
     # serialization order visits offset 0 first, then -8
@@ -134,18 +141,17 @@ def test_periodic_path_matches_slice_path():
     # moves whole columns with 2-d slices, and its last period stops short
     # of a full stride
     t = Vector(100, 1, 2, INT)
-    p = compile(t, 1)
-    assert len(p.ops) == 100
-    assert p.periodic_plan() is not None
-    rows, period, _, _, _, row_bytes, _ = p.periodic_plan()
+    p = CompiledEngine(t, 1)
+    assert len(flatten(t, 1).segments) == 100
+    assert p.periodic_plan is not None
+    rows, period, _, _, _, row_bytes, _ = p.periodic_plan
     assert (rows, period, row_bytes) == (100, 8, 4)
     assert p.span < rows * period
     region = _fill(p.span)
-    compiled = CompiledEngine(t, 1)
-    assert bytes(compiled.pack_message(region)) == pack(t, 1, region)
+    assert bytes(p.pack_message(region)) == pack(t, 1, region)
     payload = pack(t, 1, region)
     dst = np.zeros(p.span, dtype=np.uint8)
-    compiled.unpack_message(payload, dst)
+    p.unpack_message(payload, dst)
     ref = bytearray(p.span)
     unpack(t, 1, payload, ref)
     assert dst.tobytes() == bytes(ref)
@@ -155,16 +161,15 @@ def test_periodic_path_handles_multi_segment_patterns():
     # two segments per period; the pattern repeats across the outer count
     inner = Indexed(((1, 0), (1, 2)), INT)
     t = HVector(40, 1, 20, inner)
-    p = compile(t, 1)
-    assert len(p.ops) == 80
-    plan = p.periodic_plan()
+    p = CompiledEngine(t, 1)
+    assert len(flatten(t, 1).segments) == 80
+    plan = p.periodic_plan
     assert plan is not None and (plan[0], plan[1]) == (40, 20)
     region = _fill(p.span)
-    compiled = CompiledEngine(t, 1)
     payload = pack(t, 1, region)
-    assert bytes(compiled.pack_message(region)) == payload
+    assert bytes(p.pack_message(region)) == payload
     dst = bytearray(b"\xaa" * p.span)
-    compiled.unpack_message(payload, dst)
+    p.unpack_message(payload, dst)
     ref = bytearray(b"\xaa" * p.span)
     unpack(t, 1, payload, ref)
     assert dst == ref
@@ -175,16 +180,15 @@ def test_gather_path_matches_slice_path():
     # indexed path
     blocks = tuple((1, i * (i + 3) // 2) for i in range(100))
     t = Indexed(blocks, INT)
-    p = compile(t, 1)
-    assert len(p.ops) == 100
-    assert p.periodic_plan() is None
-    assert p.periodic_plan() is None
+    p = CompiledEngine(t, 1)
+    assert len(flatten(t, 1).segments) == 100
+    assert p.periodic_plan is None
+    assert p.strategy == "gather"
     region = _fill(p.span)
-    compiled = CompiledEngine(t, 1)
-    assert bytes(compiled.pack_message(region)) == pack(t, 1, region)
+    assert bytes(p.pack_message(region)) == pack(t, 1, region)
     payload = pack(t, 1, region)
     dst = np.zeros(p.span, dtype=np.uint8)
-    compiled.unpack_message(payload, dst)
+    p.unpack_message(payload, dst)
     ref = bytearray(p.span)
     unpack(t, 1, payload, ref)
     assert dst.tobytes() == bytes(ref)
@@ -198,41 +202,39 @@ def test_pack_zero_count_is_empty():
 # --- error handling -----------------------------------------------------
 
 
-# fragmented (slice copies), long and periodic, and contiguous (sent
-# straight from the region)
-_CHECKED = (Vector(3, 2, 4, INT), Vector(100, 1, 2, INT), Contiguous(6, INT))
+# fragmented (slice copies), long and periodic, irregular (gathered) and
+# contiguous (sent straight from the region): every check below runs for
+# every engine on each, and for the compiled engine on each of its paths
+_CHECKED = (Vector(3, 2, 4, INT), Vector(100, 1, 2, INT),
+            Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), INT),
+            Contiguous(6, INT))
+
+
+def _checked_engines():
+    return [make_engine(name, t, 1) for name in ENGINES for t in _CHECKED]
 
 
 def test_short_region_is_rejected():
-    for t in _CHECKED:
-        eng = CompiledEngine(t, 1)
+    for eng in _checked_engines():
         short = eng.span - 1
         payload = bytes(eng.total_bytes)
         with pytest.raises(RegionTooSmall):
-            pack(t, 1, bytes(short))
-        with pytest.raises(RegionTooSmall):
             eng.pack_message(bytes(short))
-        with pytest.raises(RegionTooSmall):
-            unpack(t, 1, payload, bytearray(short))
         with pytest.raises(RegionTooSmall):
             eng.unpack_message(payload, bytearray(short))
 
 
 def test_payload_length_is_checked():
-    for t in _CHECKED:
-        eng = CompiledEngine(t, 1)
+    for eng in _checked_engines():
         with pytest.raises(SizeMismatch):
-            unpack(t, 1, bytes(eng.total_bytes - 1), bytearray(eng.span))
+            eng.unpack_message(bytes(eng.total_bytes - 1), bytearray(eng.span))
         with pytest.raises(SizeMismatch):
             eng.unpack_message(bytes(eng.total_bytes + 1), bytearray(eng.span))
 
 
 def test_read_only_destination_is_rejected():
-    for t in _CHECKED:
-        eng = CompiledEngine(t, 1)
+    for eng in _checked_engines():
         payload = bytes(eng.total_bytes)
-        with pytest.raises(TypeError):
-            unpack(t, 1, payload, bytes(eng.span))
         with pytest.raises(TypeError):
             eng.unpack_message(payload, bytes(eng.span))
         frozen = np.zeros(eng.span, dtype=np.uint8)
@@ -242,6 +244,9 @@ def test_read_only_destination_is_rejected():
 
 
 def test_negative_count_is_rejected():
+    for name in ENGINES:
+        with pytest.raises(MalformedType):
+            make_engine(name, INT, -1)
     with pytest.raises(MalformedType):
         pack(INT, -1, b"")
     with pytest.raises(MalformedType):
@@ -275,7 +280,7 @@ def _region(form: str, content: bytes):
     return memoryview(bytearray(b"\x00" + content))[1:]
 
 
-def _check_against_walker(t, count: int, form: str) -> PackProgram:
+def _check_against_walker(t, count: int, form: str) -> CompiledEngine:
     comp = CompiledEngine(t, count)
     interp = InterpretedEngine(t, count)
     src = _fill(comp.span)
@@ -286,7 +291,7 @@ def _check_against_walker(t, count: int, form: str) -> PackProgram:
     dst = _region(form, b"\xaa" * comp.span)
     comp.unpack_message(payload, dst)
     assert bytes(dst) == bytes(expected)
-    return comp.program
+    return comp
 
 
 @st.composite
@@ -310,7 +315,7 @@ def test_periodic_kernel_matches_walker(t, count, form):
     p = _check_against_walker(t, count, form)
     if count == 1 and len(p.offsets) > 64:
         assert p.strategy == "periodic"
-        assert p.span < p.periodic_plan()[0] * p.periodic_plan()[1]
+        assert p.span < p.periodic_plan[0] * p.periodic_plan[1]
 
 
 @st.composite
@@ -333,18 +338,18 @@ def test_gather_kernel_matches_walker(t, count, form):
 
 
 def test_word_width_is_the_widest_common_divisor():
-    assert compile(Indexed(((2, 0), (2, 6)), Base(BaseKind.SHORT)), 1).word_width == 4
-    assert compile(Indexed(((1, 0), (1, 3)), Base(BaseKind.DOUBLE)), 1).word_width == 8
-    assert compile(Indexed(((1, 0), (2, 3)), Base(BaseKind.BYTE)), 1).word_width == 1
-    p = compile(Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), INT), 1)
+    assert CompiledEngine(Indexed(((2, 0), (2, 6)), Base(BaseKind.SHORT)), 1).word_width == 4
+    assert CompiledEngine(Indexed(((1, 0), (1, 3)), Base(BaseKind.DOUBLE)), 1).word_width == 8
+    assert CompiledEngine(Indexed(((1, 0), (2, 3)), Base(BaseKind.BYTE)), 1).word_width == 1
+    p = CompiledEngine(Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), INT), 1)
     assert p.strategy == "gather"
-    assert len(p.gather_index(p.word_width)) == p.total_bytes // p.word_width
+    assert len(p.gather_index) == p.total_bytes // p.word_width
 
 
 def test_strategy_names_the_copy_path():
-    assert compile(Contiguous(6, INT), 1).strategy == "view"
-    assert compile(Vector(3, 2, 4, INT), 1).strategy == "slices"
-    assert compile(Vector(100, 1, 2, INT), 1).strategy == "periodic"
+    # the types the error tests check take every path
+    assert [CompiledEngine(t, 1).strategy for t in _CHECKED] == \
+        ["slices", "periodic", "gather", "view"]
 
 
 def test_periodic_records_are_built_once_per_program(monkeypatch):
@@ -357,10 +362,10 @@ def test_periodic_records_are_built_once_per_program(monkeypatch):
     assert built == []  # nothing is built with the engine
     region = _fill(eng.span)
     payload = bytes(eng.pack_message(region))
-    records = eng.program.periodic_records()
+    records = eng.periodic_records
     assert bytes(eng.pack_message(region)) == payload
     eng.unpack_message(payload, bytearray(eng.span))
-    assert eng.program.periodic_records() is records
+    assert eng.periodic_records is records
     assert len(built) == 2
 
 
@@ -399,7 +404,7 @@ def test_int32_region_is_measured_in_bytes():
 # --- programs from the committed unit -----------------------------------
 
 
-def _segment_rule(p: PackProgram) -> tuple:
+def _segment_rule(p: CompiledEngine) -> tuple:
     """Strategy and periodic plan read off the materialized segments, the
     way every program was planned before plans came from the unit."""
     off, ln = p.offsets, p.lengths
@@ -417,9 +422,9 @@ def _same_plan(a, b) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def _planned_from_unit(p: PackProgram) -> tuple:
+def _planned_from_unit(p: CompiledEngine) -> tuple:
     """Strategy and periodic plan, and whether planning built segments."""
-    strategy, plan = p.strategy, p.periodic_plan()
+    strategy, plan = p.strategy, p.periodic_plan
     return strategy, plan, "_flat" in vars(p)
 
 
@@ -427,7 +432,7 @@ def test_tiled_compile_builds_no_segments(monkeypatch):
     built = layouts.build(layouts.LayoutSpec(id="tiled", n=640_000, A=2))
     assert built.count == 320_000
     monkeypatch.setattr(packer, "flatten", None)  # any call would raise
-    p = compile(built.committed, built.count)
+    p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
     assert (strategy, plan[0], plan[1]) == ("periodic", 320_000, 16)
     assert not materialized
@@ -459,7 +464,7 @@ def _catalog_types(lid: str, n: int, A: int) -> list[tuple]:
 @pytest.mark.parametrize("lid,n,A", _CATALOG)
 def test_unit_plans_match_the_segment_rule(lid, n, A):
     for ct, count in _catalog_types(lid, n, A):
-        p = compile(ct, count)
+        p = CompiledEngine(ct, count)
         strategy, plan, materialized = _planned_from_unit(p)
         assert strategy == _segment_rule(p)[0]
         assert _same_plan(plan, _segment_rule(p)[1])
@@ -472,7 +477,7 @@ def test_unit_plans_match_the_segment_rule(lid, n, A):
 
 @given(datatypes(), st.integers(8, 40))
 def test_random_unit_plans_match_the_segment_rule(t, count):
-    p = compile(t, count)
+    p = CompiledEngine(t, count)
     strategy, plan, _ = _planned_from_unit(p)
     assert strategy == _segment_rule(p)[0]
     assert _same_plan(plan, _segment_rule(p)[1])

@@ -5,6 +5,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from treegen import datatypes, oracle_walk
 from typeforge.packer import make_engine, pack
 from typeforge.transport import (
+    TRANSPORTS,
     PeerClosed,
     TcpEndpoint,
     TransportUnavailable,
@@ -107,7 +109,8 @@ def test_send_after_close_is_rejected():
 
 
 def test_pair_roles_and_kinds():
-    for kind in ("inmem", "tcp"):
+    assert TRANSPORTS == ("inmem", "tcp")
+    for kind in TRANSPORTS:
         ping, pong = make_pair(kind)
         assert (ping.peer_id, pong.peer_id) == ("ping", "pong")
         assert ping.kind == pong.kind == kind
@@ -222,6 +225,27 @@ def test_contiguous_typed_interoperates_with_raw():
         pong.close()
     assert bytes(ping_region) == before_ping
     assert bytes(pong_region) == before_ping
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_raw_round_trip_of_wider_elements_counts_bytes(kind):
+    # 16 int32 elements are 64 bytes on the wire; a frame announcing 16
+    # leaves the echo unable to copy them back
+    ping_region = np.arange(16, dtype=np.int32)
+    pong_region = np.full(16, -1, dtype=np.int32)
+    ping, pong = make_pair(kind)
+    if kind == "tcp":
+        for ep in (ping, pong):  # a framing error fails the test, not hangs it
+            ep._sock.settimeout(5.0)
+    try:
+        handle = _run_peer(pingpong_raw, pong, pong_region)
+        pingpong_raw(ping, ping_region)
+        handle.result()
+    finally:
+        ping.close()
+        pong.close()
+    assert ping_region.tolist() == list(range(16))
+    assert pong_region.tolist() == list(range(16))
 
 
 def test_elapsed_uses_the_injected_clock(fake_clock):
