@@ -21,14 +21,15 @@ from typeforge.transport import TRANSPORTS
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--engine", default="compiled", choices=ENGINES)
-    parser.add_argument("--transport", default="inmem", choices=TRANSPORTS)
-    parser.add_argument("--variant", type=int, default=1, choices=(1, 2))
-    parser.add_argument("--r", type=int, default=5, help="independent runs per case")
-    parser.add_argument("--nrep", type=int, default=None,
+    # unset flags leave `typeforge run`'s own defaults
+    parser.add_argument("--engine", choices=ENGINES)
+    parser.add_argument("--transport", choices=TRANSPORTS)
+    parser.add_argument("--variant", type=int, choices=(1, 2))
+    parser.add_argument("--r", type=int, help="independent runs per case")
+    parser.add_argument("--nrep", type=int,
                         help="override the size-based repetition schedule")
-    parser.add_argument("--threshold", type=float, default=1.10)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--threshold", type=float)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--raw", action="store_true",
                         help="also write every raw sample as JSON")
     parser.add_argument("--only", action="append", choices=EXPERIMENT_IDS,
@@ -38,15 +39,11 @@ def main(argv=None) -> int:
     failed = []
     violated = []
     for experiment in args.only or EXPERIMENT_IDS:
-        flags = [
-            "run", "--experiment", experiment,
-            "--engine", args.engine, "--transport", args.transport,
-            "--variant", str(args.variant), "--r", str(args.r),
-            "--threshold", str(args.threshold), "--seed", str(args.seed),
-            "--out", args.out,
-        ]
-        if args.nrep is not None:
-            flags += ["--nrep", str(args.nrep)]
+        flags = ["run", "--experiment", experiment, "--out", args.out]
+        for name in ("engine", "transport", "variant", "r", "nrep", "threshold", "seed"):
+            value = getattr(args, name)
+            if value is not None:
+                flags += [f"--{name}", str(value)]
         if args.raw:
             flags.append("--raw")
         started = time.perf_counter()

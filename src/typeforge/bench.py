@@ -1,12 +1,19 @@
 """Ping-pong timing harness with median-of-runs reduction.
 
-One scheduler measures every case.  The cases to compare (one for
-run_case, two for run_pair) get `r` independent runs over fresh endpoints;
-each run alternates single repetitions of the cases on one channel, first
-a few untimed warmups, then `nrep` timed repetitions per case.  Both
-parties time each repetition locally and swap their readings, and the
-repetition's sample is the larger of the two.  A run reduces to the median
-of its samples; a case reports mean, min and max over its `r` run medians.
+One scheduler measures every case.  It takes groups of cases, each group
+one comparison (one case, or lhs then rhs), and runs the groups one after
+another.  A group gets `r` independent runs over fresh endpoints; each run
+alternates single repetitions of its cases on one channel, first a few
+untimed warmups, then `nrep` timed repetitions per case.  Both parties
+time each repetition locally and swap their readings, and the repetition's
+sample is the larger of the two.  A run reduces to the median of its
+samples; a case reports mean, min and max over its `r` run medians.
+
+A party's engines and regions live exactly as long as one measurement:
+before the first run it prepares every case of every group once, one
+engine per (type, count, engine) and one region per window.  So the checks
+of a family grid point, measured in one call, build each program and fill
+each region once.
 
 The wall clock is injectable so the whole pipeline can be exercised with a
 deterministic fake.  With an injected clock, or on the inmem carrier, the
@@ -31,8 +38,8 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,52 +106,37 @@ class RunStats:
     raw_samples: tuple[tuple[float, ...], ...]
 
 
-@dataclass
-class EngineCache:
-    """Each party's engines by (type, count, engine name), shared by every
-    measurement given this cache, so each party builds one program per
-    type, and its gather index, once.  A type is keyed by identity and
-    held here, so its key cannot be reused while the cache lives.  The
-    echo side of a tcp measurement under the real clock runs in the
-    session's echo process, which builds its engines afresh for each
-    measurement, so that process does not grow from one grid point to the
-    next."""
-
-    ping: dict = field(default_factory=dict)
-    echo: dict = field(default_factory=dict)
-
-
-def _prepare(cases: Sequence[BenchCase], seed: int, engines: dict) -> list[tuple]:
-    """One party's (case, region, engine) per case.
+def _prepare(groups: Sequence[Sequence[BenchCase]], seed: int) -> list[list[tuple]]:
+    """One party's (case, region, engine) per case, group by group.
 
     The region is the engine's window, zeroed, with a seeded payload
     unpacked into it, so only the bytes the layout reads are drawn; for
     the raw variant the seeded bytes are the whole message.  A zeroed
-    numpy array leaves the pages of the gaps untouched.  Engines come from
-    the party's `engines` (see EngineCache).  Cases whose engines have the
-    same window (origin, span) share one region, filled once, so the two
-    sides of a comparison copy to and from the same pages, as two
-    datatypes over one buffer do; a raw case keeps bytes of its own.
+    numpy array leaves the pages of the gaps untouched.  Cases of one
+    (type, count, engine) share one engine, and cases whose engines have
+    the same window (origin, span) share one region, filled once, so the
+    two sides of a comparison copy to and from the same pages, as two
+    datatypes over one buffer do; a raw case keeps bytes of its own.  A
+    type is keyed by identity, which the groups hold for the whole call.
     """
-    sides = []
+    engines: dict = {}
     regions: dict[tuple[int, int], np.ndarray] = {}
-    for case in cases:
+
+    def side(case: BenchCase) -> tuple:
         rng = np.random.default_rng(seed)
         if case.variant == "raw":
-            eng, region = None, bytearray(rng.bytes(case.m_bytes))
-        else:
-            key = (id(case.datatype), case.count, case.engine)
-            if key not in engines:
-                engines[key] = (case.datatype,
-                                make_engine(case.engine, case.datatype, case.count))
-            eng = engines[key][1]
-            window = (eng.origin, eng.span)
-            if window not in regions:
-                regions[window] = np.zeros(eng.span, dtype=np.uint8)
-                eng.unpack_message(rng.bytes(eng.total_bytes), regions[window])
-            region = regions[window]
-        sides.append((case, region, eng))
-    return sides
+            return case, bytearray(rng.bytes(case.m_bytes)), None
+        key = (id(case.datatype), case.count, case.engine)
+        if key not in engines:
+            engines[key] = make_engine(case.engine, case.datatype, case.count)
+        eng = engines[key]
+        window = (eng.origin, eng.span)
+        if window not in regions:
+            regions[window] = np.zeros(eng.span, dtype=np.uint8)
+            eng.unpack_message(rng.bytes(eng.total_bytes), regions[window])
+        return case, regions[window], eng
+
+    return [[side(case) for case in group] for group in groups]
 
 
 def _one_rep(ep: tp.Endpoint, case: BenchCase, region, eng, clock) -> float:
@@ -178,26 +170,30 @@ def _interleaved_loop(ep, sides, nreps, warmups, clock) -> list[list[float]]:
     return out
 
 
-def _runs(endpoints: Iterable[tp.Endpoint], sides, nreps, warmups, clock) -> list:
-    """One interleaved run per endpoint, closing each after its run."""
+def _runs(endpoints: Iterator[tp.Endpoint], groups, nreps, warmups, clock, r) -> list:
+    """r interleaved runs of each group in turn, each on the next endpoint,
+    closing it after its run.  Returns the runs of each group."""
     out = []
-    for ep in endpoints:
-        try:
-            out.append(_interleaved_loop(ep, sides, nreps, warmups, clock))
-        finally:
-            ep.close()
+    for sides, group_nreps in zip(groups, nreps):
+        runs = []
+        for ep in itertools.islice(endpoints, r):
+            try:
+                runs.append(_interleaved_loop(ep, sides, group_nreps, warmups, clock))
+            finally:
+                ep.close()
+        out.append(runs)
     return out
 
 
 def _echo_process_main(port, jobs) -> None:
     """Body of the echo process: serve the jobs that arrive on `jobs` until
-    None.  A job (cases, nreps, warmups, seed, r) is r runs, one connection
-    each, over engines and regions of its own.  A failed job's cause goes
-    back over `jobs` before the process exits."""
+    None.  A job (groups, nreps, warmups, seed, r) is r runs of each group,
+    one connection each, over engines and regions of its own.  A failed
+    job's cause goes back over `jobs` before the process exits."""
     try:
-        for cases, nreps, warmups, seed, r in iter(jobs.recv, None):
-            endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r))
-            _runs(endpoints, _prepare(cases, seed, {}), nreps, warmups, time.perf_counter)
+        for groups, nreps, warmups, seed, r in iter(jobs.recv, None):
+            endpoints = (tp.tcp_connect(port, peer_id="pong") for _ in range(r * len(groups)))
+            _runs(endpoints, _prepare(groups, seed), nreps, warmups, time.perf_counter, r)
     except Exception as exc:
         try:
             jobs.send(f"{type(exc).__name__}: {exc}")
@@ -206,13 +202,13 @@ def _echo_process_main(port, jobs) -> None:
         raise
 
 
-def _thread_runs(cases, sides, nreps, warmups, clock, seed, r, engines: dict) -> list:
-    pairs = [tp.make_pair(cases[0].transport) for _ in range(r)]
+def _thread_runs(groups, sides, nreps, warmups, clock, seed, r) -> list:
+    pairs = [tp.make_pair(groups[0][0].transport) for _ in range(r * len(groups))]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        echo = pool.submit(_runs, [pong for _, pong in pairs],
-                           _prepare(cases, seed + 1, engines), nreps, warmups, clock)
+        echo = pool.submit(_runs, (pong for _, pong in pairs),
+                           _prepare(groups, seed + 1), nreps, warmups, clock, r)
         try:
-            return _runs([ping for ping, _ in pairs], sides, nreps, warmups, clock)
+            return _runs((ping for ping, _ in pairs), sides, nreps, warmups, clock, r)
         except tp.PeerClosed:
             # the echo side closed the channel; its own error is the cause
             cause = echo.exception(_JOIN_TIMEOUT)
@@ -253,22 +249,23 @@ class EchoProcess:
         child_end.close()
         self._child = child
 
-    def runs(self, cases, sides, nreps, warmups, seed, r) -> list:
-        """r runs of `sides` against the echo side of `cases`, which the
-        echo process prepares from `seed`."""
+    def runs(self, groups, sides, nreps, warmups, seed, r) -> list:
+        """r runs of each group of `sides` against the echo side of
+        `groups`, which the echo process prepares from `seed`."""
         if self._child is None:
             self._start()
         try:
-            return self._job(cases, sides, nreps, warmups, seed, r)
+            return self._job(groups, sides, nreps, warmups, seed, r)
         except BaseException:
             self._stop()
             raise
 
-    def _job(self, cases, sides, nreps, warmups, seed, r) -> list:
+    def _job(self, groups, sides, nreps, warmups, seed, r) -> list:
         try:
-            self._jobs.send((cases, nreps, warmups, seed, r))
-            pings = (_accept_echo(self._listener, self._child) for _ in range(r))
-            return _runs(pings, sides, nreps, warmups, time.perf_counter)
+            self._jobs.send((groups, nreps, warmups, seed, r))
+            pings = (_accept_echo(self._listener, self._child)
+                     for _ in range(r * len(groups)))
+            return _runs(pings, sides, nreps, warmups, time.perf_counter, r)
         except OSError as exc:
             # a broken channel or job pipe: an echo process that failed is the cause
             self._child.join(_JOIN_TIMEOUT)
@@ -327,32 +324,31 @@ def echo_session():
         echo.close()
 
 
-def _measure(cases: Sequence[BenchCase], r: int, nrep: Optional[int], warmups: int,
-             clock: Optional[Callable[[], float]], seed: int,
-             engines: Optional[EngineCache] = None) -> list[RunStats]:
-    """The one scheduler: r runs over fresh endpoints, each alternating
-    single repetitions of all cases on one channel.
+def _measure(groups: Sequence[Sequence[BenchCase]], r: int, nrep: Optional[int],
+             warmups: int, clock: Optional[Callable[[], float]], seed: int
+             ) -> list[list[RunStats]]:
+    """The one scheduler: each group of cases in turn gets r runs over fresh
+    endpoints, each run alternating single repetitions of the group's cases
+    on one channel.  Returns the stats of each group's cases.
 
-    Each party prepares every case once, so its regions keep their contents
-    from run to run; the warmups absorb first touch.  Cases of one type
-    share an engine, across measurements too when they are given the same
-    `engines`.  The cases share one channel, so they must share one
-    transport.
+    Each party prepares every case of every group once, so its regions keep
+    their contents from run to run and group to group; the warmups absorb
+    first touch.  All cases share the endpoints' carrier, so they must
+    share one transport.
     """
-    if len({case.transport for case in cases}) != 1:
+    if len({case.transport for group in groups for case in group}) != 1:
         raise ValueError("cases measured together need one transport")
-    if engines is None:
-        engines = EngineCache()
-    nreps = [nrep if nrep is not None else nrep_schedule(c.m_bytes) for c in cases]
-    sides = _prepare(cases, seed, engines.ping)
-    if clock is None and cases[0].transport == "tcp":
+    nreps = [[nrep if nrep is not None else nrep_schedule(c.m_bytes) for c in group]
+             for group in groups]
+    sides = _prepare(groups, seed)
+    if clock is None and groups[0][0].transport == "tcp":
         with echo_session() as echo:
-            runs = echo.runs(cases, sides, nreps, warmups, seed + 1, r)
+            runs = echo.runs(groups, sides, nreps, warmups, seed + 1, r)
     else:
-        runs = _thread_runs(cases, sides, nreps, warmups, clock or time.perf_counter, seed, r,
-                            engines.echo)
-    return [_reduce(case, n, [tuple(run[i]) for run in runs])
-            for i, (case, n) in enumerate(zip(cases, nreps))]
+        runs = _thread_runs(groups, sides, nreps, warmups, clock or time.perf_counter, seed, r)
+    return [[_reduce(case, n, [tuple(run[i]) for run in group_runs])
+             for i, (case, n) in enumerate(zip(group, group_nreps))]
+            for group, group_nreps, group_runs in zip(groups, nreps, runs)]
 
 
 def _reduce(case: BenchCase, nrep: int, per_run: list[tuple[float, ...]]) -> RunStats:
@@ -376,10 +372,9 @@ def run_case(
     warmups: int = WARMUP_REPS,
     clock: Optional[Callable[[], float]] = None,
     seed: int = DEFAULT_SEED,
-    engines: Optional[EngineCache] = None,
 ) -> RunStats:
     """Measure one case: r runs of nrep repetitions each."""
-    return _measure([case], r, nrep, warmups, clock, seed, engines)[0]
+    return _measure([[case]], r, nrep, warmups, clock, seed)[0][0]
 
 
 def run_pair(
@@ -390,7 +385,6 @@ def run_pair(
     warmups: int = WARMUP_REPS,
     clock: Optional[Callable[[], float]] = None,
     seed: int = DEFAULT_SEED,
-    engines: Optional[EngineCache] = None,
 ) -> tuple[RunStats, RunStats]:
     """Measure two cases with single repetitions interleaved a, b, a, b.
 
@@ -402,7 +396,7 @@ def run_pair(
     scheduler asymmetry all cancel out of the ratio.  A pair of cases on
     different transports raises ValueError.
     """
-    stats_a, stats_b = _measure([case_a, case_b], r, nrep, warmups, clock, seed, engines)
+    stats_a, stats_b = _measure([[case_a, case_b]], r, nrep, warmups, clock, seed)[0]
     return stats_a, stats_b
 
 

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .bench import write_raw_json, write_stats_csv
+from .bench import DEFAULT_SEED, write_raw_json, write_stats_csv
 from .experiments import EXPERIMENT_IDS, make_plan, run_experiment
 from .guidelines import write_verdicts_csv
 from .layouts import BadParams, build, spec_from_json
@@ -188,10 +188,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=1, help="region content seed")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typeforge",
@@ -202,44 +198,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flatten", help="print the byte segments of a described layout")
     p.add_argument("--spec", required=True, help="JSON datatype or layout file")
     p.add_argument("--count", type=int, default=None)
-    _add_common(p)
 
     p = sub.add_parser("normalize", help="rewrite a description and report the change")
     p.add_argument("--spec", required=True)
-    _add_common(p)
 
     p = sub.add_parser("equiv", help="compare two described layouts byte-for-byte")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--count", type=int, action="append",
                    help="instance count; give once for lhs, twice for lhs then rhs")
-    _add_common(p)
 
     p = sub.add_parser("pack", help="pack a seeded region and print the payload")
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="region content seed")
 
     p = sub.add_parser("run", help="run one experiment and write CSV outputs")
     p.add_argument("--experiment", required=True, choices=EXPERIMENT_IDS)
     p.add_argument("--A", type=int, action="append", help="restrict the blocksize sweep")
     p.add_argument("--n", type=int, action="append", help="element-count sizes to run")
     p.add_argument("--m", type=int, action="append", help="byte sizes to run")
-    p.add_argument("--variant", type=int, default=1, choices=(1, 2))
-    p.add_argument("--engine", default="compiled", choices=ENGINES)
-    p.add_argument("--transport", default="inmem", choices=TRANSPORTS)
-    p.add_argument("--threshold", type=float, default=1.10)
-    p.add_argument("--r", type=int, default=5, help="independent runs per case")
-    p.add_argument("--nrep", type=int, default=None,
-                   help="override the size-based repetition schedule")
+    # defaults of None leave the plan's own
+    p.add_argument("--variant", type=int, choices=(1, 2))
+    p.add_argument("--engine", choices=ENGINES)
+    p.add_argument("--transport", choices=TRANSPORTS)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--r", type=int, help="independent runs per case")
+    p.add_argument("--nrep", type=int, help="override the size-based repetition schedule")
     p.add_argument("--out", default=".", help="output directory (TYPEFORGE_OUT overrides)")
     p.add_argument("--raw", action="store_true", help="also write every sample as JSON")
     p.add_argument("--parallel", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    p.add_argument("--seed", type=int, help="region content seed")
 
     p = sub.add_parser("report", help="merge bench CSVs into a per-group ratio table")
     p.add_argument("csv", nargs="+", help="bench CSV files")
-    _add_common(p)
 
     return parser
 

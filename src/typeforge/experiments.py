@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .bench import BenchCase, EngineCache, RunStats, echo_session, run_case
+from .bench import DEFAULT_RUNS, DEFAULT_SEED, BenchCase, RunStats, echo_session, run_case
 from .guidelines import (
     DEFAULT_THRESHOLD,
     GuidelineVerdict,
     _check_family,
     check_g1,
     check_g2_g3,
-    check_g4,
 )
 from .layouts import (
     ALTERNATING_INDEXED,
@@ -98,10 +97,10 @@ class ExperimentPlan:
     variant: int = 1
     engine: str = "compiled"
     transport: str = "inmem"
-    r: int = 5
+    r: int = DEFAULT_RUNS
     nrep: Optional[int] = None
     threshold: float = DEFAULT_THRESHOLD
-    seed: int = 1
+    seed: int = DEFAULT_SEED
     basetype: BaseKind = BaseKind.INT
 
     def __post_init__(self):
@@ -143,10 +142,12 @@ class ExperimentResult:
                 self._seen.add(row.case.case_id)
                 self.stats.append(row)
 
-    def add_verdicts(self, rows: list[GuidelineVerdict], ref_first: bool = True) -> None:
+    def add_verdicts(self, rows: list[GuidelineVerdict]) -> None:
+        """Each verdict's stats rows, lhs first, except that G4_ALT lists
+        its reference (the rhs) first."""
         self.verdicts.extend(rows)
         for v in rows:
-            if ref_first:
+            if v.case.guideline == "G4_ALT_DESCRIPTION":
                 self.add_stats(v.rhs_stats, v.lhs_stats)
             else:
                 self.add_stats(v.lhs_stats, v.rhs_stats)
@@ -230,7 +231,7 @@ def _run_pack_unpack(plan: ExperimentPlan, result: ExperimentResult, clock) -> N
                 threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                 clock=clock, seed=plan.seed,
                 case_id=f"pack_unpack/A{a}/m{m}", A=a,
-            ), ref_first=False)
+            ))
 
 
 def _run_contig(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
@@ -248,7 +249,7 @@ def _run_contig(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
                     threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
                     clock=clock, seed=plan.seed,
                     case_id=f"contig/{layout_id}/A{a}/m{m}", A=a,
-                ), ref_first=False)
+                ))
 
 
 def _family_points(plan: ExperimentPlan):
@@ -273,22 +274,11 @@ def _run_family(plan: ExperimentPlan, result: ExperimentResult, clock) -> None:
             family = build_alternatives(spec)
         except BadParams:
             continue
-        # the checks of one grid point measure the same members again and
-        # again; each party builds one engine per member
-        engines = EngineCache()
         result.add_verdicts(_check_family(
             family, engine=plan.engine, transport=plan.transport,
             threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
-            clock=clock, seed=plan.seed, case_id=tag, A=a, engines=engines,
+            clock=clock, seed=plan.seed, case_id=tag, A=a,
         ))
-        for member in family:
-            result.add_verdicts(check_g4(
-                member.committed, member.count,
-                engine=plan.engine, transport=plan.transport,
-                threshold=plan.threshold, r=plan.r, nrep=plan.nrep,
-                clock=clock, seed=plan.seed,
-                case_id=f"{tag}/{member.spec.id}", A=a, engines=engines,
-            ), ref_first=False)
 
 
 def run_experiment(plan: ExperimentPlan,

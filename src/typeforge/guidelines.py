@@ -25,7 +25,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bench import BenchCase, EngineCache, RunStats, run_case, run_pair
+from .bench import DEFAULT_RUNS, DEFAULT_SEED, WARMUP_REPS, BenchCase, RunStats, _measure
 from .layouts import BuiltLayout, LayoutSpec, build_alternatives
 from .normalizer import normalize
 from .typecore import CommittedType, Contiguous, Datatype, commit, equivalent
@@ -121,6 +121,20 @@ def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engin
     )
 
 
+# One comparison: the cases measured together (one case, or lhs then rhs)
+# and the guideline cases judged from their stats.
+Comparison = tuple[list[BenchCase], list[GuidelineCase]]
+
+
+def _judge_all(comparisons: Sequence[Comparison], r: int, nrep: Optional[int],
+               clock: Optional[Callable[[], float]], seed: int) -> list[GuidelineVerdict]:
+    """Measure the comparisons in one call, each with runs of its own, and
+    judge each guideline case from its comparison's first and last case."""
+    stats = _measure([group for group, _ in comparisons], r, nrep, WARMUP_REPS, clock, seed)
+    return [judge(case, group_stats[0], group_stats[-1])
+            for (_, cases), group_stats in zip(comparisons, stats) for case in cases]
+
+
 def check_g1(
     t: Datatype | CommittedType,
     c: int,
@@ -128,10 +142,10 @@ def check_g1(
     engine: str = "compiled",
     transport: str = "inmem",
     threshold: float = DEFAULT_THRESHOLD,
-    r: int = 5,
+    r: int = DEFAULT_RUNS,
     nrep: Optional[int] = None,
     clock: Optional[Callable[[], float]] = None,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     case_id: str = "g1",
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
@@ -142,8 +156,7 @@ def check_g1(
     lhs = _bench_case(f"{case_id}/typed-count", ct, c, "typed", engine, transport, A)
     rhs = _bench_case(f"{case_id}/contig-one", wrapper, 1, "typed", engine, transport, A)
     case = GuidelineCase("G1_CONTIG", case_id, SIMILAR, lhs, rhs, threshold)
-    lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
-    return [judge(case, lhs_stats, rhs_stats)]
+    return _judge_all([([lhs, rhs], [case])], r, nrep, clock, seed)
 
 
 def check_g2_g3(
@@ -153,10 +166,10 @@ def check_g2_g3(
     engine: str = "compiled",
     transport: str = "inmem",
     threshold: float = DEFAULT_THRESHOLD,
-    r: int = 5,
+    r: int = DEFAULT_RUNS,
     nrep: Optional[int] = None,
     clock: Optional[Callable[[], float]] = None,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     case_id: str = "g2g3",
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
@@ -169,12 +182,9 @@ def check_g2_g3(
     ct = commit(t)
     lhs = _bench_case(f"{case_id}/typed", ct, c, "typed", engine, transport, A)
     rhs = _bench_case(f"{case_id}/packed", ct, c, "packed", engine, transport, A)
-    lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed)
-    out = []
-    for gid in ("G2_PACK_SEND", "G3_RECV_UNPACK"):
-        case = GuidelineCase(gid, case_id, NO_SLOWER, lhs, rhs, threshold)
-        out.append(judge(case, lhs_stats, rhs_stats))
-    return out
+    cases = [GuidelineCase(gid, case_id, NO_SLOWER, lhs, rhs, threshold)
+             for gid in ("G2_PACK_SEND", "G3_RECV_UNPACK")]
+    return _judge_all([([lhs, rhs], cases)], r, nrep, clock, seed)
 
 
 def check_g4(
@@ -184,16 +194,20 @@ def check_g4(
     engine: str = "compiled",
     transport: str = "inmem",
     threshold: float = DEFAULT_THRESHOLD,
-    r: int = 5,
+    r: int = DEFAULT_RUNS,
     nrep: Optional[int] = None,
     clock: Optional[Callable[[], float]] = None,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     case_id: str = "g4",
     A: Optional[int] = None,
-    engines: Optional[EngineCache] = None,
 ) -> list[GuidelineVerdict]:
-    """Description vs its normalization, expected no slower.  `engines`
-    shares engines with other checks of the same types."""
+    """Description vs its normalization, expected no slower."""
+    return _judge_all([_g4_comparison(t, c, engine, transport, threshold, case_id, A)],
+                      r, nrep, clock, seed)
+
+
+def _g4_comparison(t: Datatype | CommittedType, c: int, engine: str, transport: str,
+                   threshold: float, case_id: str, A: Optional[int]) -> Comparison:
     ct = commit(t)
     report = normalize(ct)
     normal = report.committed_output
@@ -202,14 +216,8 @@ def check_g4(
     rhs = _bench_case(f"{case_id}/normalized", normal, c, "typed",
                       engine, transport, A)
     case = GuidelineCase("G4_NORMALIZE", case_id, NO_SLOWER, lhs, rhs, threshold)
-    if report.changed:
-        lhs_stats, rhs_stats = run_pair(lhs, rhs, r=r, nrep=nrep, clock=clock, seed=seed,
-                                        engines=engines)
-    else:
-        # already normal: both sides are the same description
-        lhs_stats = run_case(lhs, r=r, nrep=nrep, clock=clock, seed=seed, engines=engines)
-        rhs_stats = lhs_stats
-    return [judge(case, lhs_stats, rhs_stats)]
+    # already normal: both sides are the same description, measured once
+    return ([lhs, rhs] if report.changed else [lhs]), [case]
 
 
 def check_alternatives(
@@ -218,27 +226,35 @@ def check_alternatives(
     engine: str = "compiled",
     transport: str = "inmem",
     threshold: float = DEFAULT_THRESHOLD,
-    r: int = 5,
+    r: int = DEFAULT_RUNS,
     nrep: Optional[int] = None,
     clock: Optional[Callable[[], float]] = None,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     case_id: str = "g4alt",
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Compare every family member against the family's reference."""
-    return _check_family(
-        build_alternatives(spec), engine=engine, transport=transport,
-        threshold=threshold, r=r, nrep=nrep, clock=clock, seed=seed,
-        case_id=case_id, A=A,
-    )
+    comparisons = _family_comparisons(build_alternatives(spec), engine, transport,
+                                      threshold, case_id, A)
+    return _judge_all(comparisons, r, nrep, clock, seed)
 
 
 def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
                   threshold: float, r: int, nrep: Optional[int],
                   clock: Optional[Callable[[], float]], seed: int, case_id: str,
-                  A: Optional[int], engines: Optional[EngineCache] = None
-                  ) -> list[GuidelineVerdict]:
-    """check_alternatives over an already built family, reference first."""
+                  A: Optional[int]) -> list[GuidelineVerdict]:
+    """One family grid point in one measurement: check_alternatives over an
+    already built family, reference first, then check_g4 of each member."""
+    comparisons = _family_comparisons(family, engine, transport, threshold, case_id, A)
+    comparisons += [_g4_comparison(m.committed, m.count, engine, transport, threshold,
+                                   f"{case_id}/{m.spec.id}", A) for m in family]
+    return _judge_all(comparisons, r, nrep, clock, seed)
+
+
+def _family_comparisons(family: list[BuiltLayout], engine: str, transport: str,
+                        threshold: float, case_id: str, A: Optional[int]
+                        ) -> list[Comparison]:
+    """(alternative, reference) for every member after the reference."""
     ref = family[0]
     ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
                            "typed", engine, transport, A)
@@ -250,9 +266,7 @@ def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
                                member.count, "typed", engine, transport, A)
         case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
                              alt_case, ref_case, threshold)
-        alt_stats, ref_stats = run_pair(alt_case, ref_case, r=r, nrep=nrep,
-                                        clock=clock, seed=seed, engines=engines)
-        out.append(judge(case, alt_stats, ref_stats))
+        out.append(([alt_case, ref_case], [case]))
     return out
 
 

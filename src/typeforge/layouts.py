@@ -193,6 +193,14 @@ def _divisible(n: int, k: int, what: str) -> int:
     return n // k
 
 
+def _repetitions(spec: LayoutSpec) -> tuple[int, int]:
+    """S1 and S2 with their defaults: tiled_struct splits 1:1, and
+    vector_tiled repeats its inner vector S1 = 5 times."""
+    default_s1 = 5 if spec.id == VECTOR_TILED else 1
+    return (spec.S1 if spec.S1 is not None else default_s1,
+            spec.S2 if spec.S2 is not None else 1)
+
+
 def unit_elems(spec: LayoutSpec) -> int:
     """Elements consumed per block instance (the k of the layout family)."""
     p = derive_params(spec) if spec.id != CONTIGUOUS else None
@@ -205,12 +213,10 @@ def unit_elems(spec: LayoutSpec) -> int:
     if spec.id in (BUCKET, ALTERNATING, ALTERNATING_INDEXED, ALTERNATING_REPEATED, ALTERNATING_STRUCT):
         return p.A1 + p.A2
     if spec.id == TILED_STRUCT:
-        s1 = spec.S1 if spec.S1 is not None else 1
-        s2 = spec.S2 if spec.S2 is not None else 1
+        s1, s2 = _repetitions(spec)
         return (s1 + s2) * p.A
     if spec.id == VECTOR_TILED:
-        s = spec.S1 if spec.S1 is not None else 5
-        return s * p.A
+        return _repetitions(spec)[0] * p.A
     if spec.id == CONTIG_SUBTYPE:
         return unit_elems(replace(spec, id=spec.subtype or ""))
     raise BadParams(f"no block unit for layout {spec.id!r}")
@@ -320,8 +326,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
         return _built(dt, 1, es, spec)
 
     if spec.id == TILED_STRUCT:
-        s1 = spec.S1 if spec.S1 is not None else 1
-        s2 = spec.S2 if spec.S2 is not None else 1
+        s1, s2 = _repetitions(spec)
         _require(s1 >= 1 and s2 >= 1, f"tiled_struct requires S1,S2 >= 1, got ({s1},{s2})")
         _require(p.B >= p.A >= 1, f"tiled_struct requires B >= A >= 1, got {p}")
         tile = Resized(0, p.B * es, Contiguous(p.A, base))
@@ -331,27 +336,27 @@ def build(spec: LayoutSpec) -> BuiltLayout:
                 (1, s1 * p.B * es, Contiguous(s2, tile)),
             )
         )
-        count = _divisible(spec.n, (s1 + s2) * p.A, "tiled_struct")
+        count = _divisible(spec.n, unit_elems(spec), "tiled_struct")
         return _built(dt, count, es, spec)
 
     if spec.id == TILED_VECTOR:
         _require(p.B > p.A >= 1, f"tiled_vector requires B > A >= 1, got {p}")
-        blocks = _divisible(spec.n, p.A, "tiled_vector")
+        blocks = _divisible(spec.n, unit_elems(spec), "tiled_vector")
         dt = Resized(0, blocks * p.B * es, Vector(blocks, p.A, p.B, base))
         return _built(dt, 1, es, spec)
 
     if spec.id == VECTOR_TILED:
-        s = spec.S1 if spec.S1 is not None else 5
+        s = _repetitions(spec)[0]
         _require(s >= 1, f"vector_tiled requires S >= 1, got {s}")
         _require(p.B > p.A >= 1, f"vector_tiled requires B > A >= 1, got {p}")
-        outer = _divisible(spec.n, s * p.A, "vector_tiled")
+        outer = _divisible(spec.n, unit_elems(spec), "vector_tiled")
         dt = HVector(outer, 1, s * p.B * es, Vector(s, p.A, p.B, base))
         return _built(dt, 1, es, spec)
 
     if spec.id == BLOCK_INDEXED:
         _require(p.B1 >= p.A and p.B2 >= p.A, f"block_indexed requires B1,B2 >= A, got {p}")
         _require(p.B1 != p.B2, f"block_indexed requires B1 != B2, got B1=B2={p.B1}")
-        pairs = _divisible(spec.n, 2 * p.A, "block_indexed")
+        pairs = _divisible(spec.n, unit_elems(spec), "block_indexed")
         dt = IndexedBlock(p.A, _pair_displs(pairs, p.B1 + p.B2, p.B1).ravel(), base)
         return _built(dt, 1, es, spec)
 
@@ -360,7 +365,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
             p.B1 >= p.A1 and p.B2 >= p.A2,
             f"alternating_indexed requires B1 >= A1 and B2 >= A2, got {p}",
         )
-        pairs = _divisible(spec.n, p.A1 + p.A2, "alternating_indexed")
+        pairs = _divisible(spec.n, unit_elems(spec), "alternating_indexed")
         blocks = np.empty((pairs, 2, 2), dtype=np.int64)
         blocks[:, :, 0] = (p.A1, p.A2)
         blocks[:, :, 1] = _pair_displs(pairs, p.B1 + p.B2, p.B1)
@@ -370,7 +375,7 @@ def build(spec: LayoutSpec) -> BuiltLayout:
     if spec.id == ALTERNATING_STRUCT:
         # B2 == A2, so all interior blocks line up on a dense grid that a
         # single vector can describe; only the rim blocks need members
-        k = p.A1 + p.A2
+        k = unit_elems(spec)
         c = _divisible(spec.n, k, "alternating_struct")
         period = p.B1 + p.A2
         members = [(1, 0, Contiguous(p.A1, base))]
@@ -472,7 +477,3 @@ def spec_from_json(obj: dict) -> LayoutSpec:
 
 def spec_dumps(spec: LayoutSpec) -> str:
     return json.dumps(spec_to_json(spec), separators=(",", ":"))
-
-
-def spec_loads(text: str) -> LayoutSpec:
-    return spec_from_json(json.loads(text))

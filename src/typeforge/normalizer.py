@@ -318,7 +318,6 @@ def normalize(t: Datatype | CommittedType) -> NormalizationReport:
     current = t
     applied: list[str] = []
     iterations = 0
-    any_change = False
     for _ in range(_MAX_ITERATIONS):
         iterations += 1
         round_changed = False
@@ -327,7 +326,6 @@ def normalize(t: Datatype | CommittedType) -> NormalizationReport:
             if changed:
                 applied.append(name)
                 round_changed = True
-        any_change = any_change or round_changed
         if not round_changed:
             break
     changed = current is not t and current != t

@@ -338,7 +338,7 @@ def test_committed_cases_are_not_committed_again(monkeypatch, fake_clock):
 
 def _regions(cases) -> list:
     """One party's region of each case (each party prepares its own)."""
-    return [region for _, region, _ in bench._prepare(cases, 1, {})]
+    return [region for _, region, _ in bench._prepare([cases], 1)[0]]
 
 
 def _typed(case_id, built_or_ct, count, variant="typed"):
@@ -421,6 +421,15 @@ def test_real_clock_tcp_experiment_starts_one_echo_process(starts):
                      transport="tcp")
     result = run_experiment(plan)
     assert len(result.stats) > 1
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_real_clock_tcp_family_experiment_starts_one_echo_process(starts):
+    plan = make_plan("block_indexed", A_values=(2,), sizes=(3200,), r=1, nrep=1,
+                     transport="tcp")
+    result = run_experiment(plan)
+    assert len(result.verdicts) == 3
     assert len(starts) == 1
     assert multiprocessing.active_children() == []
 

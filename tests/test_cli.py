@@ -239,6 +239,32 @@ def test_run_exit_code_on_violation(tmp_path, monkeypatch, capsys):
     assert rows[0]["violated"] == "true"
 
 
+def test_unset_run_flags_leave_the_plan_defaults(tmp_path, monkeypatch):
+    from typeforge.experiments import ExperimentResult, make_plan
+
+    plans = []
+
+    def record(plan, clock=None):
+        plans.append(plan)
+        return ExperimentResult(plan)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert cli.main(["run", "--experiment", "contig", "--out", str(tmp_path)]) == 0
+    assert plans == [make_plan("contig")]
+
+
+@pytest.mark.parametrize("command", [
+    ["flatten", "--spec", "x.json"],
+    ["normalize", "--spec", "x.json"],
+    ["equiv", "--lhs", "x.json", "--rhs", "y.json"],
+    ["report", "x.csv"],
+])
+def test_only_pack_and_run_take_a_seed(command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 # --- report -------------------------------------------------------------
 
 

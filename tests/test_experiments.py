@@ -240,6 +240,23 @@ def test_family_point_commits_each_member_once(monkeypatch, fake_clock):
     assert [calls[t] for t in members] == [1, 1]
 
 
+def test_family_point_prepares_once_per_party(monkeypatch, fake_clock):
+    calls = []
+    real = bench._prepare
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bench, "_prepare", counting)
+    plan = make_plan("block_indexed", A_values=(2,), sizes=(3_200,), r=1, nrep=1)
+    result = run_experiment(plan, clock=fake_clock)
+    assert len(result.verdicts) == 3
+    # one alternative pair and two G4 checks, measured in one call: the
+    # ping and the echo side each prepare every comparison once
+    assert len(calls) == 2
+
+
 def test_tree_json_is_written_only_with_the_stats_csv(monkeypatch, fake_clock, tmp_path):
     serialized, dumped = [], []
     real_to_json, real_dumps = typecore.datatype_to_json, bench.datatype_dumps
