@@ -21,8 +21,20 @@ and stops an echo process of its own; the same measurement within an open
 without echo sessions starts one per measurement here too); and one tcp
 `basic_layouts` experiment over the grid of perfbench's coarse_tcp sweep.
 
+Last it times the set-up share of all 11 experiments: each runs at r=1,
+nrep=1 under a deterministic fake clock, so no timing happens and its wall
+time is all set-up (building, committing and normalizing descriptions,
+making engines, filling regions, and the few copies of the schedule).  For
+each experiment it reports the seconds, the top-level `typecore._layout`
+calls (one per commit of a tree) and the seconds spent in `bench._prepare`,
+read by wrapping both for the duration of the section.  It also times the
+copy-path choice (`CompiledEngine.strategy`) of a count-1 indexed
+description, block_indexed A=2 at 2.56 MB, on an engine built outside the
+timing.
+
 The results, with the host, CPU count, Python and numpy versions, the git
-sha (with "-dirty" when the tree has uncommitted changes) and the clock's
+sha of the tree `typeforge` is imported from (with "-dirty" when it has
+uncommitted changes) and the clock's
 resolution and call cost, are stored under `--label`
 in the JSON file `--out`, so runs of two trees can sit side by side:
 
@@ -38,10 +50,12 @@ import socket
 import statistics
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 
+import typeforge
 from typeforge import bench, experiments, layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
@@ -75,7 +89,9 @@ def _clock_call_ns(calls: int = 100_000) -> float:
 
 
 def environment() -> dict:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """The machine record; the git sha is that of the tree `typeforge` is
+    imported from."""
+    root = os.path.dirname(os.path.abspath(typeforge.__file__))
     try:
         sha = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                              cwd=root, capture_output=True, text=True,
@@ -130,7 +146,7 @@ def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
     program = packer.CompiledEngine(ct, count)
     eng = packer.make_engine(engine, ct, count)
     region = np.zeros(eng.span, dtype=np.uint8)
-    eng.unpack_message(np.random.default_rng(1).bytes(eng.total_bytes), region)
+    eng.unpack_message(bench._seeded_bytes(1, eng.total_bytes), region)
     src = np.frombuffer(bytes(eng.pack_message(region)), dtype=np.uint8)
     dst = np.empty_like(src)
     times = {"pack": [], "unpack": [], "memcpy": []}
@@ -179,6 +195,75 @@ def harness() -> dict:
     return out
 
 
+class FakeClock:
+    """Per-thread counter advancing by a fixed power-of-two step per call."""
+
+    def __init__(self, step: float = 2**-10):
+        self.step = step
+        self._local = threading.local()
+
+    def __call__(self) -> float:
+        value = getattr(self._local, "value", 0.0) + self.step
+        self._local.value = value
+        return value
+
+
+class Tally:
+    """Calls of `module.name`, and the seconds spent in them, while
+    installed; calls made from within a call are not counted again."""
+
+    def __init__(self, module, name: str):
+        self.calls = 0
+        self.seconds = 0.0
+        self._module, self._name = module, name
+        self._real = getattr(module, name)
+        self._depth = threading.local()
+
+    def _counting(self, *args):
+        depth = getattr(self._depth, "n", 0)
+        self._depth.n = depth + 1
+        start = time.perf_counter()
+        try:
+            return self._real(*args)
+        finally:
+            self._depth.n = depth
+            if depth == 0:
+                self.calls += 1
+                self.seconds += time.perf_counter() - start
+
+    def __enter__(self):
+        setattr(self._module, self._name, self._counting)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self._module, self._name, self._real)
+
+
+def setup_share(reps: int) -> dict:
+    """Set-up of every experiment under the fake clock, and the copy-path
+    choice of count-1 block_indexed A=2 (see the module docstring)."""
+    rows = {}
+    for experiment in experiments.EXPERIMENT_IDS:
+        plan = experiments.make_plan(experiment, r=1, nrep=1)
+        with Tally(typecore, "_layout") as layout, Tally(bench, "_prepare") as prepare:
+            start = time.perf_counter()
+            experiments.run_experiment(plan, clock=FakeClock())
+            seconds = time.perf_counter() - start
+        rows[experiment] = {"seconds": seconds, "layout_calls": layout.calls,
+                            "prepare_calls": prepare.calls, "prepare_s": prepare.seconds}
+    built = layouts.build(layouts.LayoutSpec(id="block_indexed", n=640_000, A=2))
+    assert built.count == 1
+    plan_s, _ = _timed(lambda eng: eng.strategy, reps,
+                       lambda: packer.CompiledEngine(built.committed, built.count))
+    return {
+        "experiments": rows,
+        "total_s": sum(row["seconds"] for row in rows.values()),
+        "prepare_s": sum(row["prepare_s"] for row in rows.values()),
+        "layout_calls": sum(row["layout_calls"] for row in rows.values()),
+        "block_indexed_A2_strategy": plan_s,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
@@ -204,12 +289,22 @@ def main(argv=None) -> int:
     print("tcp harness, real clock (median us): " + ", ".join(
         f"{name} {q['median_us']:.0f}" for name, q in cost.items()), flush=True)
 
+    share = setup_share(args.reps)
+    print(f"{'experiment':<22}{'seconds':>9}{'_layout calls':>15}{'_prepare s':>12}")
+    for name, row in share["experiments"].items():
+        print(f"{name:<22}{row['seconds']:>9.2f}{row['layout_calls']:>15}"
+              f"{row['prepare_s']:>12.3f}")
+    print(f"{'total':<22}{share['total_s']:>9.2f}{share['layout_calls']:>15}"
+          f"{share['prepare_s']:>12.3f}")
+    print(f"strategy of count-1 block_indexed A=2 (median us): "
+          f"{share['block_indexed_A2_strategy']['median_us']:.0f}", flush=True)
+
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows,
-                       "tcp_harness": cost}
+                       "tcp_harness": cost, "setup_share": share}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

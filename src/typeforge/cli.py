@@ -59,6 +59,9 @@ def _load_described_type(path: str) -> tuple[Datatype, int]:
 
 
 def _seeded_region(ct: CommittedType, count: int, seed: int) -> bytearray:
+    # `typeforge pack` prints the payload drawn here, so these bytes are
+    # part of the CLI's output for a given --seed: this draw stays
+    # `Generator.bytes`, not the harness's cheaper `bench._seeded_bytes`
     import numpy as np
 
     _, length = window(ct, count)

@@ -75,6 +75,8 @@ _SLICE_OP_LIMIT = 64
 _PERIOD_MIN_ROWS = 8
 # patterns longer than this are left to the gather index
 _PERIOD_PATTERN_MAX = 8
+# segments compared per step when confirming a period over a long list
+_PERIOD_CHECK_BLOCK = 1 << 16
 
 
 class RegionTooSmall(ValueError):
@@ -361,20 +363,20 @@ class CompiledEngine(_Engine):
         unit = self.committed.flat
         k = len(unit.offsets)
         ext = self.committed.extent
-        rel = unit.offsets - unit.offsets[0] if k else unit.offsets
         if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
-                and not self._touching and self.count * k > _SLICE_OP_LIMIT
-                and (rel >= 0).all() and (rel + unit.lengths <= ext).all()):
-            # `count` copies, `ext` apart, of a unit that fits in one extent
-            # and does not touch the next copy: the shortest repeating
-            # pattern lies within the unit, so the detector finds in the
-            # first few copies what it would find in all of them, and only
-            # the rows scale
-            sample = _PERIOD_MIN_ROWS
-            off = (np.arange(sample, dtype=np.int64)[:, None] * ext
-                   + unit.offsets[None, :]).ravel()
-            plan = _detect_period(off, np.tile(unit.lengths, sample))
-            return (self.count * k // len(plan[2]),) + plan[1:]
+                and not self._touching and self.count * k > _SLICE_OP_LIMIT):
+            rel = unit.offsets - unit.offsets[0]
+            if (rel >= 0).all() and (rel + unit.lengths <= ext).all():
+                # `count` copies, `ext` apart, of a unit that fits in one
+                # extent and does not touch the next copy: the shortest
+                # repeating pattern lies within the unit, so the detector
+                # finds in the first few copies what it would find in all
+                # of them, and only the rows scale
+                sample = _PERIOD_MIN_ROWS
+                off = (np.arange(sample, dtype=np.int64)[:, None] * ext
+                       + unit.offsets[None, :]).ravel()
+                plan = _detect_period(off, np.tile(unit.lengths, sample))
+                return (self.count * k // len(plan[2]),) + plan[1:]
         return _detect_period(self.offsets, self.lengths)
 
     @cached_property
@@ -433,29 +435,43 @@ class CompiledEngine(_Engine):
 def _detect_period(offs: np.ndarray, lens: np.ndarray) -> tuple | None:
     """`CompiledEngine.periodic_plan` of a segment list: the shortest pattern
     of at most `_PERIOD_PATTERN_MAX` segments that repeats, at least
-    `_PERIOD_MIN_ROWS` times, at a constant positive byte period."""
+    `_PERIOD_MIN_ROWS` times, at a constant positive byte period.
+
+    A pattern of `g` segments repeats exactly when every segment has the
+    length of the one `g` before it and lies `period` bytes after it, so
+    each candidate costs one pass over the list, shifted by `g`.
+    """
     n = len(offs)
     for g in range(1, _PERIOD_PATTERN_MAX + 1):
         if n % g or n // g < _PERIOD_MIN_ROWS:
             continue
-        rows = n // g
         period = int(offs[g] - offs[0])
         if period <= 0:
             continue
-        l2 = lens.reshape(rows, g)
-        if not (l2 == l2[0]).all():
-            continue
-        o2 = offs.reshape(rows, g)
-        steps = period * np.arange(rows, dtype=np.int64)[:, None]
-        if not (o2 == o2[0][None, :] + steps).all():
-            continue
-        rel = (o2[0] - offs[0]).astype(np.int64)
-        pat = l2[0].astype(np.int64)
+        rel = (offs[:g] - offs[0]).astype(np.int64)
+        pat = lens[:g].astype(np.int64)
         if (rel < 0).any() or (rel + pat > period).any():
             continue
+        if not _repeats(offs, lens, g, period):
+            continue
         prefix = np.cumsum(pat) - pat
-        return rows, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
+        return n // g, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
     return None
+
+
+def _repeats(offs: np.ndarray, lens: np.ndarray, g: int, period: int) -> bool:
+    """Whether every segment has the length of the one `g` before it and
+    lies `period` bytes after it.  Checked a block at a time, the first
+    only `_PERIOD_MIN_ROWS` rows long, so a wrong candidate fails within a
+    few rows and a long list's temporaries stay in cache."""
+    n = len(offs)
+    start, stop = g, min(_PERIOD_MIN_ROWS * g, n)
+    while start < n:
+        cur, prev = slice(start, stop), slice(start - g, stop - g)
+        if not ((lens[cur] == lens[prev]).all() and (offs[cur] - offs[prev] == period).all()):
+            return False
+        start, stop = stop, min(stop + _PERIOD_CHECK_BLOCK, n)
+    return True
 
 
 def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:

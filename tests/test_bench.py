@@ -377,6 +377,71 @@ def test_cases_with_different_windows_get_regions_of_their_own():
     assert len({id(r) for r in _regions(cases)}) == 3
 
 
+def test_seeded_bytes_are_a_pure_function_of_seed_and_length():
+    for n in (0, 1, 13, 64, 1001):
+        drawn = bench._seeded_bytes(3, n)
+        assert drawn.dtype == np.uint8 and len(drawn) == n
+        assert drawn.tobytes() == bench._seeded_bytes(3, n).tobytes()
+    assert bench._seeded_bytes(3, 1001).tobytes() != bench._seeded_bytes(4, 1001).tobytes()
+
+
+@pytest.mark.parametrize("transport", ["inmem", "tcp"])
+def test_echo_party_draws_no_bytes(monkeypatch, fake_clock, transport):
+    v = commit(Vector(4, 2, 4, INT))
+    cases = (_case("raw", transport=transport, m_bytes=64),
+             _case("typed", variant="typed", datatype=v, count=2, m_bytes=v.size * 2,
+                   transport=transport))
+    real = bench._seeded_bytes
+
+    def refuse(seed, n):
+        raise AssertionError("the echo party drew bytes")
+
+    monkeypatch.setattr(bench, "_seeded_bytes", refuse)
+    echo = [region for _, region, _ in bench._prepare([cases])[0]]
+    assert not any(echo[0]) and not echo[1].any()
+
+    # the ping party draws once for the raw case and once for the typed
+    # case's window; any further draw is the echo party's
+    draws = []
+
+    def ping_only(seed, n):
+        if len(draws) == 2:
+            refuse(seed, n)
+        draws.append((seed, n))
+        return real(seed, n)
+
+    monkeypatch.setattr(bench, "_seeded_bytes", ping_only)
+    run_pair(*cases, r=2, nrep=2, clock=fake_clock)
+    assert draws == [(1, 64), (1, v.size * 2)]
+
+
+@pytest.mark.parametrize("transport", ["inmem", "tcp"])
+@pytest.mark.parametrize("variant", ["typed", "packed", "raw"])
+def test_ping_region_keeps_its_payload_through_the_echo(monkeypatch, fake_clock,
+                                                        transport, variant):
+    v = commit(Vector(100, 2, 4, INT))
+    case = _case("v", variant=variant, datatype=v, count=3, m_bytes=v.size * 3,
+                 transport=transport)
+    real = bench._prepare
+    filled = []
+
+    def keeping(groups, seed=None):
+        sides = real(groups, seed)
+        if seed is not None:
+            filled.extend((region, bytes(region)) for _, region, _ in sides[0])
+        return sides
+
+    monkeypatch.setattr(bench, "_prepare", keeping)
+    # an odd number of round trips, so an echo that returned its own bytes
+    # first and the ping's after would leave its own in the region
+    run_case(case, r=1, nrep=2, clock=fake_clock)
+    [(region, before)] = filled
+    assert any(before)
+    # the echo side starts zeroed, so only the ping's own payload, echoed
+    # byte for byte, leaves the region as it was filled
+    assert bytes(region) == before
+
+
 def test_pair_needs_one_transport(fake_clock):
     with pytest.raises(ValueError, match="one transport"):
         run_pair(_case("a"), _case("b", transport="tcp"), r=1, nrep=1, clock=fake_clock)

@@ -482,3 +482,86 @@ def test_random_unit_plans_match_the_segment_rule(t, count):
     assert strategy == _segment_rule(p)[0]
     assert _same_plan(plan, _segment_rule(p)[1])
     assert p.segment_count == len(p.offsets)
+
+
+# --- period detection against a brute-force reference -------------------
+
+
+def _reference_period(offs: list[int], lens: list[int]) -> tuple | None:
+    """The periodic plan read off segment by segment: the shortest pattern
+    of g <= 8 segments whose every row repeats the first, shifted by one
+    positive period, in at least 8 rows, each pattern segment within the
+    period of the first one."""
+    n = len(offs)
+    for g in range(1, 9):
+        if n % g or n // g < 8:
+            continue
+        period = offs[g] - offs[0]
+        if period <= 0:
+            continue
+        if any(lens[i] != lens[i % g] or offs[i] != offs[i % g] + i // g * period
+               for i in range(n)):
+            continue
+        rel = [o - offs[0] for o in offs[:g]]
+        pat = lens[:g]
+        if any(r < 0 or r + ln > period for r, ln in zip(rel, pat)):
+            continue
+        prefix = [sum(pat[:j]) for j in range(g)]
+        return n // g, period, rel, pat, prefix, sum(pat), offs[0]
+    return None
+
+
+@st.composite
+def _segment_lists(draw) -> tuple[list[int], list[int]]:
+    """`rows` copies of a pattern of up to 9 segments at a constant period:
+    exactly so, touching back to back, or with one row off."""
+    g = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(("periodic", "touching", "one row off")))
+    pat = draw(st.lists(st.integers(1, 16), min_size=g, max_size=g))
+    if kind == "touching":
+        rel = [sum(pat[:j]) for j in range(g)]
+        period = sum(pat)
+    else:
+        rel = draw(st.lists(st.integers(-8, 64), min_size=g, max_size=g))
+        period = draw(st.integers(-4, 96))
+    first = draw(st.integers(-100, 100))
+    offs = [first + rel[j] + r * period for r in range(rows) for j in range(g)]
+    lens = pat * rows
+    if kind == "one row off":
+        row = draw(st.integers(0, rows - 1))
+        delta = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            offs[row * g:(row + 1) * g] = [o + delta for o in offs[row * g:(row + 1) * g]]
+        else:
+            lens[row * g] += delta
+    return offs, lens
+
+
+@given(_segment_lists())
+def test_period_detector_matches_the_brute_force_reference(segments):
+    offs, lens = segments
+    plan = packer._detect_period(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64))
+    expected = _reference_period(offs, lens)
+    if expected is None:
+        assert plan is None
+    else:
+        assert plan is not None
+        assert [np.asarray(x).tolist() for x in plan] == list(expected)
+        assert all(np.asarray(x).dtype == np.int64 for x in plan[2:5])
+
+
+def test_period_detector_checks_every_segment_of_a_long_list():
+    rows = 3 * packer._PERIOD_CHECK_BLOCK // 2 + 5
+    offs = (np.arange(rows, dtype=np.int64)[:, None] * 32 + [0, 12]).ravel()
+    lens = np.full(2 * rows, 8, dtype=np.int64)
+    assert packer._detect_period(offs, lens)[:2] == (rows, 32)
+    # on both sides of the first two block boundaries, and the last segment
+    head = 2 * packer._PERIOD_MIN_ROWS
+    block = head + packer._PERIOD_CHECK_BLOCK
+    for i in (3, head - 1, head, block - 1, block, 2 * rows - 1):
+        moved, longer = offs.copy(), lens.copy()
+        moved[i] += 4
+        longer[i] += 4
+        assert packer._detect_period(moved, lens) is None, i
+        assert packer._detect_period(offs, longer) is None, i
