@@ -250,17 +250,17 @@ def setup_share(reps: int) -> dict:
             experiments.run_experiment(plan, clock=FakeClock())
             seconds = time.perf_counter() - start
         rows[experiment] = {"seconds": seconds, "layout_calls": layout.calls,
-                            "prepare_calls": prepare.calls, "prepare_s": prepare.seconds}
+                            "prepare_s": prepare.seconds}
     built = layouts.build(layouts.LayoutSpec(id="block_indexed", n=640_000, A=2))
     assert built.count == 1
-    plan_s, _ = _timed(lambda eng: eng.strategy, reps,
+    strategy, _ = _timed(lambda eng: eng.strategy, reps,
                        lambda: packer.CompiledEngine(built.committed, built.count))
     return {
         "experiments": rows,
         "total_s": sum(row["seconds"] for row in rows.values()),
         "prepare_s": sum(row["prepare_s"] for row in rows.values()),
         "layout_calls": sum(row["layout_calls"] for row in rows.values()),
-        "block_indexed_A2_strategy": plan_s,
+        "block_indexed_A2_strategy": strategy,
     }
 
 
