@@ -4,15 +4,20 @@
 For each layout it times the set-up (`layouts.build`, `typecore.commit` of
 the built tree, `normalizer.normalize`, `typecore.equivalent` of the
 layout against its normalized form, `compile`: building a
-`packer.CompiledEngine`, and `plan`: compile plus choosing the copy path,
-all a first copy does before moving bytes), committing and normalizing a
-freshly built tree in every repetition, then one pack, one unpack and one
-memcpy of the same payload size, and prints the segment count and the copy
-path that ran (`CompiledEngine.strategy`; the interpreted engine always
-walks the tree).
+`packer.CompiledEngine`, `again`: building a second engine of the same
+committed type, and `plan`: compile plus choosing the copy path, all a
+first copy does before moving bytes), committing and normalizing a freshly
+built tree in every repetition (`compile` and `plan` get a freshly
+committed type), then one pack, one unpack and one memcpy of the same
+payload size, and prints the segment count and the copy path that ran
+(`CompiledEngine.strategy`; the interpreted engine always walks the tree).
 Pack, unpack and memcpy are interleaved within each repetition so host
 speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
+
+Next it times inmem round trips on one core: the raw, typed and packed
+variants of tiled A=2, bucket A=2 and alternating A=10 at 2.56 MB and of
+tiled A=2 at 3.2 KB, compiled engine, with the typed/packed ratio (G2/G3).
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -134,8 +139,15 @@ def setup(layout: str, n: int, A: int, reps: int) -> dict:
                                       lambda: layouts.build(spec).committed)
     normal = report.committed_output
     out["equivalent"], _ = _timed(lambda: typecore.equivalent(ct, count, normal, count), reps)
-    out["compile"], _ = _timed(lambda: packer.CompiledEngine(ct, count), reps)
-    out["plan"], _ = _timed(lambda: packer.CompiledEngine(ct, count).strategy, reps)
+    # the first engine of a committed type reads the unit's byte bounds;
+    # a second engine of the same type finds them computed
+    def fresh():
+        return typecore.commit(layouts.build(spec).datatype)
+
+    out["compile"], _ = _timed(lambda ct: packer.CompiledEngine(ct, count), reps, fresh)
+    packer.CompiledEngine(ct, count)
+    out["compile_again"], _ = _timed(lambda: packer.CompiledEngine(ct, count), reps)
+    out["plan"], _ = _timed(lambda ct: packer.CompiledEngine(ct, count).strategy, reps, fresh)
     return out
 
 
@@ -193,6 +205,53 @@ def harness() -> dict:
         out["run_case_in_session"], _ = _timed(measure_once, 21)
     out["coarse_tcp_experiment"], _ = _timed(lambda: experiments.run_experiment(plan), 3)
     return out
+
+
+# (layout, elements, A) of the round-trip section: three periodic layouts
+# at 2.56 MB and one at 3.2 KB, all on the compiled engine
+ROUND_TRIPS = (
+    ("tiled", 640_000, 2),
+    ("bucket", 640_000, 2),
+    ("alternating", 640_000, 10),
+    ("tiled", 800, 2),
+)
+
+
+@contextlib.contextmanager
+def one_core():
+    """Pin this process, and so both inmem parties, to one core, for the
+    duration of the block."""
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(before)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+def round_trips(r: int = 3) -> list[dict]:
+    """Median round trip, in microseconds, of the raw, typed and packed
+    variants of each `ROUND_TRIPS` layout over inmem on one core: typed
+    and packed alternate repetition by repetition (`run_pair`), raw is
+    measured on its own; each figure is the median of `r` run medians."""
+    rows = []
+    with one_core():
+        for layout, n, A in ROUND_TRIPS:
+            built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
+            ct, count = built.committed, built.count
+
+            def case(variant):
+                return bench.BenchCase(f"{layout}/{variant}", ct, count, variant,
+                                       "compiled", "inmem", ct.size * count, A)
+
+            typed, packed = bench.run_pair(case("typed"), case("packed"), r=r)
+            raw = bench.run_case(case("raw"), r=r)
+            row = {"layout": layout, "n": n, "A": A, "payload_bytes": ct.size * count}
+            for name, stats in (("raw", raw), ("typed", typed), ("packed", packed)):
+                row[f"{name}_us"] = statistics.median(stats.run_medians) * 1e6
+            row["typed_over_packed"] = row["typed_us"] / row["packed_us"]
+            rows.append(row)
+    return rows
 
 
 class FakeClock:
@@ -273,17 +332,25 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
-          f"{'build':>8}{'commit':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'plan':>8}"
-          f"{'pack':>8}{'unpack':>8}{'memcpy':>8}{'pack/mc':>8}")
+          f"{'build':>8}{'commit':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'again':>8}"
+          f"{'plan':>8}{'pack':>8}{'unpack':>8}{'memcpy':>8}{'pack/mc':>8}")
     for layout, n, A, engine in REFERENCE:
         row = measure(layout, n, A, engine, args.reps)
         rows.append(row)
         stages = [row["setup"][k] for k in ("build", "commit", "normalize", "equivalent")]
-        stages += [row["compile"], row["setup"]["plan"]]
+        stages += [row["compile"], row["setup"]["compile_again"], row["setup"]["plan"]]
         stages += [row[k] for k in ("pack", "unpack", "memcpy")]
         print(f"{f'{layout}/A{A}/n{n}':<34}{engine:<12}{row['segments']:>9} "
               f"{row['strategy']:<9}" + "".join(f"{q['median_us']:>8.0f}" for q in stages)
               + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
+
+    trips = round_trips()
+    print(f"{'inmem round trip, one core':<34}{'raw':>8}{'typed':>8}{'packed':>8}"
+          f"{'typed/packed':>14}")
+    for row in trips:
+        label = f"{row['layout']}/A{row['A']}/n{row['n']}"
+        print(f"{label:<34}" + "".join(f"{row[k + '_us']:>8.0f}" for k in ("raw", "typed", "packed"))
+              + f"{row['typed_over_packed']:>14.2f}", flush=True)
 
     cost = harness()
     print("tcp harness, real clock (median us): " + ", ".join(
@@ -304,7 +371,7 @@ def main(argv=None) -> int:
         with open(args.out) as fh:
             doc = json.load(fh)
     doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows,
-                       "tcp_harness": cost, "setup_share": share}
+                       "round_trips": trips, "tcp_harness": cost, "setup_share": share}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

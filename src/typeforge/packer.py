@@ -33,6 +33,19 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
     and 1 bytes that divides every segment's region offset and length,
     through an index of `total_bytes / w` word positions.
 
+`unpack_from(src, src_region, region)` copies the payload another engine
+would pack from its region straight into this engine's region, with the
+checks of that pack and of this unpack.  In general it packs and unpacks,
+so the interpreted engine keeps its cost.  A compiled engine that meets a
+compiled engine running the same program (`_program_key`, read from the
+copy path's plan on the first transfer) copies region to region in one
+pass, with no payload in
+between: one window copy (view), one slice copy per segment (slices), one
+strided assignment per pattern field (periodic; integer words for fields
+of 1, 2, 4 or 8 bytes, voids otherwise) or one indexed word copy (gather).
+The periodic path never assigns whole region records, which could carry
+the gap bytes between fields along.
+
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
 C-contiguous buffer; both engines count and move them as bytes, whatever
@@ -125,15 +138,22 @@ class _Engine:
         """Scatter `data` into `region`, leaving gap bytes alone."""
         self._copy(region, data)
 
-    def _copy(self, region, data=None):
-        """The copy in either direction.  Without `data`, pack `region` and
-        return the payload; with `data`, unpack it into `region`."""
-        packing = data is None
-        if not packing:
-            have = memoryview(data).nbytes
-            if have != self.total_bytes:
-                raise SizeMismatch(f"packed data holds {have} bytes, "
-                                   f"layout payload is {self.total_bytes}")
+    def unpack_from(self, src: "_Engine", src_region, region) -> None:
+        """Copy the payload `src` would pack from `src_region` into
+        `region`, with the checks of that pack and of this unpack.  Here,
+        by packing and unpacking; an engine may copy straight across."""
+        self.unpack_message(src.pack_message(src_region), region)
+
+    def _checked(self, region, have: int | None = None) -> memoryview | None:
+        """The checks of every copy.  `have` is the size of the payload to
+        unpack, or None to pack.  Raises SizeMismatch for a payload of the
+        wrong size, RegionTooSmall for a region short of the window and
+        TypeError for a read-only destination; returns the region's view,
+        or None when the payload is empty and there is nothing to move."""
+        packing = have is None
+        if not packing and have != self.total_bytes:
+            raise SizeMismatch(f"packed data holds {have} bytes, "
+                               f"layout payload is {self.total_bytes}")
         view = memoryview(region)
         if view.nbytes < self.span:
             raise RegionTooSmall(
@@ -141,9 +161,18 @@ class _Engine:
                 f"bytes, layout spans {self.span} (window starts at byte {self.origin})"
             )
         if self.total_bytes == 0:
-            return b""
+            return None
         if not packing and view.readonly:
             raise TypeError("destination region is read-only")
+        return view
+
+    def _copy(self, region, data=None):
+        """The copy in either direction.  Without `data`, pack `region` and
+        return the payload; with `data`, unpack it into `region`."""
+        packing = data is None
+        view = self._checked(region, None if packing else memoryview(data).nbytes)
+        if view is None:
+            return b""
         if self.is_contiguous:
             window_bytes = _byte_view(view)[: self.span]
             if packing:
@@ -392,6 +421,63 @@ class CompiledEngine(_Engine):
         _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan
         return (_record(rel, pat, int((rel + pat).max())),
                 _record(prefix, pat, row_bytes))
+
+    @cached_property
+    def _program_key(self) -> tuple:
+        """Equal for two programs that move every payload byte between the
+        same region positions, in the same order.  Read from the copy
+        path's plan, so it stays small whatever the unit's size; a gather
+        is keyed by its instances of the committed unit from the window
+        origin."""
+        strategy = self.strategy
+        if strategy == "view":
+            return (strategy, self.span)
+        if strategy == "slices":
+            return (strategy, (self.offsets - self.origin).tobytes(), self.lengths.tobytes())
+        if strategy == "periodic":
+            rows, period, rel, pat, _, _, first = self.periodic_plan
+            return (strategy, rows, period, rel.tobytes(), pat.tobytes(), first - self.origin)
+        return (strategy, self.count, self.committed.extent, self.origin,
+                self.committed.unit_bytes)
+
+    def unpack_from(self, src: _Engine, src_region, region) -> None:
+        """From a compiled engine running the same program, one pass from
+        region to region (`_move_across`); from any other engine, a pack
+        and an unpack."""
+        if not (isinstance(src, CompiledEngine) and src._program_key == self._program_key):
+            super().unpack_from(src, src_region, region)
+            return
+        src._checked(src_region)
+        if self._checked(region, src.total_bytes) is not None:
+            self._move_across(src_region, region)
+
+    def _move_across(self, src_region, region) -> None:
+        """Copy the payload's bytes from `src_region` to the same positions
+        of `region`, by this program's strategy and without a payload in
+        between.  The periodic path assigns field by field: numpy may copy
+        two identical record dtypes as whole items, gaps between fields
+        included."""
+        strategy = self.strategy
+        if strategy == "view":
+            _byte_view(region)[: self.span] = _byte_view(src_region)[: self.span]
+            return
+        if strategy == "slices":
+            src, dst = _byte_view(src_region), _byte_view(region)
+            for off, ln in zip(self.offsets.tolist(), self.lengths.tolist()):
+                start = off - self.origin
+                dst[start : start + ln] = src[start : start + ln]
+            return
+        src, dst = _as_u8(src_region), _as_u8(region)
+        if strategy == "periodic":
+            rows, period, rel, pat, _, _, first = self.periodic_plan
+            for at, n in zip((rel + first - self.origin).tolist(), pat.tolist()):
+                field = f"u{n}" if n in (1, 2, 4, 8) else f"V{n}"
+                np.ndarray((rows,), field, dst, at, (period,))[...] = \
+                    np.ndarray((rows,), field, src, at, (period,))
+            return
+        w, index = self.word_width, self.gather_index
+        dst[: len(dst) - len(dst) % w].view(f"u{w}")[index] = \
+            np.take(src[: len(src) - len(src) % w].view(f"u{w}"), index)
 
     def _move(self, region, data):
         packing = data is None

@@ -6,9 +6,21 @@ Endpoints exchange length-prefixed messages ([u64 little-endian length]
 * inmem: a pair of queues between two threads of one process.
 * tcp: a loopback socket, one process (or thread) on each side.
 
-A ping-pong repetition is strictly sequential, so in-memory payloads can be
+A ping-pong repetition is strictly sequential, so in-memory payloads are
 handed over by reference without copying; the receiving side always copies
 into its own region, which is the cost a real receive pays.
+
+A typed message (`Endpoint.send_typed`/`recv_typed`) travels as packed
+bytes on tcp.  On inmem it is a reference to the sender's (engine, region):
+the receiving engine copies the layout's bytes straight from that region
+into its own (`unpack_from`), in one pass, as an intra-node library's
+single-copy path reads the sender's buffer through the sender's datatype.
+The reference is valid until the sender's next operation on that region.
+Ping-pong alternation guarantees the receiver has copied before then: the
+sender waits for the reply before it touches the region again, and so it
+is when the harness shares one region between cases.  A plain `recv_msg`
+that meets a typed message returns the bytes the sender would have packed,
+so raw and byte-level receivers see the packed payload.
 """
 
 from __future__ import annotations
@@ -17,8 +29,9 @@ import socket
 import struct
 import time
 from queue import SimpleQueue
+from typing import NamedTuple
 
-from .packer import make_engine
+from .packer import _Engine, make_engine
 from .typecore import CommittedType, Datatype
 
 _HEADER = struct.Struct("<Q")
@@ -50,6 +63,14 @@ class Endpoint:
         buffer is allocated for it."""
         raise NotImplementedError
 
+    def send_typed(self, eng: _Engine, region) -> None:
+        """Send the payload `eng` describes in `region`: its packed bytes."""
+        self.send_msg(eng.pack_message(region))
+
+    def recv_typed(self, eng: _Engine, region) -> None:
+        """Receive a payload of `eng`'s size into `region` through `eng`."""
+        eng.unpack_message(self.recv_msg(eng.total_bytes), region)
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -79,6 +100,14 @@ def _recv_bounded(ep, limit: int):
 _CLOSED = object()
 
 
+class _TypedRef(NamedTuple):
+    """An inmem typed message: the sender's engine and region, read by the
+    receiver in place of a packed payload."""
+
+    engine: _Engine
+    region: object
+
+
 class InMemEndpoint(Endpoint):
     kind = "inmem"
 
@@ -88,13 +117,13 @@ class InMemEndpoint(Endpoint):
         self._tx = tx
         self._open = True
 
-    def send_msg(self, payload) -> None:
+    def _put(self, length: int, payload) -> None:
         if not self._open:
             raise PeerClosed("endpoint is closed")
-        self._tx.put(_HEADER.pack(len(payload)))
+        self._tx.put(_HEADER.pack(length))
         self._tx.put(payload)
 
-    def recv_msg(self, limit: int | None = None):
+    def _get(self, limit: int | None):
         header = self._rx.get()
         if header is _CLOSED:
             raise PeerClosed("peer closed the channel")
@@ -103,9 +132,33 @@ class InMemEndpoint(Endpoint):
         payload = self._rx.get()
         if payload is _CLOSED:
             raise PeerClosed("peer closed the channel mid-message")
-        if len(payload) != length:
+        if not isinstance(payload, _TypedRef) and len(payload) != length:
             raise PeerClosed(f"framing error: announced {length}, got {len(payload)}")
         return payload
+
+    def send_msg(self, payload) -> None:
+        self._put(len(payload), payload)
+
+    def recv_msg(self, limit: int | None = None):
+        """The next message; a typed one arrives as the bytes its sender
+        would have packed."""
+        payload = self._get(limit)
+        if isinstance(payload, _TypedRef):
+            return payload.engine.pack_message(payload.region)
+        return payload
+
+    def send_typed(self, eng: _Engine, region) -> None:
+        """Queue a reference to (`eng`, `region`); nothing is copied."""
+        self._put(eng.total_bytes, _TypedRef(eng, region))
+
+    def recv_typed(self, eng: _Engine, region) -> None:
+        """Copy a typed message straight from the sender's region into
+        `region` (`eng.unpack_from`); unpack a packed one."""
+        payload = self._get(eng.total_bytes)
+        if isinstance(payload, _TypedRef):
+            eng.unpack_from(payload.engine, payload.region, region)
+        else:
+            eng.unpack_message(payload, region)
 
     def close(self) -> None:
         if self._open:
@@ -227,13 +280,15 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # trip.  The harness runs one of these on each side, then takes the
 # maximum of the two local times.
 #
-# A typed send here is a pack, a send of the packed bytes, a receive and an
-# unpack, which is exactly the explicit pack-and-send round trip; so
-# pingpong_packed is pingpong_typed, and G2/G3 ratios are noise by
-# construction until typed sends get a path of their own (ROADMAP.md, "A
-# typed path that differs from pack-then-send").  An engine may send
-# straight from the region: the compiled engine does so for a contiguous
-# layout.
+# A typed round trip leaves the carrier to move the payload
+# (`Endpoint.send_typed`/`recv_typed`): over tcp that is still a pack, a
+# send of the packed bytes, a receive and an unpack, but over inmem the
+# receiver copies straight from the sender's region in one pass.  A packed
+# round trip is the explicit MPI_Pack path on every carrier: pack into a
+# fresh buffer, send those bytes, receive them, unpack.  So G2/G3 compare
+# two different paths on inmem, and the same one on tcp.  An engine may
+# send straight from the region: the compiled engine does so for a
+# contiguous layout.
 
 
 def pingpong_typed(
@@ -246,7 +301,35 @@ def pingpong_typed(
 ) -> float:
     """One round trip sending `count` instances as the datatype describes.
 
-    Initiator: pack, send, receive, unpack.
+    Initiator: send typed, receive typed.
+    Echoer: receive typed, send typed.
+    A stand-in endpoint or engine (a proxy that records calls, say) takes
+    the packed round trip, whose calls it knows.
+    """
+    eng = make_engine(engine, t, count) if isinstance(engine, str) else engine
+    if not (isinstance(ep, Endpoint) and isinstance(eng, _Engine)):
+        return pingpong_packed(ep, t, count, region, eng, clock)
+    start = clock()
+    if ep.peer_id == "ping":
+        ep.send_typed(eng, region)
+        ep.recv_typed(eng, region)
+    else:
+        ep.recv_typed(eng, region)
+        ep.send_typed(eng, region)
+    return clock() - start
+
+
+def pingpong_packed(
+    ep: Endpoint,
+    t: Datatype | CommittedType,
+    count: int,
+    region,
+    engine="interpreted",
+    clock=time.perf_counter,
+) -> float:
+    """One round trip through explicit pack and unpack calls.
+
+    Initiator: pack, send the packed bytes, receive, unpack.
     Echoer: receive, unpack, pack, send.
     """
     eng = make_engine(engine, t, count) if isinstance(engine, str) else engine
@@ -258,9 +341,6 @@ def pingpong_typed(
         eng.unpack_message(_recv_bounded(ep, eng.total_bytes), region)
         ep.send_msg(eng.pack_message(region))
     return clock() - start
-
-
-pingpong_packed = pingpong_typed
 
 
 def pingpong_raw(ep: Endpoint, region, clock=time.perf_counter) -> float:

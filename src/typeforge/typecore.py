@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -239,6 +240,23 @@ class CommittedType:
     ub: int
     extent: int
     flat: FlatLayout = field(repr=False)
+
+    @cached_property
+    def payload_bounds(self) -> tuple[int, int]:
+        """(lowest, end) byte of the unit's segments, or (lb, lb) when it
+        has none; computed once per committed type, whatever number of
+        engines read it."""
+        flat = self.flat
+        if len(flat.offsets) == 0:
+            return self.lb, self.lb
+        return int(flat.offsets.min()), int((flat.offsets + flat.lengths).max())
+
+    @cached_property
+    def unit_bytes(self) -> bytes:
+        """The unit's segments as one string, offsets then lengths: equal
+        exactly when the two units are.  Built once per committed type, so
+        two keys holding it compare by identity when they share the type."""
+        return self.flat.offsets.tobytes() + self.flat.lengths.tobytes()
 
 
 def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,14 +549,9 @@ def window(t: Datatype | CommittedType, count: int) -> tuple[int, int]:
     markers and payload both count, so a Resized lower bound above the
     payload still leaves room for the payload."""
     ct = commit(t)
-    flat = ct.flat
     if count == 0 or ct.size == 0 and ct.lb == 0 and ct.ub == 0:
         return 0, 0
-    if len(flat.offsets):
-        c_lo = int(flat.offsets.min())
-        c_hi = int((flat.offsets + flat.lengths).max())
-    else:
-        c_lo, c_hi = ct.lb, ct.lb
+    c_lo, c_hi = ct.payload_bounds
     origin = min(ct.lb, c_lo)
     hi = max(ct.ub, c_hi) + (count - 1) * ct.extent
     return origin, hi - origin

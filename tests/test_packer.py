@@ -565,3 +565,163 @@ def test_period_detector_checks_every_segment_of_a_long_list():
         longer[i] += 4
         assert packer._detect_period(moved, lens) is None, i
         assert packer._detect_period(offs, longer) is None, i
+
+
+# --- copying straight from a sender's region (unpack_from) --------------
+
+
+def _any_region(form: str, content: bytes):
+    """`_region`, or an int32 array holding `content` (rounded up to whole
+    elements with zeros)."""
+    if form != "int32":
+        return _region(form, content)
+    arr = np.zeros(-(-len(content) // 4), dtype=np.int32)
+    arr.view(np.uint8)[: len(content)] = np.frombuffer(content, dtype=np.uint8)
+    return arr
+
+
+def _bytes_of(region) -> bytes:
+    return bytes(packer._byte_view(region))
+
+
+def _same_as_pack_then_unpack(src, dst, kind):
+    """`dst.unpack_from(src, ...)` leaves what unpacking `src`'s packed
+    payload leaves, in a destination of 0xAA sentinels."""
+    src_region = _any_region(kind, _fill(src.span))
+    want = _any_region(kind, b"\xaa" * dst.span)
+    dst.unpack_message(src.pack_message(src_region), want)
+    got = _any_region(kind, b"\xaa" * dst.span)
+    dst.unpack_from(src, src_region, got)
+    assert _bytes_of(got) == _bytes_of(want)
+    assert _bytes_of(src_region)[: src.span] == _fill(src.span)
+
+
+_REGION_KINDS = ("bytearray", "int32", "odd_memoryview")
+
+
+@pytest.mark.parametrize("kind", _REGION_KINDS)
+@pytest.mark.parametrize("engine", ENGINES)
+@given(datatypes(), st.integers(0, 3))
+def test_unpack_from_matches_pack_then_unpack(kind, engine, t, count):
+    eng = make_engine(engine, t, count)
+    # the same engine on both sides, and two engines of one type
+    _same_as_pack_then_unpack(eng, eng, kind)
+    _same_as_pack_then_unpack(make_engine(engine, t, count), eng, kind)
+    # a description against its normal form: one program for the compiled
+    # engine, so it copies straight across
+    normal = make_engine(engine, normalizer.normalize(t).output, count)
+    _same_as_pack_then_unpack(normal, eng, kind)
+    _same_as_pack_then_unpack(eng, normal, kind)
+    # a different program of the same payload size: the fallback
+    other = make_engine(engine, Contiguous(eng.total_bytes, Base(BaseKind.BYTE)), 1)
+    _same_as_pack_then_unpack(other, eng, kind)
+    _same_as_pack_then_unpack(eng, other, kind)
+
+
+@pytest.mark.parametrize("kind", _REGION_KINDS)
+@pytest.mark.parametrize("t", _CHECKED + (HVector(100, 1, 24, Vector(2, 1, 3, INT)),),
+                         ids=["slices", "periodic", "gather", "view", "periodic2"])
+def test_unpack_from_on_every_compiled_path(kind, t):
+    for count in (1, 3):
+        eng = CompiledEngine(t, count)
+        _same_as_pack_then_unpack(eng, CompiledEngine(t, count), kind)
+        _same_as_pack_then_unpack(InterpretedEngine(t, count), eng, kind)
+        _same_as_pack_then_unpack(eng, InterpretedEngine(t, count), kind)
+
+
+@given(st.one_of(_periodic_types(), _gathered_types()), st.integers(1, 3),
+       st.sampled_from(_REGION_KINDS))
+def test_unpack_from_matches_the_kernels(t, count, kind):
+    _same_as_pack_then_unpack(CompiledEngine(t, count), CompiledEngine(t, count), kind)
+
+
+def test_direct_periodic_copy_leaves_interior_gaps():
+    # bucket A=2: 4 and 12 payload bytes in every 32, with gaps inside the
+    # pattern's covered extent; the source's gap bytes must not reach the
+    # destination
+    built = layouts.build(layouts.LayoutSpec(id="bucket", n=800, A=2))
+    src, dst = (CompiledEngine(built.committed, built.count) for _ in range(2))
+    assert dst.strategy == "periodic" and len(dst.periodic_plan[3]) > 1
+    src_region = bytearray(b"\x11" * src.span)
+    src.unpack_message(b"\x22" * src.total_bytes, src_region)
+    got = bytearray(b"\xaa" * dst.span)
+    dst.unpack_from(src, src_region, got)
+    assert got.count(b"\x22") == dst.total_bytes
+    assert got.count(b"\xaa") == dst.span - dst.total_bytes
+
+
+def test_unpack_from_does_not_pack(monkeypatch):
+    # a compiled engine of the same program copies without a payload
+    t = Vector(100, 1, 2, INT)
+    src, dst = CompiledEngine(t, 1), CompiledEngine(t, 1)
+    assert dst.strategy == "periodic"
+
+    def refuse(*args):
+        raise AssertionError("packed or unpacked a payload")
+
+    monkeypatch.setattr(CompiledEngine, "pack_message", refuse)
+    monkeypatch.setattr(CompiledEngine, "unpack_message", refuse)
+    dst.unpack_from(src, _fill(src.span), bytearray(dst.span))
+
+
+def test_program_key_is_built_on_the_first_transfer():
+    for t, count in ((Vector(100, 1, 2, INT), 1), (_CHECKED[2], 2)):
+        ct = commit(t)
+        src, dst = CompiledEngine(ct, count), CompiledEngine(ct, count)
+        assert "_program_key" not in vars(src) and "_program_key" not in vars(dst)
+        dst.unpack_from(src, _fill(src.span), bytearray(dst.span))
+        assert "_program_key" in vars(src) and "_program_key" in vars(dst)
+    # a gather of one committed type: the engines' keys hold one unit string
+    assert dst.strategy == "gather"
+    assert src._program_key[-1] is dst._program_key[-1]
+
+
+def test_program_key_of_a_periodic_program_stays_small():
+    built = layouts.build(layouts.LayoutSpec(id="block_indexed", n=64_000, A=2))
+    eng = CompiledEngine(built.committed, built.count)
+    assert built.count == 1 and len(built.committed.flat.offsets) == 32_000
+    assert eng.strategy == "periodic"
+    assert sum(len(part) for part in eng._program_key if isinstance(part, bytes)) <= 128
+
+
+def _unpack_from_pairs():
+    """(src, dst) engine pairs over every checked layout: two compiled
+    engines copy straight across, every other pair packs and unpacks."""
+    for t in _CHECKED:
+        for src in ENGINES:
+            for dst in ENGINES:
+                yield make_engine(src, t, 1), make_engine(dst, t, 1)
+
+
+def test_unpack_from_checks_sizes_and_regions():
+    for src, dst in _unpack_from_pairs():
+        src_region, dst_region = _fill(src.span), bytearray(dst.span)
+        with pytest.raises(RegionTooSmall, match="source"):
+            dst.unpack_from(src, src_region[:-1], dst_region)
+        with pytest.raises(RegionTooSmall, match="destination"):
+            dst.unpack_from(src, src_region, dst_region[:-1])
+        with pytest.raises(TypeError):
+            dst.unpack_from(src, src_region, bytes(dst.span))
+        longer = make_engine(dst.name, Contiguous(dst.total_bytes + 1, Base(BaseKind.BYTE)), 1)
+        with pytest.raises(SizeMismatch):
+            dst.unpack_from(longer, _fill(longer.span), dst_region)
+        with pytest.raises(SizeMismatch):
+            longer.unpack_from(src, src_region, bytearray(longer.span))
+
+
+def test_unpack_from_of_an_empty_payload_moves_nothing():
+    for name in ENGINES:
+        src, dst = make_engine(name, INT, 0), make_engine(name, INT, 0)
+        dst.unpack_from(src, b"", b"")  # read-only, but there is nothing to write
+        src, dst = CompiledEngine(INT, 0), make_engine(name, INT, 0)
+        dst.unpack_from(src, b"", b"")
+
+
+def test_committed_type_bounds_are_computed_once():
+    ct = commit(Vector(100, 1, 2, INT))
+    first = CompiledEngine(ct, 3)
+    assert "payload_bounds" in vars(ct)
+    flat = ct.flat
+    assert ct.payload_bounds == (int(flat.offsets.min()),
+                                 int((flat.offsets + flat.lengths).max()))
+    assert (CompiledEngine(ct, 3).origin, CompiledEngine(ct, 3).span) == (first.origin, first.span)

@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treegen import datatypes, oracle_walk
-from typeforge.packer import make_engine, pack
+from typeforge.packer import CompiledEngine, make_engine, pack
 from typeforge.transport import (
     TRANSPORTS,
     PeerClosed,
@@ -341,3 +342,160 @@ def test_send_failure_after_a_partial_send_is_peer_closed():
     with pytest.raises(PeerClosed, match="send failed"):
         TcpEndpoint("ping", sock).send_msg(bytes(100))
     assert sock.calls == 3
+
+
+# --- the typed path against the packed path -----------------------------
+
+
+def _count_copies(monkeypatch) -> dict:
+    """Count the compiled engine's pack_message and unpack_message calls."""
+    calls = {"pack_message": 0, "unpack_message": 0}
+    for name in calls:
+        real = getattr(CompiledEngine, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(CompiledEngine, name, counting)
+    return calls
+
+
+def _round_trip(op, t, count, kind="inmem"):
+    ct = commit(t)
+    eng = make_engine("compiled", ct, count)
+    ping_region = _fill(eng.span)
+    pong_region = _fill(eng.span, salt=50)
+    ping, pong = make_pair(kind)
+    try:
+        handle = _run_peer(op, pong, ct, count, pong_region, make_engine("compiled", ct, count))
+        op(ping, ct, count, ping_region, eng)
+        handle.result()
+    finally:
+        ping.close()
+        pong.close()
+    assert bytes(eng.pack_message(pong_region)) == bytes(eng.pack_message(ping_region))
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_inmem_typed_round_trip_copies_region_to_region(monkeypatch, kind):
+    t = Vector(100, 1, 2, INT)
+    assert make_engine("compiled", t, 1).strategy == "periodic"
+    calls = _count_copies(monkeypatch)
+    _round_trip(pingpong_typed, t, 1, kind)
+    # the final check packs both regions once
+    moved = {"pack_message": 0, "unpack_message": 0} if kind == "inmem" else \
+        {"pack_message": 2, "unpack_message": 2}
+    assert calls == {"pack_message": moved["pack_message"] + 2,
+                     "unpack_message": moved["unpack_message"]}
+
+
+def test_packed_round_trip_packs_and_unpacks_on_both_sides(monkeypatch):
+    calls = _count_copies(monkeypatch)
+    _round_trip(pingpong_packed, Vector(100, 1, 2, INT), 1)
+    assert calls == {"pack_message": 2 + 2, "unpack_message": 2}
+
+
+def test_typed_and_packed_parties_interoperate():
+    # a typed sender and a packed receiver, and the other way round
+    for ping_op, pong_op in ((pingpong_typed, pingpong_packed),
+                             (pingpong_packed, pingpong_typed)):
+        t = Vector(3, 2, 4, INT)
+        eng = make_engine("compiled", t, 2)
+        ping_region, pong_region = _fill(eng.span), _fill(eng.span, salt=7)
+        before_ping = bytes(ping_region)
+        ping, pong = make_pair("inmem")
+        try:
+            handle = _run_peer(pong_op, pong, t, 2, pong_region, "compiled")
+            ping_op(ping, t, 2, ping_region, "compiled")
+            handle.result()
+        finally:
+            ping.close()
+            pong.close()
+        assert bytes(ping_region) == before_ping
+        assert bytes(eng.pack_message(pong_region)) == bytes(eng.pack_message(ping_region))
+
+
+class _Proxy:
+    """A stand-in engine or endpoint: forwards every attribute and records
+    the calls made through it."""
+
+    def __init__(self, inner, log: list):
+        self._inner = inner
+        self._log = log
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if callable(value):
+            def call(*args):
+                self._log.append(name)
+                return value(*args)
+            return call
+        return value
+
+
+def test_stand_ins_take_the_packed_round_trip():
+    t = Vector(100, 1, 2, INT)
+    eng = make_engine("compiled", t, 1)
+    ping_region, pong_region = _fill(eng.span), _fill(eng.span, salt=3)
+    ping, pong = make_pair("inmem")
+    log = []
+    try:
+        handle = _run_peer(pingpong_typed, pong, t, 1, pong_region, "compiled")
+        pingpong_typed(_Proxy(ping, log), t, 1, ping_region, _Proxy(eng, log))
+        handle.result()
+    finally:
+        ping.close()
+        pong.close()
+    assert log == ["pack_message", "send_msg", "recv_msg", "unpack_message"]
+    assert bytes(pong_region) != _fill(eng.span, salt=3)
+    assert bytes(eng.pack_message(pong_region)) == bytes(eng.pack_message(ping_region))
+
+
+def test_typed_references_survive_thread_switches():
+    # the receiver reads the sender's region after the send returns; the
+    # sender rewrites its region every round trip, so a copy made after
+    # the sender moved on would see the next round's bytes.  Six threads
+    # on three channels, switching as often as the interpreter allows.
+    t = commit(Vector(100, 1, 2, INT))
+    rounds = 40
+
+    def payload(k: int) -> bytes:
+        return bytes((k * 7 + i) % 251 for i in range(t.size))
+
+    def ping_side(ep, failures):
+        eng = make_engine("compiled", t, 1)
+        region = bytearray(eng.span)
+        for k in range(rounds):
+            eng.unpack_message(payload(k), region)
+            pingpong_typed(ep, t, 1, region, eng)
+            if bytes(eng.pack_message(region)) != payload(k):
+                failures.append(("ping", k))
+
+    def pong_side(ep, failures):
+        eng = make_engine("compiled", t, 1)
+        region = bytearray(eng.span)
+        for k in range(rounds):
+            ep.recv_typed(eng, region)
+            if bytes(eng.pack_message(region)) != payload(k):
+                failures.append(("pong", k))
+            ep.send_typed(eng, region)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    failures: list = []
+    pairs = [make_pair("inmem") for _ in range(3)]
+    try:
+        threads = [threading.Thread(target=fn, args=(ep, failures), daemon=True)
+                   for ping, pong in pairs for fn, ep in ((ping_side, ping), (pong_side, pong))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for ping, pong in pairs:
+            ping.close()
+            pong.close()
+    assert failures == []
