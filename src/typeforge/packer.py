@@ -36,15 +36,15 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 `unpack_from(src, src_region, region)` copies the payload another engine
 would pack from its region straight into this engine's region, with the
 checks of that pack and of this unpack.  In general it packs and unpacks,
-so the interpreted engine keeps its cost.  A compiled engine that meets a
-compiled engine running the same program (`_program_key`, read from the
-copy path's plan on the first transfer) copies region to region in one
-pass, with no payload in
-between: one window copy (view), one slice copy per segment (slices), one
-strided assignment per pattern field (periodic; integer words for fields
-of 1, 2, 4 or 8 bytes, voids otherwise) or one indexed word copy (gather).
-The periodic path never assigns whole region records, which could carry
-the gap bytes between fields along.
+so the interpreted engine keeps its cost.  A periodic compiled engine that
+meets a compiled engine running the same periodic plan (`copy_key`,
+built on the first transfer) copies region to region in one pass, with no
+payload in between: one strided assignment per pattern field (integer
+words for fields of 1, 2, 4 or 8 bytes, voids otherwise).  It never
+assigns whole region records, which could carry the gap bytes between
+fields along.  The other strategies gain nothing from a direct copy (a
+view is already sent straight from the region, and a gather would still
+build the payload with `np.take`), so they pack and unpack.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
@@ -90,6 +90,10 @@ _PERIOD_MIN_ROWS = 8
 _PERIOD_PATTERN_MAX = 8
 # segments compared per step when confirming a period over a long list
 _PERIOD_CHECK_BLOCK = 1 << 16
+# a gather index starts this many bytes past a page boundary (see
+# CompiledEngine.gather_index)
+_INDEX_PAGE_OFFSET = 2048
+_PAGE = 4096
 
 
 class RegionTooSmall(ValueError):
@@ -120,6 +124,9 @@ class _Engine:
 
     name: str
     is_contiguous = False
+    # equal for two engines that copy straight between their regions
+    # (`unpack_from`); None for an engine that packs and unpacks
+    copy_key = None
 
     def __init__(self, t: Datatype | CommittedType, count: int):
         if count < 0:
@@ -371,14 +378,27 @@ class CompiledEngine(_Engine):
 
     @cached_property
     def gather_index(self) -> np.ndarray:
-        """Region index, in `word_width`-byte words, of every packed word."""
+        """Region index, in `word_width`-byte words, of every packed word.
+
+        The index starts half a page past a page boundary.  An index and a
+        region of about the same whole number of pages, allocated one
+        after the other, otherwise start at nearly the same page offset,
+        and a scatter whose index starts just below its region's offset
+        stalls on 4K aliasing: rowcol A=2, n=10240 scattered in 18–19 µs
+        with the index 16–32 bytes below the region's page offset and in
+        14–15.5 µs elsewhere (one core).  A region of megabytes starts 16
+        bytes past a page boundary, far from the index's offset."""
         w = self.word_width
         rel = (self.offsets - self.origin) // w
         lens = self.lengths // w
         starts = np.repeat(rel, lens)
         pos = np.arange(self.total_bytes // w, dtype=np.int64)
         seg_base = np.repeat(np.cumsum(lens) - lens, lens)
-        return starts + (pos - seg_base)
+        raw = np.empty(pos.nbytes + _PAGE, dtype=np.uint8)
+        at = (_INDEX_PAGE_OFFSET - raw.ctypes.data) % _PAGE
+        index = raw[at : at + pos.nbytes].view(np.int64)
+        np.add(starts, pos - seg_base, out=index)
+        return index
 
     @cached_property
     def periodic_plan(self) -> tuple | None:
@@ -423,28 +443,22 @@ class CompiledEngine(_Engine):
                 _record(prefix, pat, row_bytes))
 
     @cached_property
-    def _program_key(self) -> tuple:
-        """Equal for two programs that move every payload byte between the
-        same region positions, in the same order.  Read from the copy
-        path's plan, so it stays small whatever the unit's size; a gather
-        is keyed by its instances of the committed unit from the window
-        origin."""
-        strategy = self.strategy
-        if strategy == "view":
-            return (strategy, self.span)
-        if strategy == "slices":
-            return (strategy, (self.offsets - self.origin).tobytes(), self.lengths.tobytes())
-        if strategy == "periodic":
-            rows, period, rel, pat, _, _, first = self.periodic_plan
-            return (strategy, rows, period, rel.tobytes(), pat.tobytes(), first - self.origin)
-        return (strategy, self.count, self.committed.extent, self.origin,
-                self.committed.unit_bytes)
+    def copy_key(self) -> tuple | None:
+        """The periodic plan from the window origin: equal for two periodic
+        programs that move every payload byte between the same region
+        positions, in the same order, and small whatever the unit's size.
+        None for the other strategies, which pack and unpack."""
+        if self.strategy != "periodic":
+            return None
+        rows, period, rel, pat, _, _, first = self.periodic_plan
+        return (rows, period, rel.tobytes(), pat.tobytes(), first - self.origin)
 
     def unpack_from(self, src: _Engine, src_region, region) -> None:
-        """From a compiled engine running the same program, one pass from
-        region to region (`_move_across`); from any other engine, a pack
-        and an unpack."""
-        if not (isinstance(src, CompiledEngine) and src._program_key == self._program_key):
+        """From a compiled engine running the same periodic plan, one pass
+        from region to region (`_move_across`); from any other engine, a
+        pack and an unpack."""
+        key = self.copy_key
+        if key is None or src.copy_key != key:
             super().unpack_from(src, src_region, region)
             return
         src._checked(src_region)
@@ -453,31 +467,16 @@ class CompiledEngine(_Engine):
 
     def _move_across(self, src_region, region) -> None:
         """Copy the payload's bytes from `src_region` to the same positions
-        of `region`, by this program's strategy and without a payload in
-        between.  The periodic path assigns field by field: numpy may copy
-        two identical record dtypes as whole items, gaps between fields
-        included."""
-        strategy = self.strategy
-        if strategy == "view":
-            _byte_view(region)[: self.span] = _byte_view(src_region)[: self.span]
-            return
-        if strategy == "slices":
-            src, dst = _byte_view(src_region), _byte_view(region)
-            for off, ln in zip(self.offsets.tolist(), self.lengths.tolist()):
-                start = off - self.origin
-                dst[start : start + ln] = src[start : start + ln]
-            return
+        of `region`, field by field along the periodic plan, without a
+        payload in between.  numpy may copy two identical record dtypes as
+        whole items, gaps between fields included, so no record is
+        assigned."""
         src, dst = _as_u8(src_region), _as_u8(region)
-        if strategy == "periodic":
-            rows, period, rel, pat, _, _, first = self.periodic_plan
-            for at, n in zip((rel + first - self.origin).tolist(), pat.tolist()):
-                field = f"u{n}" if n in (1, 2, 4, 8) else f"V{n}"
-                np.ndarray((rows,), field, dst, at, (period,))[...] = \
-                    np.ndarray((rows,), field, src, at, (period,))
-            return
-        w, index = self.word_width, self.gather_index
-        dst[: len(dst) - len(dst) % w].view(f"u{w}")[index] = \
-            np.take(src[: len(src) - len(src) % w].view(f"u{w}"), index)
+        rows, period, rel, pat, _, _, first = self.periodic_plan
+        for at, n in zip((rel + first - self.origin).tolist(), pat.tolist()):
+            field = f"u{n}" if n in (1, 2, 4, 8) else f"V{n}"
+            np.ndarray((rows,), field, dst, at, (period,))[...] = \
+                np.ndarray((rows,), field, src, at, (period,))
 
     def _move(self, region, data):
         packing = data is None

@@ -11,10 +11,13 @@ handed over by reference without copying; the receiving side always copies
 into its own region, which is the cost a real receive pays.
 
 A typed message (`Endpoint.send_typed`/`recv_typed`) travels as packed
-bytes on tcp.  On inmem it is a reference to the sender's (engine, region):
-the receiving engine copies the layout's bytes straight from that region
-into its own (`unpack_from`), in one pass, as an intra-node library's
-single-copy path reads the sender's buffer through the sender's datatype.
+bytes on tcp.  On inmem, when the sending engine can be copied from
+straight across (`copy_key`, a periodic compiled layout), it is a
+reference to the sender's (engine, region): the receiving engine copies
+the layout's bytes from that region into its own (`unpack_from`), in one
+pass when it runs the same plan, as an intra-node library's single-copy
+path reads the sender's buffer through the sender's datatype.  Any other
+typed message is packed by its sender, as on tcp.
 The reference is valid until the sender's next operation on that region.
 Ping-pong alternation guarantees the receiver has copied before then: the
 sender waits for the reply before it touches the region again, and so it
@@ -148,8 +151,12 @@ class InMemEndpoint(Endpoint):
         return payload
 
     def send_typed(self, eng: _Engine, region) -> None:
-        """Queue a reference to (`eng`, `region`); nothing is copied."""
-        self._put(eng.total_bytes, _TypedRef(eng, region))
+        """Queue a reference to (`eng`, `region`), copying nothing, when a
+        receiver may copy straight from it; else the packed payload."""
+        if eng.copy_key is None:
+            super().send_typed(eng, region)
+        else:
+            self._put(eng.total_bytes, _TypedRef(eng, region))
 
     def recv_typed(self, eng: _Engine, region) -> None:
         """Copy a typed message straight from the sender's region into
@@ -283,12 +290,13 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # A typed round trip leaves the carrier to move the payload
 # (`Endpoint.send_typed`/`recv_typed`): over tcp that is still a pack, a
 # send of the packed bytes, a receive and an unpack, but over inmem the
-# receiver copies straight from the sender's region in one pass.  A packed
-# round trip is the explicit MPI_Pack path on every carrier: pack into a
-# fresh buffer, send those bytes, receive them, unpack.  So G2/G3 compare
-# two different paths on inmem, and the same one on tcp.  An engine may
-# send straight from the region: the compiled engine does so for a
-# contiguous layout.
+# receiver of a periodic compiled layout copies from the sender's region
+# in one pass.  A packed round trip is the explicit MPI_Pack path on every
+# carrier: pack into a fresh buffer, send those bytes, receive them,
+# unpack.  So G2/G3 compare two different paths on inmem for periodic
+# compiled layouts, and the same one elsewhere.  An engine may send
+# straight from the region: the compiled engine does so for a contiguous
+# layout.
 
 
 def pingpong_typed(

@@ -251,13 +251,6 @@ class CommittedType:
             return self.lb, self.lb
         return int(flat.offsets.min()), int((flat.offsets + flat.lengths).max())
 
-    @cached_property
-    def unit_bytes(self) -> bytes:
-        """The unit's segments as one string, offsets then lengths: equal
-        exactly when the two units are.  Built once per committed type, so
-        two keys holding it compare by identity when they share the type."""
-        return self.flat.offsets.tobytes() + self.flat.lengths.tobytes()
-
 
 def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop empty segments and merge runs adjacent in serialization order."""

@@ -434,6 +434,30 @@ class _Proxy:
         return value
 
 
+@pytest.mark.parametrize("engine, t, count", [
+    ("compiled", Vector(3, 2, 4, INT), 2),
+    ("interpreted", Vector(100, 1, 2, INT), 1),
+], ids=["compiled_slices", "interpreted_periodic"])
+def test_inmem_typed_send_without_a_copy_key_packs_when_sent(engine, t, count):
+    # an engine that no receiver copies straight from is packed by its
+    # sender, as on tcp, so the sender's later writes do not reach the
+    # message; a periodic compiled engine sends a reference instead
+    eng = make_engine(engine, t, count)
+    assert eng.copy_key is None
+    region = _fill(eng.span)
+    want = bytes(eng.pack_message(region))
+    ping, pong = make_pair("inmem")
+    try:
+        ping.send_typed(eng, region)
+        region[:] = bytes(len(region))
+        got = bytearray(eng.span)
+        pong.recv_typed(eng, got)
+    finally:
+        ping.close()
+        pong.close()
+    assert bytes(eng.pack_message(got)) == want
+
+
 def test_stand_ins_take_the_packed_round_trip():
     t = Vector(100, 1, 2, INT)
     eng = make_engine("compiled", t, 1)
