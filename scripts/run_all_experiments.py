@@ -14,40 +14,23 @@ import time
 
 from typeforge.cli import main as typeforge_main
 from typeforge.experiments import EXPERIMENT_IDS
-from typeforge.packer import ENGINES
-from typeforge.transport import TRANSPORTS
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], allow_abbrev=False,
+        epilog="every other argument is passed to each `typeforge run` as given")
     parser.add_argument("--out", default="results", help="output directory")
-    # unset flags leave `typeforge run`'s own defaults
-    parser.add_argument("--engine", choices=ENGINES)
-    parser.add_argument("--transport", choices=TRANSPORTS)
-    parser.add_argument("--variant", type=int, choices=(1, 2))
-    parser.add_argument("--r", type=int, help="independent runs per case")
-    parser.add_argument("--nrep", type=int,
-                        help="override the size-based repetition schedule")
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--raw", action="store_true",
-                        help="also write every raw sample as JSON")
     parser.add_argument("--only", action="append", choices=EXPERIMENT_IDS,
                         metavar="EXPERIMENT", help="run a subset (repeatable)")
-    args = parser.parse_args(argv)
+    args, run_args = parser.parse_known_args(argv)
 
     failed = []
     violated = []
     for experiment in args.only or EXPERIMENT_IDS:
-        flags = ["run", "--experiment", experiment, "--out", args.out]
-        for name in ("engine", "transport", "variant", "r", "nrep", "threshold", "seed"):
-            value = getattr(args, name)
-            if value is not None:
-                flags += [f"--{name}", str(value)]
-        if args.raw:
-            flags.append("--raw")
         started = time.perf_counter()
-        code = typeforge_main(flags)
+        code = typeforge_main(["run", "--experiment", experiment, "--out", args.out,
+                               *run_args])
         print(f"{experiment}: exit {code} in {time.perf_counter() - started:.1f}s",
               flush=True)
         if code == 3:

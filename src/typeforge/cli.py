@@ -121,15 +121,16 @@ def cmd_run(args, clock: Optional[Callable[[], float]] = None) -> int:
         print("error: --parallel is not supported; cases must run "
               "sequentially to avoid timing interference", file=sys.stderr)
         return EXIT_USAGE
-    sizes = None
+    sizes = size_unit = None
     if args.n:
-        sizes = tuple(args.n)
-    if args.m:
-        sizes = tuple(args.m)
+        sizes, size_unit = tuple(args.n), "elements"
+    elif args.m:
+        sizes, size_unit = tuple(args.m), "bytes"
     plan = make_plan(
         args.experiment,
         A_values=tuple(args.A) if args.A else None,
         sizes=sizes,
+        size_unit=size_unit,
         variant=args.variant,
         engine=args.engine,
         transport=args.transport,
@@ -219,8 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one experiment and write CSV outputs")
     p.add_argument("--experiment", required=True, choices=EXPERIMENT_IDS)
     p.add_argument("--A", type=int, action="append", help="restrict the blocksize sweep")
-    p.add_argument("--n", type=int, action="append", help="element-count sizes to run")
-    p.add_argument("--m", type=int, action="append", help="byte sizes to run")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--n", type=int, action="append", help="element-count sizes to run")
+    sizes.add_argument("--m", type=int, action="append", help="byte sizes to run")
     # defaults of None leave the plan's own
     p.add_argument("--variant", type=int, choices=(1, 2))
     p.add_argument("--engine", choices=ENGINES)

@@ -17,6 +17,12 @@ renders a verdict from the ratio of their mean-of-run-medians:
 Relations: "similar" is violated when max(ratio, 1/ratio) exceeds the
 threshold, "no_slower" when ratio alone does.  Both sides must describe
 byte-identical layouts; anything else is a comparison error, not a verdict.
+
+Each guideline has a builder that makes its comparison (the cases to
+measure together and the guideline cases to judge from them), and one
+measuring call, `_judge_all`, returns every comparison's stats and
+verdicts.  Each `check_*` is its builder plus that call; the experiments
+combine the builders per grid point.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bench import DEFAULT_RUNS, DEFAULT_SEED, WARMUP_REPS, BenchCase, RunStats, _measure
-from .layouts import BuiltLayout, LayoutSpec, build_alternatives
+from .layouts import BuiltLayout, LayoutSpec, build_alternatives, spec_dumps
 from .normalizer import normalize
 from .typecore import CommittedType, Contiguous, Datatype, commit, equivalent
 
@@ -107,7 +113,7 @@ def _require_same_layout(lhs: CommittedType, lhs_c: int, rhs: CommittedType, rhs
 
 
 def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engine: str,
-                transport: str, A: Optional[int]) -> BenchCase:
+                transport: str, A: Optional[int], spec_json: Optional[str] = None) -> BenchCase:
     return BenchCase(
         case_id=case_id,
         datatype=ct,
@@ -117,22 +123,90 @@ def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engin
         transport=transport,
         m_bytes=ct.size * count,
         A=A,
-        spec_json=None,
+        spec_json=spec_json,
     )
 
 
 # One comparison: the cases measured together (one case, or lhs then rhs)
-# and the guideline cases judged from their stats.
+# and the guideline cases judged from their stats.  A plain bench row is a
+# comparison with no guideline case.
 Comparison = tuple[list[BenchCase], list[GuidelineCase]]
 
 
+def _bench_row(built: BuiltLayout, engine: str, transport: str, case_id: str,
+               A: Optional[int]) -> Comparison:
+    """One typed case of a catalog layout, carrying its spec."""
+    return [_bench_case(case_id, built.committed, built.count, "typed", engine, transport,
+                        A, spec_dumps(built.spec))], []
+
+
+def _g1_comparison(ct: CommittedType, c: int, engine: str, transport: str,
+                   threshold: float, case_id: str, A: Optional[int]) -> Comparison:
+    wrapper = commit(Contiguous(c, ct.datatype))
+    _require_same_layout(ct, c, wrapper, 1, "G1_CONTIG")
+    lhs = _bench_case(f"{case_id}/typed-count", ct, c, "typed", engine, transport, A)
+    rhs = _bench_case(f"{case_id}/contig-one", wrapper, 1, "typed", engine, transport, A)
+    return [lhs, rhs], [GuidelineCase("G1_CONTIG", case_id, SIMILAR, lhs, rhs, threshold)]
+
+
+def _g2_g3_comparison(ct: CommittedType, c: int, engine: str, transport: str,
+                      threshold: float, case_id: str, A: Optional[int]) -> Comparison:
+    lhs = _bench_case(f"{case_id}/typed", ct, c, "typed", engine, transport, A)
+    rhs = _bench_case(f"{case_id}/packed", ct, c, "packed", engine, transport, A)
+    return [lhs, rhs], [GuidelineCase(gid, case_id, NO_SLOWER, lhs, rhs, threshold)
+                        for gid in ("G2_PACK_SEND", "G3_RECV_UNPACK")]
+
+
+def _g4_comparison(ct: CommittedType, c: int, engine: str, transport: str,
+                   threshold: float, case_id: str, A: Optional[int]) -> Comparison:
+    report = normalize(ct)
+    normal = report.committed_output
+    _require_same_layout(ct, c, normal, c, "G4_NORMALIZE")
+    lhs = _bench_case(f"{case_id}/given", ct, c, "typed", engine, transport, A)
+    rhs = _bench_case(f"{case_id}/normalized", normal, c, "typed",
+                      engine, transport, A)
+    case = GuidelineCase("G4_NORMALIZE", case_id, NO_SLOWER, lhs, rhs, threshold)
+    # already normal: both sides are the same description, measured once
+    return ([lhs, rhs] if report.changed else [lhs]), [case]
+
+
+def _alternatives_comparisons(family: list[BuiltLayout], engine: str, transport: str,
+                              threshold: float, case_id: str, A: Optional[int]
+                              ) -> list[Comparison]:
+    """(alternative, reference) for every member after the reference."""
+    ref = family[0]
+    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
+                           "typed", engine, transport, A)
+    out = []
+    for member in family[1:]:
+        _require_same_layout(member.committed, member.count,
+                             ref.committed, ref.count, "G4_ALT_DESCRIPTION")
+        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member.committed,
+                               member.count, "typed", engine, transport, A)
+        case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
+                             alt_case, ref_case, threshold)
+        out.append(([alt_case, ref_case], [case]))
+    return out
+
+
+# What one measuring call found for each of its comparisons: the stats of
+# its cases, in order, and the verdict of each of its guideline cases.
+Measured = list[tuple[list[RunStats], list[GuidelineVerdict]]]
+
+
 def _judge_all(comparisons: Sequence[Comparison], r: int, nrep: Optional[int],
-               clock: Optional[Callable[[], float]], seed: int) -> list[GuidelineVerdict]:
+               clock: Optional[Callable[[], float]], seed: int) -> Measured:
     """Measure the comparisons in one call, each with runs of its own, and
     judge each guideline case from its comparison's first and last case."""
     stats = _measure([group for group, _ in comparisons], r, nrep, WARMUP_REPS, clock, seed)
-    return [judge(case, group_stats[0], group_stats[-1])
-            for (_, cases), group_stats in zip(comparisons, stats) for case in cases]
+    return [(group_stats, [judge(case, group_stats[0], group_stats[-1]) for case in cases])
+            for (_, cases), group_stats in zip(comparisons, stats)]
+
+
+def _check(comparisons: Sequence[Comparison], r: int, nrep: Optional[int],
+           clock: Optional[Callable[[], float]], seed: int) -> list[GuidelineVerdict]:
+    """The verdicts of comparisons measured in one call."""
+    return [v for _, verdicts in _judge_all(comparisons, r, nrep, clock, seed) for v in verdicts]
 
 
 def check_g1(
@@ -150,13 +224,8 @@ def check_g1(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Count instances vs one contiguous wrapper, expected similar."""
-    ct = commit(t)
-    wrapper = commit(Contiguous(c, ct.datatype))
-    _require_same_layout(ct, c, wrapper, 1, "G1_CONTIG")
-    lhs = _bench_case(f"{case_id}/typed-count", ct, c, "typed", engine, transport, A)
-    rhs = _bench_case(f"{case_id}/contig-one", wrapper, 1, "typed", engine, transport, A)
-    case = GuidelineCase("G1_CONTIG", case_id, SIMILAR, lhs, rhs, threshold)
-    return _judge_all([([lhs, rhs], [case])], r, nrep, clock, seed)
+    return _check([_g1_comparison(commit(t), c, engine, transport, threshold, case_id, A)],
+                  r, nrep, clock, seed)
 
 
 def check_g2_g3(
@@ -179,12 +248,8 @@ def check_g2_g3(
     the sending and the receiving side, so the one measurement yields a
     send-side and a receive-side verdict with the same ratio.
     """
-    ct = commit(t)
-    lhs = _bench_case(f"{case_id}/typed", ct, c, "typed", engine, transport, A)
-    rhs = _bench_case(f"{case_id}/packed", ct, c, "packed", engine, transport, A)
-    cases = [GuidelineCase(gid, case_id, NO_SLOWER, lhs, rhs, threshold)
-             for gid in ("G2_PACK_SEND", "G3_RECV_UNPACK")]
-    return _judge_all([([lhs, rhs], cases)], r, nrep, clock, seed)
+    return _check([_g2_g3_comparison(commit(t), c, engine, transport, threshold, case_id, A)],
+                  r, nrep, clock, seed)
 
 
 def check_g4(
@@ -202,22 +267,8 @@ def check_g4(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Description vs its normalization, expected no slower."""
-    return _judge_all([_g4_comparison(t, c, engine, transport, threshold, case_id, A)],
-                      r, nrep, clock, seed)
-
-
-def _g4_comparison(t: Datatype | CommittedType, c: int, engine: str, transport: str,
-                   threshold: float, case_id: str, A: Optional[int]) -> Comparison:
-    ct = commit(t)
-    report = normalize(ct)
-    normal = report.committed_output
-    _require_same_layout(ct, c, normal, c, "G4_NORMALIZE")
-    lhs = _bench_case(f"{case_id}/given", ct, c, "typed", engine, transport, A)
-    rhs = _bench_case(f"{case_id}/normalized", normal, c, "typed",
-                      engine, transport, A)
-    case = GuidelineCase("G4_NORMALIZE", case_id, NO_SLOWER, lhs, rhs, threshold)
-    # already normal: both sides are the same description, measured once
-    return ([lhs, rhs] if report.changed else [lhs]), [case]
+    return _check([_g4_comparison(commit(t), c, engine, transport, threshold, case_id, A)],
+                  r, nrep, clock, seed)
 
 
 def check_alternatives(
@@ -234,40 +285,8 @@ def check_alternatives(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Compare every family member against the family's reference."""
-    comparisons = _family_comparisons(build_alternatives(spec), engine, transport,
-                                      threshold, case_id, A)
-    return _judge_all(comparisons, r, nrep, clock, seed)
-
-
-def _check_family(family: list[BuiltLayout], *, engine: str, transport: str,
-                  threshold: float, r: int, nrep: Optional[int],
-                  clock: Optional[Callable[[], float]], seed: int, case_id: str,
-                  A: Optional[int]) -> list[GuidelineVerdict]:
-    """One family grid point in one measurement: check_alternatives over an
-    already built family, reference first, then check_g4 of each member."""
-    comparisons = _family_comparisons(family, engine, transport, threshold, case_id, A)
-    comparisons += [_g4_comparison(m.committed, m.count, engine, transport, threshold,
-                                   f"{case_id}/{m.spec.id}", A) for m in family]
-    return _judge_all(comparisons, r, nrep, clock, seed)
-
-
-def _family_comparisons(family: list[BuiltLayout], engine: str, transport: str,
-                        threshold: float, case_id: str, A: Optional[int]
-                        ) -> list[Comparison]:
-    """(alternative, reference) for every member after the reference."""
-    ref = family[0]
-    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
-                           "typed", engine, transport, A)
-    out = []
-    for member in family[1:]:
-        _require_same_layout(member.committed, member.count,
-                             ref.committed, ref.count, "G4_ALT_DESCRIPTION")
-        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member.committed,
-                               member.count, "typed", engine, transport, A)
-        case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
-                             alt_case, ref_case, threshold)
-        out.append(([alt_case, ref_case], [case]))
-    return out
+    return _check(_alternatives_comparisons(build_alternatives(spec), engine, transport,
+                                            threshold, case_id, A), r, nrep, clock, seed)
 
 
 # --- CSV output ---------------------------------------------------------

@@ -204,6 +204,28 @@ def test_run_raw_sidecar(tmp_path, fake_clock):
     assert all(len(run) == 3 for run in raw[0]["runs"])
 
 
+def test_n_counts_elements_and_m_counts_bytes(tmp_path, fake_clock):
+    out = tmp_path / "results"
+    common = ["--A", "2", "--r", "1", "--nrep", "1", "--out", str(out)]
+    assert cli.main(["run", "--experiment", "contig", "--n", "160", *common],
+                    clock=fake_clock) == 0
+    contig = read_stats_csv(str(out / "contig_bench.csv"))
+    assert contig[0]["case_id"] == "contig/tiled/A2/n160/typed-count"
+    assert {row["m_bytes"] for row in contig} == {"640"}
+    assert cli.main(["run", "--experiment", "rowcol", "--m", "40", *common],
+                    clock=fake_clock) == 0
+    rowcol = read_stats_csv(str(out / "rowcol_bench.csv"))
+    assert rowcol[0]["case_id"] == "rowcol/A2/m40/rowcol_fully_indexed"
+    assert {row["m_bytes"] for row in rowcol} == {"40"}  # 10 elements
+
+
+def test_n_and_m_are_mutually_exclusive(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--experiment", "contig", "--n", "160", "--m", "640",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_env_var_overrides_out_flag(tmp_path, fake_clock, monkeypatch):
     decoy = tmp_path / "decoy"
     target = tmp_path / "target"

@@ -93,6 +93,12 @@ def test_plan_validation():
         ExperimentPlan("mosaic", (2,), (64,))
 
 
+def test_plan_rejects_an_unknown_variant():
+    # variant 3 would build no layout, and the run would write empty CSVs
+    with pytest.raises(ValueError, match="variant"):
+        make_plan("basic_layouts", variant=3)
+
+
 # --- result assembly ----------------------------------------------------
 
 
@@ -131,6 +137,9 @@ def test_basic_layouts_rows_and_order(fake_clock):
 def test_indivisible_grid_points_are_skipped(fake_clock):
     plan = make_plan("basic_layouts", A_values=(3,), sizes=(160,), r=1, nrep=2)
     assert run_experiment(plan, clock=fake_clock).stats == []
+    # 162 bytes are not a whole number of INT elements
+    odd = make_plan("basic_layouts", A_values=(2,), sizes=(162,), r=1, nrep=2)
+    assert run_experiment(odd, clock=fake_clock).stats == []
     het = make_plan("tiled_het", A_values=(6,), sizes=(150,), r=1, nrep=2)
     assert run_experiment(het, clock=fake_clock).stats == []
 
@@ -214,6 +223,38 @@ def test_rowcol_uses_element_sizes(fake_clock):
     ]
     for v in result.verdicts:
         assert not v.violated  # deterministic clock, ratio exactly 1
+
+
+@pytest.mark.parametrize("experiment,sizes", [
+    ("contig", (160,)),
+    ("pack_unpack", (160,)),
+    ("block_indexed", (3_200,)),
+])
+def test_variant_reaches_every_experiment(experiment, sizes, fake_clock):
+    def extents(variant):
+        plan = make_plan(experiment, A_values=(2,), sizes=sizes, variant=variant,
+                         r=1, nrep=1)
+        return [s.case.datatype.extent for s in run_experiment(plan, clock=fake_clock).stats]
+
+    v1, v2 = extents(1), extents(2)
+    assert len(v1) == len(v2) > 0
+    assert v1[0] != v2[0]
+
+
+def test_basic_layouts_measures_each_case_on_its_own(monkeypatch, fake_clock):
+    calls = []
+    real = bench._prepare
+
+    def counting(groups, seed=None):
+        if seed is not None:  # the ping party's, once per measurement
+            calls.append([len(group) for group in groups])
+        return real(groups, seed)
+
+    monkeypatch.setattr(bench, "_prepare", counting)
+    plan = make_plan("basic_layouts", A_values=(2, 10), sizes=(160,), r=1, nrep=1)
+    result = run_experiment(plan, clock=fake_clock)
+    assert len(result.stats) == 8
+    assert calls == [[1]] * 8
 
 
 def test_family_point_commits_each_member_once(monkeypatch, fake_clock):
