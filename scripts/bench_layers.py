@@ -16,8 +16,10 @@ speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
 
 Next it times inmem round trips on one core: the raw, typed and packed
-variants of tiled A=2, bucket A=2 and alternating A=10 at 2.56 MB and of
-tiled A=2 at 3.2 KB, compiled engine, with the typed/packed ratio (G2/G3).
+variants of tiled A=2, bucket A=2, alternating A=10 and
+alternating_repeated A=2 at 2.56 MB, of rowcol A=100 (n=10240) and of
+tiled A=2 at 3.2 KB on the compiled engine, and of tiled A=2 at 3.2 KB on
+the interpreted engine, with the typed/packed ratio (G2/G3).
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -33,9 +35,9 @@ making engines, filling regions, and the few copies of the schedule).  For
 each experiment it reports the seconds, the top-level `typecore._layout`
 calls (one per commit of a tree) and the seconds spent in `bench._prepare`,
 read by wrapping both for the duration of the section.  It also times the
-copy-path choice (`CompiledEngine.strategy`) of a count-1 indexed
-description, block_indexed A=2 at 2.56 MB, on an engine built outside the
-timing.
+copy-path choice (`CompiledEngine.strategy`) of two count-1 indexed
+descriptions, block_indexed A=2 at 2.56 MB and rowcol A=100 (n=10240), on
+an engine built outside the timing.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -64,15 +66,16 @@ import typeforge
 from typeforge import bench, experiments, layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
-# benchmark, then coarse_tcp's tiled A=1000, then describe_sweep's long
-# index tables; 2.56 MB of INT payload unless the element count says
-# otherwise
+# benchmark, then a tiling whose instances join, then coarse_tcp's tiled
+# A=1000, then describe_sweep's long index tables; 2.56 MB of INT payload
+# unless the element count says otherwise
 REFERENCE = (
     ("tiled", 640_000, 2, "compiled"),
     ("bucket", 640_000, 2, "compiled"),
     ("alternating", 640_000, 10, "compiled"),
     ("rowcol_fully_indexed", 10_240, 100, "compiled"),
     ("tiled", 800, 2, "interpreted"),
+    ("alternating_repeated", 640_000, 2, "compiled"),
     ("tiled", 640_000, 1000, "compiled"),
     ("block_indexed", 640_000, 2, "compiled"),
     ("alternating_indexed", 640_000, 2, "compiled"),
@@ -207,13 +210,17 @@ def harness() -> dict:
     return out
 
 
-# (layout, elements, A) of the round-trip section: three periodic layouts
-# at 2.56 MB and one at 3.2 KB, all on the compiled engine
+# (layout, elements, A, engine) of the round-trip section: four periodic
+# layouts at 2.56 MB (the last a tiling whose instances join), a row and a
+# column, and tiled A=2 at 3.2 KB on both engines
 ROUND_TRIPS = (
-    ("tiled", 640_000, 2),
-    ("bucket", 640_000, 2),
-    ("alternating", 640_000, 10),
-    ("tiled", 800, 2),
+    ("tiled", 640_000, 2, "compiled"),
+    ("bucket", 640_000, 2, "compiled"),
+    ("alternating", 640_000, 10, "compiled"),
+    ("alternating_repeated", 640_000, 2, "compiled"),
+    ("rowcol_fully_indexed", 10_240, 100, "compiled"),
+    ("tiled", 800, 2, "compiled"),
+    ("tiled", 800, 2, "interpreted"),
 )
 
 
@@ -236,17 +243,18 @@ def round_trips(r: int = 3) -> list[dict]:
     measured on its own; each figure is the median of `r` run medians."""
     rows = []
     with one_core():
-        for layout, n, A in ROUND_TRIPS:
+        for layout, n, A, engine in ROUND_TRIPS:
             built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
             ct, count = built.committed, built.count
 
             def case(variant):
                 return bench.BenchCase(f"{layout}/{variant}", ct, count, variant,
-                                       "compiled", "inmem", ct.size * count, A)
+                                       engine, "inmem", ct.size * count, A)
 
             typed, packed = bench.run_pair(case("typed"), case("packed"), r=r)
             raw = bench.run_case(case("raw"), r=r)
-            row = {"layout": layout, "n": n, "A": A, "payload_bytes": ct.size * count}
+            row = {"layout": layout, "n": n, "A": A, "engine": engine,
+                   "payload_bytes": ct.size * count}
             for name, stats in (("raw", raw), ("typed", typed), ("packed", packed)):
                 row[f"{name}_us"] = statistics.median(stats.run_medians) * 1e6
             row["typed_over_packed"] = row["typed_us"] / row["packed_us"]
@@ -298,9 +306,20 @@ class Tally:
         setattr(self._module, self._name, self._real)
 
 
+def _strategy_time(layout: str, n: int, A: int, reps: int) -> dict:
+    """Quartiles of the copy-path choice of a count-1 layout, each on an
+    engine built outside the timing."""
+    built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
+    assert built.count == 1
+    quartiles, _ = _timed(lambda eng: eng.strategy, reps,
+                          lambda: packer.CompiledEngine(built.committed, built.count))
+    return quartiles
+
+
 def setup_share(reps: int) -> dict:
     """Set-up of every experiment under the fake clock, and the copy-path
-    choice of count-1 block_indexed A=2 (see the module docstring)."""
+    choice of count-1 block_indexed A=2 and rowcol A=100 (see the module
+    docstring)."""
     rows = {}
     for experiment in experiments.EXPERIMENT_IDS:
         plan = experiments.make_plan(experiment, r=1, nrep=1)
@@ -310,16 +329,13 @@ def setup_share(reps: int) -> dict:
             seconds = time.perf_counter() - start
         rows[experiment] = {"seconds": seconds, "layout_calls": layout.calls,
                             "prepare_s": prepare.seconds}
-    built = layouts.build(layouts.LayoutSpec(id="block_indexed", n=640_000, A=2))
-    assert built.count == 1
-    strategy, _ = _timed(lambda eng: eng.strategy, reps,
-                       lambda: packer.CompiledEngine(built.committed, built.count))
     return {
         "experiments": rows,
         "total_s": sum(row["seconds"] for row in rows.values()),
         "prepare_s": sum(row["prepare_s"] for row in rows.values()),
         "layout_calls": sum(row["layout_calls"] for row in rows.values()),
-        "block_indexed_A2_strategy": strategy,
+        "block_indexed_A2_strategy": _strategy_time("block_indexed", 640_000, 2, reps),
+        "rowcol_A100_strategy": _strategy_time("rowcol_fully_indexed", 10_240, 100, reps),
     }
 
 
@@ -345,11 +361,11 @@ def main(argv=None) -> int:
               + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
 
     trips = round_trips()
-    print(f"{'inmem round trip, one core':<34}{'raw':>8}{'typed':>8}{'packed':>8}"
+    print(f"{'inmem round trip, one core':<34}{'engine':<12}{'raw':>8}{'typed':>8}{'packed':>8}"
           f"{'typed/packed':>14}")
     for row in trips:
         label = f"{row['layout']}/A{row['A']}/n{row['n']}"
-        print(f"{label:<34}" + "".join(f"{row[k + '_us']:>8.0f}" for k in ("raw", "typed", "packed"))
+        print(f"{label:<34}{row['engine']:<12}" + "".join(f"{row[k + '_us']:>8.0f}" for k in ("raw", "typed", "packed"))
               + f"{row['typed_over_packed']:>14.2f}", flush=True)
 
     cost = harness()
@@ -363,8 +379,9 @@ def main(argv=None) -> int:
               f"{row['prepare_s']:>12.3f}")
     print(f"{'total':<22}{share['total_s']:>9.2f}{share['layout_calls']:>15}"
           f"{share['prepare_s']:>12.3f}")
-    print(f"strategy of count-1 block_indexed A=2 (median us): "
-          f"{share['block_indexed_A2_strategy']['median_us']:.0f}", flush=True)
+    print(f"strategy of count-1 block_indexed A=2, rowcol A=100 (median us): "
+          f"{share['block_indexed_A2_strategy']['median_us']:.0f}, "
+          f"{share['rowcol_A100_strategy']['median_us']:.0f}", flush=True)
 
     doc = {}
     if os.path.exists(args.out):

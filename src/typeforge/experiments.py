@@ -31,6 +31,7 @@ from .guidelines import (
     GuidelineVerdict,
     Measured,
     _alternatives_comparisons,
+    _bench_case,
     _bench_row,
     _g1_comparison,
     _g2_g3_comparison,
@@ -42,9 +43,7 @@ from .layouts import (
     ALTERNATING_REPEATED,
     BASIC_IDS,
     BLOCK_INDEXED,
-    CONTIGUOUS,
     BadParams,
-    BuiltLayout,
     LayoutSpec,
     ROWCOL_FULLY_INDEXED,
     TILED,
@@ -168,10 +167,12 @@ def _tiled_het(plan: ExperimentPlan, a: int, n: int, tag: str):
     built = _try_build(_spec(plan, TILED_HET, n, a, kinds=_HET_KINDS))
     if built is None:
         return
-    ref = BuiltLayout(commit(Contiguous(n, Base(BaseKind.BYTE))), 1, 1, n,
-                      _spec(plan, CONTIGUOUS, n, 0, basetype=BaseKind.BYTE))
-    for name, layout in (("contig_bytes", ref), ("tiled_het", built)):
-        yield [_bench_row(layout, plan.engine, plan.transport, f"tiled_het/{name}/{tag}", a)]
+    # no catalog spec builds the byte reference as one instance, so its row
+    # carries the datatype's own JSON, which does
+    ref = _bench_case(f"tiled_het/contig_bytes/{tag}", commit(Contiguous(n, Base(BaseKind.BYTE))),
+                      1, "typed", plan.engine, plan.transport, a)
+    yield [([ref], [])]
+    yield [_bench_row(built, plan.engine, plan.transport, f"tiled_het/tiled_het/{tag}", a)]
 
 
 def _pack_unpack(plan: ExperimentPlan, a: int, n: int, tag: str):

@@ -9,26 +9,31 @@ region.  So packing and unpacking cannot drift apart, and no engine skips
 a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 
 * interpreted: one walker (`_walk`) steps through the constructor tree
-  instance by instance, copying one contiguous run at a time between the
-  region and the packed payload.  Runs shorter than 16 bytes are moved
-  with a per-byte loop.  Deliberately naive; it models a library that
-  performs no cross-constructor analysis, so deeply fragmented
-  descriptions pay their full per-block overhead.
+  instance by instance, copying each contiguous run with one slice
+  between the region and the packed payload.  Deliberately naive; it
+  models a library that performs no cross-constructor analysis, so deeply
+  fragmented descriptions pay their full per-block overhead.
 * compiled: a copy program for `count` instances of the committed type,
   executed with bulk (vectorized) moves, by one of four strategies
   (`CompiledEngine.strategy`).  The program is compiled from the committed
   unit: its segment count, strategy and, for a short unit tiled without
-  joins, its periodic plan follow from (count, extent, unit segments), so
-  the canonical segment list is built only for the paths that read it:
+  joins, its one periodic piece follow from (count, extent, unit
+  segments), so the canonical segment list is built only for the paths
+  that read it:
   - view: a layout that is one contiguous run filling its window is sent
     straight from the region;
   - slices: up to 64 segments, one slice copy each;
-  - periodic: `rows` repetitions of a pattern of up to 8 segments at a
-    uniform byte period move in one record-wise assignment.  The region is
-    viewed as `rows` records `period` bytes apart, field j a void of the
-    pattern's j-th length at its offset in the period, and the payload as
-    records of the same fields back to back; whole records move per row
-    instead of bytes per column;
+  - periodic: the segment list splits greedily into at most 8 pieces
+    (`CompiledEngine.pieces`), each either a lone segment, moved with one
+    slice, or `rows` repetitions of a pattern of up to 8 segments at a
+    uniform byte period, moved in one record-wise assignment.  The region
+    is viewed as `rows` records `period` bytes apart, field j a void of
+    the pattern's j-th length at its offset in the period (a pattern of
+    one segment is one item: an integer word of 1, 2, 4 or 8 bytes, else
+    a void), and the payload as records of the same fields back to back;
+    whole records move per row instead of bytes per column.  A tiling whose instances join is a
+    head, one periodic run and a tail; one row plus one column is two
+    pieces;
   - gather: anything else moves as words of width w, the widest of 8, 4, 2
     and 1 bytes that divides every segment's region offset and length,
     through an index of `total_bytes / w` word positions.
@@ -37,14 +42,16 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 would pack from its region straight into this engine's region, with the
 checks of that pack and of this unpack.  In general it packs and unpacks,
 so the interpreted engine keeps its cost.  A periodic compiled engine that
-meets a compiled engine running the same periodic plan (`copy_key`,
-built on the first transfer) copies region to region in one pass, with no
-payload in between: one strided assignment per pattern field (integer
-words for fields of 1, 2, 4 or 8 bytes, voids otherwise).  It never
-assigns whole region records, which could carry the gap bytes between
-fields along.  The other strategies gain nothing from a direct copy (a
-view is already sent straight from the region, and a gather would still
-build the payload with `np.take`), so they pack and unpack.
+meets a compiled engine running the same pieces (`copy_key`, built on the
+first transfer) copies region to region in one pass, with no payload in
+between: one slice per lone segment and one strided assignment per
+pattern field (integer words for fields of 1, 2, 4 or 8 bytes, voids
+otherwise; a column of words more than 2 KB apart goes through a
+contiguous copy of it).  It never assigns whole region records, which
+could carry the gap bytes between fields along.  The other strategies gain nothing from a
+direct copy (a view is already sent straight from the region, and a
+gather would still build the payload with `np.take`), so they pack and
+unpack.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
@@ -55,6 +62,7 @@ their element type.  `make_engine` builds an engine by its `name`.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,18 +86,27 @@ from .typecore import (
     window,
 )
 
-# below this, bulk copy setup costs more than moving bytes one at a time
-_BYTE_LOOP_LIMIT = 16
 # programs up to this many ops run as python slice copies; larger ones
-# switch to the record-wise periodic copy or the word gather
+# switch to the piecewise periodic copy or the word gather
 _SLICE_OP_LIMIT = 64
-# a periodic program needs at least this many repetitions of its pattern
-# before the record-wise copy is worth detecting
+# a periodic piece needs at least this many repetitions of its pattern
+# before the record-wise copy is worth using
 _PERIOD_MIN_ROWS = 8
-# patterns longer than this are left to the gather index
+# longest pattern a periodic piece may repeat
 _PERIOD_PATTERN_MAX = 8
-# segments compared per step when confirming a period over a long list
+# lists that need more pieces than this are left to the gather index
+_PIECES_MAX = 8
+# segments compared in the first and in every later step when following
+# a periodic run
+_RUN_FIRST_BLOCK = 256
 _PERIOD_CHECK_BLOCK = 1 << 16
+# a direct copy moves a column of words whose rows lie further apart than
+# this through a contiguous copy of it: each word then misses the cache on
+# both sides, and a strided read followed by a strided write overlaps those
+# misses better than one strided-to-strided pass (rowcol A=1000, words 4000
+# bytes apart: 104-120 us against 124-142 us; A=512, 2048 bytes apart:
+# 88-109 us against 85-95 us direct; one core)
+_STAGED_PERIOD = 2048
 # a gather index starts this many bytes past a page boundary (see
 # CompiledEngine.gather_index)
 _INDEX_PAGE_OFFSET = 2048
@@ -256,11 +273,7 @@ def _walk(plan, src, dst, base: int, pos: int, packing: bool) -> int:
                 s, d = base + displ, pos
             else:
                 s, d = pos, base + displ
-            if n >= _BYTE_LOOP_LIMIT:
-                dst[d : d + n] = src[s : s + n]
-            else:
-                for i in range(n):
-                    dst[d + i] = src[s + i]
+            dst[d : d + n] = src[s : s + n]
             pos += n
         return pos
     if tag == "blocks":
@@ -305,16 +318,36 @@ class InterpretedEngine(_Engine):
 # --- compiled engine ----------------------------------------------------
 
 
+class Piece(NamedTuple):
+    """`rows` repetitions, `period` bytes apart from `first`, of a pattern
+    of segments at byte offsets `rel` within a row, of lengths `pat`.  A
+    lone segment is a piece of one row and one segment."""
+
+    rows: int
+    period: int
+    first: int
+    rel: tuple[int, ...]
+    pat: tuple[int, ...]
+
+    @property
+    def segments(self) -> int:
+        return self.rows * len(self.pat)
+
+    @property
+    def row_bytes(self) -> int:
+        return sum(self.pat)
+
+
 class CompiledEngine(_Engine):
     """Copy program for `count` instances of a committed type.
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  The segment arrays are built on first use, and only by the
-    paths that read them (slices and gather); the strategy, and the
-    periodic plan of a unit that tiles without joins, come from the
-    committed unit alone, so building the engine costs the size of the
-    unit, not the instance count.  What a copy reads (plan, record dtypes,
-    word width, gather index) is built on the first copy that needs it.
+    paths that read them; the strategy, and the one piece of a unit that
+    tiles without joins, come from the committed unit alone, so building
+    the engine costs the size of the unit, not the instance count.  What a
+    copy reads (pieces, record dtypes, word width, gather index) is built
+    on the first copy that needs it.
     """
 
     name = "compiled"
@@ -358,12 +391,13 @@ class CompiledEngine(_Engine):
     def strategy(self) -> str:
         """The copy path this program runs: "view" (the region itself is
         the payload), "slices" (one slice copy per segment), "periodic"
-        (one record-wise copy) or "gather" (one indexed word copy)."""
+        (one record-wise copy per piece) or "gather" (one indexed word
+        copy)."""
         if self.is_contiguous:
             return "view"
         if self.segment_count <= _SLICE_OP_LIMIT:
             return "slices"
-        if self.periodic_plan is not None:
+        if self.pieces is not None:
             return "periodic"
         return "gather"
 
@@ -401,14 +435,13 @@ class CompiledEngine(_Engine):
         return index
 
     @cached_property
-    def periodic_plan(self) -> tuple | None:
-        """Uniform-period description of the segment list, if one exists.
+    def pieces(self) -> tuple[Piece, ...] | None:
+        """The segment list as at most `_PIECES_MAX` pieces, each a
+        periodic run or a lone segment (`_split_pieces`), or None.
 
-        The segments are `rows` repetitions of one short pattern shifted by
-        a constant byte period, with every pattern segment inside its own
-        period window.  (rows, period, rel_offsets, seg_lengths,
-        out_prefix, row_bytes, first_offset) or None.
-        """
+        A unit of few segments that fits in one extent and does not touch
+        the next copy is one piece of `count` rows, read off the unit
+        without building the segment list."""
         unit = self.committed.flat
         k = len(unit.offsets)
         ext = self.committed.extent
@@ -416,47 +449,60 @@ class CompiledEngine(_Engine):
                 and not self._touching and self.count * k > _SLICE_OP_LIMIT):
             rel = unit.offsets - unit.offsets[0]
             if (rel >= 0).all() and (rel + unit.lengths <= ext).all():
-                # `count` copies, `ext` apart, of a unit that fits in one
-                # extent and does not touch the next copy: the shortest
-                # repeating pattern lies within the unit, so the detector
-                # finds in the first few copies what it would find in all
-                # of them, and only the rows scale
+                # `count` copies, `ext` apart: the shortest repeating
+                # pattern lies within the unit, so the detector finds in
+                # the first few copies what it would find in all of them,
+                # and only the rows scale
                 sample = _PERIOD_MIN_ROWS
                 off = (np.arange(sample, dtype=np.int64)[:, None] * ext
                        + unit.offsets[None, :]).ravel()
-                plan = _detect_period(off, np.tile(unit.lengths, sample))
-                return (self.count * k // len(plan[2]),) + plan[1:]
-        return _detect_period(self.offsets, self.lengths)
+                piece = _detect_period(off, np.tile(unit.lengths, sample))
+                return (piece._replace(rows=self.count * k // len(piece.pat)),)
+        return _split_pieces(self.offsets, self.lengths)
 
     @cached_property
-    def periodic_records(self) -> tuple[np.dtype, np.dtype]:
-        """(region, payload) record dtypes of a periodic program.
+    def piece_records(self) -> tuple[tuple, ...]:
+        """Per piece, (region offset, payload offset, payload bytes, rows,
+        period, region dtype, payload dtype); both dtypes are None for a
+        lone segment, which moves as one slice.
 
-        Both have one void field per pattern segment: the region record
-        places field j at its offset within the period and is only as long
-        as the bytes the pattern covers, so a strided view of `rows`
-        records never reaches past the window; the payload record places
-        the fields back to back.
+        A pattern of one segment moves as one item per row (`_field`).
+        Otherwise both dtypes have one void field per pattern segment: the
+        region record places field j at its offset within the period and
+        is only as long as the bytes the pattern covers, so a strided view
+        of `rows` records never reaches past the window; the payload
+        record places the fields back to back.
         """
-        _, _, rel, pat, prefix, row_bytes, _ = self.periodic_plan
-        return (_record(rel, pat, int((rel + pat).max())),
-                _record(prefix, pat, row_bytes))
+        out, pos = [], 0
+        for p in self.pieces:
+            size = p.rows * p.row_bytes
+            if p.rows == 1:
+                region_rec = packed_rec = None
+            elif len(p.pat) == 1:
+                region_rec = packed_rec = _field(p.pat[0])
+            else:
+                prefix = np.cumsum(p.pat) - p.pat
+                region_rec = _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
+                packed_rec = _record(prefix, p.pat, p.row_bytes)
+            out.append((p.first - self.origin, pos, size, p.rows, p.period,
+                        region_rec, packed_rec))
+            pos += size
+        return tuple(out)
 
     @cached_property
     def copy_key(self) -> tuple | None:
-        """The periodic plan from the window origin: equal for two periodic
-        programs that move every payload byte between the same region
-        positions, in the same order, and small whatever the unit's size.
-        None for the other strategies, which pack and unpack."""
+        """The pieces measured from the window origin: equal for two
+        periodic programs that move every payload byte between the same
+        region positions, in the same order, and small whatever the unit's
+        size.  None for the other strategies, which pack and unpack."""
         if self.strategy != "periodic":
             return None
-        rows, period, rel, pat, _, _, first = self.periodic_plan
-        return (rows, period, rel.tobytes(), pat.tobytes(), first - self.origin)
+        return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
 
     def unpack_from(self, src: _Engine, src_region, region) -> None:
-        """From a compiled engine running the same periodic plan, one pass
-        from region to region (`_move_across`); from any other engine, a
-        pack and an unpack."""
+        """From a compiled engine running the same pieces, one pass from
+        region to region (`_move_across`); from any other engine, a pack
+        and an unpack."""
         key = self.copy_key
         if key is None or src.copy_key != key:
             super().unpack_from(src, src_region, region)
@@ -467,16 +513,21 @@ class CompiledEngine(_Engine):
 
     def _move_across(self, src_region, region) -> None:
         """Copy the payload's bytes from `src_region` to the same positions
-        of `region`, field by field along the periodic plan, without a
-        payload in between.  numpy may copy two identical record dtypes as
-        whole items, gaps between fields included, so no record is
-        assigned."""
+        of `region`, piece by piece and field by field, without a payload
+        in between.  numpy may copy two identical record dtypes as whole
+        items, gaps between fields included, so no record is assigned."""
         src, dst = _as_u8(src_region), _as_u8(region)
-        rows, period, rel, pat, _, _, first = self.periodic_plan
-        for at, n in zip((rel + first - self.origin).tolist(), pat.tolist()):
-            field = f"u{n}" if n in (1, 2, 4, 8) else f"V{n}"
-            np.ndarray((rows,), field, dst, at, (period,))[...] = \
-                np.ndarray((rows,), field, src, at, (period,))
+        for p in self.pieces:
+            at = p.first - self.origin
+            if p.rows == 1:
+                dst[at : at + p.pat[0]] = src[at : at + p.pat[0]]
+                continue
+            for rel, n in zip(p.rel, p.pat):
+                field = _field(n)
+                col = np.ndarray((p.rows,), field, src, at + rel, (p.period,))
+                if field.kind == "u" and p.period > _STAGED_PERIOD:
+                    col = col.copy()
+                np.ndarray((p.rows,), field, dst, at + rel, (p.period,))[...] = col
 
     def _move(self, region, data):
         packing = data is None
@@ -496,18 +547,23 @@ class CompiledEngine(_Engine):
             return out
         reg = _as_u8(region)
         if strategy == "periodic":
-            # one record-wise assignment: row i of the region, `period`
-            # bytes apart, is record i of the payload
-            rows, period, _, _, _, _, first = self.periodic_plan
-            region_rec, packed_rec = self.periodic_records
-            strided = np.ndarray((rows,), region_rec, reg, first - self.origin, (period,))
+            # per piece, one slice or one record-wise assignment: row i of
+            # the region, `period` bytes apart, is record i of the payload
             packed = np.empty(self.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
-            records = packed.view(packed_rec)
-            if packing:
-                records[...] = strided
-                return packed
-            strided[...] = records
-            return None
+            for at, pos, size, rows, period, region_rec, packed_rec in self.piece_records:
+                if region_rec is None:
+                    if packing:
+                        packed[pos : pos + size] = reg[at : at + size]
+                    else:
+                        reg[at : at + size] = packed[pos : pos + size]
+                    continue
+                strided = np.ndarray((rows,), region_rec, reg, at, (period,))
+                records = packed[pos : pos + size].view(packed_rec)
+                if packing:
+                    records[...] = strided
+                else:
+                    strided[...] = records
+            return packed if packing else None
         # gather: whole words, any trailing partial word of the region cut
         w = self.word_width
         words = reg[: len(reg) - len(reg) % w].view(f"u{w}")
@@ -517,54 +573,102 @@ class CompiledEngine(_Engine):
         return None
 
 
-def _detect_period(offs: np.ndarray, lens: np.ndarray) -> tuple | None:
-    """`CompiledEngine.periodic_plan` of a segment list: the shortest pattern
-    of at most `_PERIOD_PATTERN_MAX` segments that repeats, at least
-    `_PERIOD_MIN_ROWS` times, at a constant positive byte period.
+def _split_pieces(offs: np.ndarray, lens: np.ndarray) -> tuple[Piece, ...] | None:
+    """`CompiledEngine.pieces` of a segment list, split greedily: from the
+    first segment not yet covered, the longest periodic piece that starts
+    there (`_detect_period`), else that segment alone.  None when the list
+    needs more than `_PIECES_MAX` pieces."""
+    pieces, i, n = [], 0, len(offs)
+    while i < n:
+        if len(pieces) == _PIECES_MAX:
+            return None
+        piece = _detect_period(offs, lens, i)
+        if piece is None:
+            length = int(lens[i])
+            piece = Piece(1, length, int(offs[i]), (0,), (length,))
+        pieces.append(piece)
+        i += piece.segments
+    return tuple(pieces)
 
-    A pattern of `g` segments repeats exactly when every segment has the
-    length of the one `g` before it and lies `period` bytes after it, so
-    each candidate costs one pass over the list, shifted by `g`.
+
+def _detect_period(offs: np.ndarray, lens: np.ndarray, start: int = 0) -> Piece | None:
+    """The longest periodic piece of the segment list starting at segment
+    `start`: a pattern of at most `_PERIOD_PATTERN_MAX` segments, each
+    within one positive byte period of the first, repeated at that period
+    in at least `_PERIOD_MIN_ROWS` whole rows.  Of the patterns covering
+    the most segments, the shortest; None when no pattern repeats.
+
+    A pattern of `g` segments repeats while every segment has the length
+    of the one `g` before it and lies `period` bytes after it.  The first
+    rows are compared in Python, so a wrong candidate fails within a few
+    segments, and a run that holds is followed with `_run_end`.  Once a
+    piece is found, a longer pattern is followed only if it also holds at
+    the first segment past that piece, which it must to cover more; a
+    piece that reaches the end of the list ends the search.  So a list
+    that is one periodic run, or a run between a head and a tail, costs
+    one pass.
     """
     n = len(offs)
+    o = offs[start : start + _PERIOD_MIN_ROWS * _PERIOD_PATTERN_MAX].tolist()
+    ln = lens[start : start + _PERIOD_MIN_ROWS * _PERIOD_PATTERN_MAX].tolist()
+    best = None
     for g in range(1, _PERIOD_PATTERN_MAX + 1):
-        if n % g or n // g < _PERIOD_MIN_ROWS:
-            continue
-        period = int(offs[g] - offs[0])
+        head = _PERIOD_MIN_ROWS * g
+        if len(o) < head:
+            break
+        period = o[g] - o[0]
         if period <= 0:
             continue
-        rel = (offs[:g] - offs[0]).astype(np.int64)
-        pat = lens[:g].astype(np.int64)
-        if (rel < 0).any() or (rel + pat > period).any():
+        if best is not None:
+            past = start + best.segments
+            if (n - start) // g * g <= best.segments or lens[past] != lens[past - g] \
+                    or offs[past] - offs[past - g] != period:
+                continue
+        if any(ln[j] != ln[j - g] or o[j] - o[j - g] != period for j in range(g, head)):
             continue
-        if not _repeats(offs, lens, g, period):
+        rel = tuple(x - o[0] for x in o[:g])
+        pat = tuple(ln[:g])
+        if any(r < 0 or r + m > period for r, m in zip(rel, pat)):
             continue
-        prefix = np.cumsum(pat) - pat
-        return n // g, period, rel, pat, prefix, int(pat.sum()), int(offs[0])
-    return None
+        rows = (_run_end(offs, lens, g, period, start + head) - start) // g
+        if best is None or rows * g > best.segments:
+            best = Piece(rows, period, o[0], rel, pat)
+            if start + best.segments == n:
+                break
+    return best
 
 
-def _repeats(offs: np.ndarray, lens: np.ndarray, g: int, period: int) -> bool:
-    """Whether every segment has the length of the one `g` before it and
-    lies `period` bytes after it.  Checked a block at a time, the first
-    only `_PERIOD_MIN_ROWS` rows long, so a wrong candidate fails within a
-    few rows and a long list's temporaries stay in cache."""
+def _run_end(offs: np.ndarray, lens: np.ndarray, g: int, period: int, start: int) -> int:
+    """The first segment from `start` on that does not have the length of
+    the one `g` before it or does not lie `period` bytes after it, or the
+    list's length.  Checked a block at a time, from `_RUN_FIRST_BLOCK`
+    segments growing fourfold up to `_PERIOD_CHECK_BLOCK`, so a run that
+    breaks soon costs little and a long list's temporaries stay in
+    cache."""
     n = len(offs)
-    start, stop = g, min(_PERIOD_MIN_ROWS * g, n)
+    step = _RUN_FIRST_BLOCK
     while start < n:
+        stop = min(start + step, n)
         cur, prev = slice(start, stop), slice(start - g, stop - g)
-        if not ((lens[cur] == lens[prev]).all() and (offs[cur] - offs[prev] == period).all()):
-            return False
-        start, stop = stop, min(stop + _PERIOD_CHECK_BLOCK, n)
-    return True
+        same = (lens[cur] == lens[prev]) & (offs[cur] - offs[prev] == period)
+        if not same.all():
+            return start + int(np.argmin(same))
+        start, step = stop, min(4 * step, _PERIOD_CHECK_BLOCK)
+    return n
 
 
-def _record(offsets: np.ndarray, lengths: np.ndarray, itemsize: int) -> np.dtype:
+def _field(n: int) -> np.dtype:
+    """A segment of `n` bytes as one item: an integer word of 1, 2, 4 or 8
+    bytes, else a void."""
+    return np.dtype(f"u{n}" if n in (1, 2, 4, 8) else f"V{n}")
+
+
+def _record(offsets, lengths, itemsize: int) -> np.dtype:
     return np.dtype({
         "names": [f"f{j}" for j in range(len(offsets))],
         "formats": [f"V{int(n)}" for n in lengths],
-        "offsets": offsets.tolist(),
-        "itemsize": itemsize,
+        "offsets": [int(x) for x in offsets],
+        "itemsize": int(itemsize),
     })
 
 

@@ -1,5 +1,6 @@
 """Experiment registry: grids, defaults, emission order and skip rules."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -14,7 +15,15 @@ from typeforge.experiments import (
     make_plan,
     run_experiment,
 )
-from typeforge.layouts import ALL_IDS, BLOCK_INDEXED, LayoutSpec, build_alternatives
+from typeforge.layouts import (
+    ALL_IDS,
+    BLOCK_INDEXED,
+    LayoutSpec,
+    build,
+    build_alternatives,
+    spec_from_json,
+)
+from typeforge.typecore import Base, BaseKind, Contiguous
 
 _SWEEP6 = (2, 10, 100, 1000, 1024, 10000)
 
@@ -144,7 +153,17 @@ def test_indivisible_grid_points_are_skipped(fake_clock):
     assert run_experiment(het, clock=fake_clock).stats == []
 
 
-def test_tiled_het_emits_byte_reference_first(fake_clock):
+def _rebuilt(spec_json: str):
+    """(datatype, count) a reader rebuilds from a stats row's spec_json: a
+    constructor tree is one instance, a catalog spec is built."""
+    obj = json.loads(spec_json)
+    if "kind" in obj:
+        return typecore.datatype_from_json(obj), 1
+    built = build(spec_from_json(obj))
+    return built.datatype, built.count
+
+
+def test_tiled_het_emits_byte_reference_first(fake_clock, tmp_path):
     plan = make_plan("tiled_het", A_values=(1,), sizes=(150,), r=1, nrep=2)
     result = run_experiment(plan, clock=fake_clock)
     assert [s.case.case_id for s in result.stats] == [
@@ -155,6 +174,13 @@ def test_tiled_het_emits_byte_reference_first(fake_clock):
     assert ref.case.m_bytes == het.case.m_bytes == 150
     assert ref.case.count == 1
     assert het.case.count == 10  # 150 bytes over a 15-byte unit
+    # each row's spec_json rebuilds the measured type and count
+    path = tmp_path / "bench.csv"
+    bench.write_stats_csv(str(path), result.stats)
+    rows = bench.read_stats_csv(str(path))
+    assert _rebuilt(rows[0]["spec_json"]) == (Contiguous(150, Base(BaseKind.BYTE)), 1)
+    for s, row in zip(result.stats, rows):
+        assert _rebuilt(row["spec_json"]) == (s.case.datatype.datatype, s.case.count)
 
 
 def test_pack_unpack_emits_paired_verdicts(fake_clock):

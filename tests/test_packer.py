@@ -143,10 +143,10 @@ def test_periodic_path_matches_slice_path():
     t = Vector(100, 1, 2, INT)
     p = CompiledEngine(t, 1)
     assert len(flatten(t, 1).segments) == 100
-    assert p.periodic_plan is not None
-    rows, period, _, _, _, row_bytes, _ = p.periodic_plan
-    assert (rows, period, row_bytes) == (100, 8, 4)
-    assert p.span < rows * period
+    assert p.pieces is not None and len(p.pieces) == 1
+    piece = p.pieces[0]
+    assert (piece.rows, piece.period, piece.row_bytes) == (100, 8, 4)
+    assert p.span < piece.rows * piece.period
     region = _fill(p.span)
     assert bytes(p.pack_message(region)) == pack(t, 1, region)
     payload = pack(t, 1, region)
@@ -163,8 +163,7 @@ def test_periodic_path_handles_multi_segment_patterns():
     t = HVector(40, 1, 20, inner)
     p = CompiledEngine(t, 1)
     assert len(flatten(t, 1).segments) == 80
-    plan = p.periodic_plan
-    assert plan is not None and (plan[0], plan[1]) == (40, 20)
+    assert [(piece.rows, piece.period) for piece in p.pieces] == [(40, 20)]
     region = _fill(p.span)
     payload = pack(t, 1, region)
     assert bytes(p.pack_message(region)) == payload
@@ -182,7 +181,7 @@ def test_gather_path_matches_slice_path():
     t = Indexed(blocks, INT)
     p = CompiledEngine(t, 1)
     assert len(flatten(t, 1).segments) == 100
-    assert p.periodic_plan is None
+    assert p.pieces is None
     assert p.strategy == "gather"
     region = _fill(p.span)
     assert bytes(p.pack_message(region)) == pack(t, 1, region)
@@ -314,8 +313,8 @@ def _periodic_types(draw):
 def test_periodic_kernel_matches_walker(t, count, form):
     p = _check_against_walker(t, count, form)
     if count == 1 and len(p.offsets) > 64:
-        assert p.strategy == "periodic"
-        assert p.span < p.periodic_plan[0] * p.periodic_plan[1]
+        assert p.strategy == "periodic" and len(p.pieces) == 1
+        assert p.span < p.pieces[0].rows * p.pieces[0].period
 
 
 @st.composite
@@ -352,21 +351,28 @@ def test_strategy_names_the_copy_path():
         ["slices", "periodic", "gather", "view"]
 
 
-def test_periodic_records_are_built_once_per_program(monkeypatch):
-    import typeforge.packer as packer
-
+def test_piece_records_are_built_once_per_program(monkeypatch):
     built = []
     real = packer._record
     monkeypatch.setattr(packer, "_record", lambda *a: built.append(a) or real(*a))
-    eng = CompiledEngine(Vector(100, 1, 2, INT), 1)
+    # one piece of two fields: a region and a payload record
+    eng = CompiledEngine(HVector(40, 1, 20, Indexed(((1, 0), (1, 2)), INT)), 1)
     assert built == []  # nothing is built with the engine
     region = _fill(eng.span)
     payload = bytes(eng.pack_message(region))
-    records = eng.periodic_records
+    records = eng.piece_records
     assert bytes(eng.pack_message(region)) == payload
     eng.unpack_message(payload, bytearray(eng.span))
-    assert eng.periodic_records is records
+    assert eng.piece_records is records
     assert len(built) == 2
+
+
+def test_single_field_pieces_move_one_item_per_row():
+    # an integer word where one fits, else a void
+    assert CompiledEngine(Vector(100, 1, 2, INT), 1).piece_records[0][5:] == \
+        (np.dtype("u4"), np.dtype("u4"))
+    assert CompiledEngine(Vector(100, 3, 4, INT), 1).piece_records[0][5:] == \
+        (np.dtype("V12"), np.dtype("V12"))
 
 
 # --- element types of the region ----------------------------------------
@@ -405,27 +411,27 @@ def test_int32_region_is_measured_in_bytes():
 
 
 def _segment_rule(p: CompiledEngine) -> tuple:
-    """Strategy and periodic plan read off the materialized segments, the
-    way every program was planned before plans came from the unit."""
+    """Strategy and pieces read off the materialized segments by the
+    brute-force reference splitter."""
     off, ln = p.offsets, p.lengths
-    plan = packer._detect_period(off, ln)
+    pieces = _reference_pieces(off, ln)
     if len(off) == 1 and int(ln[0]) == p.total_bytes == p.span:
-        return "view", plan
+        return "view", pieces
     if len(off) <= 64:
-        return "slices", plan
-    return ("periodic" if plan is not None else "gather"), plan
+        return "slices", pieces
+    return ("periodic" if pieces is not None else "gather"), pieces
 
 
 def _same_plan(a, b) -> bool:
     if a is None or b is None:
         return a is b
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+    return [tuple(x) for x in a] == [tuple(x) for x in b]
 
 
 def _planned_from_unit(p: CompiledEngine) -> tuple:
-    """Strategy and periodic plan, and whether planning built segments."""
-    strategy, plan = p.strategy, p.periodic_plan
-    return strategy, plan, "_flat" in vars(p)
+    """Strategy and pieces, and whether planning built segments."""
+    strategy, pieces = p.strategy, p.pieces
+    return strategy, pieces, "_flat" in vars(p)
 
 
 def test_tiled_compile_builds_no_segments(monkeypatch):
@@ -434,7 +440,8 @@ def test_tiled_compile_builds_no_segments(monkeypatch):
     monkeypatch.setattr(packer, "flatten", None)  # any call would raise
     p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
-    assert (strategy, plan[0], plan[1]) == ("periodic", 320_000, 16)
+    assert strategy == "periodic"
+    assert [(piece.rows, piece.period) for piece in plan] == [(320_000, 16)]
     assert not materialized
     monkeypatch.undo()
     assert _segment_rule(p)[0] == "periodic"
@@ -484,35 +491,41 @@ def test_random_unit_plans_match_the_segment_rule(t, count):
     assert p.segment_count == len(p.offsets)
 
 
-# --- period detection against a brute-force reference -------------------
+# --- pieces against a brute-force reference ------------------------------
 
 
-def _reference_period(offs: list[int], lens: list[int]) -> tuple | None:
-    """The periodic plan read off segment by segment: the shortest pattern
-    of g <= 8 segments whose every row repeats the first, shifted by one
-    positive period, in at least 8 rows, each pattern segment within the
-    period of the first one."""
-    n = len(offs)
-    for g in range(1, 9):
-        if n % g or n // g < 8:
-            continue
-        period = offs[g] - offs[0]
-        if period <= 0:
-            continue
-        if any(lens[i] != lens[i % g] or offs[i] != offs[i % g] + i // g * period
-               for i in range(n)):
-            continue
-        rel = [o - offs[0] for o in offs[:g]]
-        pat = lens[:g]
-        if any(r < 0 or r + ln > period for r, ln in zip(rel, pat)):
-            continue
-        prefix = [sum(pat[:j]) for j in range(g)]
-        return n // g, period, rel, pat, prefix, sum(pat), offs[0]
-    return None
+def _reference_pieces(offs, lens) -> tuple | None:
+    """The pieces of a segment list found by trying everything: from the
+    first segment not yet covered, every pattern of g <= 8 segments (each
+    within one positive period, the distance to segment g, of the first)
+    is followed over the whole rest of the list; the one that repeats in
+    the most segments, by whole rows and at least 8 rows, is a piece (the
+    shortest pattern on a tie), else that segment alone is.  None past 8
+    pieces."""
+    offs, lens = np.asarray(offs, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+    pieces, i, n = [], 0, len(offs)
+    while i < n:
+        first, length = int(offs[i]), int(lens[i])
+        best = (1, length, first, (0,), (length,))
+        for g in range(1, min(8, n - i - 1) + 1):
+            period = int(offs[i + g]) - first
+            rel = tuple(int(o) - first for o in offs[i:i + g])
+            pat = tuple(int(x) for x in lens[i:i + g])
+            if period <= 0 or any(r < 0 or r + m > period for r, m in zip(rel, pat)):
+                continue
+            same = (lens[i + g:] == lens[i:n - g]) & (offs[i + g:] - offs[i:n - g] == period)
+            rows = (g + (len(same) if same.all() else int(np.argmin(same)))) // g
+            if rows >= 8 and rows * g > best[0] * len(best[4]):
+                best = (rows, period, first, rel, pat)
+        pieces.append(best)
+        if len(pieces) > 8:
+            return None
+        i += best[0] * len(best[4])
+    return tuple(pieces)
 
 
 @st.composite
-def _segment_lists(draw) -> tuple[list[int], list[int]]:
+def _periodic_run(draw) -> tuple[list[int], list[int]]:
     """`rows` copies of a pattern of up to 9 segments at a constant period:
     exactly so, touching back to back, or with one row off."""
     g = draw(st.integers(1, 9))
@@ -538,33 +551,69 @@ def _segment_lists(draw) -> tuple[list[int], list[int]]:
     return offs, lens
 
 
+@st.composite
+def _segment_lists(draw) -> tuple[list[int], list[int]]:
+    """One to three periodic runs, each after a head of up to three lone
+    segments, and a tail of up to three."""
+    offs, lens = [], []
+
+    def lone():
+        for _ in range(draw(st.integers(0, 3))):
+            offs.append(draw(st.integers(-200, 200)))
+            lens.append(draw(st.integers(1, 16)))
+
+    for _ in range(draw(st.integers(1, 3))):
+        lone()
+        run_offs, run_lens = draw(_periodic_run())
+        offs += run_offs
+        lens += run_lens
+    lone()
+    return offs, lens
+
+
 @given(_segment_lists())
-def test_period_detector_matches_the_brute_force_reference(segments):
+def test_piece_splitter_matches_the_brute_force_reference(segments):
     offs, lens = segments
-    plan = packer._detect_period(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64))
-    expected = _reference_period(offs, lens)
-    if expected is None:
-        assert plan is None
-    else:
-        assert plan is not None
-        assert [np.asarray(x).tolist() for x in plan] == list(expected)
-        assert all(np.asarray(x).dtype == np.int64 for x in plan[2:5])
+    pieces = packer._split_pieces(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64))
+    assert _same_plan(pieces, _reference_pieces(offs, lens))
+    if pieces is None:
+        return
+    assert len(pieces) <= packer._PIECES_MAX
+    # every piece is a periodic run of 8 rows or more, or one segment
+    assert all(p.rows >= 8 or (p.rows, len(p.pat)) == (1, 1) for p in pieces)
+    rebuilt = [(p.first + row * p.period + rel, n) for p in pieces
+               for row in range(p.rows) for rel, n in zip(p.rel, p.pat)]
+    assert rebuilt == list(zip(offs, lens))
+    assert all(type(x) is int for p in pieces for x in (p.rows, p.period, p.first) + p.rel + p.pat)
+
+
+def test_lists_of_more_than_eight_pieces_gather():
+    offs = np.array([i * (i + 3) for i in range(9)], dtype=np.int64)
+    lens = np.ones(9, dtype=np.int64)
+    assert len(packer._split_pieces(offs[:8], lens[:8])) == 8
+    assert packer._split_pieces(offs, lens) is None
 
 
 def test_period_detector_checks_every_segment_of_a_long_list():
     rows = 3 * packer._PERIOD_CHECK_BLOCK // 2 + 5
     offs = (np.arange(rows, dtype=np.int64)[:, None] * 32 + [0, 12]).ravel()
     lens = np.full(2 * rows, 8, dtype=np.int64)
-    assert packer._detect_period(offs, lens)[:2] == (rows, 32)
-    # on both sides of the first two block boundaries, and the last segment
+    assert packer._detect_period(offs, lens) == (rows, 32, 0, (0, 12), (8, 8))
+    # on both sides of the first block boundaries, and the last segment: the
+    # run from segment 0 stops at the last whole row before the change
     head = 2 * packer._PERIOD_MIN_ROWS
-    block = head + packer._PERIOD_CHECK_BLOCK
-    for i in (3, head - 1, head, block - 1, block, 2 * rows - 1):
+    ends, step = [head], packer._RUN_FIRST_BLOCK
+    while ends[-1] < packer._PERIOD_CHECK_BLOCK:
+        ends.append(ends[-1] + step)
+        step *= 4
+    for i in (3, head - 1, head, *(e + d for e in ends[1:3] + ends[-1:] for d in (-1, 0)),
+              2 * rows - 1):
         moved, longer = offs.copy(), lens.copy()
         moved[i] += 4
         longer[i] += 4
-        assert packer._detect_period(moved, lens) is None, i
-        assert packer._detect_period(offs, longer) is None, i
+        want = (i // 2, 32, 0, (0, 12), (8, 8)) if i // 2 >= packer._PERIOD_MIN_ROWS else None
+        assert packer._detect_period(moved, lens) == want, i
+        assert packer._detect_period(offs, longer) == want, i
 
 
 # --- copying straight from a sender's region (unpack_from) --------------
@@ -641,9 +690,39 @@ def test_direct_periodic_copy_leaves_interior_gaps():
     # destination
     built = layouts.build(layouts.LayoutSpec(id="bucket", n=800, A=2))
     src, dst = (CompiledEngine(built.committed, built.count) for _ in range(2))
-    assert dst.strategy == "periodic" and len(dst.periodic_plan[3]) > 1
+    assert dst.strategy == "periodic" and len(dst.pieces[0].pat) > 1
     src_region = bytearray(b"\x11" * src.span)
     src.unpack_message(b"\x22" * src.total_bytes, src_region)
+    got = bytearray(b"\xaa" * dst.span)
+    dst.unpack_from(src, src_region, got)
+    assert got.count(b"\x22") == dst.total_bytes
+    assert got.count(b"\xaa") == dst.span - dst.total_bytes
+
+
+@pytest.mark.parametrize("spec,pieces", [
+    (layouts.LayoutSpec(id="rowcol_struct", n=400, A=10), [(1, 1), (389, 1)]),
+    (layouts.LayoutSpec(id="rowcol_struct", n=700, A=600), [(1, 1), (99, 1)]),
+    (layouts.LayoutSpec(id="alternating_repeated", n=800, A=2), [(1, 1), (199, 1), (1, 1)]),
+], ids=["rowcol_struct", "rowcol_struct_wide", "alternating_repeated"])
+def test_direct_copy_of_several_pieces_leaves_gaps(monkeypatch, spec, pieces):
+    # a row and a column (its words 40 and 2400 bytes apart, the second
+    # copied through a contiguous column), and a joined tiling (head, run,
+    # tail): every piece is copied straight across, and no gap byte is
+    # written
+    built = layouts.build(spec)
+    src, dst = (CompiledEngine(built.committed, built.count) for _ in range(2))
+    assert dst.strategy == "periodic"
+    assert [(p.rows, len(p.pat)) for p in dst.pieces] == pieces
+    for kind in _REGION_KINDS:
+        _same_as_pack_then_unpack(src, dst, kind)
+    src_region = bytearray(b"\x11" * src.span)
+    src.unpack_message(b"\x22" * src.total_bytes, src_region)
+
+    def refuse(*args):
+        raise AssertionError("packed or unpacked a payload")
+
+    monkeypatch.setattr(CompiledEngine, "pack_message", refuse)
+    monkeypatch.setattr(CompiledEngine, "unpack_message", refuse)
     got = bytearray(b"\xaa" * dst.span)
     dst.unpack_from(src, src_region, got)
     assert got.count(b"\x22") == dst.total_bytes
@@ -676,11 +755,14 @@ def test_copy_key_is_built_on_the_first_transfer():
 
 
 def test_copy_key_of_a_periodic_program_stays_small():
-    built = layouts.build(layouts.LayoutSpec(id="block_indexed", n=64_000, A=2))
-    eng = CompiledEngine(built.committed, built.count)
-    assert built.count == 1 and len(built.committed.flat.offsets) == 32_000
-    assert eng.strategy == "periodic"
-    assert sum(len(part) for part in eng.copy_key if isinstance(part, bytes)) <= 128
+    # at most 8 pieces of at most 8 pattern segments, whatever the unit's size
+    for lid, n in (("block_indexed", 64_000), ("alternating_repeated", 64_000)):
+        built = layouts.build(layouts.LayoutSpec(id=lid, n=n, A=2))
+        eng = CompiledEngine(built.committed, built.count)
+        assert eng.segment_count > 16_000
+        assert eng.strategy == "periodic"
+        assert len(eng.copy_key) <= packer._PIECES_MAX
+        assert all(len(p.rel) == len(p.pat) <= 8 for p in eng.copy_key)
 
 
 def _unpack_from_pairs():
@@ -730,8 +812,9 @@ def test_committed_type_bounds_are_computed_once():
 def test_gather_index_starts_half_a_page_in():
     # an index allocated next to a region of about its size would otherwise
     # share the region's page offset, and the scatter stalls on 4K aliasing
-    for t, count in ((_CHECKED[2], 2), (layouts.build(layouts.LayoutSpec(
-            id="rowcol_contig_indexed", n=10240, A=2)).committed, 1)):
+    # the second index spans eight pages
+    for t, count in ((_CHECKED[2], 2),
+                     (Indexed(tuple((1, i * (i + 3) // 2) for i in range(4096)), INT), 1)):
         eng = CompiledEngine(t, count)
         assert eng.strategy == "gather"
         assert eng.gather_index.ctypes.data % 4096 == 2048
