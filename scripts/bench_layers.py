@@ -17,9 +17,10 @@ quartiles, in microseconds.
 
 Next it times inmem round trips on one core: the raw, typed and packed
 variants of tiled A=2, bucket A=2, alternating A=10 and
-alternating_repeated A=2 at 2.56 MB, of rowcol A=100 (n=10240) and of
-tiled A=2 at 3.2 KB on the compiled engine, and of tiled A=2 at 3.2 KB on
-the interpreted engine, with the typed/packed ratio (G2/G3).
+alternating_repeated A=2 at 2.56 MB, of rowcol A=100 (n=10240), of tiled
+A=2 at 3.2 KB and of tiled A=10000 at 2.56 MB (64 segments, the slices
+strategy) on the compiled engine, and of tiled A=2 at 3.2 KB on the
+interpreted engine, with the typed/packed ratio (G2/G3).
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -221,6 +222,7 @@ ROUND_TRIPS = (
     ("rowcol_fully_indexed", 10_240, 100, "compiled"),
     ("tiled", 800, 2, "compiled"),
     ("tiled", 800, 2, "interpreted"),
+    ("tiled", 640_000, 10_000, "compiled"),
 )
 
 

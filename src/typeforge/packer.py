@@ -9,8 +9,9 @@ region.  So packing and unpacking cannot drift apart, and no engine skips
 a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 
 * interpreted: one walker (`_walk`) steps through the constructor tree
-  instance by instance, copying each contiguous run with one slice
-  between the region and the packed payload.  Deliberately naive; it
+  instance by instance, copying each contiguous run with one slice, from
+  the region to the packed payload, from the payload to the region, or
+  from one region to the same place in another.  Deliberately naive; it
   models a library that performs no cross-constructor analysis, so deeply
   fragmented descriptions pay their full per-block overhead.
 * compiled: a copy program for `count` instances of the committed type,
@@ -40,18 +41,26 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 
 `unpack_from(src, src_region, region)` copies the payload another engine
 would pack from its region straight into this engine's region, with the
-checks of that pack and of this unpack.  In general it packs and unpacks,
-so the interpreted engine keeps its cost.  A periodic compiled engine that
-meets a compiled engine running the same pieces (`copy_key`, built on the
-first transfer) copies region to region in one pass, with no payload in
-between: one slice per lone segment and one strided assignment per
-pattern field (integer words for fields of 1, 2, 4 or 8 bytes, voids
-otherwise; a column of words more than 2 KB apart goes through a
-contiguous copy of it).  It never assigns whole region records, which
-could carry the gap bytes between fields along.  The other strategies gain nothing from a
-direct copy (a view is already sent straight from the region, and a
-gather would still build the payload with `np.take`), so they pack and
-unpack.
+checks of that pack and of this unpack.  When both engines have the same
+`copy_key`, it copies region to region in one pass, with no payload in
+between (`_move_across`); otherwise it packs and unpacks.  An engine
+supplies only the key and the pass:
+
+* interpreted: the key is the engine's name, the tree and the count, and
+  the pass is one walk of the tree, each run copied with one slice from
+  the sender's region to the same place in the receiver's.  Keys compare
+  the trees by identity first, so two engines of one committed type never
+  compare index tables by value.
+* compiled: the key is the program measured from the window origin, for
+  two strategies.  A slices program copies one slice per segment.  A
+  periodic program copies one slice per lone segment and one strided
+  assignment per pattern field (integer words for fields of 1, 2, 4 or 8
+  bytes, voids otherwise; a column of words more than 2 KB apart goes
+  through a contiguous copy of it); it never assigns whole region
+  records, which could carry the gap bytes between fields along.  A view
+  or a gather has no key (a view is already sent straight from the
+  region, and a gather would still build the payload with `np.take`), so
+  it packs and unpacks.  The key is built on the first transfer.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
@@ -62,6 +71,7 @@ their element type.  `make_engine` builds an engine by its `name`.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -137,7 +147,8 @@ def _as_u8(buf) -> np.ndarray:
 class _Engine:
     """The contract every engine keeps.  A subclass names itself (`name`)
     and supplies `_move`; it may set `is_contiguous` for a layout that is
-    one run filling its window, which `_copy` then sends as a view."""
+    one run filling its window, which `_copy` then sends as a view, and a
+    `copy_key` with `_move_across` to copy straight between regions."""
 
     name: str
     is_contiguous = False
@@ -164,9 +175,16 @@ class _Engine:
 
     def unpack_from(self, src: "_Engine", src_region, region) -> None:
         """Copy the payload `src` would pack from `src_region` into
-        `region`, with the checks of that pack and of this unpack.  Here,
-        by packing and unpacking; an engine may copy straight across."""
-        self.unpack_message(src.pack_message(src_region), region)
+        `region`, with the checks of that pack and of this unpack: from an
+        engine of the same `copy_key`, in one pass from region to region
+        (`_move_across`); from any other engine, by packing and unpacking."""
+        key = self.copy_key
+        if key is None or src.copy_key != key:
+            self.unpack_message(src.pack_message(src_region), region)
+            return
+        src._checked(src_region)
+        if self._checked(region, src.total_bytes) is not None:
+            self._move_across(src_region, region)
 
     def _checked(self, region, have: int | None = None) -> memoryview | None:
         """The checks of every copy.  `have` is the size of the payload to
@@ -210,19 +228,30 @@ class _Engine:
         `data`, unpack it into `region`; sizes are already checked."""
         raise NotImplementedError
 
+    def _move_across(self, src_region, region) -> None:
+        """Copy a non-empty payload's bytes from `src_region` to the same
+        positions of `region`, and no other byte; both regions are already
+        checked, and the engines share a `copy_key`."""
+        raise NotImplementedError
+
 
 # --- interpreted engine -------------------------------------------------
 #
 # Node plans mirror the tree one to one, in three shapes:
 #
-#   ("runs", ((displ, nbytes), ...))          contiguous byte runs
-#   ("blocks", ((displ, n), ...), ext, plan)  n inner instances, `ext` apart,
-#                                             at each byte displacement
-#   ("struct", (plan, ...))                   members in order
+#   ("runs", ((displ, nbytes), ...))           contiguous byte runs
+#   ("blocks", ((displ, n, step), ...), plan)  n inner instances, `step`
+#                                              bytes apart, from each
+#                                              byte displacement
+#   ("struct", (plan, ...))                    members in order
 #
 # The only lookahead is that a constructor whose inner type is a bare base
 # kind emits each of its blocks as one run, which is the granularity the
-# constructor itself describes.
+# constructor itself describes, and that a vector of single instances is
+# one strided block of them, as a contiguous count is.  The walker visits
+# the instances of one block in one loop, so every instance costs one loop
+# step whatever its depth, and only a block or a struct member costs a
+# call.
 
 
 def _prep(t: Datatype):
@@ -238,10 +267,11 @@ def _prep(t: Datatype):
     ext = _extent(t.inner)
     if isinstance(t, Contiguous):
         blocks = ((0, t.count),)
-    elif isinstance(t, Vector):
-        blocks = tuple((i * t.stride * ext, t.blocklen) for i in range(t.count))
-    elif isinstance(t, HVector):
-        blocks = tuple((i * t.stride_bytes, t.blocklen) for i in range(t.count))
+    elif isinstance(t, (Vector, HVector)):
+        stride = t.stride * ext if isinstance(t, Vector) else t.stride_bytes
+        if t.blocklen == 1 and not isinstance(t.inner, Base):
+            return ("blocks", ((0, t.count, stride),), _prep(t.inner))
+        blocks = tuple((i * stride, t.blocklen) for i in range(t.count))
     else:
         lens, displs = block_table(t, ext)
         blocks = tuple(zip(displs.tolist(), lens.tolist()))
@@ -258,33 +288,49 @@ def _placed(inner: Datatype, ext: int, blocks: tuple) -> tuple:
     (displ, n) of `blocks`."""
     if isinstance(inner, Base):
         return ("runs", tuple((d, n * ext) for d, n in blocks))
-    return ("blocks", blocks, ext, _prep(inner))
+    return ("blocks", tuple((d, n, ext) for d, n in blocks), _prep(inner))
 
 
-def _walk(plan, src, dst, base: int, pos: int, packing: bool) -> int:
-    """Copy one instance's runs between the region, at `base` plus each
-    run's displacement, and the packed payload, at `pos`; returns the
-    payload position after the last run.  Packing reads the region and
-    writes the payload, unpacking the other way round."""
+def _walk(plan, src, dst, bases, pos: int, way: str) -> int:
+    """Copy the runs of one instance of `plan` at each region base of
+    `bases`, instance by instance, and return the payload position after
+    the last run.  `way` is "pack" (region `src` to payload `dst`, from
+    `pos` on), "unpack" (payload `src` to region `dst`) or "across" (region
+    `src` to the same positions of region `dst`, with no payload, so `pos`
+    is returned as given)."""
     tag = plan[0]
     if tag == "runs":
-        for displ, n in plan[1]:
-            if packing:
-                s, d = base + displ, pos
-            else:
-                s, d = pos, base + displ
-            dst[d : d + n] = src[s : s + n]
-            pos += n
+        runs = plan[1]
+        if way == "pack":
+            for base in bases:
+                for displ, n in runs:
+                    s = base + displ
+                    dst[pos : pos + n] = src[s : s + n]
+                    pos += n
+        elif way == "unpack":
+            for base in bases:
+                for displ, n in runs:
+                    d = base + displ
+                    dst[d : d + n] = src[pos : pos + n]
+                    pos += n
+        else:
+            for base in bases:
+                for displ, n in runs:
+                    at = base + displ
+                    dst[at : at + n] = src[at : at + n]
         return pos
     if tag == "blocks":
-        _, blocks, ext, inner = plan
-        for displ, n in blocks:
-            for i in range(n):
-                pos = _walk(inner, src, dst, base + displ + i * ext, pos, packing)
+        _, blocks, inner = plan
+        for base in bases:
+            for displ, n, step in blocks:
+                start = base + displ
+                group = range(start, start + n * step, step) if step else repeat(start, n)
+                pos = _walk(inner, src, dst, group, pos, way)
         return pos
     if tag == "struct":
-        for part in plan[1]:
-            pos = _walk(part, src, dst, base, pos, packing)
+        for base in bases:
+            for part in plan[1]:
+                pos = _walk(part, src, dst, (base,), pos, way)
         return pos
     raise AssertionError(f"unknown plan tag {tag!r}")
 
@@ -297,22 +343,26 @@ class InterpretedEngine(_Engine):
 
     def __init__(self, t: Datatype | CommittedType, count: int):
         super().__init__(t, count)
-        self._plan = _prep(self.committed.datatype)
+        # `count` instances, one extent apart, from the window origin
+        self._plan = ("blocks", ((-self.origin, count, self.committed.extent),),
+                      _prep(self.committed.datatype))
+        # the tree and the count place every run; keys compare the tree by
+        # identity first, so two engines of one type never compare tables
+        self.copy_key = (self.name, self.committed.datatype, count)
 
     def _move(self, region, data):
-        packing = data is None
         reg = _byte_view(region)
-        if packing:
+        if data is None:
             out = bytearray(self.total_bytes)
-            src, dst = reg, out
+            pos = _walk(self._plan, reg, out, (0,), 0, "pack")
         else:
-            src, dst = _byte_view(data), reg
-        pos = 0
-        ext = self.committed.extent
-        for i in range(self.count):
-            pos = _walk(self._plan, src, dst, i * ext - self.origin, pos, packing)
+            pos = _walk(self._plan, _byte_view(data), reg, (0,), 0, "unpack")
         assert pos == self.total_bytes
-        return bytes(out) if packing else None
+        return bytes(out) if data is None else None
+
+    def _move_across(self, src_region, region) -> None:
+        _walk(self._plan, _byte_view(src_region), _byte_view(region), (0,), 0,
+              "across")
 
 
 # --- compiled engine ----------------------------------------------------
@@ -490,32 +540,35 @@ class CompiledEngine(_Engine):
         return tuple(out)
 
     @cached_property
-    def copy_key(self) -> tuple | None:
-        """The pieces measured from the window origin: equal for two
-        periodic programs that move every payload byte between the same
-        region positions, in the same order, and small whatever the unit's
-        size.  None for the other strategies, which pack and unpack."""
-        if self.strategy != "periodic":
-            return None
-        return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
+    def _slices(self) -> tuple[tuple[int, int], ...]:
+        """(region offset, length) of every segment, for the slices
+        strategy."""
+        return tuple(zip((self.offsets - self.origin).tolist(), self.lengths.tolist()))
 
-    def unpack_from(self, src: _Engine, src_region, region) -> None:
-        """From a compiled engine running the same pieces, one pass from
-        region to region (`_move_across`); from any other engine, a pack
-        and an unpack."""
-        key = self.copy_key
-        if key is None or src.copy_key != key:
-            super().unpack_from(src, src_region, region)
-            return
-        src._checked(src_region)
-        if self._checked(region, src.total_bytes) is not None:
-            self._move_across(src_region, region)
+    @cached_property
+    def copy_key(self) -> tuple | None:
+        """What a copy between two regions follows, measured from the window
+        origin: the segments of a slices program, the pieces of a periodic
+        one.  Equal for two programs that move every payload byte between
+        the same region positions, in the same order, and small whatever
+        the unit's size.  None for the other strategies, which pack and
+        unpack."""
+        if self.strategy == "slices":
+            return self._slices
+        if self.strategy == "periodic":
+            return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
+        return None
 
     def _move_across(self, src_region, region) -> None:
-        """Copy the payload's bytes from `src_region` to the same positions
-        of `region`, piece by piece and field by field, without a payload
-        in between.  numpy may copy two identical record dtypes as whole
-        items, gaps between fields included, so no record is assigned."""
+        """One slice per segment or lone piece, and one strided assignment
+        per pattern field of a periodic piece.  numpy may copy two identical
+        record dtypes as whole items, gaps between fields included, so no
+        record is assigned."""
+        if self.strategy == "slices":
+            src, dst = _byte_view(src_region), _byte_view(region)
+            for at, n in self._slices:
+                dst[at : at + n] = src[at : at + n]
+            return
         src, dst = _as_u8(src_region), _as_u8(region)
         for p in self.pieces:
             at = p.first - self.origin
@@ -537,8 +590,7 @@ class CompiledEngine(_Engine):
             reg = _byte_view(region)
             packed = _byte_view(out if packing else data)
             pos = 0
-            for off, ln in zip(self.offsets.tolist(), self.lengths.tolist()):
-                start = off - self.origin
+            for start, ln in self._slices:
                 if packing:
                     packed[pos : pos + ln] = reg[start : start + ln]
                 else:

@@ -12,12 +12,13 @@ into its own region, which is the cost a real receive pays.
 
 A typed message (`Endpoint.send_typed`/`recv_typed`) travels as packed
 bytes on tcp.  On inmem, when the sending engine can be copied from
-straight across (`copy_key`, a periodic compiled layout), it is a
-reference to the sender's (engine, region): the receiving engine copies
-the layout's bytes from that region into its own (`unpack_from`), in one
-pass when it runs the same plan, as an intra-node library's single-copy
-path reads the sender's buffer through the sender's datatype.  Any other
-typed message is packed by its sender, as on tcp.
+straight across (it has a `copy_key`: an interpreted engine, or a
+compiled slices or periodic program), it is a reference to the sender's
+(engine, region): the receiving engine copies the layout's bytes from
+that region into its own (`unpack_from`), in one pass when it has the same
+key, as an intra-node library's single-copy path reads the sender's buffer
+through the sender's datatype.  Any other typed message (a compiled view
+or gather) is packed by its sender, as on tcp.
 The reference is valid until the sender's next operation on that region.
 Ping-pong alternation guarantees the receiver has copied before then: the
 sender waits for the reply before it touches the region again, and so it
@@ -290,11 +291,12 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # A typed round trip leaves the carrier to move the payload
 # (`Endpoint.send_typed`/`recv_typed`): over tcp that is still a pack, a
 # send of the packed bytes, a receive and an unpack, but over inmem the
-# receiver of a periodic compiled layout copies from the sender's region
-# in one pass.  A packed round trip is the explicit MPI_Pack path on every
-# carrier: pack into a fresh buffer, send those bytes, receive them,
-# unpack.  So G2/G3 compare two different paths on inmem for periodic
-# compiled layouts, and the same one elsewhere.  An engine may send
+# receiver copies from the sender's region in one pass, for the
+# interpreted engine (one tree walk per direction) and for compiled
+# slices and periodic programs.  A packed round trip is the explicit
+# MPI_Pack path on every carrier: pack into a fresh buffer, send those
+# bytes, receive them, unpack.  So G2/G3 compare two different paths on
+# inmem for those engines, and the same one elsewhere.  An engine may send
 # straight from the region: the compiled engine does so for a contiguous
 # layout.
 

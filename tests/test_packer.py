@@ -24,7 +24,9 @@ from typeforge.typecore import (
     Contiguous,
     HVector,
     Indexed,
+    IndexedBlock,
     MalformedType,
+    Resized,
     Vector,
     commit,
     flatten,
@@ -699,6 +701,14 @@ def test_direct_periodic_copy_leaves_interior_gaps():
     assert got.count(b"\xaa") == dst.span - dst.total_bytes
 
 
+def _refuse_payloads(monkeypatch, cls):
+    def refuse(*args):
+        raise AssertionError("packed or unpacked a payload")
+
+    monkeypatch.setattr(cls, "pack_message", refuse)
+    monkeypatch.setattr(cls, "unpack_message", refuse)
+
+
 @pytest.mark.parametrize("spec,pieces", [
     (layouts.LayoutSpec(id="rowcol_struct", n=400, A=10), [(1, 1), (389, 1)]),
     (layouts.LayoutSpec(id="rowcol_struct", n=700, A=600), [(1, 1), (99, 1)]),
@@ -717,12 +727,7 @@ def test_direct_copy_of_several_pieces_leaves_gaps(monkeypatch, spec, pieces):
         _same_as_pack_then_unpack(src, dst, kind)
     src_region = bytearray(b"\x11" * src.span)
     src.unpack_message(b"\x22" * src.total_bytes, src_region)
-
-    def refuse(*args):
-        raise AssertionError("packed or unpacked a payload")
-
-    monkeypatch.setattr(CompiledEngine, "pack_message", refuse)
-    monkeypatch.setattr(CompiledEngine, "unpack_message", refuse)
+    _refuse_payloads(monkeypatch, CompiledEngine)
     got = bytearray(b"\xaa" * dst.span)
     dst.unpack_from(src, src_region, got)
     assert got.count(b"\x22") == dst.total_bytes
@@ -734,13 +739,63 @@ def test_unpack_from_does_not_pack(monkeypatch):
     t = Vector(100, 1, 2, INT)
     src, dst = CompiledEngine(t, 1), CompiledEngine(t, 1)
     assert dst.strategy == "periodic"
-
-    def refuse(*args):
-        raise AssertionError("packed or unpacked a payload")
-
-    monkeypatch.setattr(CompiledEngine, "pack_message", refuse)
-    monkeypatch.setattr(CompiledEngine, "unpack_message", refuse)
+    _refuse_payloads(monkeypatch, CompiledEngine)
     dst.unpack_from(src, _fill(src.span), bytearray(dst.span))
+
+
+def _built(spec: layouts.LayoutSpec) -> tuple:
+    built = layouts.build(spec)
+    return built.datatype, built.count
+
+
+@pytest.mark.parametrize("t,count", [
+    _built(layouts.LayoutSpec(id="tiled_struct", n=80, A=2, S1=1)),
+    (Resized(-8, 24, Vector(2, 1, 2, INT)), 3),
+    (Resized(0, 0, Vector(2, 1, 2, INT)), 1),
+    (Resized(0, 0, Vector(2, 1, 2, INT)), 3),
+    (Vector(3, 2, 4, INT), 0),
+], ids=["tiled_struct", "negative_lb", "extent_0", "extent_0_overlapping", "count_0"])
+def test_interpreted_walk_copies_across_and_leaves_gaps(monkeypatch, t, count):
+    # a nested struct, instances placed below the window start, instances
+    # that share one place, and no instance: the receiver walks the tree
+    # once, region to region, and writes no gap byte
+    src, dst = InterpretedEngine(t, count), InterpretedEngine(t, count)
+    for kind in _REGION_KINDS:
+        _same_as_pack_then_unpack(src, dst, kind)
+    src_region = bytearray(b"\x11" * src.span)
+    src.unpack_message(b"\x22" * src.total_bytes, src_region)
+    payload = np.zeros(dst.span, dtype=bool)
+    flat = flatten(dst.committed, count)
+    for off, n in zip(flat.offsets.tolist(), flat.lengths.tolist()):
+        payload[off - dst.origin : off - dst.origin + n] = True
+    _refuse_payloads(monkeypatch, InterpretedEngine)
+    got = np.full(dst.span, 0xAA, dtype=np.uint8)
+    dst.unpack_from(src, src_region, got)
+    assert (got[payload] == 0x22).all() and (got[~payload] == 0xAA).all()
+
+
+def test_interpreted_copy_key_is_cheap_and_never_crosses_engines(monkeypatch):
+    # count-1 block_indexed: one IndexedBlock of 32 000 displacements
+    ct = layouts.build(layouts.LayoutSpec(id="block_indexed", n=64_000, A=2)).committed
+    engines = [make_engine(name, ct, 1) for name in ENGINES for _ in range(2)]
+    interpreted = [e for e in engines if e.name == "interpreted"]
+    compiled = [e for e in engines if e.name == "compiled"]
+    assert interpreted[0].copy_key[0] == "interpreted"
+    assert compiled[0].copy_key is not None
+    src_region = _fill(engines[0].span)
+    want = bytearray(engines[0].span)
+    engines[0].unpack_message(engines[0].pack_message(src_region), want)
+
+    def by_value(*args):
+        raise AssertionError("compared index tables by value")
+
+    monkeypatch.setattr(IndexedBlock, "__eq__", by_value)
+    for src in engines:
+        for dst in engines:
+            assert (src.copy_key == dst.copy_key) == (src.name == dst.name)
+            got = bytearray(dst.span)
+            dst.unpack_from(src, src_region, got)
+            assert got == want
 
 
 def test_copy_key_is_built_on_the_first_transfer():
@@ -750,8 +805,8 @@ def test_copy_key_is_built_on_the_first_transfer():
         assert "copy_key" not in vars(src) and "copy_key" not in vars(dst)
         dst.unpack_from(src, _fill(src.span), bytearray(dst.span))
         assert "copy_key" in vars(dst)
-        # only a periodic receiver reads the sender's key
-        assert ("copy_key" in vars(src)) == (dst.strategy == "periodic")
+        # only a receiver with a key reads the sender's
+        assert ("copy_key" in vars(src)) == (dst.copy_key is not None)
 
 
 def test_copy_key_of_a_periodic_program_stays_small():
@@ -766,8 +821,8 @@ def test_copy_key_of_a_periodic_program_stays_small():
 
 
 def _unpack_from_pairs():
-    """(src, dst) engine pairs over every checked layout: two periodic
-    compiled engines copy straight across, every other pair packs and
+    """(src, dst) engine pairs over every checked layout: two engines of
+    one copy key copy straight across, every other pair packs and
     unpacks."""
     for t in _CHECKED:
         for src in ENGINES:

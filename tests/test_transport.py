@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treegen import datatypes, oracle_walk
-from typeforge.packer import CompiledEngine, make_engine, pack
+from typeforge.packer import CompiledEngine, InterpretedEngine, make_engine, pack
 from typeforge.transport import (
     TRANSPORTS,
     PeerClosed,
@@ -26,7 +26,7 @@ from typeforge.transport import (
     tcp_connect,
     tcp_listener,
 )
-from typeforge.typecore import Base, BaseKind, Contiguous, Vector, commit
+from typeforge.typecore import Base, BaseKind, Contiguous, Indexed, Vector, commit
 
 INT = Base(BaseKind.INT)
 
@@ -348,27 +348,31 @@ def test_send_failure_after_a_partial_send_is_peer_closed():
 
 
 def _count_copies(monkeypatch) -> dict:
-    """Count the compiled engine's pack_message and unpack_message calls."""
-    calls = {"pack_message": 0, "unpack_message": 0}
-    for name in calls:
-        real = getattr(CompiledEngine, name)
+    """Count both engines' pack_message, unpack_message and _move_across
+    calls."""
+    calls = {"pack_message": 0, "unpack_message": 0, "_move_across": 0}
+    for cls in (CompiledEngine, InterpretedEngine):
+        for name in calls:
+            real = getattr(cls, name)
 
-        def counting(self, *args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(self, *args)
+            def counting(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
 
-        monkeypatch.setattr(CompiledEngine, name, counting)
+            monkeypatch.setattr(cls, name, counting)
     return calls
 
 
-def _round_trip(op, t, count, kind="inmem"):
+def _round_trip(op, t, count, kind="inmem", engines=("compiled", "compiled")):
+    """One round trip of `op` between a ping and a pong engine, named by
+    `engines`; both regions end up holding the same payload."""
     ct = commit(t)
-    eng = make_engine("compiled", ct, count)
+    eng = make_engine(engines[0], ct, count)
     ping_region = _fill(eng.span)
     pong_region = _fill(eng.span, salt=50)
     ping, pong = make_pair(kind)
     try:
-        handle = _run_peer(op, pong, ct, count, pong_region, make_engine("compiled", ct, count))
+        handle = _run_peer(op, pong, ct, count, pong_region, make_engine(engines[1], ct, count))
         op(ping, ct, count, ping_region, eng)
         handle.result()
     finally:
@@ -379,21 +383,37 @@ def _round_trip(op, t, count, kind="inmem"):
 
 @pytest.mark.parametrize("kind", TRANSPORTS)
 def test_inmem_typed_round_trip_copies_region_to_region(monkeypatch, kind):
-    t = Vector(100, 1, 2, INT)
-    assert make_engine("compiled", t, 1).strategy == "periodic"
+    # a periodic and a slices compiled program, and the interpreted walk:
+    # on inmem each receiver copies from the sender's region, one pass per
+    # direction, and nothing is packed or unpacked
     calls = _count_copies(monkeypatch)
-    _round_trip(pingpong_typed, t, 1, kind)
-    # the final check packs both regions once
-    moved = {"pack_message": 0, "unpack_message": 0} if kind == "inmem" else \
-        {"pack_message": 2, "unpack_message": 2}
-    assert calls == {"pack_message": moved["pack_message"] + 2,
-                     "unpack_message": moved["unpack_message"]}
+    for engine, t, count, strategy in (("compiled", Vector(100, 1, 2, INT), 1, "periodic"),
+                                       ("compiled", Vector(3, 2, 4, INT), 2, "slices"),
+                                       ("interpreted", Vector(100, 1, 2, INT), 1, None)):
+        assert getattr(make_engine(engine, t, count), "strategy", None) == strategy
+        calls.update(dict.fromkeys(calls, 0))
+        _round_trip(pingpong_typed, t, count, kind, (engine, engine))
+        # the final check packs both regions once
+        moved = {"pack_message": 0, "unpack_message": 0, "_move_across": 2} \
+            if kind == "inmem" else {"pack_message": 2, "unpack_message": 2, "_move_across": 0}
+        assert calls == {**moved, "pack_message": moved["pack_message"] + 2}, engine
+
+
+def test_inmem_typed_round_trip_between_engines_packs_and_unpacks(monkeypatch):
+    # an interpreted and a compiled engine share no copy key: each receiver
+    # packs from the sender's region, then unpacks
+    t = Vector(100, 1, 2, INT)
+    calls = _count_copies(monkeypatch)
+    for engines in (("interpreted", "compiled"), ("compiled", "interpreted")):
+        calls.update(dict.fromkeys(calls, 0))
+        _round_trip(pingpong_typed, t, 1, "inmem", engines)
+        assert calls == {"pack_message": 2 + 2, "unpack_message": 2, "_move_across": 0}
 
 
 def test_packed_round_trip_packs_and_unpacks_on_both_sides(monkeypatch):
     calls = _count_copies(monkeypatch)
     _round_trip(pingpong_packed, Vector(100, 1, 2, INT), 1)
-    assert calls == {"pack_message": 2 + 2, "unpack_message": 2}
+    assert calls == {"pack_message": 2 + 2, "unpack_message": 2, "_move_across": 0}
 
 
 def test_typed_and_packed_parties_interoperate():
@@ -435,14 +455,14 @@ class _Proxy:
 
 
 @pytest.mark.parametrize("engine, t, count", [
-    ("compiled", Vector(3, 2, 4, INT), 2),
-    ("interpreted", Vector(100, 1, 2, INT), 1),
-], ids=["compiled_slices", "interpreted_periodic"])
+    ("compiled", Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), INT), 1),
+], ids=["compiled_gather"])
 def test_inmem_typed_send_without_a_copy_key_packs_when_sent(engine, t, count):
     # an engine that no receiver copies straight from is packed by its
     # sender, as on tcp, so the sender's later writes do not reach the
-    # message; a periodic compiled engine sends a reference instead
+    # message; an engine with a copy key sends a reference instead
     eng = make_engine(engine, t, count)
+    assert eng.strategy == "gather"
     assert eng.copy_key is None
     region = _fill(eng.span)
     want = bytes(eng.pack_message(region))
