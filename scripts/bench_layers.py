@@ -18,9 +18,10 @@ quartiles, in microseconds.
 Next it times inmem round trips on one core: the raw, typed and packed
 variants of tiled A=2, bucket A=2, alternating A=10 and
 alternating_repeated A=2 at 2.56 MB, of rowcol A=100 (n=10240), of tiled
-A=2 at 3.2 KB and of tiled A=10000 at 2.56 MB (64 segments, the slices
-strategy) on the compiled engine, and of tiled A=2 at 3.2 KB on the
-interpreted engine, with the typed/packed ratio (G2/G3).
+A=2 at 3.2 KB, of tiled A=10000 at 2.56 MB (64 segments, one periodic
+piece) and of block_indexed A=100 at 3.2 KB (8 segments, 8 lone pieces)
+on the compiled engine, and of tiled A=2 at 3.2 KB on the interpreted
+engine, with the typed/packed ratio (G2/G3).
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -68,8 +69,9 @@ from typeforge import bench, experiments, layouts, normalizer, packer, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
 # benchmark, then a tiling whose instances join, then coarse_tcp's tiled
-# A=1000, then describe_sweep's long index tables; 2.56 MB of INT payload
-# unless the element count says otherwise
+# A=1000, then describe_sweep's long index tables, then a short list of
+# lone pieces; 2.56 MB of INT payload unless the element count says
+# otherwise
 REFERENCE = (
     ("tiled", 640_000, 2, "compiled"),
     ("bucket", 640_000, 2, "compiled"),
@@ -81,6 +83,7 @@ REFERENCE = (
     ("block_indexed", 640_000, 2, "compiled"),
     ("alternating_indexed", 640_000, 2, "compiled"),
     ("rowcol_fully_indexed", 10_240, 1000, "compiled"),
+    ("block_indexed", 800, 100, "compiled"),
 )
 
 
@@ -213,7 +216,8 @@ def harness() -> dict:
 
 # (layout, elements, A, engine) of the round-trip section: four periodic
 # layouts at 2.56 MB (the last a tiling whose instances join), a row and a
-# column, and tiled A=2 at 3.2 KB on both engines
+# column, tiled A=2 at 3.2 KB on both engines, a tiling of 64 instances,
+# and a short list of lone pieces
 ROUND_TRIPS = (
     ("tiled", 640_000, 2, "compiled"),
     ("bucket", 640_000, 2, "compiled"),
@@ -223,6 +227,7 @@ ROUND_TRIPS = (
     ("tiled", 800, 2, "compiled"),
     ("tiled", 800, 2, "interpreted"),
     ("tiled", 640_000, 10_000, "compiled"),
+    ("block_indexed", 800, 100, "compiled"),
 )
 
 

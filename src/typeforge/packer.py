@@ -15,16 +15,15 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
   models a library that performs no cross-constructor analysis, so deeply
   fragmented descriptions pay their full per-block overhead.
 * compiled: a copy program for `count` instances of the committed type,
-  executed with bulk (vectorized) moves, by one of four strategies
-  (`CompiledEngine.strategy`).  The program is compiled from the committed
-  unit: its segment count, strategy and, for a short unit tiled without
-  joins, its one periodic piece follow from (count, extent, unit
+  executed with bulk (vectorized) moves.  The program is a view, a tuple of
+  pieces or the gather (`CompiledEngine.strategy`).  It is compiled from the
+  committed unit: its segment count and, for a unit of few segments tiled
+  without joins, its one periodic piece follow from (count, extent, unit
   segments), so the canonical segment list is built only for the paths
   that read it:
   - view: a layout that is one contiguous run filling its window is sent
     straight from the region;
-  - slices: up to 64 segments, one slice copy each;
-  - periodic: the segment list splits greedily into at most 8 pieces
+  - pieces: the segment list split greedily into pieces
     (`CompiledEngine.pieces`), each either a lone segment, moved with one
     slice, or `rows` repetitions of a pattern of up to 8 segments at a
     uniform byte period, moved in one record-wise assignment.  The region
@@ -32,9 +31,11 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
     the pattern's j-th length at its offset in the period (a pattern of
     one segment is one item: an integer word of 1, 2, 4 or 8 bytes, else
     a void), and the payload as records of the same fields back to back;
-    whole records move per row instead of bytes per column.  A tiling whose instances join is a
-    head, one periodic run and a tail; one row plus one column is two
-    pieces;
+    whole records move per row instead of bytes per column.  A tiling
+    whose instances join is a head, one periodic run and a tail; one row
+    plus one column is two pieces.  A list of at most 64 segments always
+    runs as pieces, at most one per segment; a longer one only when it
+    splits into at most 8;
   - gather: anything else moves as words of width w, the widest of 8, 4, 2
     and 1 bytes that divides every segment's region offset and length,
     through an index of `total_bytes / w` word positions.
@@ -51,12 +52,11 @@ supplies only the key and the pass:
   the sender's region to the same place in the receiver's.  Keys compare
   the trees by identity first, so two engines of one committed type never
   compare index tables by value.
-* compiled: the key is the program measured from the window origin, for
-  two strategies.  A slices program copies one slice per segment.  A
-  periodic program copies one slice per lone segment and one strided
-  assignment per pattern field (integer words for fields of 1, 2, 4 or 8
-  bytes, voids otherwise; a column of words more than 2 KB apart goes
-  through a contiguous copy of it); it never assigns whole region
+* compiled: the key is the pieces, measured from the window origin.  A
+  direct copy moves one slice per lone piece and one strided assignment
+  per pattern field of a periodic piece (integer words for fields of 1, 2,
+  4 or 8 bytes, voids otherwise; a column of words more than 2 KB apart
+  goes through a contiguous copy of it); it never assigns whole region
   records, which could carry the gap bytes between fields along.  A view
   or a gather has no key (a view is already sent straight from the
   region, and a gather would still build the payload with `np.take`), so
@@ -96,15 +96,16 @@ from .typecore import (
     window,
 )
 
-# programs up to this many ops run as python slice copies; larger ones
-# switch to the piecewise periodic copy or the word gather
-_SLICE_OP_LIMIT = 64
+# a list of at most this many segments always runs as pieces, at most one
+# per segment; a longer one runs as pieces only when it splits into at most
+# `_PIECES_MAX`, and otherwise gathers
+_SHORT_LIST = 64
 # a periodic piece needs at least this many repetitions of its pattern
 # before the record-wise copy is worth using
 _PERIOD_MIN_ROWS = 8
 # longest pattern a periodic piece may repeat
 _PERIOD_PATTERN_MAX = 8
-# lists that need more pieces than this are left to the gather index
+# most pieces of a list longer than `_SHORT_LIST` segments
 _PIECES_MAX = 8
 # segments compared in the first and in every later step when following
 # a periodic run
@@ -393,11 +394,11 @@ class CompiledEngine(_Engine):
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  The segment arrays are built on first use, and only by the
-    paths that read them; the strategy, and the one piece of a unit that
-    tiles without joins, come from the committed unit alone, so building
-    the engine costs the size of the unit, not the instance count.  What a
-    copy reads (pieces, record dtypes, word width, gather index) is built
-    on the first copy that needs it.
+    paths that read them; the one piece of a unit that tiles without
+    joins, and with it the strategy, comes from the committed unit alone,
+    so building the engine costs the size of the unit, not the instance
+    count.  What a copy reads (pieces, record dtypes, word width, gather
+    index) is built on the first copy that needs it.
     """
 
     name = "compiled"
@@ -437,19 +438,13 @@ class CompiledEngine(_Engine):
     def is_contiguous(self) -> bool:
         return self.segment_count == 1 and self.total_bytes == self.span
 
-    @cached_property
+    @property
     def strategy(self) -> str:
-        """The copy path this program runs: "view" (the region itself is
-        the payload), "slices" (one slice copy per segment), "periodic"
-        (one record-wise copy per piece) or "gather" (one indexed word
-        copy)."""
-        if self.is_contiguous:
-            return "view"
-        if self.segment_count <= _SLICE_OP_LIMIT:
-            return "slices"
-        if self.pieces is not None:
-            return "periodic"
-        return "gather"
+        """The copy path this program runs, read off `pieces`: "view" (the
+        region itself is the payload), "pieces" (one slice per lone piece
+        and one record-wise copy per periodic one) or "gather" (one indexed
+        word copy)."""
+        return "view" if self.is_contiguous else "gather" if self.pieces is None else "pieces"
 
     @cached_property
     def word_width(self) -> int:
@@ -486,8 +481,10 @@ class CompiledEngine(_Engine):
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...] | None:
-        """The segment list as at most `_PIECES_MAX` pieces, each a
-        periodic run or a lone segment (`_split_pieces`), or None.
+        """The segment list as pieces, each a periodic run or a lone
+        segment (`_split_pieces`): any number of a list of at most
+        `_SHORT_LIST` segments, at most `_PIECES_MAX` of a longer one, else
+        None, and the program gathers.
 
         A unit of few segments that fits in one extent and does not touch
         the next copy is one piece of `count` rows, read off the unit
@@ -496,7 +493,7 @@ class CompiledEngine(_Engine):
         k = len(unit.offsets)
         ext = self.committed.extent
         if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
-                and not self._touching and self.count * k > _SLICE_OP_LIMIT):
+                and not self._touching):
             rel = unit.offsets - unit.offsets[0]
             if (rel >= 0).all() and (rel + unit.lengths <= ext).all():
                 # `count` copies, `ext` apart: the shortest repeating
@@ -513,126 +510,118 @@ class CompiledEngine(_Engine):
     @cached_property
     def piece_records(self) -> tuple[tuple, ...]:
         """Per piece, (region offset, payload offset, payload bytes, rows,
-        period, region dtype, payload dtype); both dtypes are None for a
-        lone segment, which moves as one slice.
+        period, region dtype, payload dtype, fields); both dtypes are None
+        and the fields empty for a lone segment, which moves as one slice.
+        Only a program of pieces has them.
 
         A pattern of one segment moves as one item per row (`_field`).
         Otherwise both dtypes have one void field per pattern segment: the
         region record places field j at its offset within the period and
         is only as long as the bytes the pattern covers, so a strided view
         of `rows` records never reaches past the window; the payload
-        record places the fields back to back.
+        record places the fields back to back.  The fields, (offset within
+        the period, dtype) of each pattern segment as one item (`_field`),
+        are the columns a direct copy moves (`_move_across`).
         """
         out, pos = [], 0
         for p in self.pieces:
             size = p.rows * p.row_bytes
-            if p.rows == 1:
+            fields = tuple(zip(p.rel, map(_field, p.pat))) if p.rows > 1 else ()
+            if not fields:
                 region_rec = packed_rec = None
-            elif len(p.pat) == 1:
-                region_rec = packed_rec = _field(p.pat[0])
+            elif len(fields) == 1:
+                region_rec = packed_rec = fields[0][1]
             else:
                 prefix = np.cumsum(p.pat) - p.pat
                 region_rec = _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
                 packed_rec = _record(prefix, p.pat, p.row_bytes)
             out.append((p.first - self.origin, pos, size, p.rows, p.period,
-                        region_rec, packed_rec))
+                        region_rec, packed_rec, fields))
             pos += size
         return tuple(out)
 
     @cached_property
-    def _slices(self) -> tuple[tuple[int, int], ...]:
-        """(region offset, length) of every segment, for the slices
-        strategy."""
-        return tuple(zip((self.offsets - self.origin).tolist(), self.lengths.tolist()))
+    def _lone_only(self) -> bool:
+        """Whether every piece is a lone segment.  A copy of such a program
+        views its region and payload as memoryviews of bytes, which slice
+        fastest, and packs into a bytearray; any other views them as uint8
+        arrays, which numpy views as records fastest, and packs into an
+        uninitialized array."""
+        return all(p.rows == 1 for p in self.pieces)
 
     @cached_property
     def copy_key(self) -> tuple | None:
-        """What a copy between two regions follows, measured from the window
-        origin: the segments of a slices program, the pieces of a periodic
-        one.  Equal for two programs that move every payload byte between
-        the same region positions, in the same order, and small whatever
-        the unit's size.  None for the other strategies, which pack and
-        unpack."""
-        if self.strategy == "slices":
-            return self._slices
-        if self.strategy == "periodic":
-            return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
-        return None
+        """What a copy between two regions follows: the pieces, measured
+        from the window origin.  Equal for two programs that move every
+        payload byte between the same region positions, in the same order,
+        and never more pieces than segments, nor more than `_PIECES_MAX`
+        for a list longer than `_SHORT_LIST`.  None for a view or a gather,
+        which pack and unpack."""
+        if self.is_contiguous or self.pieces is None:
+            return None
+        return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
 
     def _move_across(self, src_region, region) -> None:
-        """One slice per segment or lone piece, and one strided assignment
-        per pattern field of a periodic piece.  numpy may copy two identical
-        record dtypes as whole items, gaps between fields included, so no
-        record is assigned."""
-        if self.strategy == "slices":
-            src, dst = _byte_view(src_region), _byte_view(region)
-            for at, n in self._slices:
-                dst[at : at + n] = src[at : at + n]
-            return
-        src, dst = _as_u8(src_region), _as_u8(region)
-        for p in self.pieces:
-            at = p.first - self.origin
-            if p.rows == 1:
-                dst[at : at + p.pat[0]] = src[at : at + p.pat[0]]
+        """One slice per lone piece, and one strided assignment per pattern
+        field of a periodic piece.  numpy may copy two identical record
+        dtypes as whole items, gaps between fields included, so no record
+        is assigned."""
+        view = _byte_view if self._lone_only else _as_u8
+        src, dst = view(src_region), view(region)
+        for at, _, size, rows, period, _, _, fields in self.piece_records:
+            if not fields:
+                dst[at : at + size] = src[at : at + size]
                 continue
-            for rel, n in zip(p.rel, p.pat):
-                field = _field(n)
-                col = np.ndarray((p.rows,), field, src, at + rel, (p.period,))
-                if field.kind == "u" and p.period > _STAGED_PERIOD:
+            for rel, field in fields:
+                col = np.ndarray((rows,), field, src, at + rel, (period,))
+                if field.kind == "u" and period > _STAGED_PERIOD:
                     col = col.copy()
-                np.ndarray((p.rows,), field, dst, at + rel, (p.period,))[...] = col
+                np.ndarray((rows,), field, dst, at + rel, (period,))[...] = col
 
     def _move(self, region, data):
         packing = data is None
-        strategy = self.strategy
-        if strategy == "slices":
-            out = bytearray(self.total_bytes) if packing else None
-            reg = _byte_view(region)
-            packed = _byte_view(out if packing else data)
-            pos = 0
-            for start, ln in self._slices:
+        if self.pieces is None:
+            # whole words, any trailing partial word of the region cut
+            reg, w = _as_u8(region), self.word_width
+            words = reg[: len(reg) - len(reg) % w].view(f"u{w}")
+            if packing:
+                return np.take(words, self.gather_index).view(np.uint8)
+            words[self.gather_index] = _as_u8(data).view(words.dtype)
+            return None
+        # per piece, one slice or one record-wise assignment: row i of the
+        # region, `period` bytes apart, is record i of the payload
+        n = self.total_bytes
+        if self._lone_only:
+            reg, out = _byte_view(region), bytearray(n) if packing else None
+            packed = _byte_view(data if out is None else out)
+        else:
+            reg, out = _as_u8(region), np.empty(n, dtype=np.uint8) if packing else None
+            packed = _as_u8(data) if out is None else out
+        for at, pos, size, rows, period, region_rec, packed_rec, _ in self.piece_records:
+            if region_rec is None:
                 if packing:
-                    packed[pos : pos + ln] = reg[start : start + ln]
+                    packed[pos : pos + size] = reg[at : at + size]
                 else:
-                    reg[start : start + ln] = packed[pos : pos + ln]
-                pos += ln
-            return out
-        reg = _as_u8(region)
-        if strategy == "periodic":
-            # per piece, one slice or one record-wise assignment: row i of
-            # the region, `period` bytes apart, is record i of the payload
-            packed = np.empty(self.total_bytes, dtype=np.uint8) if packing else _as_u8(data)
-            for at, pos, size, rows, period, region_rec, packed_rec in self.piece_records:
-                if region_rec is None:
-                    if packing:
-                        packed[pos : pos + size] = reg[at : at + size]
-                    else:
-                        reg[at : at + size] = packed[pos : pos + size]
-                    continue
-                strided = np.ndarray((rows,), region_rec, reg, at, (period,))
-                records = packed[pos : pos + size].view(packed_rec)
-                if packing:
-                    records[...] = strided
-                else:
-                    strided[...] = records
-            return packed if packing else None
-        # gather: whole words, any trailing partial word of the region cut
-        w = self.word_width
-        words = reg[: len(reg) - len(reg) % w].view(f"u{w}")
-        if packing:
-            return np.take(words, self.gather_index).view(np.uint8)
-        words[self.gather_index] = _as_u8(data).view(words.dtype)
-        return None
+                    reg[at : at + size] = packed[pos : pos + size]
+                continue
+            strided = np.ndarray((rows,), region_rec, reg, at, (period,))
+            records = packed[pos : pos + size].view(packed_rec)
+            if packing:
+                records[...] = strided
+            else:
+                strided[...] = records
+        return out
 
 
 def _split_pieces(offs: np.ndarray, lens: np.ndarray) -> tuple[Piece, ...] | None:
     """`CompiledEngine.pieces` of a segment list, split greedily: from the
     first segment not yet covered, the longest periodic piece that starts
-    there (`_detect_period`), else that segment alone.  None when the list
-    needs more than `_PIECES_MAX` pieces."""
+    there (`_detect_period`), else that segment alone.  None when a list
+    of more than `_SHORT_LIST` segments needs more than `_PIECES_MAX`
+    pieces."""
     pieces, i, n = [], 0, len(offs)
     while i < n:
-        if len(pieces) == _PIECES_MAX:
+        if len(pieces) == _PIECES_MAX and n > _SHORT_LIST:
             return None
         piece = _detect_period(offs, lens, i)
         if piece is None:

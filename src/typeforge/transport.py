@@ -13,7 +13,7 @@ into its own region, which is the cost a real receive pays.
 A typed message (`Endpoint.send_typed`/`recv_typed`) travels as packed
 bytes on tcp.  On inmem, when the sending engine can be copied from
 straight across (it has a `copy_key`: an interpreted engine, or a
-compiled slices or periodic program), it is a reference to the sender's
+compiled program of pieces), it is a reference to the sender's
 (engine, region): the receiving engine copies the layout's bytes from
 that region into its own (`unpack_from`), in one pass when it has the same
 key, as an intra-node library's single-copy path reads the sender's buffer
@@ -293,7 +293,7 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # send of the packed bytes, a receive and an unpack, but over inmem the
 # receiver copies from the sender's region in one pass, for the
 # interpreted engine (one tree walk per direction) and for compiled
-# slices and periodic programs.  A packed round trip is the explicit
+# programs of pieces.  A packed round trip is the explicit
 # MPI_Pack path on every carrier: pack into a fresh buffer, send those
 # bytes, receive them, unpack.  So G2/G3 compare two different paths on
 # inmem for those engines, and the same one elsewhere.  An engine may send

@@ -139,9 +139,8 @@ def test_unpack_leaves_gap_bytes_alone():
 
 
 def test_periodic_path_matches_slice_path():
-    # more segments than the slice-copy limit, uniform period: the program
-    # moves whole columns with 2-d slices, and its last period stops short
-    # of a full stride
+    # a uniform period: the program moves one word per row, and its last
+    # period stops short of a full stride
     t = Vector(100, 1, 2, INT)
     p = CompiledEngine(t, 1)
     assert len(flatten(t, 1).segments) == 100
@@ -195,6 +194,32 @@ def test_gather_path_matches_slice_path():
     assert dst.tobytes() == bytes(ref)
 
 
+def test_short_periodic_list_is_one_piece(monkeypatch):
+    # tiled A=50 at 3.2 KB: 16 instances of a one-segment unit, read off
+    # the unit as one periodic piece, as a long tiling is
+    built = layouts.build(layouts.LayoutSpec(id="tiled", n=800, A=50))
+    monkeypatch.setattr(packer, "flatten", None)  # any call would raise
+    p = CompiledEngine(built.committed, built.count)
+    strategy, plan, materialized = _planned_from_unit(p)
+    assert (p.segment_count, strategy, materialized) == (16, "pieces", False)
+    assert [(piece.rows, piece.period, piece.pat) for piece in plan] == [(16, 208, (200,))]
+    assert p.copy_key == plan
+    monkeypatch.undo()
+    for form in _REGION_FORMS:
+        _check_against_walker(built.committed, built.count, form)
+
+
+def test_short_irregular_list_runs_as_lone_pieces():
+    # 16 blocks of 64 KB at irregular gaps: more pieces than a long list
+    # may have, but a list this short never gathers
+    t = Indexed(tuple((16_384, i * 16_384 + i * (i + 3) // 2) for i in range(16)), INT)
+    for form in _REGION_FORMS:
+        p = _check_against_walker(t, 1, form)
+    assert p.strategy == "pieces"
+    assert [(piece.rows, piece.pat) for piece in p.pieces] == [(1, (65_536,))] * 16
+    _same_as_pack_then_unpack(p, CompiledEngine(t, 1), "bytearray")
+
+
 def test_pack_zero_count_is_empty():
     assert pack(INT, 0, b"") == b""
     unpack(INT, 0, b"", bytearray())
@@ -203,7 +228,7 @@ def test_pack_zero_count_is_empty():
 # --- error handling -----------------------------------------------------
 
 
-# fragmented (slice copies), long and periodic, irregular (gathered) and
+# fragmented (lone pieces), long and periodic, irregular (gathered) and
 # contiguous (sent straight from the region): every check below runs for
 # every engine on each, and for the compiled engine on each of its paths
 _CHECKED = (Vector(3, 2, 4, INT), Vector(100, 1, 2, INT),
@@ -315,7 +340,7 @@ def _periodic_types(draw):
 def test_periodic_kernel_matches_walker(t, count, form):
     p = _check_against_walker(t, count, form)
     if count == 1 and len(p.offsets) > 64:
-        assert p.strategy == "periodic" and len(p.pieces) == 1
+        assert p.strategy == "pieces" and len(p.pieces) == 1
         assert p.span < p.pieces[0].rows * p.pieces[0].period
 
 
@@ -350,7 +375,7 @@ def test_word_width_is_the_widest_common_divisor():
 def test_strategy_names_the_copy_path():
     # the types the error tests check take every path
     assert [CompiledEngine(t, 1).strategy for t in _CHECKED] == \
-        ["slices", "periodic", "gather", "view"]
+        ["pieces", "pieces", "gather", "view"]
 
 
 def test_piece_records_are_built_once_per_program(monkeypatch):
@@ -371,9 +396,9 @@ def test_piece_records_are_built_once_per_program(monkeypatch):
 
 def test_single_field_pieces_move_one_item_per_row():
     # an integer word where one fits, else a void
-    assert CompiledEngine(Vector(100, 1, 2, INT), 1).piece_records[0][5:] == \
+    assert CompiledEngine(Vector(100, 1, 2, INT), 1).piece_records[0][5:7] == \
         (np.dtype("u4"), np.dtype("u4"))
-    assert CompiledEngine(Vector(100, 3, 4, INT), 1).piece_records[0][5:] == \
+    assert CompiledEngine(Vector(100, 3, 4, INT), 1).piece_records[0][5:7] == \
         (np.dtype("V12"), np.dtype("V12"))
 
 
@@ -386,7 +411,7 @@ _GATHERED = Indexed(tuple((1, i * (i + 3) // 2) for i in range(100)), Base(BaseK
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])
 def test_regions_of_wider_elements_count_bytes(engine, dtype):
-    # view, slices, periodic and gather programs; every window is a whole
+    # view, lone, periodic and gather programs; every window is a whole
     # number of doubles
     for t in (Contiguous(6, INT), Vector(3, 2, 4, INT), Vector(100, 2, 4, INT), _GATHERED):
         eng = make_engine(engine, t, 1)
@@ -419,9 +444,7 @@ def _segment_rule(p: CompiledEngine) -> tuple:
     pieces = _reference_pieces(off, ln)
     if len(off) == 1 and int(ln[0]) == p.total_bytes == p.span:
         return "view", pieces
-    if len(off) <= 64:
-        return "slices", pieces
-    return ("periodic" if pieces is not None else "gather"), pieces
+    return ("pieces" if pieces is not None else "gather"), pieces
 
 
 def _same_plan(a, b) -> bool:
@@ -442,11 +465,11 @@ def test_tiled_compile_builds_no_segments(monkeypatch):
     monkeypatch.setattr(packer, "flatten", None)  # any call would raise
     p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
-    assert strategy == "periodic"
+    assert strategy == "pieces"
     assert [(piece.rows, piece.period) for piece in plan] == [(320_000, 16)]
     assert not materialized
     monkeypatch.undo()
-    assert _segment_rule(p)[0] == "periodic"
+    assert _segment_rule(p)[0] == "pieces"
     assert _same_plan(plan, _segment_rule(p)[1])
 
 
@@ -478,7 +501,7 @@ def test_unit_plans_match_the_segment_rule(lid, n, A):
         assert strategy == _segment_rule(p)[0]
         assert _same_plan(plan, _segment_rule(p)[1])
         unit = len(ct.flat.offsets)
-        if count >= 8 and unit <= 8 and strategy == "periodic":
+        if count >= 8 and unit <= 8 and strategy == "pieces":
             # a tiled unit of few segments is planned without its segments
             # unless its instances touch
             assert not materialized or p._touching
@@ -503,7 +526,7 @@ def _reference_pieces(offs, lens) -> tuple | None:
     is followed over the whole rest of the list; the one that repeats in
     the most segments, by whole rows and at least 8 rows, is a piece (the
     shortest pattern on a tie), else that segment alone is.  None past 8
-    pieces."""
+    pieces of a list longer than 64 segments."""
     offs, lens = np.asarray(offs, dtype=np.int64), np.asarray(lens, dtype=np.int64)
     pieces, i, n = [], 0, len(offs)
     while i < n:
@@ -520,7 +543,7 @@ def _reference_pieces(offs, lens) -> tuple | None:
             if rows >= 8 and rows * g > best[0] * len(best[4]):
                 best = (rows, period, first, rel, pat)
         pieces.append(best)
-        if len(pieces) > 8:
+        if len(pieces) > 8 and n > 64:
             return None
         i += best[0] * len(best[4])
     return tuple(pieces)
@@ -580,7 +603,7 @@ def test_piece_splitter_matches_the_brute_force_reference(segments):
     assert _same_plan(pieces, _reference_pieces(offs, lens))
     if pieces is None:
         return
-    assert len(pieces) <= packer._PIECES_MAX
+    assert len(pieces) <= (packer._PIECES_MAX if len(offs) > packer._SHORT_LIST else len(offs))
     # every piece is a periodic run of 8 rows or more, or one segment
     assert all(p.rows >= 8 or (p.rows, len(p.pat)) == (1, 1) for p in pieces)
     rebuilt = [(p.first + row * p.period + rel, n) for p in pieces
@@ -590,9 +613,12 @@ def test_piece_splitter_matches_the_brute_force_reference(segments):
 
 
 def test_lists_of_more_than_eight_pieces_gather():
-    offs = np.array([i * (i + 3) for i in range(9)], dtype=np.int64)
-    lens = np.ones(9, dtype=np.int64)
-    assert len(packer._split_pieces(offs[:8], lens[:8])) == 8
+    # only a list longer than 64 segments: a shorter one is at most one
+    # piece per segment
+    offs = np.array([i * (i + 3) for i in range(65)], dtype=np.int64)
+    lens = np.ones(65, dtype=np.int64)
+    assert len(packer._split_pieces(offs[:9], lens[:9])) == 9
+    assert len(packer._split_pieces(offs[:64], lens[:64])) == 64
     assert packer._split_pieces(offs, lens) is None
 
 
@@ -692,7 +718,7 @@ def test_direct_periodic_copy_leaves_interior_gaps():
     # destination
     built = layouts.build(layouts.LayoutSpec(id="bucket", n=800, A=2))
     src, dst = (CompiledEngine(built.committed, built.count) for _ in range(2))
-    assert dst.strategy == "periodic" and len(dst.pieces[0].pat) > 1
+    assert dst.strategy == "pieces" and len(dst.pieces[0].pat) > 1
     src_region = bytearray(b"\x11" * src.span)
     src.unpack_message(b"\x22" * src.total_bytes, src_region)
     got = bytearray(b"\xaa" * dst.span)
@@ -721,7 +747,7 @@ def test_direct_copy_of_several_pieces_leaves_gaps(monkeypatch, spec, pieces):
     # written
     built = layouts.build(spec)
     src, dst = (CompiledEngine(built.committed, built.count) for _ in range(2))
-    assert dst.strategy == "periodic"
+    assert dst.strategy == "pieces"
     assert [(p.rows, len(p.pat)) for p in dst.pieces] == pieces
     for kind in _REGION_KINDS:
         _same_as_pack_then_unpack(src, dst, kind)
@@ -738,7 +764,7 @@ def test_unpack_from_does_not_pack(monkeypatch):
     # a compiled engine of the same program copies without a payload
     t = Vector(100, 1, 2, INT)
     src, dst = CompiledEngine(t, 1), CompiledEngine(t, 1)
-    assert dst.strategy == "periodic"
+    assert dst.strategy == "pieces"
     _refuse_payloads(monkeypatch, CompiledEngine)
     dst.unpack_from(src, _fill(src.span), bytearray(dst.span))
 
@@ -815,7 +841,7 @@ def test_copy_key_of_a_periodic_program_stays_small():
         built = layouts.build(layouts.LayoutSpec(id=lid, n=n, A=2))
         eng = CompiledEngine(built.committed, built.count)
         assert eng.segment_count > 16_000
-        assert eng.strategy == "periodic"
+        assert eng.strategy == "pieces"
         assert len(eng.copy_key) <= packer._PIECES_MAX
         assert all(len(p.rel) == len(p.pat) <= 8 for p in eng.copy_key)
 

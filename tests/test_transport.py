@@ -383,14 +383,15 @@ def _round_trip(op, t, count, kind="inmem", engines=("compiled", "compiled")):
 
 @pytest.mark.parametrize("kind", TRANSPORTS)
 def test_inmem_typed_round_trip_copies_region_to_region(monkeypatch, kind):
-    # a periodic and a slices compiled program, and the interpreted walk:
-    # on inmem each receiver copies from the sender's region, one pass per
-    # direction, and nothing is packed or unpacked
+    # a compiled program of one periodic piece and one of lone pieces, and
+    # the interpreted walk: on inmem each receiver copies from the sender's
+    # region, one pass per direction, and nothing is packed or unpacked
     calls = _count_copies(monkeypatch)
-    for engine, t, count, strategy in (("compiled", Vector(100, 1, 2, INT), 1, "periodic"),
-                                       ("compiled", Vector(3, 2, 4, INT), 2, "slices"),
-                                       ("interpreted", Vector(100, 1, 2, INT), 1, None)):
-        assert getattr(make_engine(engine, t, count), "strategy", None) == strategy
+    for engine, t, count, rows in (("compiled", Vector(100, 1, 2, INT), 1, [100]),
+                                   ("compiled", Vector(3, 2, 4, INT), 2, [1] * 5),
+                                   ("interpreted", Vector(100, 1, 2, INT), 1, None)):
+        pieces = getattr(make_engine(engine, t, count), "pieces", None)
+        assert rows == (pieces and [p.rows for p in pieces])
         calls.update(dict.fromkeys(calls, 0))
         _round_trip(pingpong_typed, t, count, kind, (engine, engine))
         # the final check packs both regions once
