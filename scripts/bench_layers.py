@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Time the pipeline layer by layer for a fixed reference set of layouts.
 
-For each layout it times the set-up (`layouts.build`, `typecore.commit` of
-the built tree, `normalizer.normalize`, `typecore.equivalent` of the
-layout against its normalized form, `compile`: building a
-`packer.CompiledEngine`, `again`: building a second engine of the same
-committed type, and `plan`: compile plus choosing the copy path, all a
-first copy does before moving bytes), committing and normalizing a freshly
-built tree in every repetition (`compile` and `plan` get a freshly
-committed type), then one pack, one unpack and one memcpy of the same
-payload size, and prints the segment count and the copy path that ran
-(`CompiledEngine.strategy`; the interpreted engine always walks the tree).
+For each layout it times the set-up (`layouts.build`; `typecore.commit` of
+a copy of the built tree that was never committed, so the whole unit is
+derived; `commit_again`: committing the built tree once more, which reads
+the unit its first commit stored on it; `normalizer.normalize`;
+`typecore.equivalent` of the layout against its normalized form;
+`compile`: building a `packer.CompiledEngine`; `compile_again`: building a
+second engine of the same committed type; and `plan`: compile plus
+choosing the copy path, all a first copy does before moving bytes),
+committing and normalizing a fresh tree in every repetition (`compile` and
+`plan` get a freshly committed type), then one pack, one unpack and one
+memcpy of the same payload size, and prints the segment count and the copy
+path that ran (`CompiledEngine.strategy`; the interpreted engine always
+walks the tree).
 Pack, unpack and memcpy are interleaved within each repetition so host
 speed drift hits all three alike; each figure is a median with its
 quartiles, in microseconds.
@@ -134,14 +137,18 @@ def _timed(fn, reps: int, fresh=None) -> tuple[dict, object]:
 
 
 def setup(layout: str, n: int, A: int, reps: int) -> dict:
-    """Set-up stages of one layout, each timed on its own.  Commit and
-    normalize read a tree built afresh for each call, as a new experiment
-    would."""
+    """Set-up stages of one layout, each timed on its own.  Commit reads a
+    tree that was never committed, and normalize one built afresh, for
+    each call, as a new experiment would; `commit_again` commits the built
+    tree, which its build has committed already."""
     spec = layouts.LayoutSpec(id=layout, n=n, A=A)
     out = {}
     out["build"], built = _timed(lambda: layouts.build(spec), reps)
     ct, count = built.committed, built.count
-    out["commit"], _ = _timed(typecore.commit, reps, lambda: layouts.build(spec).datatype)
+    # `build` commits its tree, so commit a JSON copy, which holds no unit
+    out["commit"], _ = _timed(typecore.commit, reps,
+                              lambda: typecore.datatype_loads(typecore.datatype_dumps(ct.datatype)))
+    out["commit_again"], _ = _timed(lambda: typecore.commit(ct.datatype), reps)
     out["normalize"], report = _timed(normalizer.normalize, reps,
                                       lambda: layouts.build(spec).committed)
     normal = report.committed_output
@@ -355,12 +362,13 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
-          f"{'build':>8}{'commit':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'again':>8}"
+          f"{'build':>8}{'commit':>8}{'again':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'again':>8}"
           f"{'plan':>8}{'pack':>8}{'unpack':>8}{'memcpy':>8}{'pack/mc':>8}")
     for layout, n, A, engine in REFERENCE:
         row = measure(layout, n, A, engine, args.reps)
         rows.append(row)
-        stages = [row["setup"][k] for k in ("build", "commit", "normalize", "equivalent")]
+        stages = [row["setup"][k]
+                  for k in ("build", "commit", "commit_again", "normalize", "equivalent")]
         stages += [row["compile"], row["setup"]["compile_again"], row["setup"]["plan"]]
         stages += [row[k] for k in ("pack", "unpack", "memcpy")]
         print(f"{f'{layout}/A{A}/n{n}':<34}{engine:<12}{row['segments']:>9} "

@@ -62,8 +62,10 @@ class NormalizationReport:
     input_cost: int
     output_cost: int
     changed: bool
-    # the output, committed once here for its cost, for callers that
-    # measure it next
+    # the output, committed here for its cost; the commit stores its unit
+    # on the output tree, so a later `commit(output)` (or an engine or
+    # `equivalent` of it) reads that unit too, and this field only saves
+    # callers the call
     committed_output: CommittedType = field(repr=False, compare=False)
 
 

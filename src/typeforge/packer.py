@@ -70,6 +70,7 @@ their element type.  `make_engine` builds an engine by its `name`.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
@@ -139,8 +140,12 @@ def _byte_view(buf) -> memoryview:
     return view if view.format == "B" and view.ndim == 1 else view.cast("B")
 
 
+_U8 = np.dtype(np.uint8)
+
+
 def _as_u8(buf) -> np.ndarray:
-    if isinstance(buf, np.ndarray) and buf.dtype == np.uint8 and buf.ndim == 1:
+    # an identity test: any other uint8 dtype object takes the frombuffer path
+    if isinstance(buf, np.ndarray) and buf.dtype is _U8 and buf.ndim == 1:
         return buf
     return np.frombuffer(_byte_view(buf), dtype=np.uint8)
 
@@ -156,6 +161,10 @@ class _Engine:
     # equal for two engines that copy straight between their regions
     # (`unpack_from`); None for an engine that packs and unpacks
     copy_key = None
+    # weak reference to the last engine `unpack_from` found to have this
+    # engine's `copy_key`: keys never change, so it is not compared again,
+    # and a weak one, so two engines that copy from each other form no cycle
+    _same_key = None
 
     def __init__(self, t: Datatype | CommittedType, count: int):
         if count < 0:
@@ -179,10 +188,12 @@ class _Engine:
         `region`, with the checks of that pack and of this unpack: from an
         engine of the same `copy_key`, in one pass from region to region
         (`_move_across`); from any other engine, by packing and unpacking."""
-        key = self.copy_key
-        if key is None or src.copy_key != key:
-            self.unpack_message(src.pack_message(src_region), region)
-            return
+        if self._same_key is None or self._same_key() is not src:
+            key = self.copy_key
+            if key is None or src.copy_key != key:
+                self.unpack_message(src.pack_message(src_region), region)
+                return
+            self._same_key = weakref.ref(src)
         src._checked(src_region)
         if self._checked(region, src.total_bytes) is not None:
             self._move_across(src_region, region)

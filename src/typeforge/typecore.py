@@ -7,6 +7,19 @@ bounds (lb, ub) and the canonical flat layout of one instance.  Flattening
 extent, so two descriptions are interchangeable exactly when their
 flattened segment lists agree byte for byte.
 
+Committing a tree derives these once.  The result is the canonical unit
+(`FlatLayout`, which carries the size, lb and extent), stored on the tree
+node itself, so a later `commit`, `normalize`, `equivalent`, `window` or
+engine of the same tree object reads it instead of walking the tree again,
+and a tree that holds a committed subtree reads that subtree's unit too.
+Nodes are frozen and their index tables read-only, so a stored unit cannot
+go stale; the unit's arrays are read-only as well.  The store holds only
+the unit, never the `CommittedType` (whose `datatype` points back at the
+tree), so tree and unit form no reference cycle and are freed together.
+The store is not a field: equality, hashing, `repr`, JSON,
+`dataclasses.replace`, pickles and copies ignore it, and a replaced,
+unpickled or copied node derives afresh.
+
 Tiling is closed-form: a canonical unit can join the next instance only
 where its last segment touches the next one's first, so a unit that does
 not touch is a plain broadcast and a single touching segment becomes one
@@ -67,19 +80,36 @@ class BaseKind(enum.Enum):
         raise MalformedType(f"unknown base kind: {name!r}")
 
 
+# name of the attribute under which `commit` stores a tree's unit on the node
+_UNIT = "_committed_unit"
+
+
+class _Node:
+    """What every constructor node shares: a pickle or a copy of a node
+    holds its fields only, not the unit `commit` stored on it, so the copy
+    derives its own on its first commit."""
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state.pop(_UNIT, None)
+        return state
+
+
 @dataclass(frozen=True)
-class Base:
+class Base(_Node):
     kind: BaseKind
 
 
 @dataclass(frozen=True)
-class Contiguous:
+class Contiguous(_Node):
     count: int
     inner: "Datatype"
 
 
 @dataclass(frozen=True)
-class Vector:
+class Vector(_Node):
     """`count` blocks of `blocklen` inner instances, block-to-block stride
     measured in units of the inner extent."""
 
@@ -90,7 +120,7 @@ class Vector:
 
 
 @dataclass(frozen=True)
-class HVector:
+class HVector(_Node):
     """Like Vector but the stride is given directly in bytes."""
 
     count: int
@@ -115,7 +145,7 @@ def _table(values, row: tuple[int, ...], what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Indexed:
+class Indexed(_Node):
     """Blocks of varying length at displacements in units of the inner extent.
 
     `blocks` holds one (blocklen, displ) row per block in serialization
@@ -143,7 +173,7 @@ class Indexed:
 
 
 @dataclass(frozen=True, eq=False)
-class IndexedBlock:
+class IndexedBlock(_Node):
     """Constant-length blocks at displacements in units of the inner extent.
 
     `displs` is stored once, as a read-only int64 array; equality and
@@ -171,14 +201,14 @@ class IndexedBlock:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Node):
     """Struct-like constructor: members are (count, byte displacement, type)."""
 
     members: tuple[tuple[int, int, "Datatype"], ...]
 
 
 @dataclass(frozen=True)
-class Resized:
+class Resized(_Node):
     """Overrides lb and extent of the inner type without touching its payload.
 
     Only instance spacing for count > 1 changes; the single-instance
@@ -224,6 +254,15 @@ class FlatLayout:
         end = off + self.lengths[order]
         return bool(np.any(end[:-1] > off[1:]))
 
+    @cached_property
+    def payload_bounds(self) -> tuple[int, int]:
+        """(lowest, end) byte of the segments, or (lb, lb) when there are
+        none; computed once per layout, so once per committed tree,
+        whatever number of committed types and engines read it."""
+        if len(self.offsets) == 0:
+            return self.lb, self.lb
+        return int(self.offsets.min()), int((self.offsets + self.lengths).max())
+
     def same_segments(self, other: "FlatLayout") -> bool:
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(
             self.lengths, other.lengths
@@ -244,12 +283,9 @@ class CommittedType:
     @cached_property
     def payload_bounds(self) -> tuple[int, int]:
         """(lowest, end) byte of the unit's segments, or (lb, lb) when it
-        has none; computed once per committed type, whatever number of
-        engines read it."""
-        flat = self.flat
-        if len(flat.offsets) == 0:
-            return self.lb, self.lb
-        return int(flat.offsets.min()), int((flat.offsets + flat.lengths).max())
+        has none, read from the unit (`FlatLayout.payload_bounds`), which
+        every committed type of one tree shares."""
+        return self.flat.payload_bounds
 
 
 def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,9 +456,18 @@ def bounds(t: Datatype | CommittedType) -> tuple[int, int]:
     return lb, ub
 
 
+def _stored_unit(t) -> FlatLayout | None:
+    """The unit `commit` stored on node `t`, or None."""
+    return getattr(t, _UNIT, None)
+
+
 def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """Return (offsets, lengths, size, lb, ub) for one instance of `t`,
-    with bounds by `_wrapped_bounds` and `_struct_bounds`."""
+    with bounds by `_wrapped_bounds` and `_struct_bounds`; a committed
+    subtree's are read from its stored unit."""
+    unit = _stored_unit(t)
+    if unit is not None:
+        return unit.offsets, unit.lengths, unit.total_size, unit.lb, unit.lb + unit.extent
     if isinstance(t, Base):
         size = t.kind.size
         return (
@@ -470,6 +515,8 @@ def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
 
 
 def _validate(t: Datatype) -> None:
+    if _stored_unit(t) is not None:
+        return  # committed, so validated, and immutable since
     if isinstance(t, Base):
         if not isinstance(t.kind, BaseKind):
             raise MalformedType(f"base kind must be a BaseKind, got {t.kind!r}")
@@ -514,14 +561,23 @@ def _validate(t: Datatype) -> None:
 def commit(t: Datatype | CommittedType) -> CommittedType:
     """Validate a tree and derive size, bounds, extent and the unit layout.
 
-    Pure: the input tree is never mutated and committing twice is a no-op.
+    The first commit of a tree object derives its unit and stores it on
+    the node; every later commit of that object reads it, so committing
+    twice is a no-op for a raw tree as for a `CommittedType`.  The tree's
+    fields are never changed, and the stored unit holds no reference back
+    to the tree (see the module docstring).
     """
     if isinstance(t, CommittedType):
         return t
-    _validate(t)
-    off, ln, size, lb, ub = _layout(t)
-    flat = FlatLayout(off, ln, size, ub - lb, lb)
-    return CommittedType(t, size, lb, ub, ub - lb, flat)
+    unit = _stored_unit(t)
+    if unit is None:
+        _validate(t)
+        off, ln, size, lb, ub = _layout(t)
+        off.flags.writeable = ln.flags.writeable = False
+        unit = FlatLayout(off, ln, size, ub - lb, lb)
+        object.__setattr__(t, _UNIT, unit)
+    ub = unit.lb + unit.extent
+    return CommittedType(t, unit.total_size, unit.lb, ub, unit.extent, unit)
 
 
 def flatten(t: Datatype | CommittedType, count: int = 1) -> FlatLayout:

@@ -1,5 +1,8 @@
 """Pack and unpack engines: correctness against the byte oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -833,6 +836,40 @@ def test_copy_key_is_built_on_the_first_transfer():
         assert "copy_key" in vars(dst)
         # only a receiver with a key reads the sender's
         assert ("copy_key" in vars(src)) == (dst.copy_key is not None)
+
+
+def test_matched_sender_is_remembered_weakly():
+    # keys are compared once per sender, a sender of another key still packs
+    # and unpacks, and two engines that copied from each other need no
+    # cycle collector to be freed
+    t = Vector(100, 1, 2, INT)
+    a, b, other = CompiledEngine(t, 1), CompiledEngine(t, 1), InterpretedEngine(t, 1)
+    src = _fill(a.span)
+    want = bytearray(b.span)
+    b.unpack_message(a.pack_message(src), want)
+    got = bytearray(b.span)
+    b.unpack_from(a, src, got)
+    a.unpack_from(b, got, bytearray(a.span))
+
+    class Uncomparable:
+        def __eq__(self, _):
+            raise AssertionError("copy keys compared again")
+
+        __ne__ = __eq__
+        __hash__ = None
+
+    vars(a)["copy_key"] = Uncomparable()
+    for sender in (a, other, a):
+        got = bytearray(b.span)
+        b.unpack_from(sender, src, got)
+        assert got == want
+    gc.disable()
+    try:
+        freed = weakref.ref(a)
+        del a, sender
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_copy_key_of_a_periodic_program_stays_small():

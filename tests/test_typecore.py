@@ -1,6 +1,9 @@
 """Constructor trees, flattening, bounds and equivalence."""
 
+import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +29,13 @@ from typeforge.typecore import (
     datatype_dumps,
     datatype_from_json,
     datatype_loads,
+    datatype_to_json,
     equivalent,
     flatten,
 )
+from typeforge.layouts import LayoutSpec, build
+from typeforge.normalizer import normalize
+from typeforge.packer import ENGINES, make_engine
 
 INT = Base(BaseKind.INT)
 DOUBLE = Base(BaseKind.DOUBLE)
@@ -402,3 +409,131 @@ def test_json_rejects_unknown_kind():
         datatype_from_json(["base"])
     with pytest.raises(MalformedType):
         datatype_from_json({"kind": "vector", "count": 1})
+
+
+# --- the unit a commit stores on its tree -------------------------------
+
+
+def _count_derivations(monkeypatch) -> list:
+    """The trees `_layout` is called on from outside itself, in order: one
+    per derivation, the recursion into subtrees not counted."""
+    calls, depth = [], [0]
+    real = typecore._layout
+
+    def counting(t):
+        if depth[0] == 0:
+            calls.append(t)
+        depth[0] += 1
+        try:
+            return real(t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(typecore, "_layout", counting)
+    return calls
+
+
+def test_each_tree_is_derived_once_through_the_pipeline(monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    built = build(LayoutSpec(id="block_indexed", n=800, A=2))
+    t, count = built.datatype, built.count
+    ct = commit(t)
+    report = normalize(t)
+    assert report.changed
+    assert equivalent(ct, count, report.output, count)
+    for _ in range(2):
+        for name in ENGINES:
+            make_engine(name, report.output, count)
+            make_engine(name, t, count)
+    assert [id(tree) for tree in calls] == [id(t), id(report.output)]
+    assert commit(t).flat is ct.flat
+
+
+_STORED = [
+    Vector(3, 2, 4, Indexed(((1, 0), (2, 3)), INT)),
+    Indexed(((2, 1), (1, -3)), SHORT),
+    IndexedBlock(2, (4, 0), DOUBLE),
+    Composite(((2, 0, INT), (1, 12, Resized(-2, 8, SHORT)))),
+]
+
+
+@pytest.mark.parametrize("tree", _STORED)
+def test_stored_unit_is_invisible_and_not_copied_by_replace(tree, monkeypatch):
+    # fresh top nodes, so no earlier test has committed them
+    t, twin = dataclasses.replace(tree), dataclasses.replace(tree)
+    seen = (repr(t), hash(t), datatype_to_json(t))
+    ct = commit(t)
+    assert t == twin and twin == t
+    assert (repr(t), hash(t), datatype_to_json(t)) == seen
+    assert (repr(twin), hash(twin), datatype_to_json(twin)) == seen
+    assert not ct.flat.offsets.flags.writeable and not ct.flat.lengths.flags.writeable
+    calls = _count_derivations(monkeypatch)
+    commit(t)
+    assert calls == []
+    copy = dataclasses.replace(t)
+    again = commit(copy)
+    assert calls == [copy]
+    assert again.flat is not ct.flat and again.flat.same_segments(ct.flat)
+
+
+@given(st.integers(0, 4), datatypes())
+def test_tree_over_a_committed_subtree_commits_alike(c, t):
+    commit(t)
+    wrapped, fresh = commit(Contiguous(c, t)), commit(Contiguous(c, datatype_loads(datatype_dumps(t))))
+    assert (wrapped.size, wrapped.lb, wrapped.ub) == (fresh.size, fresh.lb, fresh.ub)
+    assert wrapped.flat.same_segments(fresh.flat)
+
+
+def test_tree_over_a_committed_subtree_reads_its_unit(monkeypatch):
+    inner = Indexed(((2, 0), (1, 5), (3, 9)), Vector(2, 1, 3, INT))
+    commit(inner)
+    expected = commit(Composite(((2, 0, dataclasses.replace(inner)), (1, -40, INT))))
+    calls = _count_derivations(monkeypatch)
+
+    def no_placement(*_):
+        raise AssertionError("the committed subtree was derived again")
+
+    monkeypatch.setattr(typecore, "_place_blocks", no_placement)
+    outer = commit(Composite(((2, 0, inner), (1, -40, INT))))
+    assert len(calls) == 1
+    assert (outer.size, outer.lb, outer.ub) == (expected.size, expected.lb, expected.ub)
+    assert outer.flat.same_segments(expected.flat)
+
+
+def test_replaced_node_is_not_read_from_the_stored_unit():
+    t = Vector(3, 2, 4, INT)
+    commit(t)
+    wider = commit(dataclasses.replace(t, count=5))
+    assert (wider.size, wider.extent) == (40, 72)
+    assert wider.flat.segments == [(i * 16, 8) for i in range(5)]
+
+
+@pytest.mark.parametrize("t", _STORED)
+def test_committed_tree_survives_a_pickle_round_trip(t, monkeypatch):
+    # the tcp echo process receives its cases pickled
+    t = dataclasses.replace(t)
+    ct = commit(t)
+    calls = _count_derivations(monkeypatch)
+    for copy in (pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(ct)).datatype):
+        assert copy == t
+        again = commit(copy)
+        # a pickle holds the fields only, so the copy derives its own unit
+        assert calls[-1] is copy
+        assert (again.size, again.lb, again.ub, again.extent) == (ct.size, ct.lb, ct.ub, ct.extent)
+        assert again.flat.same_segments(ct.flat)
+        assert again.payload_bounds == ct.payload_bounds
+
+
+def test_stored_unit_makes_no_reference_cycle():
+    gc.disable()
+    try:
+        t = Vector(50, 1, 2, Base(BaseKind.INT))
+        ct = commit(t)
+        assert ct.payload_bounds == (0, 396)
+        offsets = weakref.ref(ct.flat.offsets)
+        unit = weakref.ref(ct.flat)
+        del t, ct
+        # freed by reference counting alone, so nothing points back
+        assert offsets() is None and unit() is None
+    finally:
+        gc.enable()
