@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .bench import DEFAULT_SEED, write_raw_json, write_stats_csv
+from .bench import DEFAULT_SEED, read_stats_csv, write_raw_json, write_stats_csv
 from .experiments import EXPERIMENT_IDS, make_plan, run_experiment
 from .guidelines import write_verdicts_csv
 from .layouts import BadParams, build, spec_from_json
@@ -166,10 +166,7 @@ def cmd_run(args, clock: Optional[Callable[[], float]] = None) -> int:
 def cmd_report(args) -> int:
     import csv
 
-    rows: list[dict] = []
-    for path in args.csv:
-        with open(path, newline="") as fh:
-            rows.extend(csv.DictReader(fh))
+    rows = [row for path in args.csv for row in read_stats_csv(path)]
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         a = int(row["A"]) if row.get("A") else 0

@@ -14,7 +14,7 @@ heterogeneous tile, where elements mix kinds, `n` counts payload bytes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -434,44 +434,46 @@ def build_alternatives(spec: LayoutSpec) -> list[BuiltLayout]:
 
 
 def spec_to_json(spec: LayoutSpec) -> dict:
-    out: dict = {"id": spec.id, "n": spec.n}
-    if spec.A:
-        out["A"] = spec.A
-    out["basetype"] = spec.basetype.wire_name
-    out["variant"] = spec.variant
-    for name in ("B", "A1", "A2", "B1", "B2", "S1", "S2"):
-        val = getattr(spec, name)
-        if val is not None:
-            out[name] = val
-    if spec.subtype is not None:
-        out["subtype"] = spec.subtype
-    if spec.kinds is not None:
-        out["kinds"] = [k.wire_name for k in spec.kinds]
+    """The spec's fields in order, base kinds by wire name; a field that is
+    None, and A when it is 0, is left out."""
+    out: dict = {}
+    for f in fields(LayoutSpec):
+        value = getattr(spec, f.name)
+        if value is None or f.name == "A" and not value:
+            continue
+        if isinstance(value, BaseKind):
+            value = value.wire_name
+        elif isinstance(value, tuple):
+            value = [k.wire_name for k in value]
+        out[f.name] = value
     return out
 
 
+def _kinds(names) -> tuple[BaseKind, ...] | None:
+    return tuple(BaseKind.from_name(k) for k in names) if names else None
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+# how `spec_from_json` reads each field that is not stored as given
+_SPEC_READERS = {
+    "id": str, "n": int, "A": int, "basetype": BaseKind.from_name, "kinds": _kinds,
+    **dict.fromkeys(("B", "A1", "A2", "B1", "B2", "S1", "S2"), _optional_int),
+}
+
+
 def spec_from_json(obj: dict) -> LayoutSpec:
+    """The spec a `spec_to_json` object describes; a field it leaves out
+    takes its default."""
     if not isinstance(obj, dict) or "id" not in obj:
         raise BadParams(f"layout spec JSON must be an object with an 'id': {obj!r}")
     try:
-        kinds = obj.get("kinds")
-        return LayoutSpec(
-            id=str(obj["id"]),
-            n=int(obj["n"]),
-            A=int(obj.get("A", 0)),
-            basetype=BaseKind.from_name(obj.get("basetype", "int")),
-            variant=obj.get("variant", 1),
-            B=obj.get("B"),
-            A1=obj.get("A1"),
-            A2=obj.get("A2"),
-            B1=obj.get("B1"),
-            B2=obj.get("B2"),
-            S1=obj.get("S1"),
-            S2=obj.get("S2"),
-            subtype=obj.get("subtype"),
-            kinds=tuple(BaseKind.from_name(k) for k in kinds) if kinds else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return LayoutSpec(**{
+            f.name: _SPEC_READERS.get(f.name, lambda value: value)(obj[f.name])
+            for f in fields(LayoutSpec) if f.name in obj})
+    except (TypeError, ValueError) as exc:
         raise BadParams(f"bad layout spec JSON: {exc}") from exc
 
 

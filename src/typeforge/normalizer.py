@@ -29,6 +29,7 @@ from .typecore import (
     HVector,
     Indexed,
     IndexedBlock,
+    ONE_CHILD,
     Resized,
     Vector,
     block_bounds,
@@ -36,6 +37,8 @@ from .typecore import (
     bounds,
     canonicalize,
     commit,
+    extent,
+    vector_stride,
 )
 
 _MAX_ITERATIONS = 32
@@ -127,8 +130,7 @@ def _collapse_dense(t: Datatype) -> Datatype | None:
             return Contiguous(t.count * t.blocklen, t.inner)
         return None
     if isinstance(t, HVector):
-        lb, ub = bounds(t.inner)
-        ext = ub - lb
+        ext = extent(t.inner)
         if t.count == 1:
             return Contiguous(t.blocklen, t.inner)
         if ext > 0 and t.stride_bytes % ext == 0:
@@ -145,16 +147,8 @@ def _fuse_nested_vectors(t: Datatype) -> Datatype | None:
         return None
     if inner.count < 1 or inner.blocklen < 1:
         return None
-    base_lb, base_ub = bounds(inner.inner)
-    base_ext = base_ub - base_lb
-    inner_lb, inner_ub = bounds(inner)
-    inner_ext = inner_ub - inner_lb
-    inner_stride_bytes = (
-        inner.stride_bytes if isinstance(inner, HVector) else inner.stride * base_ext
-    )
-    outer_stride_bytes = (
-        t.stride_bytes if isinstance(t, HVector) else t.stride * inner_ext
-    )
+    inner_stride_bytes = vector_stride(inner, extent(inner.inner))
+    outer_stride_bytes = vector_stride(t, extent(inner))
     if inner_stride_bytes < 0 or outer_stride_bytes < 0:
         return None
     # fusable exactly when the outer step lands where the inner pattern
@@ -194,8 +188,7 @@ def _struct_to_indexed(t: Datatype) -> Datatype | None:
             return None
         unit = stripped[0]
         blocks.append((c * stripped[1], d))
-    lb, ub = bounds(unit)
-    ext = ub - lb
+    ext = extent(unit)
     if ext <= 0:
         return None
     if any(d % ext for _, d in blocks):
@@ -293,10 +286,10 @@ def _rewrite(t: Datatype, fn) -> tuple[Datatype, bool]:
     """Apply `fn` bottom-up; identical subtrees are reused, not rebuilt."""
     if isinstance(t, Base):
         node, changed = t, False
-    elif isinstance(t, (Contiguous, Vector, HVector, Indexed, IndexedBlock, Resized)):
+    elif isinstance(t, ONE_CHILD):
         inner, changed = _rewrite(t.inner, fn)
         node = replace(t, inner=inner) if changed else t
-    elif isinstance(t, Composite):
+    else:
         members = []
         changed = False
         for c, d, m in t.members:
@@ -304,8 +297,6 @@ def _rewrite(t: Datatype, fn) -> tuple[Datatype, bool]:
             members.append((c, d, new_m))
             changed = changed or ch
         node = Composite(tuple(members)) if changed else t
-    else:
-        raise TypeError(f"not a datatype node: {t!r}")
     replacement = fn(node)
     if replacement is None:
         return node, changed

@@ -85,15 +85,14 @@ from .typecore import (
     CommittedType,
     FlatLayout,
     HVector,
-    Indexed,
-    IndexedBlock,
     MalformedType,
     Resized,
     Vector,
     block_table,
-    bounds,
     commit,
+    extent,
     flatten,
+    vector_stride,
     window,
 )
 
@@ -257,6 +256,10 @@ class _Engine:
 #                                              byte displacement
 #   ("struct", (plan, ...))                    members in order
 #
+# Plans are made from committed trees only, so every node is a checked
+# constructor; strides and extents are read by typecore's rules
+# (`vector_stride`, `extent`).
+#
 # The only lookahead is that a constructor whose inner type is a bare base
 # kind emits each of its blocks as one run, which is the granularity the
 # constructor itself describes, and that a vector of single instances is
@@ -272,15 +275,13 @@ def _prep(t: Datatype):
     if isinstance(t, Resized):
         return _prep(t.inner)
     if isinstance(t, Composite):
-        return ("struct", tuple(_placed(member, _extent(member), ((displ, count),))
+        return ("struct", tuple(_placed(member, extent(member), ((displ, count),))
                                 for count, displ, member in t.members))
-    if not isinstance(t, (Contiguous, Vector, HVector, Indexed, IndexedBlock)):
-        raise MalformedType(f"not a datatype node: {t!r}")
-    ext = _extent(t.inner)
+    ext = extent(t.inner)
     if isinstance(t, Contiguous):
         blocks = ((0, t.count),)
     elif isinstance(t, (Vector, HVector)):
-        stride = t.stride * ext if isinstance(t, Vector) else t.stride_bytes
+        stride = vector_stride(t, ext)
         if t.blocklen == 1 and not isinstance(t.inner, Base):
             return ("blocks", ((0, t.count, stride),), _prep(t.inner))
         blocks = tuple((i * stride, t.blocklen) for i in range(t.count))
@@ -288,11 +289,6 @@ def _prep(t: Datatype):
         lens, displs = block_table(t, ext)
         blocks = tuple(zip(displs.tolist(), lens.tolist()))
     return _placed(t.inner, ext, blocks)
-
-
-def _extent(t: Datatype) -> int:
-    lb, ub = bounds(t)
-    return ub - lb
 
 
 def _placed(inner: Datatype, ext: int, blocks: tuple) -> tuple:

@@ -29,18 +29,28 @@ units when the counts and extents match, so set-up grows with the size of
 a description, not with its instance count.
 
 An indexed node stores its table once, as a read-only int64 array that
-commit, validation, the normalizer and the packer's planner all read
-without converting it entry by entry.  Block placement is closed-form
-too: over an inner unit of one segment as long as its extent (a base
-kind, say), block j is the single run (displ_j, blocklen_j x extent), so
-no instance is expanded only to be merged back.
+commit, the normalizer and the packer's planner all read without
+converting it entry by entry; the JSON codec hands a table to the
+constructor as read, and the constructor checks its shape and range.
+Block placement is closed-form too: over an inner unit of one segment as
+long as its extent (a base kind, say), block j is the single run
+(displ_j, blocklen_j x extent), so no instance is expanded only to be
+merged back.
+
+This module is the one place that knows the node kinds.  Committing
+checks each node's own fields (`_check`) in the walk that derives the
+layout, before it descends to the node's children, so a bad node is
+refused before anything below it allocates; the JSON codec reads each
+node's dataclass fields in order through one table of kind names; and
+`vector_stride`, `extent` and `ONE_CHILD` give the normalizer and the
+packer the vector byte-stride rule, the extent and the one-child kinds.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Union
 
@@ -75,7 +85,7 @@ class BaseKind(enum.Enum):
     @classmethod
     def from_name(cls, name: str) -> "BaseKind":
         for kind in cls:
-            if kind.wire_name == name.lower():
+            if isinstance(name, str) and kind.wire_name == name.lower():
                 return kind
         raise MalformedType(f"unknown base kind: {name!r}")
 
@@ -138,8 +148,9 @@ def _table(values, row: tuple[int, ...], what: str) -> np.ndarray:
         raise MalformedType(f"{what} must be int64 integers: {exc}") from exc
     if arr.size == 0:
         arr = np.empty((0, *row), dtype=np.int64)
-    if arr.shape[1:] != row:
-        raise MalformedType(f"{what} need rows of shape {row}, got shape {arr.shape}")
+    if arr.ndim != 1 + len(row) or arr.shape[1:] != row:
+        shape = str(("n", *row)).replace("'", "")
+        raise MalformedType(f"{what} need shape {shape}, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -221,6 +232,32 @@ class Resized(_Node):
 
 
 Datatype = Union[Base, Contiguous, Vector, HVector, Indexed, IndexedBlock, Composite, Resized]
+
+# every constructor and its JSON kind name
+_KIND_NAMES = {
+    Base: "base",
+    Contiguous: "contiguous",
+    Vector: "vector",
+    HVector: "hvector",
+    Indexed: "indexed",
+    IndexedBlock: "indexed_block",
+    Composite: "struct",
+    Resized: "resized",
+}
+_NODE_KINDS = {name: cls for cls, name in _KIND_NAMES.items()}
+
+# the constructors with one child, `inner`
+ONE_CHILD = (Contiguous, Vector, HVector, Indexed, IndexedBlock, Resized)
+
+# the fields each constructor requires to be >= 0, besides the Indexed
+# length column and the struct member counts
+_NON_NEGATIVE = {
+    Contiguous: ("count",),
+    Vector: ("count", "blocklen"),
+    HVector: ("count", "blocklen"),
+    IndexedBlock: ("blocklen",),
+    Resized: ("extent",),
+}
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -385,7 +422,9 @@ def block_table(t: Indexed | IndexedBlock, ext: int = 1) -> tuple[np.ndarray, np
     return np.full(len(t.displs), t.blocklen, dtype=np.int64), t.displs * ext
 
 
-def _vector_stride(t: Vector | HVector, ext: int) -> int:
+def vector_stride(t: Vector | HVector, ext: int) -> int:
+    """Byte stride between the blocks of a vector node whose inner type
+    has extent `ext`."""
     return t.stride_bytes if isinstance(t, HVector) else t.stride * ext
 
 
@@ -410,7 +449,7 @@ def _wrapped_bounds(t: Datatype, inner: tuple[int, int, int], table=None) -> tup
     if isinstance(t, (Vector, HVector)):
         if t.count == 0 or t.blocklen == 0:
             return _NOTHING
-        reach = (t.count - 1) * _vector_stride(t, ext)
+        reach = (t.count - 1) * vector_stride(t, ext)
         return (size * t.blocklen * t.count, lb + min(reach, 0),
                 (t.blocklen - 1) * ext + ub + max(reach, 0))
     blocklens, displs = table if table is not None else block_table(t, ext)
@@ -434,15 +473,12 @@ def _struct_bounds(t: Composite, members: list[tuple[int, int, int]]) -> tuple[i
     return _NOTHING if lo is None else (size, lo, hi)
 
 
-_ONE_CHILD = (Contiguous, Vector, HVector, Indexed, IndexedBlock, Resized)
-
-
 def _size_bounds(t: Datatype) -> tuple[int, int, int]:
     if isinstance(t, Base):
         return t.kind.size, 0, t.kind.size
     if isinstance(t, Composite):
         return _struct_bounds(t, [_size_bounds(m) for _, _, m in t.members])
-    if isinstance(t, _ONE_CHILD):
+    if isinstance(t, ONE_CHILD):
         return _wrapped_bounds(t, _size_bounds(t.inner))
     raise MalformedType(f"not a datatype node: {t!r}")
 
@@ -456,6 +492,12 @@ def bounds(t: Datatype | CommittedType) -> tuple[int, int]:
     return lb, ub
 
 
+def extent(t: Datatype | CommittedType) -> int:
+    """Extent of one instance, ub - lb, read as `bounds` reads them."""
+    lb, ub = bounds(t)
+    return ub - lb
+
+
 def _stored_unit(t) -> FlatLayout | None:
     """The unit `commit` stored on node `t`, or None."""
     return getattr(t, _UNIT, None)
@@ -464,10 +506,13 @@ def _stored_unit(t) -> FlatLayout | None:
 def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
     """Return (offsets, lengths, size, lb, ub) for one instance of `t`,
     with bounds by `_wrapped_bounds` and `_struct_bounds`; a committed
-    subtree's are read from its stored unit."""
+    subtree's are read from its stored unit.  Each node is checked before
+    its children are derived, so a bad node is refused before anything
+    below it allocates."""
     unit = _stored_unit(t)
     if unit is not None:
         return unit.offsets, unit.lengths, unit.total_size, unit.lb, unit.lb + unit.extent
+    _check(t)
     if isinstance(t, Base):
         size = t.kind.size
         return (
@@ -494,8 +539,6 @@ def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         )
         return out_off, out_ln, size, lb, ub
 
-    if not isinstance(t, _ONE_CHILD):
-        raise MalformedType(f"not a datatype node: {t!r}")
     off, ln, *inner = _layout(t.inner)
     ext = inner[2] - inner[1]
     table = block_table(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
@@ -508,58 +551,44 @@ def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         off, ln = _tile(off, ln, t.count, ext)
     elif isinstance(t, (Vector, HVector)):
         block = _tile(off, ln, t.blocklen, ext)
-        off, ln = _tile(block[0], block[1], t.count, _vector_stride(t, ext))
+        off, ln = _tile(block[0], block[1], t.count, vector_stride(t, ext))
     else:
         off, ln = _place_blocks(table[0], table[1], (off, ln), ext)
     return off, ln, size, lb, ub
 
 
-def _validate(t: Datatype) -> None:
-    if _stored_unit(t) is not None:
-        return  # committed, so validated, and immutable since
+def _kind_name(t: Datatype) -> str:
+    try:
+        return _KIND_NAMES[type(t)]
+    except KeyError:
+        raise MalformedType(f"not a datatype node: {t!r}") from None
+
+
+def _check(t: Datatype) -> None:
+    """Refuse node `t` if it is no constructor or one of its own fields is
+    out of range; the message names the field and its value."""
+    kind = _kind_name(t)
     if isinstance(t, Base):
         if not isinstance(t.kind, BaseKind):
             raise MalformedType(f"base kind must be a BaseKind, got {t.kind!r}")
         return
-    if isinstance(t, Contiguous):
-        if t.count < 0:
-            raise MalformedType(f"contiguous count must be >= 0, got {t.count}")
-        _validate(t.inner)
-        return
-    if isinstance(t, (Vector, HVector)):
-        if t.count < 0 or t.blocklen < 0:
-            raise MalformedType(
-                f"vector count/blocklen must be >= 0, got ({t.count}, {t.blocklen})"
-            )
-        _validate(t.inner)
-        return
-    if isinstance(t, Indexed):
-        lens = t.blocks[:, 0]
-        if len(lens) and lens.min() < 0:
-            raise MalformedType(f"indexed blocklen must be >= 0, got {lens[lens < 0][0]}")
-        _validate(t.inner)
-        return
-    if isinstance(t, IndexedBlock):
-        if t.blocklen < 0:
-            raise MalformedType(f"blocklen must be >= 0, got {t.blocklen}")
-        _validate(t.inner)
-        return
-    if isinstance(t, Composite):
-        for count, _, member in t.members:
-            if count < 0:
-                raise MalformedType(f"struct member count must be >= 0, got {count}")
-            _validate(member)
-        return
-    if isinstance(t, Resized):
-        if t.extent < 0:
-            raise MalformedType(f"resized extent must be >= 0, got {t.extent}")
-        _validate(t.inner)
-        return
-    raise MalformedType(f"not a datatype node: {t!r}")
+    for name in _NON_NEGATIVE.get(type(t), ()):
+        _at_least_zero(kind, name, getattr(t, name))
+    if isinstance(t, Indexed) and len(t.blocks):
+        _at_least_zero(kind, "blocklen", t.blocks[:, 0].min())
+    elif isinstance(t, Composite):
+        for count, _, _ in t.members:
+            _at_least_zero(kind, "member count", count)
+
+
+def _at_least_zero(kind: str, name: str, value) -> None:
+    if value < 0:
+        raise MalformedType(f"{kind} {name} must be >= 0, got {value}")
 
 
 def commit(t: Datatype | CommittedType) -> CommittedType:
-    """Validate a tree and derive size, bounds, extent and the unit layout.
+    """Validate a tree and derive size, bounds, extent and the unit layout,
+    in one walk that checks each node before it derives the node's children.
 
     The first commit of a tree object derives its unit and stores it on
     the node; every later commit of that object reads it, so committing
@@ -571,7 +600,6 @@ def commit(t: Datatype | CommittedType) -> CommittedType:
         return t
     unit = _stored_unit(t)
     if unit is None:
-        _validate(t)
         off, ln, size, lb, ub = _layout(t)
         off.flags.writeable = ln.flags.writeable = False
         unit = FlatLayout(off, ln, size, ub - lb, lb)
@@ -645,101 +673,49 @@ def equivalent(
 
 
 def datatype_to_json(t: Datatype) -> dict:
+    """The node's JSON object: its kind name, then its fields in order."""
+    out: dict = {"kind": _kind_name(t)}
     if isinstance(t, Base):
-        return {"kind": "base", "base": t.kind.wire_name}
-    if isinstance(t, Contiguous):
-        return {"kind": "contiguous", "count": t.count, "inner": datatype_to_json(t.inner)}
-    if isinstance(t, Vector):
-        return {
-            "kind": "vector",
-            "count": t.count,
-            "blocklen": t.blocklen,
-            "stride": t.stride,
-            "inner": datatype_to_json(t.inner),
-        }
-    if isinstance(t, HVector):
-        return {
-            "kind": "hvector",
-            "count": t.count,
-            "blocklen": t.blocklen,
-            "stride_bytes": t.stride_bytes,
-            "inner": datatype_to_json(t.inner),
-        }
-    if isinstance(t, Indexed):
-        return {
-            "kind": "indexed",
-            "blocks": t.blocks.tolist(),
-            "inner": datatype_to_json(t.inner),
-        }
-    if isinstance(t, IndexedBlock):
-        return {
-            "kind": "indexed_block",
-            "blocklen": t.blocklen,
-            "displs": t.displs.tolist(),
-            "inner": datatype_to_json(t.inner),
-        }
-    if isinstance(t, Composite):
-        return {
-            "kind": "struct",
-            "members": [[c, d, datatype_to_json(m)] for c, d, m in t.members],
-        }
-    if isinstance(t, Resized):
-        return {
-            "kind": "resized",
-            "lb": t.lb,
-            "extent": t.extent,
-            "inner": datatype_to_json(t.inner),
-        }
-    raise MalformedType(f"not a datatype node: {t!r}")
+        out["base"] = t.kind.wire_name
+    elif isinstance(t, Composite):
+        out["members"] = [[c, d, datatype_to_json(m)] for c, d, m in t.members]
+    else:
+        for f in fields(t):
+            value = getattr(t, f.name)
+            if f.name == "inner":
+                value = datatype_to_json(value)
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            out[f.name] = value
+    return out
 
 
 def datatype_from_json(obj: dict) -> Datatype:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise MalformedType(f"datatype JSON must be an object with a 'kind': {obj!r}")
+    """The node a `datatype_to_json` object describes.  Index tables go to
+    the constructor as given, which checks their shape and range."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise MalformedType(f"datatype JSON must be an object with a string 'kind': {obj!r}")
     kind = obj["kind"]
+    cls = _NODE_KINDS.get(kind)
+    if cls is None:
+        raise MalformedType(f"unknown datatype kind: {kind!r}")
     try:
-        if kind == "base":
+        if cls is Base:
             return Base(BaseKind.from_name(obj["base"]))
-        if kind == "contiguous":
-            return Contiguous(int(obj["count"]), datatype_from_json(obj["inner"]))
-        if kind == "vector":
-            return Vector(
-                int(obj["count"]),
-                int(obj["blocklen"]),
-                int(obj["stride"]),
-                datatype_from_json(obj["inner"]),
-            )
-        if kind == "hvector":
-            return HVector(
-                int(obj["count"]),
-                int(obj["blocklen"]),
-                int(obj["stride_bytes"]),
-                datatype_from_json(obj["inner"]),
-            )
-        if kind == "indexed":
-            return Indexed(
-                tuple((int(b), int(d)) for b, d in obj["blocks"]),
-                datatype_from_json(obj["inner"]),
-            )
-        if kind == "indexed_block":
-            return IndexedBlock(
-                int(obj["blocklen"]),
-                tuple(int(d) for d in obj["displs"]),
-                datatype_from_json(obj["inner"]),
-            )
-        if kind == "struct":
-            return Composite(
-                tuple(
-                    (int(c), int(d), datatype_from_json(m)) for c, d, m in obj["members"]
-                )
-            )
-        if kind == "resized":
-            return Resized(
-                int(obj["lb"]), int(obj["extent"]), datatype_from_json(obj["inner"])
-            )
+        if cls is Composite:
+            return Composite(tuple(
+                (int(c), int(d), datatype_from_json(m)) for c, d, m in obj["members"]))
+        args = []
+        for f in fields(cls):
+            value = obj[f.name]
+            if f.name == "inner":
+                value = datatype_from_json(value)
+            elif f.type != "np.ndarray":
+                value = int(value)
+            args.append(value)
+        return cls(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedType(f"bad {kind!r} node: {exc}") from exc
-    raise MalformedType(f"unknown datatype kind: {kind!r}")
 
 
 def datatype_dumps(t: Datatype) -> str:

@@ -141,6 +141,28 @@ def test_spec_without_kind_or_id_fails(tmp_path, capsys):
     assert cli.main(["flatten", "--spec", _write_json(tmp_path, "x.json", {"a": 1})]) == 1
 
 
+@pytest.mark.parametrize("field, value", [("B", "x"), ("S1", [2]), ("A1", "one")])
+def test_layout_with_a_non_integer_parameter_fails(tmp_path, capsys, field, value):
+    spec = _write_json(tmp_path, "explicit.json", {
+        "id": "tiled", "n": 8, "A": 2, "variant": "explicit",
+        "B": 9, "A1": 1, "A2": 3, "B1": 5, "B2": 6, field: value})
+    assert cli.main(["flatten", "--spec", spec]) == 1
+    assert capsys.readouterr().err.startswith("error: bad layout spec JSON:")
+
+
+@pytest.mark.parametrize("command", ["flatten", "normalize", "pack"])
+def test_tree_with_a_deep_negative_count_fails(tmp_path, capsys, command):
+    spec = _write_json(tmp_path, "deep.json", {
+        "kind": "contiguous", "count": 2, "inner": {
+            "kind": "vector", "count": 3, "blocklen": 1, "stride": 2, "inner": {
+                "kind": "contiguous", "count": -4,
+                "inner": {"kind": "base", "base": "int"}}}})
+    assert cli.main([command, "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contiguous count must be >= 0, got -4\n"
+
+
 @pytest.mark.parametrize("exc, line", [
     (MemoryError("cannot allocate 745 GiB"), "error: out of memory cannot allocate 745 GiB"),
     (MemoryError(), "error: out of memory"),

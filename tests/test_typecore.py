@@ -225,6 +225,60 @@ def test_json_round_trip(t):
     assert datatype_loads(datatype_dumps(t)) == t
 
 
+_INT_JSON = '{"kind":"base","base":"int"}'
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        (SHORT, '{"kind":"base","base":"short"}'),
+        (Contiguous(3, INT), '{"kind":"contiguous","count":3,"inner":' + _INT_JSON + "}"),
+        (Vector(2, 3, 5, INT),
+         '{"kind":"vector","count":2,"blocklen":3,"stride":5,"inner":' + _INT_JSON + "}"),
+        (HVector(2, 1, 24, Contiguous(2, INT)),
+         '{"kind":"hvector","count":2,"blocklen":1,"stride_bytes":24,'
+         '"inner":{"kind":"contiguous","count":2,"inner":' + _INT_JSON + "}}"),
+        (Indexed(((1, 0), (2, 4)), INT),
+         '{"kind":"indexed","blocks":[[1,0],[2,4]],"inner":' + _INT_JSON + "}"),
+        (IndexedBlock(2, (0, 5, -2), INT),
+         '{"kind":"indexed_block","blocklen":2,"displs":[0,5,-2],"inner":' + _INT_JSON + "}"),
+        (Composite(((1, 0, INT), (2, 8, DOUBLE))),
+         '{"kind":"struct","members":[[1,0,' + _INT_JSON + '],'
+         '[2,8,{"kind":"base","base":"double"}]]}'),
+        (Resized(-4, 16, Base(BaseKind.CHAR)),
+         '{"kind":"resized","lb":-4,"extent":16,"inner":{"kind":"base","base":"char"}}'),
+    ],
+    ids=["base", "contiguous", "vector", "hvector", "indexed", "indexed_block", "struct",
+         "resized"],
+)
+def test_json_text_of_each_node_kind_is_fixed(t, text):
+    # these bytes feed the stats CSV `spec_json` column and `typeforge
+    # normalize`, so key order and spelling are part of the format
+    assert datatype_dumps(t) == text
+    assert datatype_loads(text) == t
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "indexed", "blocks": [[1, 0], [2]], "inner": {"kind": "base", "base": "int"}},
+        {"kind": "indexed_block", "blocklen": 1, "displs": 5,
+         "inner": {"kind": "base", "base": "int"}},
+        {"kind": "indexed_block", "blocklen": 1, "displs": [0, None],
+         "inner": {"kind": "base", "base": "int"}},
+        {"kind": "indexed", "blocks": [[1, None]], "inner": {"kind": "base", "base": "int"}},
+        {"kind": ["base"], "base": "int"},
+        {"kind": 5},
+        {"kind": "base", "base": 5},
+    ],
+    ids=["ragged_blocks", "scalar_displs", "null_displ", "null_block_entry",
+         "list_kind", "int_kind", "int_base"],
+)
+def test_json_rejects_malformed_fields(obj):
+    with pytest.raises(MalformedType):
+        datatype_from_json(obj)
+
+
 def _indexed_nodes(t):
     """Every Indexed and IndexedBlock node of a tree."""
     if isinstance(t, (Indexed, IndexedBlock)):
@@ -321,6 +375,8 @@ def test_index_tables_of_the_wrong_shape_are_rejected():
             Indexed(bad, INT)
     with pytest.raises(MalformedType):
         IndexedBlock(1, ((0, 1),), INT)
+    with pytest.raises(MalformedType):
+        IndexedBlock(1, 5, INT)
 
 
 def test_negative_blocklen_in_an_array_table_is_rejected():
@@ -395,6 +451,49 @@ def test_equivalent_flattens_when_units_differ():
 def test_malformed_trees_are_rejected(bad):
     with pytest.raises(MalformedType):
         commit(bad)
+    with pytest.raises(MalformedType):
+        normalize(bad)
+    for name in ENGINES:
+        with pytest.raises(MalformedType):
+            make_engine(name, bad, 1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Contiguous(-1, INT), "contiguous count must be >= 0, got -1"),
+        (Vector(2, -1, 3, INT), "vector blocklen must be >= 0, got -1"),
+        (HVector(-2, 1, 8, INT), "hvector count must be >= 0, got -2"),
+        (Indexed(((2, 0), (-1, 4)), INT), "indexed blocklen must be >= 0, got -1"),
+        (IndexedBlock(-3, (0,), INT), "indexed_block blocklen must be >= 0, got -3"),
+        (Composite(((1, 0, INT), (-1, 0, INT))), "struct member count must be >= 0, got -1"),
+        (Resized(0, -8, INT), "resized extent must be >= 0, got -8"),
+        (Base("int"), "base kind must be a BaseKind, got 'int'"),
+        (Contiguous(2, Vector(1, 1, 1, Resized(0, -1, INT))),
+         "resized extent must be >= 0, got -1"),
+    ],
+    ids=["contiguous", "vector", "hvector", "indexed", "indexed_block", "struct", "resized",
+         "base", "nested"],
+)
+def test_malformed_tree_messages_name_the_field_and_value(bad, message):
+    with pytest.raises(MalformedType) as err:
+        commit(bad)
+    assert str(err.value) == message
+
+
+def test_bad_outer_node_is_refused_before_its_children_are_derived(monkeypatch):
+    derived = []
+    real = typecore._layout
+
+    def recording(t):
+        derived.append(t)
+        return real(t)
+
+    monkeypatch.setattr(typecore, "_layout", recording)
+    child = Vector(1000, 1, 2, INT)
+    with pytest.raises(MalformedType, match="got -1"):
+        commit(Contiguous(-1, child))
+    assert child not in derived
 
 
 def test_flatten_rejects_negative_count():
