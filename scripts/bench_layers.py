@@ -6,6 +6,9 @@ a copy of the built tree that was never committed, so the whole unit is
 derived; `commit_again`: committing the built tree once more, which reads
 the unit its first commit stored on it; `normalizer.normalize`;
 `typecore.equivalent` of the layout against its normalized form;
+`equivalent_family`: `typecore.equivalent` of each count-1 alternative of
+the layout's family against the family reference, whose count differs
+for all but rowcol, or None for a layout with no such alternative;
 `compile`: building a `packer.CompiledEngine`; `compile_again`: building a
 second engine of the same committed type; and `plan`: compile plus
 choosing the copy path, all a first copy does before moving bytes),
@@ -153,6 +156,7 @@ def setup(layout: str, n: int, A: int, reps: int) -> dict:
                                       lambda: layouts.build(spec).committed)
     normal = report.committed_output
     out["equivalent"], _ = _timed(lambda: typecore.equivalent(ct, count, normal, count), reps)
+    out["equivalent_family"] = _family_equivalence(spec, reps)
     # the first engine of a committed type reads the unit's byte bounds;
     # a second engine of the same type finds them computed
     def fresh():
@@ -163,6 +167,23 @@ def setup(layout: str, n: int, A: int, reps: int) -> dict:
     out["compile_again"], _ = _timed(lambda: packer.CompiledEngine(ct, count), reps)
     out["plan"], _ = _timed(lambda ct: packer.CompiledEngine(ct, count).strategy, reps, fresh)
     return out
+
+
+def _family_equivalence(spec: layouts.LayoutSpec, reps: int) -> dict | None:
+    """Quartiles of one `equivalent` call per count-1 alternative of the
+    layout's family against the family reference, or None."""
+    try:
+        reference, *alternatives = layouts.build_alternatives(spec)
+    except layouts.BadParams:
+        return None
+    alternatives = [built for built in alternatives if built.count == 1]
+    if not alternatives:
+        return None
+    quartiles, same = _timed(lambda: [
+        typecore.equivalent(built.committed, 1, reference.committed, reference.count)
+        for built in alternatives], reps)
+    assert all(same)
+    return quartiles
 
 
 def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
@@ -189,7 +210,7 @@ def measure(layout: str, n: int, A: int, engine: str, reps: int) -> dict:
     out = {
         "layout": layout, "n": n, "A": A, "engine": engine,
         "payload_bytes": eng.total_bytes,
-        "segments": len(program.offsets),
+        "segments": program.segment_count,
         "strategy": program.strategy if engine == "compiled" else "walk",
         "compile": stages.pop("compile"),
         "setup": stages,
@@ -362,17 +383,19 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
-          f"{'build':>8}{'commit':>8}{'again':>8}{'normal':>8}{'equiv':>8}{'compile':>8}{'again':>8}"
-          f"{'plan':>8}{'pack':>8}{'unpack':>8}{'memcpy':>8}{'pack/mc':>8}")
+          f"{'build':>8}{'commit':>8}{'again':>8}{'normal':>8}{'equiv':>8}{'family':>8}"
+          f"{'compile':>8}{'again':>8}{'plan':>8}{'pack':>8}{'unpack':>8}{'memcpy':>8}"
+          f"{'pack/mc':>8}")
     for layout, n, A, engine in REFERENCE:
         row = measure(layout, n, A, engine, args.reps)
         rows.append(row)
-        stages = [row["setup"][k]
-                  for k in ("build", "commit", "commit_again", "normalize", "equivalent")]
+        stages = [row["setup"][k] for k in ("build", "commit", "commit_again", "normalize",
+                                            "equivalent", "equivalent_family")]
         stages += [row["compile"], row["setup"]["compile_again"], row["setup"]["plan"]]
         stages += [row[k] for k in ("pack", "unpack", "memcpy")]
         print(f"{f'{layout}/A{A}/n{n}':<34}{engine:<12}{row['segments']:>9} "
-              f"{row['strategy']:<9}" + "".join(f"{q['median_us']:>8.0f}" for q in stages)
+              f"{row['strategy']:<9}"
+              + "".join(f"{q['median_us']:>8.0f}" if q else f"{'-':>8}" for q in stages)
               + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
 
     trips = round_trips()

@@ -6,8 +6,9 @@ expanded through the layout builder).  Experiment runs write a bench CSV
 and a verdict CSV into the output directory; the TYPEFORGE_OUT environment
 variable overrides --out.
 
-Exit codes: 0 success, 1 execution failure (an out-of-memory failure
-included), 2 usage error or inequivalent layouts, 3 guideline violation.
+Exit codes: 0 success, 1 execution failure (an out-of-memory failure and
+a description nested too deeply included), 2 usage error or inequivalent
+layouts, 3 guideline violation.
 """
 
 from __future__ import annotations
@@ -262,6 +263,11 @@ def main(argv: Optional[list[str]] = None,
     except MemoryError as exc:
         # a spec can describe far more bytes than the host holds
         print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return EXIT_FAILURE
+    except RecursionError as exc:
+        # a spec can nest deeper than the JSON decoder and the tree walks
+        # recurse
+        print(f"error: description nested too deeply: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -32,7 +32,6 @@ from .typecore import (
     ONE_CHILD,
     Resized,
     Vector,
-    block_bounds,
     block_table,
     bounds,
     canonicalize,
@@ -88,9 +87,10 @@ def descr_size(t: Datatype) -> int:
 
 
 def cost(t: Datatype | CommittedType) -> int:
-    """Canonical segments of one instance plus description size."""
+    """Canonical segments of one instance, counted on the committed unit's
+    closed form, plus description size."""
     ct = commit(t)
-    return len(ct.flat.offsets) + descr_size(ct.datatype)
+    return ct.flat.segment_count + descr_size(ct.datatype)
 
 
 def _wrap_bounds(node: Datatype, lb: int, ub: int) -> Datatype:
@@ -223,9 +223,8 @@ def _regular_stride(t: Datatype) -> Datatype | None:
         if bool((np.diff(displs) == step).all()):
             return Vector(c, int(lens[0]), step, t.inner)
 
-    base_lb, base_ub = bounds(t.inner)
-    base_ext = base_ub - base_lb
-    in_lb, in_ub = block_bounds(lens, displs * base_ext, base_lb, base_ub)
+    base_ext = extent(t.inner)
+    in_lb, in_ub = bounds(t)
     for period in (2, 3, 4):
         if c % period or c < 2 * period + 1:
             continue

@@ -17,10 +17,10 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
 * compiled: a copy program for `count` instances of the committed type,
   executed with bulk (vectorized) moves.  The program is a view, a tuple of
   pieces or the gather (`CompiledEngine.strategy`).  It is compiled from the
-  committed unit: its segment count and, for a unit of few segments tiled
-  without joins, its one periodic piece follow from (count, extent, unit
-  segments), so the canonical segment list is built only for the paths
-  that read it:
+  closed form of its segment list (`typecore.flatten`): its segment count
+  and, for a tiling of few segments per copy, its pieces follow from the
+  form, so the canonical segment list is built only for the paths that
+  read it:
   - view: a layout that is one contiguous run filling its window is sent
     straight from the region;
   - pieces: the segment list split greedily into pieces
@@ -73,12 +73,14 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 from itertools import repeat
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from .typecore import (
     Base,
+    ClosedForm,
     Composite,
     Contiguous,
     Datatype,
@@ -107,6 +109,8 @@ _PERIOD_MIN_ROWS = 8
 _PERIOD_PATTERN_MAX = 8
 # most pieces of a list longer than `_SHORT_LIST` segments
 _PIECES_MAX = 8
+# a multiple of every pattern length (see `_tiled_pieces`)
+_PATTERNS_LCM = lcm(*range(1, _PERIOD_PATTERN_MAX + 1))
 # segments compared in the first and in every later step when following
 # a periodic run
 _RUN_FIRST_BLOCK = 256
@@ -401,17 +405,20 @@ class CompiledEngine(_Engine):
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  The segment arrays are built on first use, and only by the
-    paths that read them; the one piece of a unit that tiles without
-    joins, and with it the strategy, comes from the committed unit alone,
-    so building the engine costs the size of the unit, not the instance
-    count.  What a copy reads (pieces, record dtypes, word width, gather
-    index) is built on the first copy that needs it.
+    paths that read them; the segment count, and the pieces of a tiling of
+    few segments per copy, come from the closed form of the list, so
+    building the engine and choosing its copy path cost the size of the
+    unit, not the instance count.  What a copy reads (pieces, record
+    dtypes, word width, gather index) is built on the first copy that
+    needs it.
     """
 
     name = "compiled"
 
     @cached_property
     def _flat(self) -> FlatLayout:
+        """The program's canonical segments in closed form; their arrays
+        are built only by the paths that read `offsets` and `lengths`."""
         return flatten(self.committed, self.count)
 
     @property
@@ -422,24 +429,10 @@ class CompiledEngine(_Engine):
     def lengths(self) -> np.ndarray:
         return self._flat.lengths
 
-    @cached_property
-    def _touching(self) -> bool:
-        """Whether an instance's last segment runs into the next one's
-        first, the only join tiling the canonical unit can make."""
-        unit = self.committed.flat
-        if len(unit.offsets) == 0:
-            return False
-        return bool(unit.offsets[-1] + unit.lengths[-1]
-                    == unit.offsets[0] + self.committed.extent)
-
-    @cached_property
+    @property
     def segment_count(self) -> int:
-        """Canonical segments of the program, counted without building
-        them: `count` copies of the unit, less one per join."""
-        k = len(self.committed.flat.offsets)
-        if self.count == 0 or k == 0:
-            return 0
-        return self.count * k - (self.count - 1) * self._touching
+        """Canonical segments of the program, read off its closed form."""
+        return self._flat.segment_count
 
     @cached_property
     def is_contiguous(self) -> bool:
@@ -493,25 +486,27 @@ class CompiledEngine(_Engine):
         `_SHORT_LIST` segments, at most `_PIECES_MAX` of a longer one, else
         None, and the program gathers.
 
-        A unit of few segments that fits in one extent and does not touch
-        the next copy is one piece of `count` rows, read off the unit
-        without building the segment list."""
-        unit = self.committed.flat
-        k = len(unit.offsets)
-        ext = self.committed.extent
-        if (self.count >= _PERIOD_MIN_ROWS and 0 < k <= _PERIOD_PATTERN_MAX
-                and not self._touching):
-            rel = unit.offsets - unit.offsets[0]
-            if (rel >= 0).all() and (rel + unit.lengths <= ext).all():
-                # `count` copies, `ext` apart: the shortest repeating
-                # pattern lies within the unit, so the detector finds in
-                # the first few copies what it would find in all of them,
-                # and only the rows scale
+        A tiling of few segments per copy is split without building its
+        list.  One whose unit fits in one stride and does not touch the
+        next copy is one piece of as many rows as copies, read off the
+        unit; any other is split from two short tilings of the same unit
+        (`_tiled_pieces`)."""
+        form = self._flat.form
+        k = len(form.offsets)
+        if form.copies >= _PERIOD_MIN_ROWS and k <= _PERIOD_PATTERN_MAX:
+            rel = form.offsets - form.offsets[0]
+            if (not form.touching and (rel >= 0).all()
+                    and (rel + form.lengths <= form.stride).all()):
+                # copies `stride` apart: the shortest repeating pattern
+                # lies within the unit, so the detector finds in the
+                # first few copies what it would find in all of them, and
+                # only the rows scale
                 sample = _PERIOD_MIN_ROWS
-                off = (np.arange(sample, dtype=np.int64)[:, None] * ext
-                       + unit.offsets[None, :]).ravel()
-                piece = _detect_period(off, np.tile(unit.lengths, sample))
-                return (piece._replace(rows=self.count * k // len(piece.pat)),)
+                off = (np.arange(sample, dtype=np.int64)[:, None] * form.stride
+                       + form.offsets[None, :]).ravel()
+                piece = _detect_period(off, np.tile(form.lengths, sample))
+                return (piece._replace(rows=form.copies * k // len(piece.pat)),)
+            return _tiled_pieces(form)
         return _split_pieces(self.offsets, self.lengths)
 
     @cached_property
@@ -618,6 +613,63 @@ class CompiledEngine(_Engine):
             else:
                 strided[...] = records
         return out
+
+
+def _tiled_pieces(form: ClosedForm) -> tuple[Piece, ...] | None:
+    """`_split_pieces` of a tiling of at most `_PERIOD_PATTERN_MAX`
+    segments per copy, without building its list.
+
+    The list is periodic, each copy adding `per_copy` segments, except at
+    its two ends (a tiling whose copies touch starts with the unit's first
+    segment alone and ends with its last one).  A pattern the splitter
+    finds inside the periodic stretch holds through it, so the split of a
+    long tiling is what its first few hundred segments decide, then one
+    piece through the middle, then what its last few segments decide; the
+    last part depends on the copies only through the segment count modulo
+    the pattern lengths, which `_PATTERNS_LCM` covers.  So two tilings
+    `step` copies apart split alike except that one piece has more rows
+    and every piece after it lies `step` strides further on, and two short
+    samples of that shape give the split of the whole tiling.  A tiling
+    too short for two samples, or samples that do not have that shape,
+    are split from the explicit list."""
+    per_copy = len(form.offsets) - form.touching
+    step = _PATTERNS_LCM // gcd(_PATTERNS_LCM, per_copy)
+    # samples of at least 512 segments, far more than the at most
+    # `_PIECES_MAX` pieces before the long one and the 64 segments from a
+    # start on which the detector decides the patterns it follows cover
+    low = 8 * _SHORT_LIST // per_copy + 2
+    if form.copies >= low + 2 * step:
+        first = low + (form.copies - low) % step
+        a, b = (_split_pieces(*form._replace(copies=c).materialize())
+                for c in (first, first + step))
+        if a is None or b is None:
+            if a is b:
+                return None
+        else:
+            pieces = _grown(a, b, step * per_copy, step * form.stride,
+                            (form.copies - first) // step)
+            if pieces is not None:
+                return pieces
+    return _split_pieces(*form.materialize())
+
+
+def _grown(a: tuple, b: tuple, segments: int, shift: int, times: int) -> tuple | None:
+    """The split of a list `times` x `segments` segments longer than the
+    one split into `a`, given `b`, the split of one `segments` segments
+    longer: `a` with one piece `times` x as many rows longer as `b` has,
+    and every piece after it `times` x `shift` bytes further on.  None
+    unless `a` and `b` differ in one piece's rows, by `segments` segments,
+    and `b` moves every later piece by `shift`."""
+    grow = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    if grow is None or len(a) != len(b):
+        return None
+    x, y = a[grow], b[grow]
+    if (y._replace(rows=x.rows) != x or (y.rows - x.rows) * len(x.pat) != segments
+            or any(q != p._replace(first=p.first + shift)
+                   for p, q in zip(a[grow + 1:], b[grow + 1:]))):
+        return None
+    return (a[:grow] + (x._replace(rows=x.rows + times * (y.rows - x.rows)),)
+            + tuple(p._replace(first=p.first + times * shift) for p in a[grow + 1:]))
 
 
 def _split_pieces(offs: np.ndarray, lens: np.ndarray) -> tuple[Piece, ...] | None:

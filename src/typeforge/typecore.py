@@ -20,13 +20,23 @@ The store is not a field: equality, hashing, `repr`, JSON,
 `dataclasses.replace`, pickles and copies ignore it, and a replaced,
 unpickled or copied node derives afresh.
 
-Tiling is closed-form: a canonical unit can join the next instance only
-where its last segment touches the next one's first, so a unit that does
-not touch is a plain broadcast and a single touching segment becomes one
-run, neither re-canonicalized.  `bounds` reads (lb, ub) from the tree
-without building segments, and `equivalent` answers from the committed
-units when the counts and extents match, so set-up grows with the size of
-a description, not with its instance count.
+Tiling is closed-form: a segment list is held as explicit arrays or as
+`count` copies of a unit list `stride` bytes apart (`ClosedForm`), and
+its arrays are built only when read.  A canonical unit can join the next
+copy only where its last segment touches the next one's first; such a
+tiling is a head, one periodic run of the joined pattern and a tail, and a
+single touching segment is one run.  A Contiguous, Vector or HVector level
+tiles its inner list without building it, and one whose step continues an
+inner tiling fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4, INT))`
+and 320000 instances of `Resized(0, 16, Contiguous(2, INT))` hold one
+form.  Segment counts and payload bounds are read off the form;
+`equivalent` compares two tilings of as many copies at one stride by their
+units and a tiling against any other list row by row.  `bounds` reads
+(lb, ub) from the tree, or from a committed node's stored unit, without
+building segments.  So commit, normalization and comparison of a regular
+description grow with the size of the description, not with its instance
+count; indexed blocks, struct members, the packer's gather index and the
+byte oracle build the lists they read.
 
 An indexed node stores its table once, as a read-only int64 array that
 commit, the normalizer and the packer's planner all read without
@@ -52,7 +62,7 @@ import enum
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -262,7 +272,84 @@ _NON_NEGATIVE = {
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+class ClosedForm(NamedTuple):
+    """A canonical segment list in closed form: `copies` copies of the
+    unit list (`offsets`, `lengths`), copy i shifted by i * `stride`
+    bytes.  One copy is an explicit list.  A tiling (two copies or more)
+    has a non-empty unit, and never a unit of one segment that touches the
+    next copy, which is one run instead (`_tile`)."""
+
+    offsets: np.ndarray
+    lengths: np.ndarray
+    copies: int = 1
+    stride: int = 0
+
+    @property
+    def touching(self) -> bool:
+        """Whether each copy's last segment runs into the next copy's
+        first, the only join tiling a canonical unit can make."""
+        return self.copies > 1 and bool(
+            self.offsets[-1] + self.lengths[-1] == self.offsets[0] + self.stride)
+
+    @property
+    def segment_count(self) -> int:
+        return self.copies * len(self.offsets) - (self.copies - 1) * self.touching
+
+    def runs(self) -> tuple[tuple, tuple, int, tuple]:
+        """The list as a head, `rows` repetitions of a pattern `stride`
+        bytes apart, and a tail, each part an (offsets, lengths) pair; row
+        i of the pattern is shifted by i * `stride`.
+
+        Copies that do not touch are the unit repeated.  Copies that touch
+        join each copy's last segment with the next one's first: the head
+        is the unit less its last segment, the pattern that joined segment
+        followed by the unit's inner segments one copy on, and the tail the
+        last copy's last segment.  An explicit list is all head."""
+        off, ln, copies, stride = self
+        if copies == 1:
+            return (off, ln), (_EMPTY, _EMPTY), 0, (_EMPTY, _EMPTY)
+        if not self.touching:
+            return (_EMPTY, _EMPTY), (off, ln), copies, (_EMPTY, _EMPTY)
+        pattern = (np.concatenate((off[-1:], off[1:-1] + stride)),
+                   np.concatenate((ln[-1:] + ln[0], ln[1:-1])))
+        tail = (off[-1:] + (copies - 1) * stride, ln[-1:])
+        return (off[:-1], ln[:-1]), pattern, copies - 1, tail
+
+    def materialize(self) -> tuple[np.ndarray, np.ndarray]:
+        """The list as explicit (offsets, lengths) arrays."""
+        if self.copies == 1:
+            return self.offsets, self.lengths
+        head, (pat_off, pat_len), rows, tail = self.runs()
+        body = (np.arange(rows, dtype=np.int64)[:, None] * self.stride + pat_off).ravel()
+        if not len(head[0]) and not len(tail[0]):
+            return body, np.tile(pat_len, rows)
+        return (np.concatenate((head[0], body, tail[0])),
+                np.concatenate((head[1], np.tile(pat_len, rows), tail[1])))
+
+    def rows_match(self, off: np.ndarray, ln: np.ndarray) -> bool:
+        """Whether the explicit list (`off`, `ln`), of as many segments as
+        this one, holds the same segments: compared part by part, the rows
+        of the pattern on a (rows, pattern length) reshape of the list, so
+        no tiling is built."""
+        (h_off, h_len), (p_off, p_len), rows, (t_off, t_len) = self.runs()
+        h, end = len(h_off), len(h_off) + rows * len(p_off)
+        if not (np.array_equal(off[:h], h_off) and np.array_equal(ln[:h], h_len)
+                and np.array_equal(off[end:], t_off) and np.array_equal(ln[end:], t_len)):
+            return False
+        if rows == 0:
+            return True
+        body_off = off[h:end].reshape(rows, len(p_off))
+        body_len = ln[h:end].reshape(body_off.shape)
+        shifts = np.arange(rows, dtype=np.int64) * self.stride
+        # column by column, so no temporary is larger than one column
+        return all(bool((body_len[:, j] == p_len[j]).all())
+                   and np.array_equal(body_off[:, j] - p_off[j], shifts)
+                   for j in range(len(p_off)))
+
+
+_NO_SEGMENTS = ClosedForm(_EMPTY, _EMPTY)
+
+
 class FlatLayout:
     """Canonical (offset, length) byte segments of `count` instances.
 
@@ -270,13 +357,37 @@ class FlatLayout:
     in that order get merged, so order survives canonicalization.  `extent`
     is the span `count` instances occupy (count times the type extent) and
     `lb` is the lower bound of the first instance.
+
+    The list is held in closed form (`form`): explicit arrays, or copies
+    of a unit list at a constant stride.  `segment_count`,
+    `payload_bounds` and `same_segments` read the closed form; `offsets`
+    and `lengths`, read-only arrays, are built on their first read.
     """
 
-    offsets: np.ndarray
-    lengths: np.ndarray
-    total_size: int
-    extent: int
-    lb: int
+    def __init__(self, form: ClosedForm, total_size: int, extent: int, lb: int):
+        form.offsets.flags.writeable = form.lengths.flags.writeable = False
+        self.form = form
+        self.total_size = total_size
+        self.extent = extent
+        self.lb = lb
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        off, ln = self.form.materialize()
+        off.flags.writeable = ln.flags.writeable = False
+        return off, ln
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.form.offsets if self.form.copies == 1 else self._arrays[0]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.form.lengths if self.form.copies == 1 else self._arrays[1]
+
+    @cached_property
+    def segment_count(self) -> int:
+        return self.form.segment_count
 
     @property
     def segments(self) -> list[tuple[int, int]]:
@@ -284,7 +395,7 @@ class FlatLayout:
 
     @property
     def overlapping(self) -> bool:
-        if len(self.offsets) < 2:
+        if self.segment_count < 2:
             return False
         order = np.argsort(self.offsets, kind="stable")
         off = self.offsets[order]
@@ -294,16 +405,28 @@ class FlatLayout:
     @cached_property
     def payload_bounds(self) -> tuple[int, int]:
         """(lowest, end) byte of the segments, or (lb, lb) when there are
-        none; computed once per layout, so once per committed tree,
-        whatever number of committed types and engines read it."""
-        if len(self.offsets) == 0:
+        none: the unit's, widened by the reach of its copies.  Computed
+        once per layout, so once per committed tree, whatever number of
+        committed types and engines read it."""
+        off, ln, copies, stride = self.form
+        if len(off) == 0:
             return self.lb, self.lb
-        return int(self.offsets.min()), int((self.offsets + self.lengths).max())
+        reach = (copies - 1) * stride
+        return int(off.min()) + min(reach, 0), int((off + ln).max()) + max(reach, 0)
 
     def same_segments(self, other: "FlatLayout") -> bool:
-        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
-            self.lengths, other.lengths
-        )
+        """Whether both lists hold the same segments in the same order.
+        Two tilings of as many copies at one stride compare their units; a
+        tiling and any other list compare row by row (`ClosedForm.rows_match`),
+        the other list built if it is a tiling too; only two explicit lists
+        compare whole arrays."""
+        if self.segment_count != other.segment_count:
+            return False
+        tiled, rest = (self, other) if self.form.copies > 1 else (other, self)
+        a, b = tiled.form, rest.form
+        if a.copies == 1 or (a.copies, a.stride) == (b.copies, b.stride):
+            return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.lengths, b.lengths)
+        return a.rows_match(rest.offsets, rest.lengths)
 
 
 @dataclass(frozen=True)
@@ -345,26 +468,29 @@ def canonicalize(off: np.ndarray, ln: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return off[starts], np.add.reduceat(ln, np.flatnonzero(starts))
 
 
-def _tile(off: np.ndarray, ln: np.ndarray, count: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical segments of `count` copies of a canonical segment list,
-    copy i shifted by i * `stride`.
+def _tile(form: ClosedForm, count: int, stride: int) -> ClosedForm:
+    """`count` copies of a canonical segment list, copy i shifted by
+    i * `stride`, in closed form.
 
     A canonical list has no empty segment and no neighbours that touch, so
     the only join tiling can make is one copy's last segment with the next
-    copy's first.  A unit whose copies do not touch is a plain broadcast; a
-    single touching segment becomes one run of `count` times its length.
+    copy's first (`ClosedForm.runs`), and the copies of a unit are
+    canonical as they stand.  A single segment that touches the next copy becomes one
+    run of `count` times its length.  A step that continues a tiling (the
+    tiling's copies times its stride) fuses the two levels into one tiling
+    of the inner unit; any other step tiles the tiling's explicit list.
     """
+    off, ln, copies, step = form
     if count == 0 or len(off) == 0:
-        return _EMPTY, _EMPTY
+        return _NO_SEGMENTS
     if count == 1:
-        return off, ln
-    touching = bool(off[-1] + ln[-1] == off[0] + stride)
-    if touching and len(off) == 1:
-        return off, ln * count
-    shifts = np.arange(count, dtype=np.int64) * stride
-    out_off = (shifts[:, None] + off[None, :]).ravel()
-    out_len = np.tile(ln, count)
-    return canonicalize(out_off, out_len) if touching else (out_off, out_len)
+        return form
+    if copies > 1:
+        if stride == copies * step:
+            return ClosedForm(off, ln, copies * count, step)
+        off, ln = form.materialize()
+    tiled = ClosedForm(off, ln, count, stride)
+    return ClosedForm(off, ln * count) if len(off) == 1 and tiled.touching else tiled
 
 
 def _place_blocks(
@@ -474,6 +600,11 @@ def _struct_bounds(t: Composite, members: list[tuple[int, int, int]]) -> tuple[i
 
 
 def _size_bounds(t: Datatype) -> tuple[int, int, int]:
+    """(size, lb, ub) of one instance; a committed node's are read from its
+    stored unit."""
+    unit = _stored_unit(t)
+    if unit is not None:
+        return _sizes(unit)
     if isinstance(t, Base):
         return t.kind.size, 0, t.kind.size
     if isinstance(t, Composite):
@@ -503,58 +634,59 @@ def _stored_unit(t) -> FlatLayout | None:
     return getattr(t, _UNIT, None)
 
 
-def _layout(t: Datatype) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """Return (offsets, lengths, size, lb, ub) for one instance of `t`,
-    with bounds by `_wrapped_bounds` and `_struct_bounds`; a committed
-    subtree's are read from its stored unit.  Each node is checked before
-    its children are derived, so a bad node is refused before anything
-    below it allocates."""
+def _sizes(unit: FlatLayout) -> tuple[int, int, int]:
+    """(size, lb, ub) of a unit."""
+    return unit.total_size, unit.lb, unit.lb + unit.extent
+
+
+def _layout(t: Datatype) -> FlatLayout:
+    """The unit of one instance of `t`, with bounds by `_wrapped_bounds`
+    and `_struct_bounds`; a committed subtree's is its stored unit.  Each
+    node is checked before its children are derived, so a bad node is
+    refused before anything below it allocates.  Contiguous, Vector,
+    HVector and Resized levels build no arrays (`_tile`); indexed blocks
+    and struct members are placed from their inner units' explicit
+    lists."""
     unit = _stored_unit(t)
     if unit is not None:
-        return unit.offsets, unit.lengths, unit.total_size, unit.lb, unit.lb + unit.extent
+        return unit
     _check(t)
     if isinstance(t, Base):
         size = t.kind.size
-        return (
-            np.array([0], dtype=np.int64),
-            np.array([size], dtype=np.int64),
-            size,
-            0,
-            size,
-        )
+        return FlatLayout(ClosedForm(np.array([0], dtype=np.int64), np.array([size], dtype=np.int64)),
+                          size, size, 0)
 
     if isinstance(t, Composite):
         parts = [_layout(member) for _, _, member in t.members]
-        size, lb, ub = _struct_bounds(t, [part[2:] for part in parts])
+        size, lb, ub = _struct_bounds(t, [_sizes(part) for part in parts])
         parts_off: list[np.ndarray] = []
         parts_len: list[np.ndarray] = []
-        for (count, displ, _), (off, ln, msize, mlb, mub) in zip(t.members, parts):
-            if count > 0 and (msize, mlb, mub) != _NOTHING:
-                m_off, m_ln = _tile(off, ln, count, mub - mlb)
+        for (count, displ, _), part in zip(t.members, parts):
+            if count > 0 and _sizes(part) != _NOTHING:
+                m_off, m_ln = _tile(part.form, count, part.extent).materialize()
                 parts_off.append(m_off + displ)
                 parts_len.append(m_ln)
         out_off, out_ln = canonicalize(
             np.concatenate(parts_off) if parts_off else _EMPTY,
             np.concatenate(parts_len) if parts_len else _EMPTY,
         )
-        return out_off, out_ln, size, lb, ub
+        return FlatLayout(ClosedForm(out_off, out_ln), size, ub - lb, lb)
 
-    off, ln, *inner = _layout(t.inner)
-    ext = inner[2] - inner[1]
+    inner = _layout(t.inner)
+    ext = inner.extent
     table = block_table(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
-    size, lb, ub = _wrapped_bounds(t, tuple(inner), table)
+    size, lb, ub = _wrapped_bounds(t, _sizes(inner), table)
     if isinstance(t, Resized):
-        return off, ln, size, lb, ub
-    if (size, lb, ub) == _NOTHING:
-        return _EMPTY, _EMPTY, 0, 0, 0
-    if isinstance(t, Contiguous):
-        off, ln = _tile(off, ln, t.count, ext)
+        form = inner.form
+    elif (size, lb, ub) == _NOTHING:
+        form = _NO_SEGMENTS
+    elif isinstance(t, Contiguous):
+        form = _tile(inner.form, t.count, ext)
     elif isinstance(t, (Vector, HVector)):
-        block = _tile(off, ln, t.blocklen, ext)
-        off, ln = _tile(block[0], block[1], t.count, vector_stride(t, ext))
+        form = _tile(_tile(inner.form, t.blocklen, ext), t.count, vector_stride(t, ext))
     else:
-        off, ln = _place_blocks(table[0], table[1], (off, ln), ext)
-    return off, ln, size, lb, ub
+        form = ClosedForm(*_place_blocks(table[0], table[1], (inner.offsets, inner.lengths), ext))
+    return FlatLayout(form, size, ub - lb, lb)
 
 
 def _kind_name(t: Datatype) -> str:
@@ -600,24 +732,25 @@ def commit(t: Datatype | CommittedType) -> CommittedType:
         return t
     unit = _stored_unit(t)
     if unit is None:
-        off, ln, size, lb, ub = _layout(t)
-        off.flags.writeable = ln.flags.writeable = False
-        unit = FlatLayout(off, ln, size, ub - lb, lb)
+        unit = _layout(t)
         object.__setattr__(t, _UNIT, unit)
-    ub = unit.lb + unit.extent
-    return CommittedType(t, unit.total_size, unit.lb, ub, unit.extent, unit)
+    return CommittedType(t, unit.total_size, unit.lb, unit.lb + unit.extent, unit.extent, unit)
 
 
 def flatten(t: Datatype | CommittedType, count: int = 1) -> FlatLayout:
     """Canonical segments of `count` instances, instance i shifted by
-    i * extent.  Canonicalization may merge across instance boundaries."""
+    i * extent, in closed form (`_tile`).  Canonicalization may merge
+    across instance boundaries.  One instance is the committed unit
+    itself, so its arrays are built at most once."""
     if count < 0:
         raise MalformedType(f"count must be >= 0, got {count}")
     ct = commit(t)
+    if count == 1:
+        return ct.flat
     if count == 0:
-        return FlatLayout(_EMPTY, _EMPTY, 0, 0, 0)
-    off, ln = _tile(ct.flat.offsets, ct.flat.lengths, count, ct.extent)
-    return FlatLayout(off, ln, ct.size * count, ct.extent * count, ct.lb)
+        return FlatLayout(_NO_SEGMENTS, 0, 0, 0)
+    return FlatLayout(_tile(ct.flat.form, count, ct.extent), ct.size * count,
+                      ct.extent * count, ct.lb)
 
 
 def window(t: Datatype | CommittedType, count: int) -> tuple[int, int]:

@@ -163,6 +163,20 @@ def test_tree_with_a_deep_negative_count_fails(tmp_path, capsys, command):
     assert captured.err == "error: contiguous count must be >= 0, got -4\n"
 
 
+@pytest.mark.parametrize("command", ["flatten", "normalize", "pack"])
+def test_tree_nested_too_deeply_fails(tmp_path, capsys, command):
+    # 3000 levels of contiguous nodes, deeper than the JSON decoder recurses
+    text = '{"kind":"contiguous","count":1,"inner":' * 3000 + \
+        '{"kind":"base","base":"int"}' + "}" * 3000
+    spec = tmp_path / "deep.json"
+    spec.write_text(text)
+    assert cli.main([command, "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: description nested too deeply: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc, line", [
     (MemoryError("cannot allocate 745 GiB"), "error: out of memory cannot allocate 745 GiB"),
     (MemoryError(), "error: out of memory"),

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import typeforge.packer as packer
+import typeforge.typecore as typecore
 from treegen import datatypes, oracle_walk
 from typeforge import layouts, normalizer
 from typeforge.packer import (
@@ -201,7 +202,7 @@ def test_short_periodic_list_is_one_piece(monkeypatch):
     # tiled A=50 at 3.2 KB: 16 instances of a one-segment unit, read off
     # the unit as one periodic piece, as a long tiling is
     built = layouts.build(layouts.LayoutSpec(id="tiled", n=800, A=50))
-    monkeypatch.setattr(packer, "flatten", None)  # any call would raise
+    _forbid_building_segments(monkeypatch)
     p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
     assert (p.segment_count, strategy, materialized) == (16, "pieces", False)
@@ -457,15 +458,24 @@ def _same_plan(a, b) -> bool:
 
 
 def _planned_from_unit(p: CompiledEngine) -> tuple:
-    """Strategy and pieces, and whether planning built segments."""
+    """Strategy and pieces, and whether planning built the program's
+    segment arrays from its closed form."""
     strategy, pieces = p.strategy, p.pieces
-    return strategy, pieces, "_flat" in vars(p)
+    return strategy, pieces, "_arrays" in vars(p._flat)
+
+
+def _forbid_building_segments(monkeypatch) -> None:
+    """Make any explicit list built from a tiling raise."""
+    def no_segments(form):
+        raise AssertionError("segments built")
+
+    monkeypatch.setattr(typecore.ClosedForm, "materialize", no_segments)
 
 
 def test_tiled_compile_builds_no_segments(monkeypatch):
     built = layouts.build(layouts.LayoutSpec(id="tiled", n=640_000, A=2))
     assert built.count == 320_000
-    monkeypatch.setattr(packer, "flatten", None)  # any call would raise
+    _forbid_building_segments(monkeypatch)
     p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
     assert strategy == "pieces"
@@ -505,9 +515,9 @@ def test_unit_plans_match_the_segment_rule(lid, n, A):
         assert _same_plan(plan, _segment_rule(p)[1])
         unit = len(ct.flat.offsets)
         if count >= 8 and unit <= 8 and strategy == "pieces":
-            # a tiled unit of few segments is planned without its segments
-            # unless its instances touch
-            assert not materialized or p._touching
+            # a tiled unit of few segments is planned without its segments,
+            # whether or not its instances touch
+            assert not materialized
 
 
 @given(datatypes(), st.integers(8, 40))
@@ -613,6 +623,51 @@ def test_piece_splitter_matches_the_brute_force_reference(segments):
                for row in range(p.rows) for rel, n in zip(p.rel, p.pat)]
     assert rebuilt == list(zip(offs, lens))
     assert all(type(x) is int for p in pieces for x in (p.rows, p.period, p.first) + p.rel + p.pat)
+
+
+@st.composite
+def _tilings(draw) -> "typecore.ClosedForm":
+    """A canonical unit of up to 8 segments, in any order and at any
+    gaps, tiled at a stride that makes its copies touch or at a random
+    one, over copy counts on both sides of the length `_tiled_pieces`
+    needs for its two samples."""
+    k = draw(st.integers(1, 8))
+    lens = draw(st.lists(st.integers(1, 16), min_size=k, max_size=k))
+    ordered = draw(st.booleans())
+    offs = [draw(st.integers(-64, 64))]
+    for j in range(1, k):
+        # in order with gaps, or anywhere but the end of the segment
+        # before; either way no two neighbours touch
+        end = offs[-1] + lens[j - 1]
+        offs.append(end + draw(st.integers(1, 24)) if ordered else
+                    draw(st.integers(-64, 128).filter(lambda o, end=end: o != end)))
+    reach = offs[-1] + lens[-1] - offs[0]
+    touching = k > 1 and draw(st.booleans())
+    stride = reach if touching else draw(st.integers(-64, 256).filter(lambda s: s != reach))
+    copies = draw(st.one_of(st.integers(8, 400), st.integers(2_200, 5_000)))
+    return typecore.ClosedForm(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64),
+                          copies, stride)
+
+
+@given(_tilings())
+def test_tiled_pieces_match_the_brute_force_reference(form):
+    # a unit whose copies touch included: its list is a head, one run of
+    # the joined pattern and a tail
+    offs, lens = form.materialize()
+    assert len(offs) == form.segment_count
+    assert _same_plan(packer._tiled_pieces(form), _reference_pieces(offs, lens))
+
+
+def test_joined_tiling_is_planned_without_its_segments(monkeypatch):
+    # alternating_repeated A=2 at 2.56 MB: 160000 instances whose last
+    # segment joins the next one's first
+    built = layouts.build(layouts.LayoutSpec(id="alternating_repeated", n=640_000, A=2))
+    p = CompiledEngine(built.committed, built.count)
+    assert p._flat.form.touching and p.segment_count == 160_001
+    strategy, plan, materialized = _planned_from_unit(p)
+    assert (strategy, materialized) == ("pieces", False)
+    assert [(piece.rows, len(piece.pat)) for piece in plan] == [(1, 1), (159_999, 1), (1, 1)]
+    assert _same_plan(plan, _segment_rule(p)[1])
 
 
 def test_lists_of_more_than_eight_pieces_gather():

@@ -2,7 +2,12 @@
 
 import dataclasses
 import gc
+import os
 import pickle
+import resource
+import subprocess
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,9 +36,10 @@ from typeforge.typecore import (
     datatype_loads,
     datatype_to_json,
     equivalent,
+    extent,
     flatten,
 )
-from typeforge.layouts import LayoutSpec, build
+from typeforge.layouts import BadParams, LayoutSpec, build, build_alternatives
 from typeforge.normalizer import normalize
 from typeforge.packer import ENGINES, make_engine
 
@@ -181,13 +187,50 @@ def test_commit_is_idempotent(t):
     assert flatten(ct).same_segments(flatten(t))
 
 
+def _eager_tile(off, ln, count: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` copies of a canonical list the eager way: every copy built,
+    then the one join copies can make merged by a canonicalizing pass."""
+    if count == 0 or len(off) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if count == 1:
+        return off, ln
+    touching = off[-1] + ln[-1] == off[0] + stride
+    if touching and len(off) == 1:
+        return off, ln * count
+    out_off = (np.arange(count, dtype=np.int64)[:, None] * stride + off[None, :]).ravel()
+    out_len = np.tile(ln, count)
+    return canonicalize(out_off, out_len) if touching else (out_off, out_len)
+
+
+def _eager_unit(t) -> tuple[np.ndarray, np.ndarray]:
+    """One instance's segments, every level's list built in full: the
+    reference for the closed forms of `commit` and `flatten`."""
+    none = np.empty(0, dtype=np.int64)
+    if isinstance(t, Base):
+        return np.array([0], dtype=np.int64), np.array([t.kind.size], dtype=np.int64)
+    if isinstance(t, Resized):
+        return _eager_unit(t.inner)
+    if isinstance(t, Composite):
+        parts = [(np.asarray(off) + displ, ln) for count, displ, member in t.members
+                 if typecore._size_bounds(member) != (0, 0, 0)
+                 for off, ln in [_eager_tile(*_eager_unit(member), count, extent(member))]]
+        return canonicalize(np.concatenate([p[0] for p in parts] or [none]),
+                            np.concatenate([p[1] for p in parts] or [none]))
+    if typecore._size_bounds(t) == (0, 0, 0):
+        return none, none
+    inner, ext = _eager_unit(t.inner), extent(t.inner)
+    if isinstance(t, Contiguous):
+        return _eager_tile(*inner, t.count, ext)
+    if isinstance(t, (Vector, HVector)):
+        block = _eager_tile(*inner, t.blocklen, ext)
+        return _eager_tile(*block, t.count, typecore.vector_stride(t, ext))
+    return typecore._place_blocks(*typecore.block_table(t, ext), inner, ext)
+
+
 def _tiled_reference(t, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`count` instances by the definition: every unit segment copied at
-    each multiple of the extent, then one canonicalizing pass."""
-    ct = commit(t)
-    shifts = np.arange(count, dtype=np.int64)[:, None] * ct.extent
-    off = (shifts + ct.flat.offsets[None, :]).ravel()
-    return canonicalize(off, np.tile(ct.flat.lengths, count))
+    """`count` instances by the definition: the eager unit copied at each
+    multiple of the extent, then one canonicalizing pass."""
+    return _eager_tile(*_eager_unit(t), count, extent(t))
 
 
 # units whose instances touch (one segment, and two with the join between
@@ -207,10 +250,111 @@ _TILING_EDGES = [
 
 @given(st.one_of(datatypes(), st.sampled_from(_TILING_EDGES)), st.integers(0, 20))
 def test_closed_form_tiling_matches_tile_and_canonicalize(t, count):
-    off, ln = _tiled_reference(t, count)
     flat = flatten(t, count)
+    # read off the closed form, before any array is built
+    n, payload = flat.segment_count, flat.payload_bounds
+    off, ln = _tiled_reference(t, count)
     assert flat.offsets.tolist() == off.tolist()
     assert flat.lengths.tolist() == ln.tolist()
+    assert not flat.offsets.flags.writeable and not flat.lengths.flags.writeable
+    assert n == len(off)
+    assert payload == ((int(off.min()), int((off + ln).max())) if n else (flat.lb, flat.lb))
+
+
+@st.composite
+def _description_pairs(draw):
+    """Two (type, count) descriptions: one the other's instances as a
+    contiguous count, as a count-1 list of indexed instances or under
+    unrelated counts, or two random ones."""
+    t, c = draw(datatypes()), draw(st.integers(0, 6))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("contiguous", "indexed", "recount", "random")))
+    if kind == "contiguous":
+        return (Contiguous(m, t), c), (t, m * c)
+    if kind == "indexed":
+        return (IndexedBlock(1, tuple(range(c)), t), 1), (t, c)
+    if kind == "recount":
+        return (t, c), (t, draw(st.integers(0, 6)))
+    return (t, c), (draw(datatypes()), draw(st.integers(0, 6)))
+
+
+@given(_description_pairs())
+def test_equivalent_agrees_with_the_eager_lists(pair):
+    (t1, c1), (t2, c2) = pair
+    off1, ln1 = _tiled_reference(t1, c1)
+    off2, ln2 = _tiled_reference(t2, c2)
+    same = (commit(t1).size * c1 == commit(t2).size * c2
+            and off1.tolist() == off2.tolist() and ln1.tolist() == ln2.tolist())
+    assert equivalent(t1, c1, t2, c2) == same
+    assert equivalent(t2, c2, t1, c1) == same
+
+
+def test_tilings_of_different_strides_compare_row_by_row():
+    # four copies of one segment 8 bytes apart, against two copies of two
+    # segments 16 bytes apart: one list, two closed forms
+    words = flatten(Vector(4, 1, 2, INT))
+    pairs = flatten(Resized(0, 16, Indexed(((1, 0), (1, 2)), INT)), 2)
+    assert (words.form.copies, words.form.stride) == (4, 8)
+    assert (pairs.form.copies, pairs.form.stride) == (2, 16)
+    assert words.same_segments(pairs) and pairs.same_segments(words)
+    assert not words.same_segments(flatten(Vector(4, 1, 3, INT)))
+    assert equivalent(Vector(4, 1, 2, INT), 1, Resized(0, 16, Indexed(((1, 0), (1, 2)), INT)), 2)
+
+
+def test_nested_levels_fuse_when_the_outer_step_continues_the_inner():
+    # vector_tiled A=2 and its reference at 2.56 MB: one tiling each
+    alternative = commit(HVector(64_000, 1, 80, Vector(5, 2, 4, INT))).flat
+    reference = flatten(Resized(0, 16, Contiguous(2, INT)), 320_000)
+    for flat in (alternative, reference):
+        assert (flat.form.copies, flat.form.stride) == (320_000, 16)
+        assert (flat.form.offsets.tolist(), flat.form.lengths.tolist()) == ([0], [8])
+    assert alternative.same_segments(reference)
+    assert "_arrays" not in vars(alternative) and "_arrays" not in vars(reference)
+
+
+def test_huge_regular_description_commits_in_closed_form(tmp_path):
+    t = Contiguous(10**11, Vector(2, 1, 2, INT))
+    tracemalloc.start()
+    try:
+        ct = commit(t)
+        report = normalize(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert ct.flat.segment_count == 10**11 + 1
+    assert ct.payload_bounds == (0, 12 * 10**11)
+    assert report.output_cost == 10**11 + 1 + 3
+    # listing its segments still fails, as one error line; under an
+    # address-space limit on the child, so no host overcommit policy lets
+    # the allocation through
+    spec = tmp_path / "huge.json"
+    spec.write_text(datatype_dumps(t))
+    limit = 3 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "typeforge.cli", "flatten", "--spec", str(spec)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("lid", ["block_indexed", "alternating_indexed", "vector_tiled"])
+@pytest.mark.parametrize("A", [2, 1000])
+def test_given_and_normalized_alternatives_copy_alike(lid, A):
+    # so the typed path of a family member stays one region-to-region pass
+    try:
+        family = build_alternatives(LayoutSpec(id=lid, n=640_000, A=A))
+    except BadParams:
+        pytest.skip(f"{lid} does not divide at A={A}")
+    for built in family[1:]:
+        given_engine = make_engine("compiled", built.committed, built.count)
+        normal = normalize(built.committed).committed_output
+        normal_engine = make_engine("compiled", normal, built.count)
+        assert given_engine.copy_key is not None
+        assert given_engine.copy_key == normal_engine.copy_key
 
 
 @given(datatypes())
