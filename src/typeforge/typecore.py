@@ -385,7 +385,7 @@ class FlatLayout:
     def lengths(self) -> np.ndarray:
         return self.form.lengths if self.form.copies == 1 else self._arrays[1]
 
-    @cached_property
+    @property
     def segment_count(self) -> int:
         return self.form.segment_count
 
@@ -420,13 +420,13 @@ class FlatLayout:
         tiling and any other list compare row by row (`ClosedForm.rows_match`),
         the other list built if it is a tiling too; only two explicit lists
         compare whole arrays."""
-        if self.segment_count != other.segment_count:
-            return False
         tiled, rest = (self, other) if self.form.copies > 1 else (other, self)
         a, b = tiled.form, rest.form
         if a.copies == 1 or (a.copies, a.stride) == (b.copies, b.stride):
+            # two tilings of as many copies at one stride hold one list
+            # exactly when they hold one unit
             return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.lengths, b.lengths)
-        return a.rows_match(rest.offsets, rest.lengths)
+        return self.segment_count == other.segment_count and a.rows_match(rest.offsets, rest.lengths)
 
 
 @dataclass(frozen=True)
@@ -489,8 +489,9 @@ def _tile(form: ClosedForm, count: int, stride: int) -> ClosedForm:
         if stride == copies * step:
             return ClosedForm(off, ln, copies * count, step)
         off, ln = form.materialize()
-    tiled = ClosedForm(off, ln, count, stride)
-    return ClosedForm(off, ln * count) if len(off) == 1 and tiled.touching else tiled
+    if len(off) == 1 and ln[0] == stride:
+        return ClosedForm(off, ln * count)
+    return ClosedForm(off, ln, count, stride)
 
 
 def _place_blocks(
@@ -602,11 +603,11 @@ def _struct_bounds(t: Composite, members: list[tuple[int, int, int]]) -> tuple[i
 def _size_bounds(t: Datatype) -> tuple[int, int, int]:
     """(size, lb, ub) of one instance; a committed node's are read from its
     stored unit."""
-    unit = _stored_unit(t)
-    if unit is not None:
-        return _sizes(unit)
     if isinstance(t, Base):
         return t.kind.size, 0, t.kind.size
+    unit = _stored_unit(t)
+    if unit is not None:
+        return unit.total_size, unit.lb, unit.lb + unit.extent
     if isinstance(t, Composite):
         return _struct_bounds(t, [_size_bounds(m) for _, _, m in t.members])
     if isinstance(t, ONE_CHILD):
@@ -634,59 +635,54 @@ def _stored_unit(t) -> FlatLayout | None:
     return getattr(t, _UNIT, None)
 
 
-def _sizes(unit: FlatLayout) -> tuple[int, int, int]:
-    """(size, lb, ub) of a unit."""
-    return unit.total_size, unit.lb, unit.lb + unit.extent
-
-
-def _layout(t: Datatype) -> FlatLayout:
-    """The unit of one instance of `t`, with bounds by `_wrapped_bounds`
-    and `_struct_bounds`; a committed subtree's is its stored unit.  Each
-    node is checked before its children are derived, so a bad node is
-    refused before anything below it allocates.  Contiguous, Vector,
-    HVector and Resized levels build no arrays (`_tile`); indexed blocks
-    and struct members are placed from their inner units' explicit
-    lists."""
+def _layout(t: Datatype) -> tuple[ClosedForm, int, int, int]:
+    """Return (segments, size, lb, ub) for one instance of `t`, with
+    bounds by `_wrapped_bounds` and `_struct_bounds`; a committed
+    subtree's are read from its stored unit.  Each node is checked before
+    its children are derived, so a bad node is refused before anything
+    below it allocates.  Contiguous, Vector, HVector and Resized levels
+    build no arrays (`_tile`); indexed blocks and struct members are
+    placed from their inner units' explicit lists."""
     unit = _stored_unit(t)
     if unit is not None:
-        return unit
+        return unit.form, unit.total_size, unit.lb, unit.lb + unit.extent
     _check(t)
     if isinstance(t, Base):
         size = t.kind.size
-        return FlatLayout(ClosedForm(np.array([0], dtype=np.int64), np.array([size], dtype=np.int64)),
-                          size, size, 0)
+        return (ClosedForm(np.array([0], dtype=np.int64), np.array([size], dtype=np.int64)),
+                size, 0, size)
 
     if isinstance(t, Composite):
         parts = [_layout(member) for _, _, member in t.members]
-        size, lb, ub = _struct_bounds(t, [_sizes(part) for part in parts])
+        size, lb, ub = _struct_bounds(t, [part[1:] for part in parts])
         parts_off: list[np.ndarray] = []
         parts_len: list[np.ndarray] = []
-        for (count, displ, _), part in zip(t.members, parts):
-            if count > 0 and _sizes(part) != _NOTHING:
-                m_off, m_ln = _tile(part.form, count, part.extent).materialize()
+        for (count, displ, _), (form, msize, mlb, mub) in zip(t.members, parts):
+            if count > 0 and (msize, mlb, mub) != _NOTHING:
+                m_off, m_ln = _tile(form, count, mub - mlb).materialize()
                 parts_off.append(m_off + displ)
                 parts_len.append(m_ln)
         out_off, out_ln = canonicalize(
             np.concatenate(parts_off) if parts_off else _EMPTY,
             np.concatenate(parts_len) if parts_len else _EMPTY,
         )
-        return FlatLayout(ClosedForm(out_off, out_ln), size, ub - lb, lb)
+        return ClosedForm(out_off, out_ln), size, lb, ub
 
-    inner = _layout(t.inner)
-    ext = inner.extent
+    form, *inner = _layout(t.inner)
+    ext = inner[2] - inner[1]
     table = block_table(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
-    size, lb, ub = _wrapped_bounds(t, _sizes(inner), table)
+    size, lb, ub = _wrapped_bounds(t, tuple(inner), table)
     if isinstance(t, Resized):
-        form = inner.form
-    elif (size, lb, ub) == _NOTHING:
-        form = _NO_SEGMENTS
-    elif isinstance(t, Contiguous):
-        form = _tile(inner.form, t.count, ext)
+        return form, size, lb, ub
+    if (size, lb, ub) == _NOTHING:
+        return _NO_SEGMENTS, 0, 0, 0
+    if isinstance(t, Contiguous):
+        form = _tile(form, t.count, ext)
     elif isinstance(t, (Vector, HVector)):
-        form = _tile(_tile(inner.form, t.blocklen, ext), t.count, vector_stride(t, ext))
+        form = _tile(_tile(form, t.blocklen, ext), t.count, vector_stride(t, ext))
     else:
-        form = ClosedForm(*_place_blocks(table[0], table[1], (inner.offsets, inner.lengths), ext))
-    return FlatLayout(form, size, ub - lb, lb)
+        form = ClosedForm(*_place_blocks(table[0], table[1], form.materialize(), ext))
+    return form, size, lb, ub
 
 
 def _kind_name(t: Datatype) -> str:
@@ -732,7 +728,8 @@ def commit(t: Datatype | CommittedType) -> CommittedType:
         return t
     unit = _stored_unit(t)
     if unit is None:
-        unit = _layout(t)
+        form, size, lb, ub = _layout(t)
+        unit = FlatLayout(form, size, ub - lb, lb)
         object.__setattr__(t, _UNIT, unit)
     return CommittedType(t, unit.total_size, unit.lb, unit.lb + unit.extent, unit.extent, unit)
 
