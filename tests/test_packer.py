@@ -645,8 +645,8 @@ def _tilings(draw) -> "typecore.ClosedForm":
     touching = k > 1 and draw(st.booleans())
     stride = reach if touching else draw(st.integers(-64, 256).filter(lambda s: s != reach))
     copies = draw(st.one_of(st.integers(8, 400), st.integers(2_200, 5_000)))
-    return typecore.ClosedForm(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64),
-                          copies, stride)
+    return typecore.ClosedForm(np.array(offs, dtype=np.int64),
+                               np.array(lens, dtype=np.int64), copies, stride)
 
 
 @given(_tilings())
@@ -658,7 +658,7 @@ def test_tiled_pieces_match_the_brute_force_reference(form):
     assert _same_plan(packer._tiled_pieces(form), _reference_pieces(offs, lens))
 
 
-def test_joined_tiling_is_planned_without_its_segments(monkeypatch):
+def test_joined_tiling_is_planned_without_its_segments():
     # alternating_repeated A=2 at 2.56 MB: 160000 instances whose last
     # segment joins the next one's first
     built = layouts.build(layouts.LayoutSpec(id="alternating_repeated", n=640_000, A=2))

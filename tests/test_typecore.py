@@ -211,11 +211,13 @@ def _eager_unit(t) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(t, Resized):
         return _eager_unit(t.inner)
     if isinstance(t, Composite):
-        parts = [(np.asarray(off) + displ, ln) for count, displ, member in t.members
-                 if typecore._size_bounds(member) != (0, 0, 0)
-                 for off, ln in [_eager_tile(*_eager_unit(member), count, extent(member))]]
-        return canonicalize(np.concatenate([p[0] for p in parts] or [none]),
-                            np.concatenate([p[1] for p in parts] or [none]))
+        offs, lens = [none], [none]
+        for count, displ, member in t.members:
+            if typecore._size_bounds(member) != (0, 0, 0):
+                off, ln = _eager_tile(*_eager_unit(member), count, extent(member))
+                offs.append(off + displ)
+                lens.append(ln)
+        return canonicalize(np.concatenate(offs), np.concatenate(lens))
     if typecore._size_bounds(t) == (0, 0, 0):
         return none, none
     inner, ext = _eager_unit(t.inner), extent(t.inner)
