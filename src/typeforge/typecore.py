@@ -329,21 +329,20 @@ class ClosedForm(NamedTuple):
     def rows_match(self, off: np.ndarray, ln: np.ndarray) -> bool:
         """Whether the explicit list (`off`, `ln`), of as many segments as
         this one, holds the same segments: compared part by part, the rows
-        of the pattern on a (rows, pattern length) reshape of the list, so
-        no tiling is built."""
+        of the pattern column by column on a (rows, pattern length)
+        reshape of the list, so no tiling is built and no temporary is
+        larger than one column."""
         (h_off, h_len), (p_off, p_len), rows, (t_off, t_len) = self.runs()
-        h, end = len(h_off), len(h_off) + rows * len(p_off)
-        if not (np.array_equal(off[:h], h_off) and np.array_equal(ln[:h], h_len)
-                and np.array_equal(off[end:], t_off) and np.array_equal(ln[end:], t_len)):
+        h = len(h_off)
+        end = h + rows * len(p_off)
+        ends = ((off[:h], h_off), (ln[:h], h_len), (off[end:], t_off), (ln[end:], t_len))
+        if h and not all(bool((x == y).all()) for x, y in ends):
             return False
-        if rows == 0:
-            return True
         body_off = off[h:end].reshape(rows, len(p_off))
         body_len = ln[h:end].reshape(body_off.shape)
         shifts = np.arange(rows, dtype=np.int64) * self.stride
-        # column by column, so no temporary is larger than one column
         return all(bool((body_len[:, j] == p_len[j]).all())
-                   and np.array_equal(body_off[:, j] - p_off[j], shifts)
+                   and bool((body_off[:, j] - p_off[j] == shifts).all())
                    for j in range(len(p_off)))
 
 
