@@ -342,7 +342,7 @@ class ClosedForm(NamedTuple):
         body_len = ln[h:end].reshape(body_off.shape)
         shifts = np.arange(rows, dtype=np.int64) * self.stride
         return all(bool((body_len[:, j] == p_len[j]).all())
-                   and bool((body_off[:, j] - p_off[j] == shifts).all())
+                   and np.array_equal(body_off[:, j] - p_off[j], shifts)
                    for j in range(len(p_off)))
 
 
