@@ -26,10 +26,10 @@ its arrays are built only when read.  A canonical unit can join the next
 copy only where its last segment touches the next one's first; such a
 tiling is a head, one periodic run of the joined pattern and a tail, and a
 single touching segment is one run.  A Contiguous, Vector or HVector level
-tiles its inner list without building it, and one whose step continues an
-inner tiling fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4, INT))`
-and 320000 instances of `Resized(0, 16, Contiguous(2, INT))` hold one
-form.  Segment counts and payload bounds are read off the form;
+tiles its inner form without building the copies; one whose step continues
+an inner tiling fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4,
+INT))` and 320000 instances of `Resized(0, 16, Contiguous(2, INT))` hold
+one form, and only a step that does not builds the inner tiling's list.  Segment counts and payload bounds are read off the form;
 `equivalent` compares two tilings of as many copies at one stride by their
 units and a tiling against any other list row by row.  `bounds` reads
 (lb, ub) from the tree, or from a committed node's stored unit, without
@@ -640,7 +640,7 @@ def _layout(t: Datatype) -> tuple[ClosedForm, int, int, int]:
     subtree's are read from its stored unit.  Each node is checked before
     its children are derived, so a bad node is refused before anything
     below it allocates.  Contiguous, Vector, HVector and Resized levels
-    build no arrays (`_tile`); indexed blocks and struct members are
+    keep the closed form (`_tile`); indexed blocks and struct members are
     placed from their inner units' explicit lists."""
     unit = _stored_unit(t)
     if unit is not None:
