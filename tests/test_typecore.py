@@ -329,14 +329,16 @@ def test_huge_regular_description_commits_in_closed_form(tmp_path):
     assert report.output_cost == 10**11 + 1 + 3
     # listing its segments still fails, as one error line; under an
     # address-space limit on the child, so no host overcommit policy lets
-    # the allocation through
+    # the allocation through, and with one BLAS thread, whose buffers
+    # would otherwise take address space per core
     spec = tmp_path / "huge.json"
     spec.write_text(datatype_dumps(t))
     limit = 3 << 30
     proc = subprocess.run(
         [sys.executable, "-m", "typeforge.cli", "flatten", "--spec", str(spec)],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 1
     assert proc.stdout == ""
