@@ -27,7 +27,17 @@ alternating_repeated A=2 at 2.56 MB, of rowcol A=100 (n=10240), of tiled
 A=2 at 3.2 KB, of tiled A=10000 at 2.56 MB (64 segments, one periodic
 piece) and of block_indexed A=100 at 3.2 KB (8 segments, 8 lone pieces)
 on the compiled engine, and of tiled A=2 at 3.2 KB on the interpreted
-engine, with the typed/packed ratio (G2/G3).
+engine, with the typed/packed ratio (G2/G3).  It times the same three
+variants over tcp, both processes on one core, for contiguous at 2.56 MB
+and 3.2 KB, tiled A=1000 at 2.56 MB and tiled A=10 at 3.2 KB.
+
+Then it sweeps where a tcp typed message is better gathered from and
+scattered into its region's runs than packed and unpacked: for each
+segment count and segment length of a vector layout, the median round trip
+of each path, the two alternating repetition by repetition on one
+connection between two processes on one core.  The shortest segment
+length from which the runs win at every count is the crossover.  A tree
+whose transport has no gather path has no sweep.
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -59,6 +69,7 @@ in the JSON file `--out`, so runs of two trees can sit side by side:
 import argparse
 import contextlib
 import json
+import multiprocessing
 import os
 import platform
 import socket
@@ -71,7 +82,7 @@ import time
 import numpy as np
 
 import typeforge
-from typeforge import bench, experiments, layouts, normalizer, packer, typecore
+from typeforge import bench, experiments, layouts, normalizer, packer, transport, typecore
 
 # (layout, elements, A, engine): the five fine_inmem layouts of the
 # benchmark, then a tiling whose instances join, then coarse_tcp's tiled
@@ -271,20 +282,31 @@ def one_core():
         os.sched_setaffinity(0, before)
 
 
-def round_trips(r: int = 3) -> list[dict]:
+# (layout, elements, A, engine) of the tcp round trips: perfbench's
+# coarse_tcp cases
+TCP_ROUND_TRIPS = (
+    ("contiguous", 640_000, 0, "compiled"),
+    ("contiguous", 800, 0, "compiled"),
+    ("tiled", 640_000, 1000, "compiled"),
+    ("tiled", 800, 10, "compiled"),
+)
+
+
+def round_trips(cases: tuple, carrier: str, r: int = 3) -> list[dict]:
     """Median round trip, in microseconds, of the raw, typed and packed
-    variants of each `ROUND_TRIPS` layout over inmem on one core: typed
-    and packed alternate repetition by repetition (`run_pair`), raw is
-    measured on its own; each figure is the median of `r` run medians."""
+    variants of each of `cases` over `carrier` on one core (over tcp,
+    with the echo process on the same core): typed and packed alternate
+    repetition by repetition (`run_pair`), raw is measured on its own;
+    each figure is the median of `r` run medians."""
     rows = []
-    with one_core():
-        for layout, n, A, engine in ROUND_TRIPS:
+    with one_core(), bench.echo_session():
+        for layout, n, A, engine in cases:
             built = layouts.build(layouts.LayoutSpec(id=layout, n=n, A=A))
             ct, count = built.committed, built.count
 
             def case(variant):
                 return bench.BenchCase(f"{layout}/{variant}", ct, count, variant,
-                                       engine, "inmem", ct.size * count, A)
+                                       engine, carrier, ct.size * count, A)
 
             typed, packed = bench.run_pair(case("typed"), case("packed"), r=r)
             raw = bench.run_case(case("raw"), r=r)
@@ -295,6 +317,88 @@ def round_trips(r: int = 3) -> list[dict]:
             row["typed_over_packed"] = row["typed_us"] / row["packed_us"]
             rows.append(row)
     return rows
+
+
+# segment counts and lengths (bytes) of the gather-or-pack sweep; one
+# count is the most runs a message gathers (IOV_MAX less the header)
+SWEEP_SEGMENTS = (2, 8, 32, 128, 1023)
+SWEEP_BYTES = (64, 256, 512, 1024, 2048, 3072, 4096)
+SWEEP_REPS = 31
+
+
+def _sweep_engines() -> list:
+    """One compiled engine per (segments, bytes) of the sweep: a vector of
+    that many blocks of that length, each followed by a gap as long."""
+    int_ = typecore.Base(typecore.BaseKind.INT)
+    return [packer.make_engine("compiled", typecore.Vector(k, b // 4, b // 2, int_), 1)
+            for k in SWEEP_SEGMENTS for b in SWEEP_BYTES]
+
+
+def _sweep_side(ep, reps: int) -> list:
+    """Round trips of every sweep engine, gathered (index 0) and packed
+    (index 1), alternating which goes first; both parties run this.  The
+    path is chosen through the transport's mean-length floor."""
+    engines = _sweep_engines()
+    regions = [np.zeros(eng.span, dtype=np.uint8) for eng in engines]
+    floors = (0, sys.maxsize)
+    saved = transport._IOV_MIN_MEAN
+    out = [([], []) for _ in engines]
+    try:
+        for rep in range(reps):
+            for i, eng in enumerate(engines):
+                for path in (rep % 2, 1 - rep % 2):
+                    transport._IOV_MIN_MEAN = floors[path]
+                    out[i][path].append(transport.pingpong_typed(
+                        ep, eng.committed, eng.count, regions[i], eng))
+    finally:
+        transport._IOV_MIN_MEAN = saved
+    return out
+
+
+def _sweep_echo(port: int, reps: int) -> None:
+    """Body of the sweep's echo process."""
+    ep = transport.tcp_connect(port, peer_id="pong")
+    try:
+        _sweep_side(ep, reps)
+    finally:
+        ep.close()
+
+
+def crossover(reps: int = SWEEP_REPS) -> dict | None:
+    """The gather-or-pack sweep (see the module docstring), or None for a
+    transport without a gather path."""
+    if not hasattr(transport, "_IOV_MIN_MEAN"):
+        return None
+    with one_core():
+        listener, port = transport.tcp_listener()
+        child = multiprocessing.get_context("spawn").Process(target=_sweep_echo,
+                                                             args=(port, reps))
+        child.start()
+        try:
+            ep = transport.tcp_accept(listener, peer_id="ping")
+        finally:
+            listener.close()
+        try:
+            times = _sweep_side(ep, reps)
+        finally:
+            ep.close()
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    points = []
+    for (k, b), (gathered, packed) in zip(
+            [(k, b) for k in SWEEP_SEGMENTS for b in SWEEP_BYTES], times):
+        g, p = statistics.median(gathered) * 1e6, statistics.median(packed) * 1e6
+        points.append({"segments": k, "segment_bytes": b, "gathered_us": g,
+                       "packed_us": p, "gathered_over_packed": g / p})
+    # the shortest length from which the runs win at every count and length
+    floor = None
+    for b in reversed(SWEEP_BYTES):
+        if any(pt["gathered_over_packed"] >= 1 for pt in points if pt["segment_bytes"] == b):
+            break
+        floor = b
+    return {"reps": reps, "points": points, "floor_bytes": floor}
 
 
 class FakeClock:
@@ -398,13 +502,25 @@ def main(argv=None) -> int:
               + "".join(f"{q['median_us']:>8.0f}" if q else f"{'-':>8}" for q in stages)
               + f"{row['pack_vs_memcpy']:>8.1f}", flush=True)
 
-    trips = round_trips()
-    print(f"{'inmem round trip, one core':<34}{'engine':<12}{'raw':>8}{'typed':>8}{'packed':>8}"
-          f"{'typed/packed':>14}")
-    for row in trips:
-        label = f"{row['layout']}/A{row['A']}/n{row['n']}"
-        print(f"{label:<34}{row['engine']:<12}" + "".join(f"{row[k + '_us']:>8.0f}" for k in ("raw", "typed", "packed"))
-              + f"{row['typed_over_packed']:>14.2f}", flush=True)
+    trips = round_trips(ROUND_TRIPS, "inmem")
+    tcp_trips = round_trips(TCP_ROUND_TRIPS, "tcp")
+    for name, rows_ in (("inmem", trips), ("tcp", tcp_trips)):
+        print(f"{name + ' round trip, one core':<34}{'engine':<12}{'raw':>8}{'typed':>8}"
+              f"{'packed':>8}{'typed/packed':>14}")
+        for row in rows_:
+            label = f"{row['layout']}/A{row['A']}/n{row['n']}"
+            print(f"{label:<34}{row['engine']:<12}"
+                  + "".join(f"{row[k + '_us']:>8.0f}" for k in ("raw", "typed", "packed"))
+                  + f"{row['typed_over_packed']:>14.2f}", flush=True)
+
+    sweep = crossover()
+    if sweep is not None:
+        print("tcp typed round trip, gathered/packed, one core "
+              f"(rows: segments; columns: segment bytes {SWEEP_BYTES})")
+        for k in SWEEP_SEGMENTS:
+            print(f"{k:>6}" + "".join(f"{pt['gathered_over_packed']:>8.2f}"
+                                      for pt in sweep["points"] if pt["segments"] == k))
+        print(f"runs win from {sweep['floor_bytes']} bytes per segment", flush=True)
 
     cost = harness()
     print("tcp harness, real clock (median us): " + ", ".join(
@@ -426,7 +542,8 @@ def main(argv=None) -> int:
         with open(args.out) as fh:
             doc = json.load(fh)
     doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows,
-                       "round_trips": trips, "tcp_harness": cost, "setup_share": share}
+                       "round_trips": trips, "tcp_round_trips": tcp_trips,
+                       "crossover": sweep, "tcp_harness": cost, "setup_share": share}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

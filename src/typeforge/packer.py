@@ -62,6 +62,12 @@ supplies only the key and the pass:
   region, and a gather would still build the payload with `np.take`), so
   it packs and unpacks.  The key is built on the first transfer.
 
+A compiled program of at most `_RUNS_MAX` segments also lists them as
+slices of the region in payload order (`CompiledEngine.runs`, one for a
+view), so a transport can move the payload straight between a socket and
+the region (`run_views`); the interpreted engine lists none, and always
+packs and unpacks.
+
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
 C-contiguous buffer; both engines count and move them as bytes, whatever
@@ -122,6 +128,10 @@ _PERIOD_CHECK_BLOCK = 1 << 16
 # bytes apart: 104-120 us against 124-142 us; A=512, 2048 bytes apart:
 # 88-109 us against 85-95 us direct; one core)
 _STAGED_PERIOD = 2048
+# most segments a program lists as region runs (`CompiledEngine.runs`): a
+# socket call gathers at most IOV_MAX buffers (1024 on Linux), one of them
+# the frame header
+_RUNS_MAX = 1023
 # a gather index starts this many bytes past a page boundary (see
 # CompiledEngine.gather_index)
 _INDEX_PAGE_OFFSET = 2048
@@ -164,6 +174,10 @@ class _Engine:
     # equal for two engines that copy straight between their regions
     # (`unpack_from`); None for an engine that packs and unpacks
     copy_key = None
+    # slices of the region holding the payload, in payload order, for a
+    # transport to move it straight between a socket and the region
+    # (`run_views`); None for an engine that packs and unpacks
+    runs = None
     # weak reference to the last engine `unpack_from` found to have this
     # engine's `copy_key`: keys never change, so it is not compared again,
     # and a weak one, so two engines that copy from each other form no cycle
@@ -200,6 +214,15 @@ class _Engine:
         src._checked(src_region)
         if self._checked(region, src.total_bytes) is not None:
             self._move_across(src_region, region)
+
+    def run_views(self, region, have: int | None = None) -> list[memoryview]:
+        """Byte views of `region`'s `runs`, in payload order, after the
+        checks of a pack (`have` None) or of an unpack of `have` bytes
+        (`_checked`).  Only an engine with `runs` has them."""
+        view = self._checked(region, have)
+        if view is None:
+            return []
+        return list(map(_byte_view(view).__getitem__, self.runs))
 
     def _checked(self, region, have: int | None = None) -> memoryview | None:
         """The checks of every copy.  `have` is the size of the payload to
@@ -437,6 +460,16 @@ class CompiledEngine(_Engine):
     @cached_property
     def is_contiguous(self) -> bool:
         return self.segment_count == 1 and self.total_bytes == self.span
+
+    @cached_property
+    def runs(self) -> tuple[slice, ...] | None:
+        """The segments as slices of the region, in payload order: one for
+        a view.  None for a program of more than `_RUNS_MAX` segments,
+        whose list is not built for them."""
+        if self.segment_count > _RUNS_MAX:
+            return None
+        starts = (self.offsets - self.origin).tolist()
+        return tuple(map(slice, starts, map(int.__add__, starts, self.lengths.tolist())))
 
     @property
     def strategy(self) -> str:

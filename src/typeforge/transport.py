@@ -10,15 +10,25 @@ A ping-pong repetition is strictly sequential, so in-memory payloads are
 handed over by reference without copying; the receiving side always copies
 into its own region, which is the cost a real receive pays.
 
-A typed message (`Endpoint.send_typed`/`recv_typed`) travels as packed
-bytes on tcp.  On inmem, when the sending engine can be copied from
+A typed message (`Endpoint.send_typed`/`recv_typed`) travels on tcp in
+the frame a packed one does, its payload the bytes the engine would pack.
+When the engine lists its payload as a few long runs of the region
+(`_Engine.runs`; a view is one run, and `_gathers` says how few and how
+long), the sender gathers the header and the runs into one `sendmsg` and
+the receiver scatters the payload straight into them with
+`recvmsg_into`, with no payload buffer in between.  Any other typed
+message is packed by its sender and received into the endpoint's
+receive buffer, which is reused from frame to frame, then unpacked.  A
+tcp receive that fails mid-frame may leave part of the payload in the
+region's payload bytes, never in its gaps.  On inmem, when the sending
+engine can be copied from
 straight across (it has a `copy_key`: an interpreted engine, or a
 compiled program of pieces), it is a reference to the sender's
 (engine, region): the receiving engine copies the layout's bytes from
 that region into its own (`unpack_from`), in one pass when it has the same
 key, as an intra-node library's single-copy path reads the sender's buffer
 through the sender's datatype.  Any other typed message (a compiled view
-or gather) is packed by its sender, as on tcp.
+or gather) is packed by its sender.
 The reference is valid until the sender's next operation on that region.
 Ping-pong alternation guarantees the receiver has copied before then: the
 sender waits for the reply before it touches the region again, and so it
@@ -29,18 +39,29 @@ so raw and byte-level receivers see the packed payload.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import time
 from queue import SimpleQueue
 from typing import NamedTuple
 
-from .packer import _Engine, make_engine
+from .packer import RegionTooSmall, SizeMismatch, _byte_view, _Engine, make_engine
 from .typecore import CommittedType, Datatype
 
 _HEADER = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _MAX_REASONABLE = 1 << 40
+# a tcp typed message moves straight between the socket and its region's
+# runs when there are at most this many, one iovec being the header's
+_IOV_SEGMENTS = os.sysconf("SC_IOV_MAX") - 1
+# ... and they average at least this many bytes.  Each run costs every
+# send and receive a buffer to slice and hand to the kernel, where packing
+# costs a copy per byte: over tcp on one core, 128 or 1023 runs of 2048
+# bytes round-trip 2-15 % slower gathered than packed, runs of 3072 bytes
+# 1-21 % faster at every count, and 2 to 8 runs faster at any length
+# (`scripts/bench_layers.py` crossover sweep, BENCH_20.json)
+_IOV_MIN_MEAN = 3072
 
 
 class TransportUnavailable(OSError):
@@ -74,6 +95,14 @@ class Endpoint:
     def recv_typed(self, eng: _Engine, region) -> None:
         """Receive a payload of `eng`'s size into `region` through `eng`."""
         eng.unpack_message(self.recv_msg(eng.total_bytes), region)
+
+    def recv_msg_into(self, buf) -> int:
+        """Receive the next message into the start of `buf`, a writable
+        byte view, and return its length; a frame longer than `buf` raises
+        PeerClosed before anything is received into it."""
+        data = self.recv_msg(len(buf))
+        buf[: len(data)] = data
+        return len(data)
 
     def close(self) -> None:
         raise NotImplementedError
@@ -174,6 +203,16 @@ class InMemEndpoint(Endpoint):
             self._tx.put(_CLOSED)
 
 
+def _gathers(eng: _Engine) -> bool:
+    """Whether a tcp typed message of `eng` moves straight between the
+    socket and the region's runs (`_Engine.runs`): at most
+    `_IOV_SEGMENTS` of them, at least `_IOV_MIN_MEAN` bytes long on
+    average."""
+    runs = eng.runs
+    return (runs is not None and 0 < len(runs) <= _IOV_SEGMENTS
+            and eng.total_bytes >= _IOV_MIN_MEAN * len(runs))
+
+
 class TcpEndpoint(Endpoint):
     kind = "tcp"
 
@@ -181,15 +220,32 @@ class TcpEndpoint(Endpoint):
         self.peer_id = peer_id
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._header = memoryview(bytearray(_HEADER.size))
+        # typed messages that do not scatter into their region land here
+        # and are unpacked from here; it grows to the longest such frame
+        self._rx = bytearray()
 
     def send_msg(self, payload) -> None:
-        """Header and payload in one `sendmsg`; a partial send goes on with
-        the unsent remainder."""
+        """Header and payload in one `sendmsg`."""
         header = _HEADER.pack(len(payload))
+        self._send([header, payload], len(header) + len(payload))
+
+    def send_typed(self, eng: _Engine, region) -> None:
+        """Header and the region's runs in one `sendmsg` when `eng`
+        gathers (`_gathers`); else the packed payload."""
+        if _gathers(eng):
+            parts = [_HEADER.pack(eng.total_bytes), *eng.run_views(region)]
+        else:
+            parts = [_HEADER.pack(eng.total_bytes), eng.pack_message(region)]
+        self._send(parts, _HEADER.size + eng.total_bytes)
+
+    def _send(self, parts: list, total: int) -> None:
+        """`parts`, `total` bytes, in one `sendmsg`; a partial send goes on
+        with the unsent remainder."""
         try:
-            sent = self._sock.sendmsg([header, payload])
-            if sent < len(header) + len(payload):
-                self._send_rest([memoryview(header), memoryview(payload).cast("B")], sent)
+            sent = self._sock.sendmsg(parts)
+            if sent < total:
+                self._send_rest([_byte_view(p) for p in parts], sent)
         except OSError as exc:
             raise PeerClosed(f"send failed: {exc}") from exc
 
@@ -203,24 +259,69 @@ class TcpEndpoint(Endpoint):
                 parts[0] = parts[0][sent:]
                 sent = self._sock.sendmsg(parts)
 
+    def _fill(self, bufs: list, n: int) -> None:
+        """Fill the writable byte views `bufs`, `n` bytes in all, in order
+        from the socket, going on across partial receives: `recv_into` the
+        last one, `recvmsg_into` any more."""
+        i = 0
+        while n:
+            try:
+                if i == len(bufs) - 1:
+                    got = self._sock.recv_into(bufs[i])
+                else:
+                    got = self._sock.recvmsg_into(bufs[i:])[0]
+            except OSError as exc:
+                raise PeerClosed(f"recv failed: {exc}") from exc
+            if got == 0:
+                raise PeerClosed("peer closed the connection")
+            n -= got
+            if n:
+                while got >= len(bufs[i]):
+                    got -= len(bufs[i])
+                    i += 1
+                bufs[i] = bufs[i][got:]
+
     def _recv_exact(self, n: int) -> bytearray:
         buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
-        while got < n:
-            try:
-                chunk = self._sock.recv_into(view[got:], n - got)
-            except (ConnectionResetError, OSError) as exc:
-                raise PeerClosed(f"recv failed: {exc}") from exc
-            if chunk == 0:
-                raise PeerClosed("peer closed the connection")
-            got += chunk
+        self._fill([memoryview(buf)], n)
         return buf
 
-    def recv_msg(self, limit: int | None = None):
-        (length,) = _HEADER.unpack(bytes(self._recv_exact(8)))
+    def _recv_length(self, limit: int | None) -> int:
+        """The next frame's payload length, refused above `limit`."""
+        self._fill([self._header], _HEADER.size)
+        (length,) = _HEADER.unpack(self._header)
         _check_length(length, limit)
-        return self._recv_exact(length)
+        return length
+
+    def recv_msg(self, limit: int | None = None):
+        return self._recv_exact(self._recv_length(limit))
+
+    def recv_msg_into(self, buf) -> int:
+        view = _byte_view(buf)
+        length = self._recv_length(len(view))
+        self._fill([view[:length]], length)
+        return length
+
+    def recv_typed(self, eng: _Engine, region) -> None:
+        """Receive straight into the region's runs when `eng` gathers
+        (`_gathers`), else into the endpoint's receive buffer, unpacked
+        from there.  A frame of the wrong size, a region short of the
+        window or a read-only one raises what the unpack raises, once the
+        frame is read, so the next message reads correctly."""
+        length = self._recv_length(eng.total_bytes)
+        if not _gathers(eng):
+            if len(self._rx) < length:
+                self._rx = bytearray(length)
+            data = memoryview(self._rx)[:length]
+            self._fill([data], length)
+            eng.unpack_message(data, region)
+            return
+        try:
+            views = eng.run_views(region, length)
+        except (SizeMismatch, RegionTooSmall, TypeError):
+            self._recv_exact(length)
+            raise
+        self._fill(views, length)
 
     def close(self) -> None:
         try:
@@ -289,16 +390,17 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # maximum of the two local times.
 #
 # A typed round trip leaves the carrier to move the payload
-# (`Endpoint.send_typed`/`recv_typed`): over tcp that is still a pack, a
-# send of the packed bytes, a receive and an unpack, but over inmem the
-# receiver copies from the sender's region in one pass, for the
-# interpreted engine (one tree walk per direction) and for compiled
-# programs of pieces.  A packed round trip is the explicit
-# MPI_Pack path on every carrier: pack into a fresh buffer, send those
-# bytes, receive them, unpack.  So G2/G3 compare two different paths on
-# inmem for those engines, and the same one elsewhere.  An engine may send
-# straight from the region: the compiled engine does so for a contiguous
-# layout.
+# (`Endpoint.send_typed`/`recv_typed`).  Over inmem the receiver copies
+# from the sender's region in one pass, for the interpreted engine (one
+# tree walk per direction) and for compiled programs of pieces.  Over tcp
+# a compiled program of few long runs is gathered from the sender's region
+# and scattered into the receiver's, and any other message is packed and
+# unpacked through the endpoint's reused receive buffer.  A packed round
+# trip is the explicit MPI_Pack path on every carrier: pack into a fresh
+# buffer, send those bytes, receive them into a fresh buffer, unpack.  So
+# G2/G3 compare two different paths on both carriers, except for a
+# compiled view or gather on inmem.  A raw round trip receives straight
+# into its region over tcp, so it stays the floor of both.
 
 
 def pingpong_typed(
@@ -361,10 +463,19 @@ def pingpong_raw(ep: Endpoint, region, clock=time.perf_counter) -> float:
     buf = memoryview(region).cast("B")
     if ep.peer_id == "ping":
         ep.send_msg(buf)
-        data = _recv_bounded(ep, buf.nbytes)
-        buf[: len(data)] = data
+        _recv_raw(ep, buf)
     else:
-        data = _recv_bounded(ep, buf.nbytes)
-        buf[: len(data)] = data
+        _recv_raw(ep, buf)
         ep.send_msg(buf)
     return clock() - start
+
+
+def _recv_raw(ep: Endpoint, buf: memoryview) -> None:
+    """The next message into the start of `buf` (`Endpoint.recv_msg_into`:
+    over tcp straight from the socket); a stand-in endpoint is asked for
+    the message, which is then copied."""
+    if isinstance(ep, Endpoint):
+        ep.recv_msg_into(buf)
+    else:
+        data = ep.recv_msg()
+        buf[: len(data)] = data

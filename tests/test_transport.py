@@ -1,5 +1,6 @@
 """Endpoints, framing and ping-pong message operations."""
 
+import itertools
 import socket
 import struct
 import sys
@@ -8,11 +9,18 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegen import datatypes, oracle_walk
-from typeforge.packer import CompiledEngine, InterpretedEngine, make_engine, pack
+from typeforge.packer import (
+    CompiledEngine,
+    InterpretedEngine,
+    RegionTooSmall,
+    SizeMismatch,
+    make_engine,
+    pack,
+)
 from typeforge.transport import (
     TRANSPORTS,
     PeerClosed,
@@ -25,10 +33,20 @@ from typeforge.transport import (
     tcp_accept,
     tcp_connect,
     tcp_listener,
+    _gathers,
 )
 from typeforge.typecore import Base, BaseKind, Contiguous, Indexed, Vector, commit
 
 INT = Base(BaseKind.INT)
+
+# one typed message per tcp receive path: a view (one run of 8000 bytes),
+# runs long enough to scatter into (8 of 4000 bytes) and runs too short to
+# (100 of 4 bytes), which go through the receive buffer and an unpack
+TCP_PATHS = {
+    "view": (Contiguous(1000, INT), 2),
+    "runs": (Vector(4, 1000, 1500, INT), 2),
+    "buffer": (Vector(100, 1, 2, INT), 1),
+}
 
 
 def _fill(n: int, salt: int = 0) -> bytearray:
@@ -159,21 +177,22 @@ def test_exchange_swaps_values():
 
 
 def test_typed_wire_format_is_the_packed_payload():
-    t = Vector(3, 2, 4, INT)
-    count = 2
-    region = _fill(make_engine("compiled", t, count).span)
-    ping, pong = make_pair("inmem")
-    try:
-        handle = _run_peer(
-            pingpong_typed, ping, t, count, region, engine="compiled"
-        )
-        wire = pong.recv_msg()
-        assert bytes(wire) == pack(t, count, region)
-        pong.send_msg(wire)
-        assert handle.result() >= 0.0
-    finally:
-        ping.close()
-        pong.close()
+    # over tcp, a gathered send and a packed one frame the same bytes
+    for kind in TRANSPORTS:
+        for t, count in ((Vector(3, 2, 4, INT), 2), TCP_PATHS["runs"], TCP_PATHS["view"]):
+            region = _fill(make_engine("compiled", t, count).span)
+            ping, pong = make_pair(kind)
+            try:
+                handle = _run_peer(
+                    pingpong_typed, ping, t, count, region, engine="compiled"
+                )
+                wire = pong.recv_msg()
+                assert bytes(wire) == pack(t, count, region)
+                pong.send_msg(wire)
+                assert handle.result() >= 0.0
+            finally:
+                ping.close()
+                pong.close()
 
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
@@ -181,6 +200,35 @@ def test_typed_wire_format_is_the_packed_payload():
                          ids=["pingpong_typed", "pingpong_packed"])
 @given(datatypes(), st.integers(0, 3))
 def test_echo_copies_payload_and_skips_gaps(op, engine, t, count):
+    _check_echo(op, engine, t, count, "inmem")
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+@pytest.mark.parametrize("op", [pingpong_typed, pingpong_packed],
+                         ids=["pingpong_typed", "pingpong_packed"])
+@settings(max_examples=12)
+@given(datatypes(), st.integers(0, 3))
+def test_echo_copies_payload_and_skips_gaps_over_tcp(op, engine, t, count):
+    _check_echo(op, engine, t, count, "tcp")
+
+
+@pytest.mark.parametrize("path", TCP_PATHS)
+def test_tcp_typed_echo_takes_each_receive_path(monkeypatch, path):
+    # a view and long runs move between the socket and the region with no
+    # pack or unpack; short runs are packed, received into the endpoint's
+    # buffer and unpacked from there
+    t, count = TCP_PATHS[path]
+    assert _gathers(make_engine("compiled", t, count)) == (path != "buffer")
+    calls = _count_copies(monkeypatch)
+    _check_echo(pingpong_typed, "compiled", t, count, "tcp")
+    copies = 0 if path != "buffer" else 2
+    assert calls == {"pack_message": copies, "unpack_message": copies, "_move_across": 0}
+
+
+def _check_echo(op, engine, t, count, kind):
+    """One round trip of `op` over `kind`: the initiator's region is
+    intact, and the echoer's holds the initiator's payload and its own
+    gap bytes."""
     eng = make_engine(engine, t, count)
     ping_region = _fill(eng.span)
     pong_region = _fill(eng.span, salt=100)
@@ -191,7 +239,7 @@ def test_echo_copies_payload_and_skips_gaps(op, engine, t, count):
     ext = commit(t).extent
     payload = {i * ext + a - eng.origin for i in range(count) for a in addrs}
 
-    ping, pong = make_pair("inmem")
+    ping, pong = make_pair(kind)
     try:
         handle = _run_peer(op, pong, t, count, pong_region, engine=engine)
         elapsed = op(ping, t, count, ping_region, engine=engine)
@@ -276,13 +324,16 @@ def test_oversized_frame_is_refused_before_allocation():
         ep = tcp_accept(listener, peer_id="pong")
     finally:
         listener.close()
-    eng = make_engine("compiled", Vector(4, 1, 2, INT), 1)
-    region = bytearray(eng.span)
+    engines = [make_engine("compiled", Vector(4, 1, 2, INT), 1)]
+    engines += [make_engine("compiled", *TCP_PATHS[path]) for path in ("view", "runs")]
     try:
-        peer.sendall(struct.pack("<Q", 1 << 40))
         started = time.perf_counter()
-        with pytest.raises(PeerClosed, match="frame announces"):
-            pingpong_typed(ep, Vector(4, 1, 2, INT), 1, region, eng)
+        for eng in engines:
+            region = bytearray(eng.span)
+            peer.sendall(struct.pack("<Q", 1 << 40))
+            with pytest.raises(PeerClosed, match="frame announces"):
+                pingpong_typed(ep, eng.committed, eng.count, region, eng)
+            assert len(ep._rx) == 0
         peer.sendall(struct.pack("<Q", eng.span + 1))
         with pytest.raises(PeerClosed, match="frame announces"):
             pingpong_raw(ep, region)
@@ -306,6 +357,51 @@ def test_receive_bound_is_the_expected_length(kind):
         pong.close()
 
 
+@pytest.mark.parametrize("path", TCP_PATHS)
+@pytest.mark.parametrize("fault", ["short_frame", "short_region", "read_only_region"])
+def test_tcp_typed_receive_errors_leave_the_framing_intact(path, fault):
+    # each fault raises what an unpack raises, once the whole frame is
+    # read: the next message on the endpoint reads correctly, and a region
+    # the fault was found in is left as it was
+    eng = make_engine("compiled", *TCP_PATHS[path])
+    raises, size, span = {
+        "short_frame": (SizeMismatch, eng.total_bytes - 4, eng.span),
+        "short_region": (RegionTooSmall, eng.total_bytes, eng.span - 1),
+        "read_only_region": (TypeError, eng.total_bytes, eng.span),
+    }[fault]
+    region = _fill(span) if fault != "read_only_region" else bytes(_fill(span))
+    before = bytes(region)
+    ping, pong = make_pair("tcp")
+    try:
+        ping.send_msg(_fill(size, salt=1))
+        ping.send_msg(b"next")
+        with pytest.raises(raises):
+            pong.recv_typed(eng, region)
+        assert bytes(pong.recv_msg()) == b"next"
+    finally:
+        ping.close()
+        pong.close()
+    assert bytes(region) == before
+
+
+def test_tcp_raw_round_trip_receives_into_the_buffer(monkeypatch):
+    # no message buffer of its own: the frame lands in the region
+    def refuse(self, limit=None):
+        raise AssertionError("raw receive went through recv_msg")
+
+    monkeypatch.setattr(TcpEndpoint, "recv_msg", refuse)
+    ping_region, pong_region = _fill(3000), bytearray(3000)
+    ping, pong = make_pair("tcp")
+    try:
+        handle = _run_peer(pingpong_raw, pong, pong_region)
+        pingpong_raw(ping, ping_region)
+        handle.result()
+    finally:
+        ping.close()
+        pong.close()
+    assert pong_region == ping_region == _fill(3000)
+
+
 class _TrickleSocket:
     """Takes 1 byte on the first `sendmsg`, then half of what it is
     offered (at least 1 byte); call number `fail_after` (from 0) raises."""
@@ -314,6 +410,7 @@ class _TrickleSocket:
         self.wire = bytearray()
         self.calls = 0
         self.fail_after = fail_after
+        self.first_call_buffers = None
 
     def setsockopt(self, *args):
         pass
@@ -322,19 +419,89 @@ class _TrickleSocket:
         if self.calls == self.fail_after:
             raise ConnectionResetError("reset by peer")
         offered = b"".join(bytes(b) for b in buffers)
+        if self.calls == 0:
+            self.first_call_buffers = len(buffers)
         take = 1 if self.calls == 0 else max(1, len(offered) // 2)
         self.calls += 1
         self.wire += offered[:take]
         return take
 
 
-@pytest.mark.parametrize("payload", [b"", b"x", bytes(range(100)), bytearray(range(7))],
-                         ids=["empty", "one", "hundred", "bytearray"])
+@pytest.mark.parametrize("payload", [b"", b"x", bytes(range(100)), bytearray(range(7)),
+                                     "runs"],
+                         ids=["empty", "one", "hundred", "bytearray", "typed_gather"])
 def test_partial_sends_complete_the_frame(payload):
+    # a typed message of runs is gathered from its region, header first
     sock = _TrickleSocket()
-    TcpEndpoint("ping", sock).send_msg(payload)
+    ep = TcpEndpoint("ping", sock)
+    if payload == "runs":
+        eng = make_engine("compiled", *TCP_PATHS[payload])
+        region = _fill(eng.span)
+        ep.send_typed(eng, region)
+        payload = pack(eng.committed, eng.count, region)
+        assert sock.first_call_buffers == 1 + len(eng.runs)
+    else:
+        ep.send_msg(payload)
     assert bytes(sock.wire) == struct.pack("<Q", len(payload)) + bytes(payload)
     assert sock.calls > 1
+
+
+class _TrickleRecvSocket:
+    """Serves `wire`: 1 byte on the first receive, then half of what is
+    asked (at least 1 byte), spread over the buffers in order; 0 bytes
+    once `wire` is used up.  Records how many buffers each receive
+    wrote to."""
+
+    def __init__(self, wire: bytes):
+        self.wire = memoryview(wire)
+        self.written = []
+
+    def setsockopt(self, *args):
+        pass
+
+    def recvmsg_into(self, buffers):
+        asked = sum(len(b) for b in buffers)
+        take = min(len(self.wire), 1 if not self.written else max(1, asked // 2))
+        got, touched = 0, 0
+        for buf in buffers:
+            n = min(len(buf), take - got)
+            if n == 0:
+                break
+            buf[:n] = self.wire[got : got + n]
+            got += n
+            touched += 1
+        self.wire = self.wire[got:]
+        self.written.append(touched)
+        return got, [], 0, None
+
+    def recv_into(self, buf):
+        return self.recvmsg_into([buf])[0]
+
+
+@pytest.mark.parametrize("path", TCP_PATHS)
+def test_partial_receives_fill_the_region(path):
+    # the scatter goes on across partial receives, from one run into the
+    # next, and leaves the gaps alone
+    eng = make_engine("compiled", *TCP_PATHS[path])
+    src, region = _fill(eng.span), _fill(eng.span, salt=5)
+    payload = bytes(eng.pack_message(src))
+    sock = _TrickleRecvSocket(struct.pack("<Q", len(payload)) + payload)
+    TcpEndpoint("pong", sock).recv_typed(eng, region)
+    want = bytearray(_fill(eng.span, salt=5))
+    eng.unpack_message(payload, want)
+    assert region == want
+    assert len(sock.wire) == 0
+    if path == "runs":
+        assert max(sock.written) > 1
+
+
+@pytest.mark.parametrize("path", TCP_PATHS)
+def test_end_of_stream_mid_frame_is_peer_closed(path):
+    eng = make_engine("compiled", *TCP_PATHS[path])
+    payload = bytes(eng.pack_message(_fill(eng.span)))
+    sock = _TrickleRecvSocket(struct.pack("<Q", len(payload)) + payload[:-1])
+    with pytest.raises(PeerClosed, match="peer closed"):
+        TcpEndpoint("pong", sock).recv_typed(eng, _fill(eng.span))
 
 
 def test_send_failure_after_a_partial_send_is_peer_closed():
@@ -418,17 +585,19 @@ def test_packed_round_trip_packs_and_unpacks_on_both_sides(monkeypatch):
 
 
 def test_typed_and_packed_parties_interoperate():
-    # a typed sender and a packed receiver, and the other way round
-    for ping_op, pong_op in ((pingpong_typed, pingpong_packed),
-                             (pingpong_packed, pingpong_typed)):
-        t = Vector(3, 2, 4, INT)
-        eng = make_engine("compiled", t, 2)
+    # a typed sender and a packed receiver, and the other way round, on
+    # both carriers; over tcp, for each receive path of the typed party
+    cases = [("inmem", Vector(3, 2, 4, INT), 2)]
+    cases += [("tcp", t, count) for t, count in TCP_PATHS.values()]
+    for (kind, t, count), (ping_op, pong_op) in itertools.product(
+            cases, ((pingpong_typed, pingpong_packed), (pingpong_packed, pingpong_typed))):
+        eng = make_engine("compiled", t, count)
         ping_region, pong_region = _fill(eng.span), _fill(eng.span, salt=7)
         before_ping = bytes(ping_region)
-        ping, pong = make_pair("inmem")
+        ping, pong = make_pair(kind)
         try:
-            handle = _run_peer(pong_op, pong, t, 2, pong_region, "compiled")
-            ping_op(ping, t, 2, ping_region, "compiled")
+            handle = _run_peer(pong_op, pong, t, count, pong_region, "compiled")
+            ping_op(ping, t, count, ping_region, "compiled")
             handle.result()
         finally:
             ping.close()
