@@ -18,9 +18,9 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
   executed with bulk (vectorized) moves.  The program is a view, a tuple of
   pieces or the gather (`CompiledEngine.strategy`).  It is compiled from the
   closed form of its segment list (`typecore.flatten`): its segment count
-  and, for a tiling of few segments per copy, its pieces follow from the
-  form, so the canonical segment list is built only for the paths that
-  read it:
+  and its pieces follow from the form, which the splitter reads through
+  windows (`ClosedForm.between`), so the canonical segment list is built
+  only for the paths that read it whole:
   - view: a layout that is one contiguous run filling its window is sent
     straight from the region;
   - pieces: the segment list split greedily into pieces
@@ -79,7 +79,6 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -93,10 +92,10 @@ from .typecore import (
     CommittedType,
     FlatLayout,
     HVector,
-    MalformedType,
     Resized,
     Vector,
     block_table,
+    checked_count,
     commit,
     extent,
     flatten,
@@ -115,8 +114,6 @@ _PERIOD_MIN_ROWS = 8
 _PERIOD_PATTERN_MAX = 8
 # most pieces of a list longer than `_SHORT_LIST` segments
 _PIECES_MAX = 8
-# a multiple of every pattern length (see `_tiled_pieces`)
-_PATTERNS_LCM = lcm(*range(1, _PERIOD_PATTERN_MAX + 1))
 # segments compared in the first and in every later step when following
 # a periodic run
 _RUN_FIRST_BLOCK = 256
@@ -184,8 +181,7 @@ class _Engine:
     _same_key = None
 
     def __init__(self, t: Datatype | CommittedType, count: int):
-        if count < 0:
-            raise MalformedType(f"count must be >= 0, got {count}")
+        count = checked_count(count)
         self.committed = commit(t)
         self.count = count
         self.total_bytes = self.committed.size * count
@@ -428,12 +424,11 @@ class CompiledEngine(_Engine):
 
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  The segment arrays are built on first use, and only by the
-    paths that read them; the segment count, and the pieces of a tiling of
-    few segments per copy, come from the closed form of the list, so
-    building the engine and choosing its copy path cost the size of the
-    unit, not the instance count.  What a copy reads (pieces, record
-    dtypes, word width, gather index) is built on the first copy that
-    needs it.
+    paths that read them; the segment count and the pieces come from the
+    closed form of the list, so building the engine and choosing its copy
+    path of a tiling cost the size of the unit, not the instance count.
+    What a copy reads (pieces, record dtypes, word width, gather index) is
+    built on the first copy that needs it.
     """
 
     name = "compiled"
@@ -515,32 +510,10 @@ class CompiledEngine(_Engine):
     @cached_property
     def pieces(self) -> tuple[Piece, ...] | None:
         """The segment list as pieces, each a periodic run or a lone
-        segment (`_split_pieces`): any number of a list of at most
-        `_SHORT_LIST` segments, at most `_PIECES_MAX` of a longer one, else
-        None, and the program gathers.
-
-        A tiling of few segments per copy is split without building its
-        list.  One whose unit fits in one stride and does not touch the
-        next copy is one piece of as many rows as copies, read off the
-        unit; any other is split from two short tilings of the same unit
-        (`_tiled_pieces`)."""
-        form = self._flat.form
-        k = len(form.offsets)
-        if form.copies >= _PERIOD_MIN_ROWS and k <= _PERIOD_PATTERN_MAX:
-            rel = form.offsets - form.offsets[0]
-            if (not form.touching and (rel >= 0).all()
-                    and (rel + form.lengths <= form.stride).all()):
-                # copies `stride` apart: the shortest repeating pattern
-                # lies within the unit, so the detector finds in the
-                # first few copies what it would find in all of them, and
-                # only the rows scale
-                sample = _PERIOD_MIN_ROWS
-                off = (np.arange(sample, dtype=np.int64)[:, None] * form.stride
-                       + form.offsets[None, :]).ravel()
-                piece = _detect_period(off, np.tile(form.lengths, sample))
-                return (piece._replace(rows=form.copies * k // len(piece.pat)),)
-            return _tiled_pieces(form)
-        return _split_pieces(self.offsets, self.lengths)
+        segment, split from its closed form (`_split_pieces`): any number
+        of a list of at most `_SHORT_LIST` segments, at most `_PIECES_MAX`
+        of a longer one, else None, and the program gathers."""
+        return _split_pieces(self._flat.form)
 
     @cached_property
     def piece_records(self) -> tuple[tuple, ...]:
@@ -648,88 +621,31 @@ class CompiledEngine(_Engine):
         return out
 
 
-def _tiled_pieces(form: ClosedForm) -> tuple[Piece, ...] | None:
-    """`_split_pieces` of a tiling of at most `_PERIOD_PATTERN_MAX`
-    segments per copy, without building its list.
-
-    The list is periodic, each copy adding `per_copy` segments, except at
-    its two ends (a tiling whose copies touch starts with the unit's first
-    segment alone and ends with its last one).  A pattern the splitter
-    finds inside the periodic stretch holds through it, so the split of a
-    long tiling is what its first few hundred segments decide, then one
-    piece through the middle, then what its last few segments decide; the
-    last part depends on the copies only through the segment count modulo
-    the pattern lengths, which `_PATTERNS_LCM` covers.  So two tilings
-    `step` copies apart split alike except that one piece has more rows
-    and every piece after it lies `step` strides further on, and two short
-    samples of that shape give the split of the whole tiling.  A tiling
-    too short for two samples, or samples that do not have that shape,
-    are split from the explicit list."""
-    per_copy = len(form.offsets) - form.touching
-    step = _PATTERNS_LCM // gcd(_PATTERNS_LCM, per_copy)
-    # samples of at least 512 segments, far more than the at most
-    # `_PIECES_MAX` pieces before the long one and the 64 segments from a
-    # start on which the detector decides the patterns it follows cover
-    low = 8 * _SHORT_LIST // per_copy + 2
-    if form.copies >= low + 2 * step:
-        first = low + (form.copies - low) % step
-        a, b = (_split_pieces(*form._replace(copies=c).materialize())
-                for c in (first, first + step))
-        if a is None or b is None:
-            if a is b:
-                return None
-        else:
-            pieces = _grown(a, b, step * per_copy, step * form.stride,
-                            (form.copies - first) // step)
-            if pieces is not None:
-                return pieces
-    return _split_pieces(*form.materialize())
-
-
-def _grown(a: tuple, b: tuple, segments: int, shift: int, times: int) -> tuple | None:
-    """The split of a list `times` x `segments` segments longer than the
-    one split into `a`, given `b`, the split of one `segments` segments
-    longer: `a` with one piece `times` x as many rows longer as `b` has,
-    and every piece after it `times` x `shift` bytes further on.  None
-    unless `a` and `b` differ in one piece's rows, by `segments` segments,
-    and `b` moves every later piece by `shift`."""
-    grow = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), None)
-    if grow is None or len(a) != len(b):
-        return None
-    x, y = a[grow], b[grow]
-    if (y._replace(rows=x.rows) != x or (y.rows - x.rows) * len(x.pat) != segments
-            or any(q != p._replace(first=p.first + shift)
-                   for p, q in zip(a[grow + 1:], b[grow + 1:]))):
-        return None
-    return (a[:grow] + (x._replace(rows=x.rows + times * (y.rows - x.rows)),)
-            + tuple(p._replace(first=p.first + times * shift) for p in a[grow + 1:]))
-
-
-def _split_pieces(offs: np.ndarray, lens: np.ndarray) -> tuple[Piece, ...] | None:
-    """`CompiledEngine.pieces` of a segment list, split greedily: from the
-    first segment not yet covered, the longest periodic piece that starts
-    there (`_detect_period`), else that segment alone.  None when a list
-    of more than `_SHORT_LIST` segments needs more than `_PIECES_MAX`
-    pieces."""
-    pieces, i, n = [], 0, len(offs)
+def _split_pieces(form: ClosedForm) -> tuple[Piece, ...] | None:
+    """`CompiledEngine.pieces` of a segment list in closed form, split
+    greedily: from the first segment not yet covered, the longest periodic
+    piece that starts there, else that segment alone (`_detect_period`).
+    None when a list of more than `_SHORT_LIST` segments needs more than
+    `_PIECES_MAX` pieces.  The list is read only through windows
+    (`ClosedForm.between`), and a tiling's periodic body only over one
+    cycle of its unit (`_run_end`), so a tiling is split without building
+    its list."""
+    pieces, i, n = [], 0, form.segment_count
     while i < n:
         if len(pieces) == _PIECES_MAX and n > _SHORT_LIST:
             return None
-        piece = _detect_period(offs, lens, i)
-        if piece is None:
-            length = int(lens[i])
-            piece = Piece(1, length, int(offs[i]), (0,), (length,))
-        pieces.append(piece)
-        i += piece.segments
+        pieces.append(_detect_period(form, i))
+        i += pieces[-1].segments
     return tuple(pieces)
 
 
-def _detect_period(offs: np.ndarray, lens: np.ndarray, start: int = 0) -> Piece | None:
+def _detect_period(form: ClosedForm, start: int = 0) -> Piece:
     """The longest periodic piece of the segment list starting at segment
     `start`: a pattern of at most `_PERIOD_PATTERN_MAX` segments, each
     within one positive byte period of the first, repeated at that period
     in at least `_PERIOD_MIN_ROWS` whole rows.  Of the patterns covering
-    the most segments, the shortest; None when no pattern repeats.
+    the most segments, the shortest; when no pattern repeats, the segment
+    at `start` alone, a piece of one row.
 
     A pattern of `g` segments repeats while every segment has the length
     of the one `g` before it and lies `period` bytes after it.  The first
@@ -741,9 +657,9 @@ def _detect_period(offs: np.ndarray, lens: np.ndarray, start: int = 0) -> Piece 
     that is one periodic run, or a run between a head and a tail, costs
     one pass.
     """
-    n = len(offs)
-    o = offs[start : start + _PERIOD_MIN_ROWS * _PERIOD_PATTERN_MAX].tolist()
-    ln = lens[start : start + _PERIOD_MIN_ROWS * _PERIOD_PATTERN_MAX].tolist()
+    n = form.segment_count
+    off, lens = form.between(start, min(start + _PERIOD_MIN_ROWS * _PERIOD_PATTERN_MAX, n))
+    o, ln = off.tolist(), lens.tolist()
     best = None
     for g in range(1, _PERIOD_PATTERN_MAX + 1):
         head = _PERIOD_MIN_ROWS * g
@@ -753,9 +669,12 @@ def _detect_period(offs: np.ndarray, lens: np.ndarray, start: int = 0) -> Piece 
         if period <= 0:
             continue
         if best is not None:
+            if (n - start) // g * g <= best.segments:
+                continue
+            # the segment past the piece and the one `g` before it
             past = start + best.segments
-            if (n - start) // g * g <= best.segments or lens[past] != lens[past - g] \
-                    or offs[past] - offs[past - g] != period:
+            off, lens = form.between(past - g, past + 1)
+            if lens.item(-1) != lens.item(0) or off.item(-1) - off.item(0) != period:
                 continue
         if any(ln[j] != ln[j - g] or o[j] - o[j - g] != period for j in range(g, head)):
             continue
@@ -763,31 +682,54 @@ def _detect_period(offs: np.ndarray, lens: np.ndarray, start: int = 0) -> Piece 
         pat = tuple(ln[:g])
         if any(r < 0 or r + m > period for r, m in zip(rel, pat)):
             continue
-        rows = (_run_end(offs, lens, g, period, start + head) - start) // g
+        rows = (_run_end(form, g, period, start + g, start + head) - start) // g
         if best is None or rows * g > best.segments:
             best = Piece(rows, period, o[0], rel, pat)
             if start + best.segments == n:
                 break
-    return best
+    return best or Piece(1, ln[0], o[0], (0,), (ln[0],))
 
 
-def _run_end(offs: np.ndarray, lens: np.ndarray, g: int, period: int, start: int) -> int:
+def _run_end(form: ClosedForm, g: int, period: int, lo: int, start: int) -> int:
     """The first segment from `start` on that does not have the length of
     the one `g` before it or does not lie `period` bytes after it, or the
-    list's length.  Checked a block at a time, from `_RUN_FIRST_BLOCK`
+    list's length, given that every segment from `lo` to `start` - 1 does.
+
+    Within the periodic body of a tiling, `g0` segments per row, whether
+    a segment passes depends only on its position modulo `g0` once the one
+    `g` before it lies in the body too.  So one whole cycle of `g0`
+    segments passing there stands for the rest of the body, and only the
+    tail after it is checked (`_scan`)."""
+    if form.copies > 1:
+        joined = form.touching
+        g0 = len(form.offsets) - joined
+        head = joined * g0
+        body_end = head + (form.copies - joined) * g0
+        cycle_end = max(lo, head + g) + g0
+        if cycle_end <= body_end:
+            if start < cycle_end:
+                end = _scan(form, g, period, start, cycle_end)
+                if end < cycle_end:
+                    return end
+            start = max(start, body_end)
+    return _scan(form, g, period, start, form.segment_count)
+
+
+def _scan(form: ClosedForm, g: int, period: int, start: int, stop: int) -> int:
+    """`_run_end` over segments `start` to `stop` - 1 of the list, or
+    `stop` if all pass: checked a block at a time, from `_RUN_FIRST_BLOCK`
     segments growing fourfold up to `_PERIOD_CHECK_BLOCK`, so a run that
     breaks soon costs little and a long list's temporaries stay in
     cache."""
-    n = len(offs)
     step = _RUN_FIRST_BLOCK
-    while start < n:
-        stop = min(start + step, n)
-        cur, prev = slice(start, stop), slice(start - g, stop - g)
-        same = (lens[cur] == lens[prev]) & (offs[cur] - offs[prev] == period)
+    while start < stop:
+        end = min(start + step, stop)
+        off, ln = form.between(start - g, end)
+        same = (ln[g:] == ln[:-g]) & (off[g:] - off[:-g] == period)
         if not same.all():
             return start + int(np.argmin(same))
-        start, step = stop, min(4 * step, _PERIOD_CHECK_BLOCK)
-    return n
+        start, step = end, min(4 * step, _PERIOD_CHECK_BLOCK)
+    return stop
 
 
 def _field(n: int) -> np.dtype:

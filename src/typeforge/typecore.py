@@ -21,22 +21,24 @@ The store is not a field: equality, hashing, `repr`, JSON,
 unpickled or copied node derives afresh.
 
 Tiling is closed-form: a segment list is held as explicit arrays or as
-`count` copies of a unit list `stride` bytes apart (`ClosedForm`), and
-its arrays are built only when read.  A canonical unit can join the next
-copy only where its last segment touches the next one's first; such a
-tiling is a head, one periodic run of the joined pattern and a tail, and a
-single touching segment is one run.  A Contiguous, Vector or HVector level
-tiles its inner form without building the copies; one whose step continues
-an inner tiling fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4,
-INT))` and 320000 instances of `Resized(0, 16, Contiguous(2, INT))` hold
-one form, and only a step that does not builds the inner tiling's list.  Segment counts and payload bounds are read off the form;
-`equivalent` compares two tilings of as many copies at one stride by their
-units and a tiling against any other list row by row.  `bounds` reads
-(lb, ub) from the tree, or from a committed node's stored unit, without
-building segments.  So commit, normalization and comparison of a regular
-description grow with the size of the description, not with its instance
-count; indexed blocks, struct members, the packer's gather index and the
-byte oracle build the lists they read.
+`count` copies of a unit list `stride` bytes apart (`ClosedForm`), and its
+arrays are built only when read, whole (`materialize`) or a window of them
+(`between`).  A canonical unit can join the next copy only where its last
+segment touches the next one's first; such a tiling is a head, one
+periodic run of the joined pattern and a tail, and a single touching
+segment is one run.  A Contiguous, Vector or HVector level tiles its inner
+form without building the copies; one whose step continues an inner tiling
+fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4, INT))` and 320000
+instances of `Resized(0, 16, Contiguous(2, INT))` hold one form, and only
+a step that does not builds the inner tiling's list.  Segment counts and
+payload bounds are read off the form; `equivalent` compares two tilings of
+as many copies at one stride by their units and a tiling against any other
+list row by row.  `bounds` reads (lb, ub) from the tree, or from a
+committed node's stored unit, without building segments.  So commit,
+normalization and comparison of a regular description grow with the size
+of the description, not with its instance count; indexed blocks, struct
+members, the packer's gather index and the byte oracle build the lists
+they read.
 
 An indexed node stores its table once, as a read-only int64 array that
 commit, the normalizer and the packer's planner all read without
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -288,11 +291,13 @@ class ClosedForm(NamedTuple):
     def touching(self) -> bool:
         """Whether each copy's last segment runs into the next copy's
         first, the only join tiling a canonical unit can make."""
-        return self.copies > 1 and bool(
-            self.offsets[-1] + self.lengths[-1] == self.offsets[0] + self.stride)
+        return self.copies > 1 and (self.offsets.item(-1) + self.lengths.item(-1)
+                                    == self.offsets.item(0) + self.stride)
 
     @property
     def segment_count(self) -> int:
+        if self.copies == 1:
+            return len(self.offsets)
         return self.copies * len(self.offsets) - (self.copies - 1) * self.touching
 
     def runs(self) -> tuple[tuple, tuple, int, tuple]:
@@ -315,16 +320,34 @@ class ClosedForm(NamedTuple):
         tail = (off[-1:] + (copies - 1) * stride, ln[-1:])
         return (off[:-1], ln[:-1]), pattern, copies - 1, tail
 
+    def between(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Segments `i` to `j` - 1 as (offsets, lengths) arrays, for
+        `i` < `j` <= `segment_count`: slices of an explicit list, and of a
+        tiling the parts of `runs` they fall in, the pattern built only for
+        the rows they cover."""
+        off, ln, copies, stride = self
+        if copies == 1:
+            return off[i:j], ln[i:j]
+        head, (p_off, p_len), rows, tail = self.runs()
+        h, g = len(head[0]), len(p_off)
+        end = h + rows * g
+        parts = [(head[0][i:j], head[1][i:j])] if i < h else []
+        lo, hi = max(i, h) - h, min(j, end) - h
+        if lo < hi:
+            first, last = lo // g, (hi - 1) // g + 1
+            cut = slice(lo - first * g, hi - first * g)
+            body = np.arange(first, last, dtype=np.int64)[:, None] * stride + p_off
+            lens = p_len[None, :].repeat(last - first, axis=0)
+            parts.append((body.ravel()[cut], lens.ravel()[cut]))
+        if j > end:
+            parts.append((tail[0][max(i - end, 0):j - end], tail[1][max(i - end, 0):j - end]))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
     def materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """The list as explicit (offsets, lengths) arrays."""
-        if self.copies == 1:
-            return self.offsets, self.lengths
-        head, (pat_off, pat_len), rows, tail = self.runs()
-        body = (np.arange(rows, dtype=np.int64)[:, None] * self.stride + pat_off).ravel()
-        if not len(head[0]) and not len(tail[0]):
-            return body, np.tile(pat_len, rows)
-        return (np.concatenate((head[0], body, tail[0])),
-                np.concatenate((head[1], np.tile(pat_len, rows), tail[1])))
+        return self.between(0, self.segment_count)
 
     def rows_match(self, off: np.ndarray, ln: np.ndarray) -> bool:
         """Whether the explicit list (`off`, `ln`), of as many segments as
@@ -713,6 +736,18 @@ def _at_least_zero(kind: str, name: str, value) -> None:
         raise MalformedType(f"{kind} {name} must be >= 0, got {value}")
 
 
+def checked_count(count) -> int:
+    """`count` as an int, if it is an integer (numpy's included) of at
+    least 0; anything else raises MalformedType."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise MalformedType(f"count must be an integer, got {count!r}") from None
+    if count < 0:
+        raise MalformedType(f"count must be >= 0, got {count}")
+    return count
+
+
 def commit(t: Datatype | CommittedType) -> CommittedType:
     """Validate a tree and derive size, bounds, extent and the unit layout,
     in one walk that checks each node before it derives the node's children.
@@ -738,8 +773,7 @@ def flatten(t: Datatype | CommittedType, count: int = 1) -> FlatLayout:
     i * extent, in closed form (`_tile`).  Canonicalization may merge
     across instance boundaries.  One instance is the committed unit
     itself, so its arrays are built at most once."""
-    if count < 0:
-        raise MalformedType(f"count must be >= 0, got {count}")
+    count = checked_count(count)
     ct = commit(t)
     if count == 1:
         return ct.flat
@@ -776,8 +810,7 @@ def equivalent(
     payload sizes differ at once, and equal counts of units with the same
     extent and the same segments agree without tiling either side.
     """
-    if count1 < 0 or count2 < 0:
-        raise MalformedType(f"count must be >= 0, got {min(count1, count2)}")
+    count1, count2 = checked_count(count1), checked_count(count2)
     ct1, ct2 = commit(t1), commit(t2)
     if ct1.size * count1 != ct2.size * count2:
         return False

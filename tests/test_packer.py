@@ -2,10 +2,11 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import typeforge.packer as packer
@@ -459,9 +460,16 @@ def _same_plan(a, b) -> bool:
 
 def _planned_from_unit(p: CompiledEngine) -> tuple:
     """Strategy and pieces, and whether planning built the program's
-    segment arrays from its closed form."""
-    strategy, pieces = p.strategy, p.pieces
-    return strategy, pieces, "_arrays" in vars(p._flat)
+    segment arrays from its closed form.  The form itself is made first:
+    tiling a tiling at a step that does not continue it builds the inner
+    unit's list, which is flattening's work, not planning's."""
+    p._flat
+    built = []
+    materialize = typecore.ClosedForm.materialize
+    with mock.patch.object(typecore.ClosedForm, "materialize",
+                           lambda form: built.append(form) or materialize(form)):
+        strategy, pieces = p.strategy, p.pieces
+    return strategy, pieces, bool(built)
 
 
 def _forbid_building_segments(monkeypatch) -> None:
@@ -513,17 +521,17 @@ def test_unit_plans_match_the_segment_rule(lid, n, A):
         strategy, plan, materialized = _planned_from_unit(p)
         assert strategy == _segment_rule(p)[0]
         assert _same_plan(plan, _segment_rule(p)[1])
-        unit = len(ct.flat.offsets)
-        if count >= 8 and unit <= 8 and strategy == "pieces":
-            # a tiled unit of few segments is planned without its segments,
-            # whether or not its instances touch
+        if p._flat.form.copies > 1:
+            # a tiling is planned without its segments, whatever its unit
+            # and whether or not its copies touch
             assert not materialized
 
 
 @given(datatypes(), st.integers(8, 40))
 def test_random_unit_plans_match_the_segment_rule(t, count):
     p = CompiledEngine(t, count)
-    strategy, plan, _ = _planned_from_unit(p)
+    strategy, plan, materialized = _planned_from_unit(p)
+    assert not (materialized and p._flat.form.copies > 1)
     assert strategy == _segment_rule(p)[0]
     assert _same_plan(plan, _segment_rule(p)[1])
     assert p.segment_count == len(p.offsets)
@@ -612,7 +620,7 @@ def _segment_lists(draw) -> tuple[list[int], list[int]]:
 @given(_segment_lists())
 def test_piece_splitter_matches_the_brute_force_reference(segments):
     offs, lens = segments
-    pieces = packer._split_pieces(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64))
+    pieces = packer._split_pieces(_explicit(offs, lens))
     assert _same_plan(pieces, _reference_pieces(offs, lens))
     if pieces is None:
         return
@@ -625,13 +633,18 @@ def test_piece_splitter_matches_the_brute_force_reference(segments):
     assert all(type(x) is int for p in pieces for x in (p.rows, p.period, p.first) + p.rel + p.pat)
 
 
+def _explicit(offs, lens) -> "typecore.ClosedForm":
+    return typecore.ClosedForm(np.array(offs, dtype=np.int64), np.array(lens, dtype=np.int64))
+
+
 @st.composite
 def _tilings(draw) -> "typecore.ClosedForm":
-    """A canonical unit of up to 8 segments, in any order and at any
+    """A canonical unit of up to 24 segments, in any order and at any
     gaps, tiled at a stride that makes its copies touch or at a random
-    one, over copy counts on both sides of the length `_tiled_pieces`
-    needs for its two samples."""
-    k = draw(st.integers(1, 8))
+    one, over a few copies or thousands.  A unit of more than 8 segments,
+    the longest pattern, is longer than the cycle a run is checked over
+    in `_run_end`."""
+    k = draw(st.integers(1, 24))
     lens = draw(st.lists(st.integers(1, 16), min_size=k, max_size=k))
     ordered = draw(st.booleans())
     offs = [draw(st.integers(-64, 64))]
@@ -644,18 +657,54 @@ def _tilings(draw) -> "typecore.ClosedForm":
     reach = offs[-1] + lens[-1] - offs[0]
     touching = k > 1 and draw(st.booleans())
     stride = reach if touching else draw(st.integers(-64, 256).filter(lambda s: s != reach))
-    copies = draw(st.one_of(st.integers(8, 400), st.integers(2_200, 5_000)))
+    copies = draw(st.one_of(st.integers(2, 400), st.integers(2_200, 5_000)))
     return typecore.ClosedForm(np.array(offs, dtype=np.int64),
                                np.array(lens, dtype=np.int64), copies, stride)
 
 
+def _even(k: int, copies: int, stride: int, lens=(4,)) -> "typecore.ClosedForm":
+    """`k` segments 10 bytes apart, their lengths repeating `lens`, tiled."""
+    return typecore.ClosedForm(np.arange(k, dtype=np.int64) * 10,
+                               np.resize(np.array(lens, dtype=np.int64), k), copies, stride)
+
+
+# units of 12 segments: one run through every copy, a run of a two-segment
+# pattern, and copies that touch, so that runs break at every join
+@example(_even(12, 50, 120))
+@example(_even(12, 40, 120, lens=(4, 2)))
+@example(_even(12, 3, 114))
 @given(_tilings())
 def test_tiled_pieces_match_the_brute_force_reference(form):
     # a unit whose copies touch included: its list is a head, one run of
     # the joined pattern and a tail
     offs, lens = form.materialize()
     assert len(offs) == form.segment_count
-    assert _same_plan(packer._tiled_pieces(form), _reference_pieces(offs, lens))
+    assert _same_plan(packer._split_pieces(form), _reference_pieces(offs, lens))
+
+
+@st.composite
+def _windows(draw) -> tuple:
+    """A tiling or an explicit list, and a window (i, j) of it whose ends
+    lie anywhere, or next to where a tiling's head, body and tail meet."""
+    form = draw(st.one_of(_tilings(), _segment_lists().map(lambda s: _explicit(*s))))
+    n = form.segment_count
+    joined = form.touching
+    g0 = len(form.offsets) - joined
+    body_end = joined * g0 + (form.copies - joined) * g0
+    near = [b + d for b in (0, joined * g0, joined * g0 + g0, body_end, n) for d in (-1, 0, 1)]
+    ends = st.one_of(st.integers(0, n), st.sampled_from([e for e in near if 0 <= e <= n]))
+    i, j = sorted((draw(ends), draw(ends)))
+    if i == j:
+        i, j = (i - 1, j) if j == n else (i, j + 1)
+    return form, i, j
+
+
+@given(_windows())
+def test_window_is_a_slice_of_the_whole_list(case):
+    form, i, j = case
+    offs, lens = form.materialize()
+    off, ln = form.between(i, j)
+    assert np.array_equal(off, offs[i:j]) and np.array_equal(ln, lens[i:j])
 
 
 def test_joined_tiling_is_planned_without_its_segments():
@@ -675,16 +724,16 @@ def test_lists_of_more_than_eight_pieces_gather():
     # piece per segment
     offs = np.array([i * (i + 3) for i in range(65)], dtype=np.int64)
     lens = np.ones(65, dtype=np.int64)
-    assert len(packer._split_pieces(offs[:9], lens[:9])) == 9
-    assert len(packer._split_pieces(offs[:64], lens[:64])) == 64
-    assert packer._split_pieces(offs, lens) is None
+    assert len(packer._split_pieces(_explicit(offs[:9], lens[:9]))) == 9
+    assert len(packer._split_pieces(_explicit(offs[:64], lens[:64]))) == 64
+    assert packer._split_pieces(_explicit(offs, lens)) is None
 
 
 def test_period_detector_checks_every_segment_of_a_long_list():
     rows = 3 * packer._PERIOD_CHECK_BLOCK // 2 + 5
     offs = (np.arange(rows, dtype=np.int64)[:, None] * 32 + [0, 12]).ravel()
     lens = np.full(2 * rows, 8, dtype=np.int64)
-    assert packer._detect_period(offs, lens) == (rows, 32, 0, (0, 12), (8, 8))
+    assert packer._detect_period(_explicit(offs, lens)) == (rows, 32, 0, (0, 12), (8, 8))
     # on both sides of the first block boundaries, and the last segment: the
     # run from segment 0 stops at the last whole row before the change
     head = 2 * packer._PERIOD_MIN_ROWS
@@ -697,9 +746,10 @@ def test_period_detector_checks_every_segment_of_a_long_list():
         moved, longer = offs.copy(), lens.copy()
         moved[i] += 4
         longer[i] += 4
-        want = (i // 2, 32, 0, (0, 12), (8, 8)) if i // 2 >= packer._PERIOD_MIN_ROWS else None
-        assert packer._detect_period(moved, lens) == want, i
-        assert packer._detect_period(offs, longer) == want, i
+        want = ((i // 2, 32, 0, (0, 12), (8, 8)) if i // 2 >= packer._PERIOD_MIN_ROWS
+                else (1, 8, 0, (0,), (8,)))
+        assert packer._detect_period(_explicit(moved, lens)) == want, i
+        assert packer._detect_period(_explicit(offs, longer)) == want, i
 
 
 # --- copying straight from a sender's region (unpack_from) --------------

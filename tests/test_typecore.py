@@ -649,6 +649,23 @@ def test_flatten_rejects_negative_count():
         flatten(INT, -1)
 
 
+_COUNT_USERS = {
+    **{name: lambda count, name=name: make_engine(name, INT, count) for name in ENGINES},
+    "flatten": lambda count: flatten(INT, count),
+    "equivalent": lambda count: equivalent(INT, count, INT, 2),
+}
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, "2", -1])
+@pytest.mark.parametrize("user", list(_COUNT_USERS))
+def test_counts_must_be_integers_of_at_least_zero(user, count):
+    # one check for every call that takes an instance count; numpy
+    # integers pass it, as Python ones do
+    with pytest.raises(MalformedType, match="count must be"):
+        _COUNT_USERS[user](count)
+    _COUNT_USERS[user](np.int64(2))
+
+
 def test_json_rejects_unknown_kind():
     with pytest.raises(MalformedType):
         datatype_from_json({"kind": "spiral", "count": 2})
