@@ -425,8 +425,9 @@ class CompiledEngine(_Engine):
     Offsets are absolute layout offsets; subtract `origin` to index the
     region.  The segment arrays are built on first use, and only by the
     paths that read them; the segment count and the pieces come from the
-    closed form of the list, so building the engine and choosing its copy
-    path of a tiling cost the size of the unit, not the instance count.
+    closed form of the list, so building the engine of a tiling and
+    choosing its copy path cost the size of the unit, not the instance
+    count.
     What a copy reads (pieces, record dtypes, word width, gather index) is
     built on the first copy that needs it.
     """
