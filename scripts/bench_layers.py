@@ -53,9 +53,13 @@ making engines, filling regions, and the few copies of the schedule).  For
 each experiment it reports the seconds, the top-level `typecore._layout`
 calls (one per commit of a tree) and the seconds spent in `bench._prepare`,
 read by wrapping both for the duration of the section.  It also times the
-copy-path choice (`CompiledEngine.strategy`) of two count-1 indexed
-descriptions, block_indexed A=2 at 2.56 MB and rowcol A=100 (n=10240), on
-an engine built outside the timing.
+copy-path choice (`CompiledEngine.strategy`) of three count-1 indexed
+descriptions, block_indexed and alternating_indexed A=2 at 2.56 MB and
+rowcol A=100 (n=10240), on an engine built outside the timing.
+
+With `--setup-only` it times only the set-up stages of every reference
+layout (stored under `setup`) and the set-up share, so the many
+alternating runs that set-up figures need are quick.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -64,6 +68,7 @@ resolution and call cost, are stored under `--label`
 in the JSON file `--out`, so runs of two trees can sit side by side:
 
     PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH_6.json
+    PYTHONPATH=src python scripts/bench_layers.py --setup-only --label change --out BENCH_22.json
 """
 
 import argparse
@@ -457,8 +462,8 @@ def _strategy_time(layout: str, n: int, A: int, reps: int) -> dict:
 
 def setup_share(reps: int) -> dict:
     """Set-up of every experiment under the fake clock, and the copy-path
-    choice of count-1 block_indexed A=2 and rowcol A=100 (see the module
-    docstring)."""
+    choice of count-1 block_indexed A=2, alternating_indexed A=2 and rowcol
+    A=100 (see the module docstring)."""
     rows = {}
     for experiment in experiments.EXPERIMENT_IDS:
         plan = experiments.make_plan(experiment, r=1, nrep=1)
@@ -474,8 +479,44 @@ def setup_share(reps: int) -> dict:
         "prepare_s": sum(row["prepare_s"] for row in rows.values()),
         "layout_calls": sum(row["layout_calls"] for row in rows.values()),
         "block_indexed_A2_strategy": _strategy_time("block_indexed", 640_000, 2, reps),
+        "alternating_indexed_A2_strategy": _strategy_time("alternating_indexed", 640_000, 2, reps),
         "rowcol_A100_strategy": _strategy_time("rowcol_fully_indexed", 10_240, 100, reps),
     }
+
+
+def print_setup_share(reps: int) -> dict:
+    """`setup_share`, printed as a table."""
+    share = setup_share(reps)
+    print(f"{'experiment':<22}{'seconds':>9}{'_layout calls':>15}{'_prepare s':>12}")
+    for name, row in share["experiments"].items():
+        print(f"{name:<22}{row['seconds']:>9.2f}{row['layout_calls']:>15}"
+              f"{row['prepare_s']:>12.3f}")
+    print(f"{'total':<22}{share['total_s']:>9.2f}{share['layout_calls']:>15}"
+          f"{share['prepare_s']:>12.3f}")
+    print(f"strategy of count-1 block_indexed A=2, alternating_indexed A=2, rowcol A=100 "
+          f"(median us): {share['block_indexed_A2_strategy']['median_us']:.0f}, "
+          f"{share['alternating_indexed_A2_strategy']['median_us']:.0f}, "
+          f"{share['rowcol_A100_strategy']['median_us']:.0f}", flush=True)
+    return share
+
+
+# the set-up stages of `setup`, in the order `setup_rows` prints them
+SETUP_STAGES = ("build", "commit", "commit_again", "normalize", "equivalent",
+                "equivalent_family", "compile", "compile_again", "plan")
+
+
+def setup_rows(reps: int) -> list[dict]:
+    """The set-up stages of every reference layout, `reps` calls each,
+    printed as medians in microseconds."""
+    print(f"{'layout':<34}" + "".join(f"{name[:8]:>9}" for name in SETUP_STAGES))
+    rows = []
+    for layout, n, A, _ in REFERENCE:
+        stages = setup(layout, n, A, reps)
+        rows.append({"layout": layout, "n": n, "A": A, "setup": stages})
+        print(f"{f'{layout}/A{A}/n{n}':<34}" + "".join(
+            f"{stages[k]['median_us']:>9.0f}" if stages[k] else f"{'-':>9}"
+            for k in SETUP_STAGES), flush=True)
+    return rows
 
 
 def main(argv=None) -> int:
@@ -483,7 +524,13 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--out", default="BENCH.json", help="JSON file to add the run to")
     ap.add_argument("--reps", type=int, default=41, help="timed repetitions per layout")
+    ap.add_argument("--setup-only", action="store_true",
+                    help="time the set-up stages and the set-up share only")
     args = ap.parse_args(argv)
+    if args.setup_only:
+        run = {"environment": environment(), "reps": args.reps, "setup": setup_rows(args.reps),
+               "setup_share": print_setup_share(args.reps)}
+        return _store(args, run)
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
@@ -526,24 +573,20 @@ def main(argv=None) -> int:
     print("tcp harness, real clock (median us): " + ", ".join(
         f"{name} {q['median_us']:.0f}" for name, q in cost.items()), flush=True)
 
-    share = setup_share(args.reps)
-    print(f"{'experiment':<22}{'seconds':>9}{'_layout calls':>15}{'_prepare s':>12}")
-    for name, row in share["experiments"].items():
-        print(f"{name:<22}{row['seconds']:>9.2f}{row['layout_calls']:>15}"
-              f"{row['prepare_s']:>12.3f}")
-    print(f"{'total':<22}{share['total_s']:>9.2f}{share['layout_calls']:>15}"
-          f"{share['prepare_s']:>12.3f}")
-    print(f"strategy of count-1 block_indexed A=2, rowcol A=100 (median us): "
-          f"{share['block_indexed_A2_strategy']['median_us']:.0f}, "
-          f"{share['rowcol_A100_strategy']['median_us']:.0f}", flush=True)
+    share = print_setup_share(args.reps)
 
+    return _store(args, {"environment": environment(), "reps": args.reps, "layouts": rows,
+                         "round_trips": trips, "tcp_round_trips": tcp_trips,
+                         "crossover": sweep, "tcp_harness": cost, "setup_share": share})
+
+
+def _store(args, run: dict) -> int:
+    """Add `run` to the JSON file `--out` under `--label`."""
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc[args.label] = {"environment": environment(), "reps": args.reps, "layouts": rows,
-                       "round_trips": trips, "tcp_round_trips": tcp_trips,
-                       "crossover": sweep, "tcp_harness": cost, "setup_share": share}
+    doc[args.label] = run
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

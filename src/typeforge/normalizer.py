@@ -37,6 +37,7 @@ from .typecore import (
     canonicalize,
     commit,
     extent,
+    table_period,
     vector_stride,
 )
 
@@ -202,47 +203,39 @@ def _struct_to_indexed(t: Datatype) -> Datatype | None:
 def _indexed_to_block(t: Datatype) -> Datatype | None:
     if not isinstance(t, Indexed) or not len(t.blocks):
         return None
-    lens, displs = block_table(t)
+    # the first k rows of a table of period k hold every length it has
+    period = table_period(t)
+    lens = block_table(t, rows=period[0] if period else None)[0]
     if not (lens == lens[0]).all():
         return None
-    return IndexedBlock(int(lens[0]), displs, t.inner)
+    return IndexedBlock(int(lens[0]), block_table(t)[1], t.inner)
 
 
 def _regular_stride(t: Datatype) -> Datatype | None:
-    """Arithmetic displacements become a vector; displacements periodic with
-    period p >= 2 become a contiguous run of a p-block unit."""
+    """A table of period 1 (`table_period`) starting at displacement 0
+    becomes a vector; one of period k = 2..4 with at least 2k + 1 rows
+    becomes a contiguous run of a k-block unit."""
     if not isinstance(t, (Indexed, IndexedBlock)):
         return None
+    period = table_period(t)
+    if period is None:
+        return None
+    k, shift = period
     lens, displs = block_table(t)
     c = len(displs)
-    if c < 3 or displs[0] != 0:
+    if displs[0] != 0:
         return None
-
-    if (lens == lens[0]).all():
-        step = int(displs[1] - displs[0])
-        if bool((np.diff(displs) == step).all()):
-            return Vector(c, int(lens[0]), step, t.inner)
-
-    base_ext = extent(t.inner)
-    in_lb, in_ub = bounds(t)
-    for period in (2, 3, 4):
-        if c % period or c < 2 * period + 1:
-            continue
-        shift = int(displs[period] - displs[0])
-        if not bool(
-            (lens[period:] == lens[:-period]).all()
-            and (displs[period:] - displs[:-period] == shift).all()
-        ):
-            continue
-        if isinstance(t, IndexedBlock):
-            unit: Datatype = IndexedBlock(t.blocklen, t.displs[:period], t.inner)
-        else:
-            unit = Indexed(t.blocks[:period], t.inner)
-        unit = _wrap_bounds(unit, 0, shift * base_ext)
-        candidate = _wrap_bounds(Contiguous(c // period, unit), in_lb, in_ub)
-        if descr_size(candidate) < descr_size(t):
-            return candidate
-    return None
+    if k == 1:
+        return Vector(c, int(lens[0]), shift, t.inner)
+    if c < 2 * k + 1:
+        return None
+    if isinstance(t, IndexedBlock):
+        unit: Datatype = IndexedBlock(t.blocklen, t.displs[:k], t.inner)
+    else:
+        unit = Indexed(t.blocks[:k], t.inner)
+    unit = _wrap_bounds(unit, 0, shift * extent(t.inner))
+    candidate = _wrap_bounds(Contiguous(c // k, unit), *bounds(t))
+    return candidate if descr_size(candidate) < descr_size(t) else None
 
 
 def _merge_adjacent_blocks(t: Datatype) -> Datatype | None:

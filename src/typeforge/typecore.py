@@ -36,18 +36,21 @@ as many copies at one stride by their units and a tiling against any other
 list row by row.  `bounds` reads (lb, ub) from the tree, or from a
 committed node's stored unit, without building segments.  So commit,
 normalization and comparison of a regular description grow with the size
-of the description, not with its instance count; indexed blocks, struct
-members, the packer's gather index and the byte oracle build the lists
-they read.
+of the description, not with its instance count; irregular indexed
+tables, struct members, the packer's gather index and the byte oracle
+build the lists they read.
 
 An indexed node stores its table once, as a read-only int64 array that
 commit, the normalizer and the packer's planner all read without
 converting it entry by entry; the JSON codec hands a table to the
-constructor as read, and the constructor checks its shape and range.
-Block placement is closed-form too: over an inner unit of one segment as
-long as its extent (a base kind, say), block j is the single run
-(displ_j, blocklen_j x extent), so no instance is expanded only to be
-merged back.
+constructor as read, and the constructor checks its shape and range.  A
+table that is c / k copies of its first k <= 4 rows, each one shift on,
+has period k (`table_period`, found once per node and stored next to its
+unit): commit places only those k rows and tiles them, and the
+normalizer's regular-stride pass reads the same period.  Block placement
+is closed-form too: over an inner unit of one segment as long as its
+extent (a base kind, say), block j is the single run (displ_j,
+blocklen_j x extent), so no instance is expanded only to be merged back.
 
 This module is the one place that knows the node kinds.  Committing
 checks each node's own fields (`_check`) in the walk that derives the
@@ -103,20 +106,23 @@ class BaseKind(enum.Enum):
         raise MalformedType(f"unknown base kind: {name!r}")
 
 
-# name of the attribute under which `commit` stores a tree's unit on the node
+# names of the attributes under which `commit` stores a tree's unit, and
+# `table_period` an indexed node's period, on the node
 _UNIT = "_committed_unit"
+_PERIOD = "_table_period"
 
 
 class _Node:
     """What every constructor node shares: a pickle or a copy of a node
-    holds its fields only, not the unit `commit` stored on it, so the copy
-    derives its own on its first commit."""
+    holds its fields only, not the unit `commit` or the period
+    `table_period` stored on it, so the copy derives its own."""
 
     __slots__ = ()
 
     def __getstate__(self):
         state = dict(vars(self))
         state.pop(_UNIT, None)
+        state.pop(_PERIOD, None)
         return state
 
 
@@ -563,12 +569,97 @@ def block_bounds(blocklens: np.ndarray, displs: np.ndarray, lb: int, ub: int) ->
 _NOTHING = (0, 0, 0)
 
 
-def block_table(t: Indexed | IndexedBlock, ext: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(blocklens, displacements) of an indexed node's blocks, read from
-    its stored table, displacements in units of `ext` bytes."""
+def block_table(t: Indexed | IndexedBlock, ext: int = 1,
+                rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(blocklens, displacements) of an indexed node's blocks, or of its
+    first `rows` blocks, read from its stored table, displacements in units
+    of `ext` bytes.  Nothing is copied but displacements scaled by an `ext`
+    other than 1: the rest are read-only views of the table, and an
+    IndexedBlock's blocklens a broadcast of its one blocklen."""
     if isinstance(t, Indexed):
-        return t.blocks[:, 0], t.blocks[:, 1] * ext
-    return np.full(len(t.displs), t.blocklen, dtype=np.int64), t.displs * ext
+        lens, displs = t.blocks[:rows, 0], t.blocks[:rows, 1]
+    else:
+        displs = t.displs[:rows]
+        lens = np.broadcast_to(np.int64(t.blocklen), displs.shape)
+    return lens, displs if ext == 1 else displs * ext
+
+
+# longest period `table_period` looks for, and the table entries its full
+# check compares at a time (a multiple of both row widths)
+_PERIOD_MAX = 4
+_CHECK_ENTRIES = 32768
+
+
+def table_period(t: Indexed | IndexedBlock) -> tuple[int, int] | None:
+    """(k, shift) for the smallest k in 1..4 such that the node's table of
+    c >= max(3, 2k) rows, c a multiple of k, is c / k copies of its first
+    k rows, copy m shifted by m * shift displacement units; None if there
+    is no such k.
+
+    A candidate k is refused from the first 2k and the last k rows before
+    the whole table is compared, so an irregular table costs O(1); the
+    whole table is compared `_CHECK_ENTRIES` entries at a time, each row
+    against the one k before it, so no temporary is larger than one such
+    block.  The result is stored on the node, next to its committed unit."""
+    found = getattr(t, _PERIOD, False)
+    if found is False:
+        found = _find_period(t.blocks if isinstance(t, Indexed) else t.displs)
+        object.__setattr__(t, _PERIOD, found)
+    return found
+
+
+def _find_period(table: np.ndarray) -> tuple[int, int] | None:
+    """`table_period` of a stored table: (blocklen, displ) rows, or
+    displacements alone."""
+    c = len(table)
+    if c < 3:
+        return None
+    rows = table.reshape(c, -1)
+    width = rows.shape[1]
+    # every candidate's first 2k and last k rows
+    head, tail = rows[:2 * _PERIOD_MAX].tolist(), rows[-_PERIOD_MAX:].tolist()
+    for k in range(1, _PERIOD_MAX + 1):
+        if c % k or c < 2 * k:
+            continue
+        shift = head[k][-1] - head[0][-1]
+        if (head[k:2 * k] == _shifted(head[:k], shift)
+                and tail[-k:] == _shifted(head[:k], (c // k - 1) * shift)
+                and _repeats(rows.reshape(-1), k * width, [0] * (width - 1) + [shift])):
+            return k, shift
+    return None
+
+
+def _shifted(rows: list[list[int]], by: int) -> list[list[int]]:
+    """Table rows, as lists, with `by` added to each displacement (the
+    last entry of a row)."""
+    return [row[:-1] + [row[-1] + by] for row in rows]
+
+
+def _repeats(flat: np.ndarray, lag: int, step: list[int]) -> bool:
+    """Whether every entry of the flattened table `flat` from 2 * `lag` on
+    is the entry `lag` before it plus the step of its column (`step`, one
+    row's worth), compared `_CHECK_ENTRIES` entries at a time."""
+    steps = np.tile(np.array(step, dtype=np.int64), min(len(flat), _CHECK_ENTRIES) // len(step))
+    for lo in range(2 * lag, len(flat), _CHECK_ENTRIES):
+        hi = min(lo + _CHECK_ENTRIES, len(flat))
+        if not bool((flat[lo:hi] - flat[lo - lag:hi - lag] == steps[:hi - lo]).all()):
+            return False
+    return True
+
+
+def _unit_blocks(t: Indexed | IndexedBlock, ext: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """An indexed node's blocks as (blocklens, displs, copies, step):
+    `copies` copies of the blocks (blocklens, displs), displacements in
+    bytes, copy m shifted by m * `step` bytes.  A table of period k
+    (`table_period`) is its first k rows, c / k times; any other table is
+    itself, once."""
+    period = table_period(t)
+    if period is None:
+        return (*block_table(t, ext), 1, 0)
+    k, shift = period
+    lens, displs = block_table(t, ext, k)
+    c = len(t.blocks if isinstance(t, Indexed) else t.displs)
+    return lens, displs, c // k, shift * ext
 
 
 def vector_stride(t: Vector | HVector, ext: int) -> int:
@@ -579,11 +670,13 @@ def vector_stride(t: Vector | HVector, ext: int) -> int:
 
 def _wrapped_bounds(t: Datatype, inner: tuple[int, int, int], table=None) -> tuple[int, int, int]:
     """(size, lb, ub) of a one-child node whose child has (size, lb, ub)
-    `inner`; `table` is an indexed node's `block_table`, if already made.
+    `inner`; `table` is an indexed node's `_unit_blocks`, if already made.
 
     Each placed inner instance contributes [displ + inner lb, displ + inner
     ub], so a Resized inner widens or narrows the bounds without moving
-    payload.  Constructors with no placed instances have lb = ub = 0.
+    payload.  Constructors with no placed instances have lb = ub = 0.  An
+    indexed node's bounds are those of its unit blocks widened by the reach
+    of their copies, so a periodic table is not scanned.
     """
     size, lb, ub = inner
     if isinstance(t, Resized):
@@ -601,11 +694,12 @@ def _wrapped_bounds(t: Datatype, inner: tuple[int, int, int], table=None) -> tup
         reach = (t.count - 1) * vector_stride(t, ext)
         return (size * t.blocklen * t.count, lb + min(reach, 0),
                 (t.blocklen - 1) * ext + ub + max(reach, 0))
-    blocklens, displs = table if table is not None else block_table(t, ext)
+    blocklens, displs, copies, step = table if table is not None else _unit_blocks(t, ext)
     if not (blocklens > 0).any():
         return _NOTHING
     lo, hi = block_bounds(blocklens, displs, lb, ub)
-    return size * int(blocklens.sum()), lo, hi
+    reach = (copies - 1) * step
+    return size * int(blocklens.sum()) * copies, lo + min(reach, 0), hi + max(reach, 0)
 
 
 def _struct_bounds(t: Composite, members: list[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -663,8 +757,11 @@ def _layout(t: Datatype) -> tuple[ClosedForm, int, int, int]:
     subtree's are read from its stored unit.  Each node is checked before
     its children are derived, so a bad node is refused before anything
     below it allocates.  Contiguous, Vector, HVector and Resized levels
-    keep the closed form (`_tile`); indexed blocks and struct members are
-    placed from their inner units' explicit lists."""
+    keep the closed form (`_tile`).  An indexed table of period k
+    (`table_period`) places its first k rows from the inner unit's explicit
+    list and tiles them, c / k copies one shift apart; any other table's
+    blocks, and struct members, are placed from their inner units'
+    explicit lists."""
     unit = _stored_unit(t)
     if unit is not None:
         return unit.form, unit.total_size, unit.lb, unit.lb + unit.extent
@@ -692,7 +789,7 @@ def _layout(t: Datatype) -> tuple[ClosedForm, int, int, int]:
 
     form, *inner = _layout(t.inner)
     ext = inner[2] - inner[1]
-    table = block_table(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
+    table = _unit_blocks(t, ext) if isinstance(t, (Indexed, IndexedBlock)) else None
     size, lb, ub = _wrapped_bounds(t, tuple(inner), table)
     if isinstance(t, Resized):
         return form, size, lb, ub
@@ -703,7 +800,8 @@ def _layout(t: Datatype) -> tuple[ClosedForm, int, int, int]:
     elif isinstance(t, (Vector, HVector)):
         form = _tile(_tile(form, t.blocklen, ext), t.count, vector_stride(t, ext))
     else:
-        form = ClosedForm(*_place_blocks(table[0], table[1], form.materialize(), ext))
+        lens, displs, copies, step = table
+        form = _tile(ClosedForm(*_place_blocks(lens, displs, form.materialize(), ext)), copies, step)
     return form, size, lb, ub
 
 
@@ -725,7 +823,8 @@ def _check(t: Datatype) -> None:
     for name in _NON_NEGATIVE.get(type(t), ()):
         _at_least_zero(kind, name, getattr(t, name))
     if isinstance(t, Indexed) and len(t.blocks):
-        _at_least_zero(kind, "blocklen", t.blocks[:, 0].min())
+        # the unit rows of a periodic table hold every length it has
+        _at_least_zero(kind, "blocklen", _unit_blocks(t, 1)[0].min())
     elif isinstance(t, Composite):
         for count, _, _ in t.members:
             _at_least_zero(kind, "member count", count)

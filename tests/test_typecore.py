@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from typeforge.typecore import (
 )
 from typeforge.layouts import BadParams, LayoutSpec, build, build_alternatives
 from typeforge.normalizer import normalize
-from typeforge.packer import ENGINES, make_engine
+from typeforge.packer import ENGINES, _split_pieces, make_engine
 
 INT = Base(BaseKind.INT)
 DOUBLE = Base(BaseKind.DOUBLE)
@@ -483,6 +484,146 @@ def test_merged_lengths_are_exact_past_float_precision():
     assert ct.size == big + 2
     assert ct.flat.lengths.tolist() == [big + 2]
     assert int(ct.flat.lengths.sum()) == ct.size
+
+
+# --- periodic index tables ------------------------------------------------
+
+
+def _repeated(k_rows, shift: int, copies: int, inner, blocklen: int | None = None):
+    """An indexed node whose table is `copies` copies of `k_rows`, copy m
+    shifted by m * `shift`: (blocklen, displ) rows, or displacements of
+    one `blocklen` when it is given."""
+    if blocklen is not None:
+        return IndexedBlock(blocklen, [d + m * shift for m in range(copies) for d in k_rows], inner)
+    return Indexed([(bl, d + m * shift) for m in range(copies) for bl, d in k_rows], inner)
+
+
+# k = 1..4, a negative shift, blocks that join across copies, overlapping
+# blocks, zero-length rows, non-zero first displacements, Resized inners
+# (one of extent 0, so every copy lands on the last) and an inner that is
+# not one dense segment
+_PERIODIC = [
+    _repeated((0,), 3, 10, INT, blocklen=2),
+    _repeated((12,), -3, 5, SHORT, blocklen=1),
+    _repeated(((1, 0), (2, 3)), 5, 4, INT),
+    _repeated(((3, 0), (2, 1)), 2, 3, DOUBLE),
+    _repeated(((0, 5), (2, 0), (0, 1)), 4, 3, INT),
+    _repeated((7, 9), 4, 2, DOUBLE, blocklen=1),
+    _repeated(((1, 2), (2, -4), (1, 9), (3, 0)), -7, 3, Resized(-2, 8, SHORT)),
+    _repeated(((2, 0), (1, 3)), 1, 4, Resized(0, 0, INT)),
+    _repeated((1, 4, 6), 9, 3, Vector(2, 1, 2, INT), blocklen=2),
+]
+
+
+@st.composite
+def _periodic_tables(draw):
+    """An indexed node whose table is copies of its first k = 1..4 rows,
+    each copy one shift on, with at least max(3, 2k) rows."""
+    k = draw(st.integers(1, 4))
+    copies = draw(st.integers(max(2, -(-3 // k)), 5))
+    shift = draw(st.integers(-12, 12))
+    inner = draw(st.one_of(_DENSE, datatypes(2),
+                           st.builds(Resized, st.integers(-4, 4), st.integers(0, 12), base_types())))
+    if draw(st.booleans()):
+        displs = draw(st.lists(st.integers(-6, 12), min_size=k, max_size=k))
+        return _repeated(displs, shift, copies, inner, blocklen=draw(st.integers(0, 3)))
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-6, 12)), min_size=k, max_size=k))
+    return _repeated(rows, shift, copies, inner)
+
+
+def _assert_committed_as_placed(node) -> None:
+    """`node`'s committed form holds exactly the segments `_place_blocks`
+    makes of its whole table, and agrees with the same node committed with
+    the period finder off on every figure read off a form."""
+    ct, inner = commit(node), commit(node.inner)
+    off, ln = typecore._place_blocks(*typecore.block_table(node, inner.extent),
+                                     inner.flat.form.materialize(), inner.extent)
+    with mock.patch.object(typecore, "table_period", lambda t: None):
+        explicit = commit(dataclasses.replace(node))
+    assert explicit.flat.form.copies == 1
+    form_off, form_ln = ct.flat.form.materialize()
+    assert (form_off.tolist(), form_ln.tolist()) == (off.tolist(), ln.tolist())
+    assert ct.flat.segment_count == len(off)
+    assert ct.flat.payload_bounds == explicit.flat.payload_bounds
+    assert (ct.size, ct.lb, ct.ub) == (explicit.size, explicit.lb, explicit.ub)
+    assert bounds(dataclasses.replace(node)) == (ct.lb, ct.ub)
+    assert _split_pieces(ct.flat.form) == _split_pieces(explicit.flat.form)
+    for count in (1, 3):
+        assert (make_engine("compiled", ct, count).copy_key
+                == make_engine("compiled", explicit, count).copy_key)
+
+
+@pytest.mark.parametrize("t", _PERIODIC)
+def test_hand_made_periodic_tables_commit_as_placed(t):
+    t = dataclasses.replace(t)
+    assert typecore.table_period(t) is not None
+    assert commit(t).flat.form.copies > 1 or commit(t).flat.segment_count <= 1
+    _assert_committed_as_placed(t)
+    addrs, lb, ub, empty = oracle_walk(t)
+    assert commit(t).flat.segments == oracle_segments(addrs)
+    assert (commit(t).lb, commit(t).ub) == ((0, 0) if empty else (lb, ub))
+
+
+@given(st.one_of(datatypes(), _INDEXED, _periodic_tables()))
+def test_indexed_tables_commit_as_placed(t):
+    for node in _indexed_nodes(t):
+        _assert_committed_as_placed(node)
+
+
+def test_period_finder_takes_the_smallest_period_and_refuses_the_rest():
+    period = typecore.table_period
+    assert period(IndexedBlock(1, (0, 4, 8, 12, 16, 20), INT)) == (1, 4)
+    assert period(IndexedBlock(1, (0, 1, 4, 5, 8, 9), INT)) == (2, 4)
+    assert period(Indexed(((1, 0), (2, 0), (1, 6), (2, 6)), INT)) == (2, 6)
+    assert period(IndexedBlock(1, (5, 3, 1, 15, 13, 11), INT)) == (3, 10)
+    # two rows, rows that repeat in length but not in place, a count that
+    # k does not divide, and a table that breaks off after its ends agree
+    assert period(IndexedBlock(1, (0, 4), INT)) is None
+    assert period(Indexed(((1, 0), (2, 4), (1, 8), (3, 12)), INT)) is None
+    assert period(IndexedBlock(1, (0, 1, 4, 5, 8), INT)) is None
+    broken = np.arange(100_000, dtype=np.int64) * 3
+    broken[70_000] += 1
+    assert period(IndexedBlock(1, broken, INT)) is None
+    assert period(IndexedBlock(1, np.arange(100_000) * 3, INT)) == (1, 3)
+
+
+def test_irregular_table_is_refused_without_a_pass():
+    # rowcol's table: a row, then one column entry per later row
+    t = build(LayoutSpec(id="rowcol_fully_indexed", n=10_240, A=100)).datatype
+    t = dataclasses.replace(t)
+    with mock.patch.object(typecore, "_repeats", side_effect=AssertionError("full pass")):
+        assert typecore.table_period(t) is None
+
+
+@pytest.mark.parametrize("lid", ["block_indexed", "alternating_indexed"])
+def test_periodic_tables_set_up_below_the_table_bytes(lid):
+    reference, given_ = build_alternatives(LayoutSpec(id=lid, n=640_000, A=2))
+    t = dataclasses.replace(given_.datatype)
+    table = t.blocks if isinstance(t, Indexed) else t.displs
+    tracemalloc.start()
+    try:
+        ct = commit(t)
+        report = normalize(t)
+        same = equivalent(ct, 1, reference.committed, reference.count)
+        strategy = make_engine("compiled", t, 1).strategy
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same and report.changed and strategy == "pieces"
+    assert peak < table.nbytes
+
+
+def test_pickled_indexed_node_drops_both_memos():
+    memos = {"_committed_unit", "_table_period"}
+    for t in (_repeated(((1, 0), (2, 3)), 5, 4, INT), _repeated((0, 2), 8, 3, INT, blocklen=1)):
+        t = dataclasses.replace(t)
+        outer = Contiguous(2, t)
+        commit(t), commit(outer)
+        assert memos <= set(vars(t))
+        for copy in (pickle.loads(pickle.dumps(t)), pickle.loads(pickle.dumps(outer)).inner):
+            assert copy == t
+            assert not memos & set(vars(copy))
+            assert commit(copy).flat.same_segments(commit(t).flat)
 
 
 # --- index tables ---------------------------------------------------------
