@@ -574,7 +574,6 @@ def main(argv=None) -> int:
         f"{name} {q['median_us']:.0f}" for name, q in cost.items()), flush=True)
 
     share = print_setup_share(args.reps)
-
     return _store(args, {"environment": environment(), "reps": args.reps, "layouts": rows,
                          "round_trips": trips, "tcp_round_trips": tcp_trips,
                          "crossover": sweep, "tcp_harness": cost, "setup_share": share})
