@@ -46,7 +46,7 @@ and stops an echo process of its own; the same measurement within an open
 without echo sessions starts one per measurement here too); and one tcp
 `basic_layouts` experiment over the grid of perfbench's coarse_tcp sweep.
 
-Last it times the set-up share of all 11 experiments: each runs at r=1,
+Then it times the set-up share of all 11 experiments: each runs at r=1,
 nrep=1 under a deterministic fake clock, so no timing happens and its wall
 time is all set-up (building, committing and normalizing descriptions,
 making engines, filling regions, and the few copies of the schedule).  For
@@ -57,9 +57,23 @@ copy-path choice (`CompiledEngine.strategy`) of three count-1 indexed
 descriptions, block_indexed and alternating_indexed A=2 at 2.56 MB and
 rowcol A=100 (n=10240), on an engine built outside the timing.
 
+Last it sweeps the kernels a compiled engine may copy a periodic piece
+by (`packer._KERNELS`): for each pattern, period, starting offset and
+payload size of the sweep, the median time of every kernel in every
+direction (pack, unpack, across), the kernels alternating in order
+repetition by repetition on one core, with the kernel the packer's table
+picks and the one the packer used before the table, and for a one-field
+pattern of words the word gather as well; then, per payload size and
+direction, how often the pick is within 10 % of the fastest kernel and
+its worst ratios to the fastest and to the former kernel.  A packer
+without a kernel table has no sweep.
+
 With `--setup-only` it times only the set-up stages of every reference
 layout (stored under `setup`) and the set-up share, so the many
-alternating runs that set-up figures need are quick.
+alternating runs that set-up figures need are quick; with
+`--kernels-only`, only the kernel sweep.  `--runs N` makes N runs of the
+chosen sections, each in a new process, and `--tree LABEL=DIR`, given
+once per checkout, alternates them between checkouts of two trees.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -69,6 +83,8 @@ in the JSON file `--out`, so runs of two trees can sit side by side:
 
     PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH_6.json
     PYTHONPATH=src python scripts/bench_layers.py --setup-only --label change --out BENCH_22.json
+    PYTHONPATH=src python scripts/bench_layers.py --label x --runs 3 \
+        --tree parent=../parent --tree change=. --out BENCH_23.json
 """
 
 import argparse
@@ -406,6 +422,147 @@ def crossover(reps: int = SWEEP_REPS) -> dict | None:
     return {"reps": reps, "points": points, "floor_bytes": floor}
 
 
+# the kernel sweep: periodic pieces of one field of each width (bytes), of
+# two of the same width, and of the two-field patterns of bucket (4, 12)
+# and alternating (36, 44), the second field 4 bytes after the first; at
+# each period (bytes; 24 and 96 are alternating_repeated's and
+# alternating's, 4000 rowcol A=1000's); starting at each region byte
+# offset; at each payload size, the region held to `KERNEL_REGION_MAX` bytes
+KERNEL_WIDTHS = (4, 8, 12, 16, 36, 44)
+KERNEL_PATTERNS = tuple((w,) for w in KERNEL_WIDTHS) + tuple(
+    (w, w) for w in KERNEL_WIDTHS) + ((4, 12), (36, 44))
+KERNEL_PERIODS = (16, 24, 32, 64, 96, 128, 256, 512, 2048, 4000, 8192)
+KERNEL_SHIFTS = (0, 4, 2)
+KERNEL_PAYLOADS = (3_200, 2_560_000)
+KERNEL_REGION_MAX = 16 << 20
+DIRECTIONS = ("pack", "unpack", "across")
+KERNEL_REPS = 11
+
+
+def _former_kernel(way: int, pattern: tuple, period: int) -> str:
+    """The kernel the packer used before the kernel table: record-wise
+    packing and unpacking, and across, a column per field, staged for
+    integer words more than 2048 bytes apart (here when every field is a
+    word; the packer staged only those fields that were)."""
+    if way < 2:
+        return "record"
+    return "staged" if all(n in (1, 2, 4, 8) for n in pattern) and period > 2048 else "column"
+
+
+def _kernel_point(piece, shift: int, reps: int) -> dict:
+    """Median microseconds of every kernel in every direction for one
+    periodic piece starting `shift` bytes into its region, the kernels
+    alternating in order repetition by repetition; for a one-field piece of
+    integer words, also the word gather (`np.take` into the payload and an
+    indexed store back) the compiled engine runs for a list it cannot
+    split."""
+    rows, period, width = piece.rows, piece.period, max(piece.pat)
+    span = shift + (rows - 1) * period + piece.rel[-1] + piece.pat[-1]
+    src = np.frombuffer(bench._seeded_bytes(2, span), dtype=np.uint8)
+    dst = np.full(span, 0xAA, dtype=np.uint8)
+    payload = np.empty(rows * piece.row_bytes, dtype=np.uint8)
+    kernels = packer._KERNEL_NAMES
+    moves = {k: packer._piece_record(piece, shift, 0, (k,) * 3)[8] for k in kernels}
+    ends = ((src, payload), (payload, dst), (src, dst))
+    times = [{k: [] for k in kernels} for _ in DIRECTIONS]
+    gather = len(piece.pat) == 1 and width in (1, 2, 4, 8) and shift % width == 0
+    if gather:
+        words = src[: span - span % width].view(f"u{width}")
+        index = np.arange(shift // width, rows * period // width, period // width)
+        times.append({"gather_pack": [], "gather_unpack": []})
+    for rep in range(reps):
+        for k in kernels[:: 1 if rep % 2 == 0 else -1]:
+            for way, (a, b) in enumerate(ends):
+                start = time.perf_counter()
+                packer._run_move(moves[k][way], rows, a, b)
+                times[way][k].append(time.perf_counter() - start)
+        if gather:
+            start = time.perf_counter()
+            np.take(words, index)
+            times[3]["gather_pack"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            words[index] = payload.view(words.dtype)
+            times[3]["gather_unpack"].append(time.perf_counter() - start)
+    picked = packer._piece_record(piece, shift, 0)[8]
+    out = {"pattern": list(piece.pat), "period": period, "shift": shift,
+           "rows": rows, "payload_bytes": rows * piece.row_bytes}
+    for way, name in enumerate(DIRECTIONS):
+        us = {k: statistics.median(v) * 1e6 for k, v in times[way].items()}
+        out[name] = {"us": us, "picked": picked[way][0],
+                     "former": _former_kernel(way, piece.pat, period)}
+    if gather:
+        out["gather_us"] = {k: statistics.median(v) * 1e6 for k, v in times[3].items()}
+    return out
+
+
+def kernel_sweep(reps: int) -> dict | None:
+    """The kernel sweep (see the module docstring), on one core, or None
+    for a packer without a kernel table."""
+    if not hasattr(packer, "_piece_record"):
+        return None
+    points = []
+    with one_core():
+        for payload in KERNEL_PAYLOADS:
+            for pat in KERNEL_PATTERNS:
+                rel = (0, pat[0] + 4)[: len(pat)]
+                for period in KERNEL_PERIODS:
+                    if rel[-1] + pat[-1] > period or pat == (period,):
+                        continue
+                    rows = max(2, min(payload // sum(pat), KERNEL_REGION_MAX // period))
+                    piece = packer.Piece(rows, period, 0, rel, pat)
+                    for shift in KERNEL_SHIFTS:
+                        points.append({"target_bytes": payload,
+                                       **_kernel_point(piece, shift, reps)})
+    return {"reps": reps, "points": points, "summary": _kernel_summary(points)}
+
+
+def _kernel_summary(points: list) -> dict:
+    """Per target payload size and direction: the points, how many pick the
+    fastest kernel to within 10 %, and the largest picked/fastest and
+    picked/former ratios with their points."""
+    out = {}
+    for payload in KERNEL_PAYLOADS:
+        near = [pt for pt in points if pt["target_bytes"] == payload]
+        for name in DIRECTIONS:
+            rows = []
+            for pt in near:
+                us = pt[name]["us"]
+                picked = us[pt[name]["picked"]]
+                rows.append((picked / min(us.values()), picked / us[pt[name]["former"]], pt))
+            key = f"{payload}/{name}"
+            worst_best = max(rows, key=lambda r: r[0])
+            worst_former = max(rows, key=lambda r: r[1])
+            out[key] = {
+                "points": len(rows),
+                "picked_within_10pct_of_fastest": sum(r[0] <= 1.1 for r in rows),
+                "max_picked_over_fastest": worst_best[0],
+                "at": _point_name(worst_best[2]),
+                "max_picked_over_former": worst_former[1],
+                "former_at": _point_name(worst_former[2]),
+                "median_picked_over_former": statistics.median(r[1] for r in rows),
+            }
+    return out
+
+
+def _point_name(pt: dict) -> str:
+    return (f"{pt['pattern']}@{pt['period']}+{pt['shift']}"
+            f" rows={pt['rows']}")
+
+
+def print_kernel_sweep(reps: int) -> dict | None:
+    """`kernel_sweep`, printed as its summary."""
+    sweep = kernel_sweep(reps)
+    if sweep is None:
+        return None
+    print(f"{'kernel sweep, one core':<24}{'points':>7}{'~fastest':>9}{'max/fast':>9}"
+          f"{'max/former':>11}{'med/former':>11}  worst against former")
+    for key, row in sweep["summary"].items():
+        print(f"{key:<24}{row['points']:>7}{row['picked_within_10pct_of_fastest']:>9}"
+              f"{row['max_picked_over_fastest']:>9.2f}{row['max_picked_over_former']:>11.2f}"
+              f"{row['median_picked_over_former']:>11.2f}  {row['former_at']}", flush=True)
+    return sweep
+
+
 class FakeClock:
     """Per-thread counter advancing by a fixed power-of-two step per call."""
 
@@ -526,11 +683,24 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=41, help="timed repetitions per layout")
     ap.add_argument("--setup-only", action="store_true",
                     help="time the set-up stages and the set-up share only")
+    ap.add_argument("--kernels-only", action="store_true", help="run the kernel sweep only")
+    ap.add_argument("--runs", type=int, default=1,
+                    help="runs of the chosen sections, each in a fresh process, "
+                         "stored as <label>/1, <label>/2, ...")
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR",
+                    help="with --runs: alternate every run between these typeforge "
+                         "checkouts (DIR/src first on the import path), stored as "
+                         "LABEL/1, ...; the first tree goes first in odd runs")
     args = ap.parse_args(argv)
+    if args.runs > 1 or args.tree:
+        return _alternating_runs(args)
     if args.setup_only:
         run = {"environment": environment(), "reps": args.reps, "setup": setup_rows(args.reps),
                "setup_share": print_setup_share(args.reps)}
         return _store(args, run)
+    if args.kernels_only:
+        return _store(args, {"environment": environment(),
+                             "kernel_sweep": print_kernel_sweep(KERNEL_REPS)})
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
@@ -574,9 +744,31 @@ def main(argv=None) -> int:
         f"{name} {q['median_us']:.0f}" for name, q in cost.items()), flush=True)
 
     share = print_setup_share(args.reps)
+    kernels = print_kernel_sweep(KERNEL_REPS)
     return _store(args, {"environment": environment(), "reps": args.reps, "layouts": rows,
                          "round_trips": trips, "tcp_round_trips": tcp_trips,
-                         "crossover": sweep, "tcp_harness": cost, "setup_share": share})
+                         "crossover": sweep, "tcp_harness": cost, "setup_share": share,
+                         "kernel_sweep": kernels})
+
+
+def _alternating_runs(args) -> int:
+    """`--runs` runs of the chosen sections, each in a new process of this
+    script, alternating between the `--tree` checkouts (or this one's
+    import path) run by run, so host speed drift hits every tree alike."""
+    trees = [tuple(spec.split("=", 1)) for spec in args.tree] or [(args.label, None)]
+    sections = [flag for flag, on in (("--setup-only", args.setup_only),
+                                      ("--kernels-only", args.kernels_only)) if on]
+    for run in range(1, args.runs + 1):
+        for label, root in trees if run % 2 else trees[::-1]:
+            env = dict(os.environ)
+            if root is not None:
+                env["PYTHONPATH"] = os.pathsep.join(
+                    filter(None, (os.path.join(root, "src"), env.get("PYTHONPATH"))))
+            print(f"--- run {run} of {label}", flush=True)
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--label",
+                            f"{label}/{run}", "--out", args.out, "--reps", str(args.reps),
+                            *sections], env=env, check=True)
+    return 0
 
 
 def _store(args, run: dict) -> int:

@@ -26,16 +26,19 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
   - pieces: the segment list split greedily into pieces
     (`CompiledEngine.pieces`), each either a lone segment, moved with one
     slice, or `rows` repetitions of a pattern of up to 8 segments at a
-    uniform byte period, moved in one record-wise assignment.  The region
-    is viewed as `rows` records `period` bytes apart, field j a void of
-    the pattern's j-th length at its offset in the period (a pattern of
-    one segment is one item: an integer word of 1, 2, 4 or 8 bytes, else
-    a void), and the payload as records of the same fields back to back;
-    whole records move per row instead of bytes per column.  A tiling
-    whose instances join is a head, one periodic run and a tail; one row
-    plus one column is two pieces.  A list of at most 64 segments always
-    runs as pieces, at most one per segment; a longer one only when it
-    splits into at most 8;
+    uniform byte period.  The region is viewed as `rows` rows `period`
+    bytes apart and the payload as the same fields back to back, and a
+    periodic piece moves in each direction by one of three kernels, picked
+    once per program from a constant table of the pattern's shape
+    (`_KERNELS`): record (one assignment of whole records, a field of the
+    pattern per record field, or one item per row for a pattern of one
+    segment), blocked word columns (each field split into aligned integer
+    words, the columns copied a block of rows at a time) or a strided
+    column per field (staged through a contiguous copy of it where that is
+    faster).  A tiling whose instances join is a head, one periodic run
+    and a tail; one row plus one column is two pieces.  A list of at most
+    64 segments always runs as pieces, at most one per segment; a longer
+    one only when it splits into at most 8;
   - gather: anything else moves as words of width w, the widest of 8, 4, 2
     and 1 bytes that divides every segment's region offset and length,
     through an index of `total_bytes / w` word positions.
@@ -53,14 +56,14 @@ supplies only the key and the pass:
   the trees by identity first, so two engines of one committed type never
   compare index tables by value.
 * compiled: the key is the pieces, measured from the window origin.  A
-  direct copy moves one slice per lone piece and one strided assignment
-  per pattern field of a periodic piece (integer words for fields of 1, 2,
-  4 or 8 bytes, voids otherwise; a column of words more than 2 KB apart
-  goes through a contiguous copy of it); it never assigns whole region
-  records, which could carry the gap bytes between fields along.  A view
-  or a gather has no key (a view is already sent straight from the
-  region, and a gather would still build the payload with `np.take`), so
-  it packs and unpacks.  The key is built on the first transfer.
+  direct copy moves one slice per lone piece and each periodic piece by
+  the kernel the table gives it for copying across.  Its records never
+  carry the gap bytes between fields along: a record is copied into the
+  same record under other field names, which numpy assigns field by
+  field (`_renamed`), and never into an identical one.  A view or a gather
+  has no key (a view is already sent straight from the region, and a
+  gather would still build the payload with `np.take`), so it packs and
+  unpacks.  The key is built on the first transfer.
 
 A compiled program of at most `_RUNS_MAX` segments also lists them as
 slices of the region in payload order (`CompiledEngine.runs`, one for a
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +111,7 @@ from .typecore import (
 # `_PIECES_MAX`, and otherwise gathers
 _SHORT_LIST = 64
 # a periodic piece needs at least this many repetitions of its pattern
-# before the record-wise copy is worth using
+# before a strided copy is worth using
 _PERIOD_MIN_ROWS = 8
 # longest pattern a periodic piece may repeat
 _PERIOD_PATTERN_MAX = 8
@@ -118,13 +121,6 @@ _PIECES_MAX = 8
 # a periodic run
 _RUN_FIRST_BLOCK = 256
 _PERIOD_CHECK_BLOCK = 1 << 16
-# a direct copy moves a column of words whose rows lie further apart than
-# this through a contiguous copy of it: each word then misses the cache on
-# both sides, and a strided read followed by a strided write overlaps those
-# misses better than one strided-to-strided pass (rowcol A=1000, words 4000
-# bytes apart: 104-120 us against 124-142 us; A=512, 2048 bytes apart:
-# 88-109 us against 85-95 us direct; one core)
-_STAGED_PERIOD = 2048
 # most segments a program lists as region runs (`CompiledEngine.runs`): a
 # socket call gathers at most IOV_MAX buffers (1024 on Linux), one of them
 # the frame header
@@ -471,7 +467,7 @@ class CompiledEngine(_Engine):
     def strategy(self) -> str:
         """The copy path this program runs, read off `pieces`: "view" (the
         region itself is the payload), "pieces" (one slice per lone piece
-        and one record-wise copy per periodic one) or "gather" (one indexed
+        and one kernel's move per periodic one) or "gather" (one indexed
         word copy)."""
         return "view" if self.is_contiguous else "gather" if self.pieces is None else "pieces"
 
@@ -519,34 +515,15 @@ class CompiledEngine(_Engine):
     @cached_property
     def piece_records(self) -> tuple[tuple, ...]:
         """Per piece, (region offset, payload offset, payload bytes, rows,
-        period, region dtype, payload dtype, fields); both dtypes are None
-        and the fields empty for a lone segment, which moves as one slice.
-        Only a program of pieces has them.
-
-        A pattern of one segment moves as one item per row (`_field`).
-        Otherwise both dtypes have one void field per pattern segment: the
-        region record places field j at its offset within the period and
-        is only as long as the bytes the pattern covers, so a strided view
-        of `rows` records never reaches past the window; the payload
-        record places the fields back to back.  The fields, (offset within
-        the period, dtype) of each pattern segment as one item (`_field`),
-        are the columns a direct copy moves (`_move_across`).
-        """
+        period, region dtype, payload dtype, fields, moves), from
+        `_piece_record`; both dtypes are None and the fields and moves
+        empty for a lone segment, which moves as one slice.  Only a program
+        of pieces has them, and they are built on its first copy, so each
+        periodic piece's kernels are picked once per program."""
         out, pos = [], 0
         for p in self.pieces:
-            size = p.rows * p.row_bytes
-            fields = tuple(zip(p.rel, map(_field, p.pat))) if p.rows > 1 else ()
-            if not fields:
-                region_rec = packed_rec = None
-            elif len(fields) == 1:
-                region_rec = packed_rec = fields[0][1]
-            else:
-                prefix = np.cumsum(p.pat) - p.pat
-                region_rec = _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
-                packed_rec = _record(prefix, p.pat, p.row_bytes)
-            out.append((p.first - self.origin, pos, size, p.rows, p.period,
-                        region_rec, packed_rec, fields))
-            pos += size
+            out.append(_piece_record(p, p.first - self.origin, pos))
+            pos += out[-1][2]
         return tuple(out)
 
     @cached_property
@@ -571,21 +548,15 @@ class CompiledEngine(_Engine):
         return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
 
     def _move_across(self, src_region, region) -> None:
-        """One slice per lone piece, and one strided assignment per pattern
-        field of a periodic piece.  numpy may copy two identical record
-        dtypes as whole items, gaps between fields included, so no record
-        is assigned."""
+        """One slice per lone piece, and one move per periodic piece, by
+        the kernel its record picked for copying across."""
         view = _byte_view if self._lone_only else _as_u8
         src, dst = view(src_region), view(region)
-        for at, _, size, rows, period, _, _, fields in self.piece_records:
-            if not fields:
+        for at, _, size, rows, _, _, _, _, moves in self.piece_records:
+            if moves:
+                _run_move(moves[_ACROSS], rows, src, dst)
+            else:
                 dst[at : at + size] = src[at : at + size]
-                continue
-            for rel, field in fields:
-                col = np.ndarray((rows,), field, src, at + rel, (period,))
-                if field.kind == "u" and period > _STAGED_PERIOD:
-                    col = col.copy()
-                np.ndarray((rows,), field, dst, at + rel, (period,))[...] = col
 
     def _move(self, region, data):
         packing = data is None
@@ -597,8 +568,9 @@ class CompiledEngine(_Engine):
                 return np.take(words, self.gather_index).view(np.uint8)
             words[self.gather_index] = _as_u8(data).view(words.dtype)
             return None
-        # per piece, one slice or one record-wise assignment: row i of the
-        # region, `period` bytes apart, is record i of the payload
+        # per piece, one slice or one move by the piece's kernel for this
+        # direction: row i of the region, `period` bytes apart, is record i
+        # of the payload
         n = self.total_bytes
         if self._lone_only:
             reg, out = _byte_view(region), bytearray(n) if packing else None
@@ -606,19 +578,14 @@ class CompiledEngine(_Engine):
         else:
             reg, out = _as_u8(region), np.empty(n, dtype=np.uint8) if packing else None
             packed = _as_u8(data) if out is None else out
-        for at, pos, size, rows, period, region_rec, packed_rec, _ in self.piece_records:
-            if region_rec is None:
-                if packing:
-                    packed[pos : pos + size] = reg[at : at + size]
-                else:
-                    reg[at : at + size] = packed[pos : pos + size]
-                continue
-            strided = np.ndarray((rows,), region_rec, reg, at, (period,))
-            records = packed[pos : pos + size].view(packed_rec)
-            if packing:
-                records[...] = strided
+        way, src, dst = (_PACK, reg, packed) if packing else (_UNPACK, packed, reg)
+        for at, pos, size, rows, _, _, _, _, moves in self.piece_records:
+            if moves:
+                _run_move(moves[way], rows, src, dst)
+            elif packing:
+                packed[pos : pos + size] = reg[at : at + size]
             else:
-                strided[...] = records
+                reg[at : at + size] = packed[pos : pos + size]
         return out
 
 
@@ -627,11 +594,16 @@ def _split_pieces(form: ClosedForm) -> tuple[Piece, ...] | None:
     greedily: from the first segment not yet covered, the longest periodic
     piece that starts there, else that segment alone (`_detect_period`).
     None when a list of more than `_SHORT_LIST` segments needs more than
-    `_PIECES_MAX` pieces.  The list is read only through windows
+    `_PIECES_MAX` pieces.  A longer list is read only through windows
     (`ClosedForm.between`), and a tiling's periodic body only over one
     cycle of its unit (`_run_end`), so a tiling is split without building
-    its list."""
+    its list; a list of at most `_SHORT_LIST` segments is split from its
+    materialized list."""
     pieces, i, n = [], 0, form.segment_count
+    if form.copies > 1 and n <= _SHORT_LIST:
+        # a short tiling is split from its list: each window of it would
+        # rebuild the tiling's runs
+        form = ClosedForm(*form.materialize())
     while i < n:
         if len(pieces) == _PIECES_MAX and n > _SHORT_LIST:
             return None
@@ -733,10 +705,13 @@ def _scan(form: ClosedForm, g: int, period: int, start: int, stop: int) -> int:
     return stop
 
 
+_WORD_TYPES = {w: np.dtype(f"u{w}") for w in (1, 2, 4, 8)}
+
+
 def _field(n: int) -> np.dtype:
     """A segment of `n` bytes as one item: an integer word of 1, 2, 4 or 8
     bytes, else a void."""
-    return np.dtype(f"u{n}" if n in (1, 2, 4, 8) else f"V{n}")
+    return _WORD_TYPES[n] if n in _WORD_TYPES else np.dtype(f"V{n}")
 
 
 def _record(offsets, lengths, itemsize: int) -> np.dtype:
@@ -746,6 +721,191 @@ def _record(offsets, lengths, itemsize: int) -> np.dtype:
         "offsets": [int(x) for x in offsets],
         "itemsize": int(itemsize),
     })
+
+
+def _renamed(rec: np.dtype) -> np.dtype:
+    """`rec` with other field names: numpy assigns a record of it from one
+    of `rec` field by field, as it does between any two record dtypes that
+    differ, and so never copies the gap bytes between fields, which it may
+    do between two identical ones (`test_renamed_record_copy_leaves_gaps`
+    pins this)."""
+    if rec.names is None:
+        return rec
+    return np.dtype({"names": [f"g{j}" for j in range(len(rec.names))],
+                     "formats": [rec.fields[name][0] for name in rec.names],
+                     "offsets": [rec.fields[name][1] for name in rec.names],
+                     "itemsize": rec.itemsize})
+
+
+# --- kernels of a periodic piece ----------------------------------------
+#
+# A periodic piece moves, in each direction, by one of three kernels, each a
+# set of columns of `rows` items, one strided view on each side:
+#
+#   record  one column of whole records: the region record and the payload
+#           record (packing, unpacking), or the region record and the same
+#           record under other field names (across, `_renamed`); numpy moves
+#           the fields one after another in chunks of 128 rows.  A pattern
+#           of one segment is one item per row (`_field`).
+#   words   every field split into the widest aligned words of 8, 4, 2 or 1
+#           bytes (`_words`), the columns copied `_WORD_BLOCK_ROWS` rows at a
+#           time, so every column of a block after the first finds the
+#           block's rows in cache.
+#   column  one column per field, an item per row (`_field`); staged, each
+#           column goes through a contiguous copy of it.
+
+_KERNEL_NAMES = ("record", "words", "column", "staged")
+_PACK, _UNPACK, _ACROSS = range(3)
+_WORD_BLOCK_ROWS = 8192
+
+# The kernel of a periodic piece in each direction, by the pattern's shape.
+# Each row is a box of shapes: (directions, fields, bytes in the widest
+# field, period bytes, word alignment of the direction's source and
+# destination (`_word`), rows), each a range of values with both ends
+# included, and the kernel for the shapes in it.  The first row that holds
+# a shape gives its kernel; a shape in no row packs and unpacks by record
+# and is copied across by column (one and the same move for a pattern of
+# one field).  Seeded from the kernel sweep of `scripts/bench_layers.py`;
+# figures are medians of its three runs in `BENCH_23.json`, 2.56 MB of
+# payload, one core:
+#   - words, in every direction, for narrow fields at short periods: two
+#     fields of 4 and 12 bytes 32 bytes apart pack in 730 us against 1046
+#     by record, two of 8 bytes in 601 against 1398, and one of 12 bytes
+#     16 bytes apart is copied across in 494 against 891 by column; wider
+#     fields, longer periods and narrower words lose to the record;
+#   - record across for two fields or more: 418 us against 574 by column
+#     for 36 and 44 bytes 96 bytes apart, with the gaps untouched
+#     (`_renamed`);
+#   - staged across for one field of 13-16 bytes at short periods (16 bytes
+#     24 apart, alternating_repeated's: 533 us against 791 direct), for
+#     words more than 2048 bytes apart (rowcol A=1000's, as before), and
+#     for misaligned words up to 96 bytes apart (4-byte words on 2-byte
+#     boundaries 16 bytes apart: 1221 us against 2175);
+#   - under `_FEW_ROWS` rows, what each copy sets up outweighs the gains:
+#     at 3.2 KB fields of 4 and 12 bytes 32 bytes apart pack in 9 us by
+#     words against 7 by record, and two 4-byte fields are copied across in
+#     8 us by record against 5 by column.
+# The table is a constant, so two engines of one program pick the same
+# kernels.
+_FEW_ROWS = 1024
+_ALL = (_PACK, _UNPACK, _ACROSS)
+_MANY = 1 << 62
+_KERNELS = (
+    (_ALL, (2, _MANY), (1, 4), (1, 96), (2, 8), (_FEW_ROWS, _MANY), "words"),
+    (_ALL, (2, _MANY), (1, 12), (1, 32), (4, 8), (_FEW_ROWS, _MANY), "words"),
+    (_ALL, (1, 1), (9, 12), (1, 24), (4, 8), (_FEW_ROWS, _MANY), "words"),
+    ((_ACROSS,), (2, _MANY), (13, _MANY), (1, 2048), (1, 8), (1, _MANY), "record"),
+    ((_ACROSS,), (2, _MANY), (5, _MANY), (1, _MANY), (1, 8), (_FEW_ROWS, _MANY), "record"),
+    ((_ACROSS,), (1, 1), (13, 16), (1, 32), (1, 8), (_FEW_ROWS, _MANY), "staged"),
+    ((_ACROSS,), (1, _MANY), (1, 8), (2049, _MANY), (1, 8), (1, _MANY), "staged"),
+    ((_ACROSS,), (1, 1), (1, 4), (1, 96), (1, 2), (1, _MANY), "staged"),
+    ((_ACROSS,), (1, 1), (5, 8), (1, 96), (1, 4), (1, _MANY), "staged"),
+)
+
+
+def _kernel(way: int, fields: int, widest: int, period: int, word: int, rows: int) -> str:
+    """The kernel `_KERNELS` gives direction `way` of a periodic piece of
+    `rows` rows `period` bytes apart, of `fields` pattern segments, the
+    widest `widest` bytes, at word alignment `word` (`_word`)."""
+    for ways, f, m, p, w, r, kernel in _KERNELS:
+        if (way in ways and f[0] <= fields <= f[1] and m[0] <= widest <= m[1]
+                and p[0] <= period <= p[1] and w[0] <= word <= w[1] and r[0] <= rows <= r[1]):
+            return kernel
+    return "column" if way == _ACROSS else "record"
+
+
+def _word(offsets, lengths, step: int) -> int:
+    """The widest of 8, 4, 2 and 1 bytes that divides every one of
+    `offsets` and `lengths` and `step`: the narrowest word of the split of
+    segments at those offsets (`_words`)."""
+    bits = step | 8
+    for x in (*offsets, *lengths):
+        bits |= x
+    return bits & -bits
+
+
+def _words(src, dst, lengths, step: int) -> tuple[tuple[int, int, int], ...]:
+    """(source offset, destination offset, width) of every word of
+    segments at byte offsets `src` and `dst` of lengths `lengths`, each
+    word the widest of 8, 4, 2 and 1 bytes that fits the segment and
+    divides both its offsets and `step`, every stride of the two sides."""
+    out = []
+    for s, d, n in zip(src, dst, lengths):
+        i = 0
+        while i < n:
+            w = next(w for w in (8, 4, 2, 1)
+                     if w <= n - i and (s + i) % w == 0 and (d + i) % w == 0 and step % w == 0)
+            out.append((s + i, d + i, w))
+            i += w
+    return tuple(out)
+
+
+def _piece_record(p: Piece, at: int, pos: int, kernels: tuple[str, ...] | None = None) -> tuple:
+    """`CompiledEngine.piece_records` of piece `p`, whose rows start `at`
+    bytes into the region and whose payload `pos` bytes into the payload.
+
+    A pattern of one segment is one item per row (`_field`), the region and
+    the payload dtype alike.  Otherwise both dtypes have one void field per
+    pattern segment: the region record places field j at its offset within
+    the period and is only as long as the bytes the pattern covers, so a
+    strided view of `rows` records never reaches past the window; the
+    payload record places the fields back to back.  The fields are (offset
+    within the period, item) of each pattern segment.
+
+    The moves are, for packing, unpacking and copying across in that
+    order, (kernel, source step, destination step, columns), each column
+    (source offset, source dtype, destination offset, destination dtype),
+    as `_run_move` copies them.  Each kernel is `_kernel`'s for the
+    direction, or the one `kernels` names (the kernel sweep of
+    `scripts/bench_layers.py`)."""
+    size = p.rows * p.row_bytes
+    if p.rows == 1:
+        return (at, pos, size, 1, p.period, None, None, (), ())
+    fields = tuple(zip(p.rel, map(_field, p.pat)))
+    prefix = tuple(accumulate(p.pat[:-1], initial=0))
+    if len(fields) == 1:
+        region_rec = packed_rec = fields[0][1]
+    else:
+        region_rec = _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
+        packed_rec = _record(prefix, p.pat, p.row_bytes)
+    region = [at + r for r in p.rel]
+    payload = [pos + q for q in prefix]
+    sides = ((region, p.period, region_rec, payload, p.row_bytes, packed_rec),
+             (payload, p.row_bytes, packed_rec, region, p.period, region_rec),
+             (region, p.period, region_rec, region, p.period, None))
+    moves = []
+    for way, (src, s_step, s_rec, dst, d_step, d_rec) in enumerate(sides):
+        kernel = kernels[way] if kernels else _kernel(
+            way, len(p.pat), max(p.pat), p.period,
+            _word((*src, *dst), p.pat, s_step | d_step), p.rows)
+        if kernel == "record":
+            cols = ((src[0], s_rec, dst[0], _renamed(s_rec) if d_rec is None else d_rec),)
+        elif kernel == "words":
+            cols = tuple((s, _field(w), d, _field(w))
+                         for s, d, w in _words(src, dst, p.pat, s_step | d_step))
+        else:
+            cols = tuple((s, f, d, f) for s, d, (_, f) in zip(src, dst, fields))
+        moves.append((kernel, s_step, d_step, cols))
+    return (at, pos, size, p.rows, p.period, region_rec, packed_rec, fields, tuple(moves))
+
+
+def _run_move(move: tuple, rows: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Copy `rows` rows of one periodic piece from `src` to `dst` by one
+    of its moves (`_piece_record`)."""
+    kernel, s_step, d_step, cols = move
+    if kernel == "words" and rows > _WORD_BLOCK_ROWS:
+        pairs = [(np.ndarray((rows,), s_dt, src, s_at, (s_step,)),
+                  np.ndarray((rows,), d_dt, dst, d_at, (d_step,)))
+                 for s_at, s_dt, d_at, d_dt in cols]
+        for lo in range(0, rows, _WORD_BLOCK_ROWS):
+            hi = lo + _WORD_BLOCK_ROWS
+            for a, b in pairs:
+                b[lo:hi] = a[lo:hi]
+        return
+    for s_at, s_dt, d_at, d_dt in cols:
+        col = np.ndarray((rows,), s_dt, src, s_at, (s_step,))
+        np.ndarray((rows,), d_dt, dst, d_at, (d_step,))[...] = \
+            col.copy() if kernel == "staged" else col
 
 
 # --- engines by name ----------------------------------------------------

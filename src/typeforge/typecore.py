@@ -106,10 +106,12 @@ class BaseKind(enum.Enum):
         raise MalformedType(f"unknown base kind: {name!r}")
 
 
-# names of the attributes under which `commit` stores a tree's unit, and
-# `table_period` an indexed node's period, on the node
+# names of the attributes under which `commit` stores a tree's unit,
+# `table_period` an indexed node's period, and `block_table` an
+# IndexedBlock's blocklens, on the node
 _UNIT = "_committed_unit"
 _PERIOD = "_table_period"
+_BLOCKLENS = "_table_blocklens"
 
 
 class _Node:
@@ -575,12 +577,16 @@ def block_table(t: Indexed | IndexedBlock, ext: int = 1,
     first `rows` blocks, read from its stored table, displacements in units
     of `ext` bytes.  Nothing is copied but displacements scaled by an `ext`
     other than 1: the rest are read-only views of the table, and an
-    IndexedBlock's blocklens a broadcast of its one blocklen."""
+    IndexedBlock's blocklens slices of one broadcast of its blocklen over
+    the whole table, made on the first call and stored on the node."""
     if isinstance(t, Indexed):
         lens, displs = t.blocks[:rows, 0], t.blocks[:rows, 1]
     else:
-        displs = t.displs[:rows]
-        lens = np.broadcast_to(np.int64(t.blocklen), displs.shape)
+        lens = getattr(t, _BLOCKLENS, None)
+        if lens is None:
+            lens = np.broadcast_to(np.int64(t.blocklen), t.displs.shape)
+            object.__setattr__(t, _BLOCKLENS, lens)
+        lens, displs = lens[:rows], t.displs[:rows]
     return lens, displs if ext == 1 else displs * ext
 
 

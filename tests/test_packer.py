@@ -199,17 +199,16 @@ def test_gather_path_matches_slice_path():
     assert dst.tobytes() == bytes(ref)
 
 
-def test_short_periodic_list_is_one_piece(monkeypatch):
-    # tiled A=50 at 3.2 KB: 16 instances of a one-segment unit, read off
-    # the unit as one periodic piece, as a long tiling is
+def test_short_periodic_list_is_one_piece():
+    # tiled A=50 at 3.2 KB: 16 instances of a one-segment unit, split from
+    # its list (at most `_SHORT_LIST` segments) into the one periodic piece
+    # a long tiling is read off its unit as
     built = layouts.build(layouts.LayoutSpec(id="tiled", n=800, A=50))
-    _forbid_building_segments(monkeypatch)
     p = CompiledEngine(built.committed, built.count)
     strategy, plan, materialized = _planned_from_unit(p)
-    assert (p.segment_count, strategy, materialized) == (16, "pieces", False)
+    assert (p.segment_count, strategy, materialized) == (16, "pieces", True)
     assert [(piece.rows, piece.period, piece.pat) for piece in plan] == [(16, 208, (200,))]
     assert p.copy_key == plan
-    monkeypatch.undo()
     for form in _REGION_FORMS:
         _check_against_walker(built.committed, built.count, form)
 
@@ -407,6 +406,106 @@ def test_single_field_pieces_move_one_item_per_row():
         (np.dtype("V12"), np.dtype("V12"))
 
 
+# --- kernels of a periodic piece -----------------------------------------
+
+
+# the kernel sweep's patterns: one field of each width, two of one width,
+# and bucket's and alternating's two fields, the second 4 bytes after the
+# first
+_SWEEP_PATTERNS = [(w,) for w in (4, 8, 12, 16, 36, 44)] + \
+    [(w, w) for w in (4, 8, 12, 16, 36, 44)] + [(4, 12), (36, 44)]
+
+
+def _forced(t, count: int, kernel: str) -> CompiledEngine:
+    """A compiled engine of `t` whose periodic pieces move by `kernel` in
+    every direction."""
+    eng = CompiledEngine(t, count)
+    records, pos = [], 0
+    for p in eng.pieces:
+        records.append(packer._piece_record(p, p.first - eng.origin, pos, (kernel,) * 3))
+        pos += records[-1][2]
+    vars(eng)["piece_records"] = tuple(records)
+    return eng
+
+
+@pytest.mark.parametrize("rows", [40, packer._WORD_BLOCK_ROWS + 37])
+@pytest.mark.parametrize("pat", _SWEEP_PATTERNS, ids=str)
+def test_every_kernel_matches_the_walker_and_leaves_gaps(pat, rows):
+    # each pattern starting at region bytes 0, 4 and 2 (so its words are
+    # 8, 4 or 2 bytes wide) at two periods, below and above a block of
+    # rows: every kernel packs, unpacks and copies across the walker's
+    # bytes, and writes no gap byte of a region of 0xAA sentinels
+    rel = (0, pat[0] + 4)[: len(pat)]
+    cover = rel[-1] + pat[-1]
+    for shift in (0, 4, 2):
+        unit = Indexed(tuple((n, shift + r) for n, r in zip(pat, rel)), Base(BaseKind.BYTE))
+        # the two shortest periods at which the pattern does not repeat
+        # itself within a row
+        for period in [p for p in (24, 32, 96, 200)
+                       if p > cover and (pat[0] != pat[-1] or p != 2 * rel[-1])][:2]:
+            t = Resized(0, period, unit)
+            ref = InterpretedEngine(t, rows)
+            src = (np.arange(ref.span) * 37 + 11).astype(np.uint8)
+            payload = bytes(ref.pack_message(src))
+            mask = np.zeros(ref.span, dtype=bool)
+            for n, r in zip(pat, rel):
+                starts = shift + r + period * np.arange(rows)
+                mask[(starts[:, None] + np.arange(n)).ravel()] = True
+            want = np.where(mask, src, 0xAA)
+            for kernel in packer._KERNEL_NAMES:
+                eng = _forced(t, rows, kernel)
+                assert [(p.rows, p.period, p.rel, p.pat) for p in eng.pieces] == \
+                    [(rows, period, rel, pat)]
+                assert bytes(eng.pack_message(src)) == payload
+                for copy in (lambda dst: eng.unpack_message(payload, dst),
+                             lambda dst: eng.unpack_from(_forced(t, rows, kernel), src, dst)):
+                    got = np.full(ref.span, 0xAA, dtype=np.uint8)
+                    copy(got)
+                    assert np.array_equal(got, want), (kernel, shift, period)
+
+
+def test_renamed_record_copy_leaves_gaps():
+    # copying across by record rests on numpy assigning a record from one
+    # of another dtype field by field: a numpy that copied it as whole
+    # items would carry the source's gap bytes along
+    region_rec = packer._record((0, 16, 40), (4, 12, 8), 48)
+    renamed = packer._renamed(region_rec)
+    assert renamed != region_rec and renamed.descr != region_rec.descr
+    src = np.full(10 * 64, 0x11, dtype=np.uint8)
+    dst = np.full(10 * 64, 0xAA, dtype=np.uint8)
+    np.ndarray((10,), renamed, dst, 0, (64,))[...] = np.ndarray((10,), region_rec, src, 0, (64,))
+    row = dst.reshape(10, 64)
+    covered = np.zeros(64, dtype=bool)
+    covered[[*range(0, 4), *range(16, 28), *range(40, 48)]] = True
+    assert (row[:, covered] == 0x11).all()
+    assert (row[:, ~covered] == 0xAA).all()
+
+
+def test_engines_of_one_program_pick_the_same_kernels():
+    # a description and its normal form are one program, so they copy by
+    # the same kernels, whichever the table gives
+    picked = {}
+    for lid, A in (("tiled", 2), ("bucket", 2), ("alternating", 10),
+                   ("alternating_repeated", 2), ("block_indexed", 2)):
+        built = layouts.build(layouts.LayoutSpec(id=lid, n=64_000, A=A))
+        engines = (CompiledEngine(built.committed, built.count),
+                   CompiledEngine(built.committed, built.count),
+                   CompiledEngine(normalizer.normalize(built.committed).committed_output,
+                                  built.count))
+        kernels = [[tuple(move[0] for move in r[8]) for r in eng.piece_records if r[8]]
+                   for eng in engines]
+        assert engines[0].copy_key == engines[2].copy_key
+        assert kernels[0] == kernels[1] == kernels[2]
+        picked[lid] = kernels[0]
+    assert picked == {
+        "tiled": [("record", "record", "column")],
+        "bucket": [("words", "words", "words")],
+        "alternating": [("record", "record", "record")],
+        "alternating_repeated": [("record", "record", "staged")],
+        "block_indexed": [("words", "words", "words")],
+    }
+
+
 # --- element types of the region ----------------------------------------
 
 
@@ -522,16 +621,18 @@ def test_unit_plans_match_the_segment_rule(lid, n, A):
         assert strategy == _segment_rule(p)[0]
         assert _same_plan(plan, _segment_rule(p)[1])
         if p._flat.form.copies > 1:
-            # a tiling is planned without its segments, whatever its unit
-            # and whether or not its copies touch
-            assert not materialized
+            # a tiling longer than `_SHORT_LIST` segments is planned without
+            # its segments, whatever its unit and whether or not its copies
+            # touch; a shorter one is split from its list
+            assert materialized == (p.segment_count <= packer._SHORT_LIST)
 
 
 @given(datatypes(), st.integers(8, 40))
 def test_random_unit_plans_match_the_segment_rule(t, count):
     p = CompiledEngine(t, count)
     strategy, plan, materialized = _planned_from_unit(p)
-    assert not (materialized and p._flat.form.copies > 1)
+    if p._flat.form.copies > 1:
+        assert materialized == (p.segment_count <= packer._SHORT_LIST)
     assert strategy == _segment_rule(p)[0]
     assert _same_plan(plan, _segment_rule(p)[1])
     assert p.segment_count == len(p.offsets)

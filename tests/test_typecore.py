@@ -626,6 +626,19 @@ def test_pickled_indexed_node_drops_both_memos():
             assert commit(copy).flat.same_segments(commit(t).flat)
 
 
+def test_indexed_block_broadcasts_its_blocklen_once(monkeypatch):
+    # every `block_table` of an IndexedBlock slices one broadcast of its
+    # blocklen, stored on the node and left out of a pickle
+    t = IndexedBlock(3, np.arange(0, 40, 4), INT)
+    calls = []
+    real = np.broadcast_to
+    monkeypatch.setattr(typecore.np, "broadcast_to", lambda *a: calls.append(a) or real(*a))
+    lens = [typecore.block_table(t, rows=rows)[0] for rows in (None, 2, 5, None)]
+    assert len(calls) == 1
+    assert [x.tolist() for x in lens] == [[3] * 10, [3] * 2, [3] * 5, [3] * 10]
+    assert "_table_blocklens" not in vars(pickle.loads(pickle.dumps(t)))
+
+
 # --- index tables ---------------------------------------------------------
 
 
