@@ -70,10 +70,10 @@ without a kernel table has no sweep.
 
 With `--setup-only` it times only the set-up stages of every reference
 layout (stored under `setup`) and the set-up share, so the many
-alternating runs that set-up figures need are quick; with
-`--kernels-only`, only the kernel sweep.  `--runs N` makes N runs of the
-chosen sections, each in a new process, and `--tree LABEL=DIR`, given
-once per checkout, alternates them between checkouts of two trees.
+alternating runs that set-up figures need are quick.  `--runs N` makes
+N runs of the chosen sections, each in a new process, and
+`--tree LABEL=DIR`, given once per checkout, alternates them between
+checkouts of two trees.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -683,7 +683,6 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=int, default=41, help="timed repetitions per layout")
     ap.add_argument("--setup-only", action="store_true",
                     help="time the set-up stages and the set-up share only")
-    ap.add_argument("--kernels-only", action="store_true", help="run the kernel sweep only")
     ap.add_argument("--runs", type=int, default=1,
                     help="runs of the chosen sections, each in a fresh process, "
                          "stored as <label>/1, <label>/2, ...")
@@ -698,9 +697,6 @@ def main(argv=None) -> int:
         run = {"environment": environment(), "reps": args.reps, "setup": setup_rows(args.reps),
                "setup_share": print_setup_share(args.reps)}
         return _store(args, run)
-    if args.kernels_only:
-        return _store(args, {"environment": environment(),
-                             "kernel_sweep": print_kernel_sweep(KERNEL_REPS)})
 
     rows = []
     print(f"{'layout':<34}{'engine':<12}{'segments':>9} {'strategy':<9}"
@@ -756,8 +752,7 @@ def _alternating_runs(args) -> int:
     script, alternating between the `--tree` checkouts (or this one's
     import path) run by run, so host speed drift hits every tree alike."""
     trees = [tuple(spec.split("=", 1)) for spec in args.tree] or [(args.label, None)]
-    sections = [flag for flag, on in (("--setup-only", args.setup_only),
-                                      ("--kernels-only", args.kernels_only)) if on]
+    sections = ["--setup-only"] if args.setup_only else []
     for run in range(1, args.runs + 1):
         for label, root in trees if run % 2 else trees[::-1]:
             env = dict(os.environ)

@@ -80,8 +80,9 @@ their element type.  `make_engine` builds an engine by its `name`.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, repeat
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -476,9 +477,8 @@ class CompiledEngine(_Engine):
         """Widest of 8, 4, 2 and 1 bytes that divides every segment's
         region offset and every length, so the gather can move whole
         words of that width."""
-        bits = int(np.bitwise_or.reduce(self.offsets - self.origin)
-                   | np.bitwise_or.reduce(self.lengths))
-        return next(w for w in (8, 4, 2, 1) if bits % w == 0)
+        return _word(int(np.bitwise_or.reduce(self.offsets - self.origin)
+                         | np.bitwise_or.reduce(self.lengths)))
 
     @cached_property
     def gather_index(self) -> np.ndarray:
@@ -764,42 +764,43 @@ _WORD_BLOCK_ROWS = 8192
 # destination (`_word`), rows), each a range of values with both ends
 # included, and the kernel for the shapes in it.  The first row that holds
 # a shape gives its kernel; a shape in no row packs and unpacks by record
-# and is copied across by column (one and the same move for a pattern of
-# one field).  Seeded from the kernel sweep of `scripts/bench_layers.py`;
-# figures are medians of its three runs in `BENCH_23.json`, 2.56 MB of
-# payload, one core:
-#   - words, in every direction, for narrow fields at short periods: two
-#     fields of 4 and 12 bytes 32 bytes apart pack in 730 us against 1046
-#     by record, two of 8 bytes in 601 against 1398, and one of 12 bytes
-#     16 bytes apart is copied across in 494 against 891 by column; wider
-#     fields, longer periods and narrower words lose to the record;
-#   - record across for two fields or more: 418 us against 574 by column
-#     for 36 and 44 bytes 96 bytes apart, with the gaps untouched
-#     (`_renamed`);
-#   - staged across for one field of 13-16 bytes at short periods (16 bytes
-#     24 apart, alternating_repeated's: 533 us against 791 direct), for
-#     words more than 2048 bytes apart (rowcol A=1000's, as before), and
-#     for misaligned words up to 96 bytes apart (4-byte words on 2-byte
-#     boundaries 16 bytes apart: 1221 us against 2175);
+# and is copied across by column, as before the table (one and the same
+# move for a pattern of one field).  The sweep measured patterns of one and
+# two fields, so only the row kept from before takes more.  Seeded from
+# the kernel sweep of `scripts/bench_layers.py`; figures are medians of its
+# three runs in `BENCH_23.json`, 2.56 MB of payload, one core:
+#   - words, in every direction, for two fields of at most 12 bytes at
+#     most 32 bytes apart on 4-byte words, from `_FEW_ROWS` rows on
+#     (bucket's and block's A=2): fields of 4 and 12 bytes 32 bytes apart
+#     pack in 582-730 us against 1039-1046 by record and unpack in 646-826
+#     against 978-1000; two of 8 bytes 32 apart pack in 598-600 against
+#     1356-1397 and unpack in 664-668 against 1365-1378.  Words also win
+#     for two 4-byte fields up to 96 bytes apart (unpack 995-1010 us
+#     against 1345-1423 at 96) and pack them faster on 2-byte words, where
+#     they do not unpack clearly faster (96 bytes apart: 1604 us against
+#     1359 by record); no catalog layout has those shapes, so they keep
+#     the record;
+#   - record across for two fields of 13 bytes or more up to 2048 bytes
+#     apart (alternating's A=10): 406-418 us against 570-576 by column for
+#     36 and 44 bytes 96 bytes apart, with the gaps untouched (`_renamed`);
+#   - staged across for one field of 13-16 bytes at most 24 bytes apart
+#     (alternating_repeated's A=2, 16 bytes 24 apart: 533-544 us against
+#     713-807 by column), and, as before, for words more than 2048 bytes
+#     apart (rowcol A=1000's, 4-byte words 4000 apart: 52-55 us against
+#     58-60 by column);
 #   - under `_FEW_ROWS` rows, what each copy sets up outweighs the gains:
-#     at 3.2 KB fields of 4 and 12 bytes 32 bytes apart pack in 9 us by
-#     words against 7 by record, and two 4-byte fields are copied across in
-#     8 us by record against 5 by column.
+#     at 3.2 KB fields of 4 and 12 bytes 32 bytes apart pack in 9.2 us by
+#     words against 6.5 by record.
 # The table is a constant, so two engines of one program pick the same
 # kernels.
 _FEW_ROWS = 1024
 _ALL = (_PACK, _UNPACK, _ACROSS)
 _MANY = 1 << 62
 _KERNELS = (
-    (_ALL, (2, _MANY), (1, 4), (1, 96), (2, 8), (_FEW_ROWS, _MANY), "words"),
-    (_ALL, (2, _MANY), (1, 12), (1, 32), (4, 8), (_FEW_ROWS, _MANY), "words"),
-    (_ALL, (1, 1), (9, 12), (1, 24), (4, 8), (_FEW_ROWS, _MANY), "words"),
-    ((_ACROSS,), (2, _MANY), (13, _MANY), (1, 2048), (1, 8), (1, _MANY), "record"),
-    ((_ACROSS,), (2, _MANY), (5, _MANY), (1, _MANY), (1, 8), (_FEW_ROWS, _MANY), "record"),
-    ((_ACROSS,), (1, 1), (13, 16), (1, 32), (1, 8), (_FEW_ROWS, _MANY), "staged"),
+    (_ALL, (2, 2), (1, 12), (1, 32), (4, 8), (_FEW_ROWS, _MANY), "words"),
+    ((_ACROSS,), (2, 2), (13, _MANY), (1, 2048), (1, 8), (1, _MANY), "record"),
+    ((_ACROSS,), (1, 1), (13, 16), (1, 24), (1, 8), (_FEW_ROWS, _MANY), "staged"),
     ((_ACROSS,), (1, _MANY), (1, 8), (2049, _MANY), (1, 8), (1, _MANY), "staged"),
-    ((_ACROSS,), (1, 1), (1, 4), (1, 96), (1, 2), (1, _MANY), "staged"),
-    ((_ACROSS,), (1, 1), (5, 8), (1, 96), (1, 4), (1, _MANY), "staged"),
 )
 
 
@@ -814,13 +815,11 @@ def _kernel(way: int, fields: int, widest: int, period: int, word: int, rows: in
     return "column" if way == _ACROSS else "record"
 
 
-def _word(offsets, lengths, step: int) -> int:
-    """The widest of 8, 4, 2 and 1 bytes that divides every one of
-    `offsets` and `lengths` and `step`: the narrowest word of the split of
-    segments at those offsets (`_words`)."""
-    bits = step | 8
-    for x in (*offsets, *lengths):
-        bits |= x
+def _word(bits: int) -> int:
+    """The widest of 8, 4, 2 and 1 bytes that divides `bits`, the OR of
+    byte offsets, lengths and strides: the widest word that all of them
+    are whole numbers of."""
+    bits |= 8
     return bits & -bits
 
 
@@ -833,8 +832,7 @@ def _words(src, dst, lengths, step: int) -> tuple[tuple[int, int, int], ...]:
     for s, d, n in zip(src, dst, lengths):
         i = 0
         while i < n:
-            w = next(w for w in (8, 4, 2, 1)
-                     if w <= n - i and (s + i) % w == 0 and (d + i) % w == 0 and step % w == 0)
+            w = min(_word((s + i) | (d + i) | step), 1 << ((n - i).bit_length() - 1))
             out.append((s + i, d + i, w))
             i += w
     return tuple(out)
@@ -877,7 +875,7 @@ def _piece_record(p: Piece, at: int, pos: int, kernels: tuple[str, ...] | None =
     for way, (src, s_step, s_rec, dst, d_step, d_rec) in enumerate(sides):
         kernel = kernels[way] if kernels else _kernel(
             way, len(p.pat), max(p.pat), p.period,
-            _word((*src, *dst), p.pat, s_step | d_step), p.rows)
+            _word(reduce(or_, (*src, *dst, *p.pat), s_step | d_step)), p.rows)
         if kernel == "record":
             cols = ((src[0], s_rec, dst[0], _renamed(s_rec) if d_rec is None else d_rec),)
         elif kernel == "words":
