@@ -760,9 +760,9 @@ _WORD_BLOCK_ROWS = 8192
 
 # The kernel of a periodic piece in each direction, by the pattern's shape.
 # Each row is a box of shapes: (directions, fields, bytes in the widest
-# field, period bytes, word alignment of the direction's source and
-# destination (`_word`), rows), each a range of values with both ends
-# included, and the kernel for the shapes in it.  The first row that holds
+# field, payload bytes per row, period bytes, word alignment of the
+# direction's source and destination (`_word`), rows), each a range of
+# values with both ends included, and the kernel for the shapes in it.  The first row that holds
 # a shape gives its kernel; a shape in no row packs and unpacks by record
 # and is copied across by column, as before the table (one and the same
 # move for a pattern of one field).  The sweep measured patterns of one and
@@ -797,20 +797,19 @@ _FEW_ROWS = 1024
 _ALL = (_PACK, _UNPACK, _ACROSS)
 _MANY = 1 << 62
 _KERNELS = (
-    (_ALL, (2, 2), (1, 12), (1, 32), (4, 8), (_FEW_ROWS, _MANY), "words"),
-    ((_ACROSS,), (2, 2), (13, _MANY), (1, 2048), (1, 8), (1, _MANY), "record"),
-    ((_ACROSS,), (1, 1), (13, 16), (1, 24), (1, 8), (_FEW_ROWS, _MANY), "staged"),
-    ((_ACROSS,), (1, _MANY), (1, 8), (2049, _MANY), (1, 8), (1, _MANY), "staged"),
+    (_ALL, (2, 2), (1, _MANY), (1, 16), (1, 32), (4, 8), (_FEW_ROWS, _MANY), "words"),
+    ((_ACROSS,), (2, 2), (13, _MANY), (1, _MANY), (1, 2048), (1, 8), (1, _MANY), "record"),
+    ((_ACROSS,), (1, 1), (13, 16), (1, _MANY), (1, 24), (1, 8), (_FEW_ROWS, _MANY), "staged"),
+    ((_ACROSS,), (1, _MANY), (1, 8), (1, _MANY), (2049, _MANY), (1, 8), (1, _MANY), "staged"),
 )
 
 
-def _kernel(way: int, fields: int, widest: int, period: int, word: int, rows: int) -> str:
+def _kernel(way: int, shape: tuple[int, ...]) -> str:
     """The kernel `_KERNELS` gives direction `way` of a periodic piece of
-    `rows` rows `period` bytes apart, of `fields` pattern segments, the
-    widest `widest` bytes, at word alignment `word` (`_word`)."""
-    for ways, f, m, p, w, r, kernel in _KERNELS:
-        if (way in ways and f[0] <= fields <= f[1] and m[0] <= widest <= m[1]
-                and p[0] <= period <= p[1] and w[0] <= word <= w[1] and r[0] <= rows <= r[1]):
+    `shape`: (pattern segments, bytes in the widest, payload bytes per row,
+    period, word alignment (`_word`), rows)."""
+    for ways, *box, kernel in _KERNELS:
+        if way in ways and all(lo <= x <= hi for x, (lo, hi) in zip(shape, box)):
             return kernel
     return "column" if way == _ACROSS else "record"
 
@@ -873,9 +872,9 @@ def _piece_record(p: Piece, at: int, pos: int, kernels: tuple[str, ...] | None =
              (region, p.period, region_rec, region, p.period, None))
     moves = []
     for way, (src, s_step, s_rec, dst, d_step, d_rec) in enumerate(sides):
-        kernel = kernels[way] if kernels else _kernel(
-            way, len(p.pat), max(p.pat), p.period,
-            _word(reduce(or_, (*src, *dst, *p.pat), s_step | d_step)), p.rows)
+        kernel = kernels[way] if kernels else _kernel(way, (
+            len(p.pat), max(p.pat), p.row_bytes, p.period,
+            _word(reduce(or_, (*src, *dst, *p.pat), s_step | d_step)), p.rows))
         if kernel == "record":
             cols = ((src[0], s_rec, dst[0], _renamed(s_rec) if d_rec is None else d_rec),)
         elif kernel == "words":
