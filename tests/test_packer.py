@@ -485,9 +485,10 @@ def test_engines_of_one_program_pick_the_same_kernels():
     # a description and its normal form are one program, so they copy by
     # the same kernels, whichever the table gives
     picked = {}
-    for lid, A in (("tiled", 2), ("bucket", 2), ("alternating", 10),
-                   ("alternating_repeated", 2), ("block_indexed", 2)):
-        built = layouts.build(layouts.LayoutSpec(id=lid, n=64_000, A=A))
+    for lid, A, n in (("tiled", 2, 64_000), ("bucket", 2, 64_000), ("alternating", 10, 64_000),
+                      ("alternating_repeated", 2, 64_000), ("block_indexed", 2, 64_000),
+                      ("rowcol_struct", 1000, 2560)):
+        built = layouts.build(layouts.LayoutSpec(id=lid, n=n, A=A))
         engines = (CompiledEngine(built.committed, built.count),
                    CompiledEngine(built.committed, built.count),
                    CompiledEngine(normalizer.normalize(built.committed).committed_output,
@@ -503,7 +504,31 @@ def test_engines_of_one_program_pick_the_same_kernels():
         "alternating": [("record", "record", "record")],
         "alternating_repeated": [("record", "record", "staged")],
         "block_indexed": [("words", "words", "words")],
+        "rowcol_struct": [("record", "record", "staged")],
     }
+
+
+@pytest.mark.parametrize("at, rel, pat, period", [
+    (0, (0, 12, 24), (8, 8, 8), 48),  # three fields: not swept
+    (2, (0, 8), (4, 4), 32),  # 2-byte words: unpack no faster by words
+    (2, (0, 16), (4, 12), 32),  # bucket's fields, on 2-byte words
+    (0, (0, 16), (12, 12), 32),  # 24 bytes a row: unpack slower by words
+])
+def test_shapes_outside_the_table_keep_the_former_kernels(at, rel, pat, period):
+    # a shape no row of the table holds packs and unpacks by record and
+    # is copied across by column, as before the table
+    piece = packer.Piece(4096, period, 0, rel, pat)
+    moves = packer._piece_record(piece, at, 0)[8]
+    assert tuple(move[0] for move in moves) == ("record", "record", "column")
+
+
+@pytest.mark.parametrize("rel, pat", [((0,), (4,)), ((0, 12), (8, 8))])
+def test_words_far_apart_are_staged_across(rel, pat):
+    # words more than 2048 bytes apart are copied across through a
+    # contiguous copy of each column, as before the table, however many
+    # fields the pattern has
+    moves = packer._piece_record(packer.Piece(4096, 8192, 0, rel, pat), 0, 0)[8]
+    assert tuple(move[0] for move in moves) == ("record", "record", "staged")
 
 
 # --- element types of the region ----------------------------------------
