@@ -762,13 +762,14 @@ _WORD_BLOCK_ROWS = 8192
 # Each row is a box of shapes: (directions, fields, bytes in the widest
 # field, payload bytes per row, period bytes, word alignment of the
 # direction's source and destination (`_word`), rows), each a range of
-# values with both ends included, and the kernel for the shapes in it.  The first row that holds
-# a shape gives its kernel; a shape in no row packs and unpacks by record
-# and is copied across by column, as before the table (one and the same
-# move for a pattern of one field).  The sweep measured patterns of one and
-# two fields, so only the row kept from before takes more.  Seeded from
-# the kernel sweep of `scripts/bench_layers.py`; figures are medians of its
-# three runs in `BENCH_23.json`, 2.56 MB of payload, one core:
+# values with both ends included, and the kernel for the shapes in it.  The
+# first row that holds a shape gives its kernel; a shape in no row packs
+# and unpacks by record and is copied across by column, as before the
+# table (one and the same move for a pattern of one field).  The sweep
+# measured patterns of one and two fields, so only the row kept from
+# before takes more.  Seeded from the kernel sweep of
+# `scripts/bench_layers.py`; figures are medians of its three runs in
+# `BENCH_23.json`, 2.56 MB of payload, one core:
 #   - words, in every direction, for two fields of at most 12 bytes at
 #     most 32 bytes apart on 4-byte words, from `_FEW_ROWS` rows on
 #     (bucket's and block's A=2): fields of 4 and 12 bytes 32 bytes apart
@@ -785,9 +786,10 @@ _WORD_BLOCK_ROWS = 8192
 #     36 and 44 bytes 96 bytes apart, with the gaps untouched (`_renamed`);
 #   - staged across for one field of 13-16 bytes at most 24 bytes apart
 #     (alternating_repeated's A=2, 16 bytes 24 apart: 533-544 us against
-#     713-807 by column), and, as before, for words more than 2048 bytes
-#     apart (rowcol A=1000's, 4-byte words 4000 apart: 52-55 us against
-#     58-60 by column);
+#     713-807 by column), and for fields of at most 8 bytes more than
+#     2048 bytes apart, as before for words of 1, 2, 4 or 8 bytes (rowcol
+#     A=1000's, 4-byte words 4000 apart: 52-55 us against 58-60 by
+#     column);
 #   - under `_FEW_ROWS` rows, what each copy sets up outweighs the gains:
 #     at 3.2 KB fields of 4 and 12 bytes 32 bytes apart pack in 9.2 us by
 #     words against 6.5 by record.

@@ -508,27 +508,21 @@ def test_engines_of_one_program_pick_the_same_kernels():
     }
 
 
-@pytest.mark.parametrize("at, rel, pat, period", [
-    (0, (0, 12, 24), (8, 8, 8), 48),  # three fields: not swept
-    (2, (0, 8), (4, 4), 32),  # 2-byte words: unpack no faster by words
-    (2, (0, 16), (4, 12), 32),  # bucket's fields, on 2-byte words
-    (0, (0, 16), (12, 12), 32),  # 24 bytes a row: unpack slower by words
+@pytest.mark.parametrize("at, rel, pat, period, across", [
+    (0, (0, 12, 24), (8, 8, 8), 48, "column"),  # three fields: not swept
+    (2, (0, 8), (4, 4), 32, "column"),  # 2-byte words: unpack no faster by words
+    (2, (0, 16), (4, 12), 32, "column"),  # bucket's fields, on 2-byte words
+    (0, (0, 16), (12, 12), 32, "column"),  # 24 bytes a row: unpack slower by words
+    (0, (0,), (4,), 8192, "staged"),  # words far apart, however many fields
+    (0, (0, 12), (8, 8), 8192, "staged"),
 ])
-def test_shapes_outside_the_table_keep_the_former_kernels(at, rel, pat, period):
-    # a shape no row of the table holds packs and unpacks by record and
-    # is copied across by column, as before the table
+def test_shapes_the_table_gives_no_gain_keep_the_former_kernels(at, rel, pat, period, across):
+    # such a shape packs and unpacks by record and is copied across by
+    # column, or, for words more than 2048 bytes apart, through a
+    # contiguous copy of each column, as before the table
     piece = packer.Piece(4096, period, 0, rel, pat)
     moves = packer._piece_record(piece, at, 0)[8]
-    assert tuple(move[0] for move in moves) == ("record", "record", "column")
-
-
-@pytest.mark.parametrize("rel, pat", [((0,), (4,)), ((0, 12), (8, 8))])
-def test_words_far_apart_are_staged_across(rel, pat):
-    # words more than 2048 bytes apart are copied across through a
-    # contiguous copy of each column, as before the table, however many
-    # fields the pattern has
-    moves = packer._piece_record(packer.Piece(4096, 8192, 0, rel, pat), 0, 0)[8]
-    assert tuple(move[0] for move in moves) == ("record", "record", "staged")
+    assert tuple(move[0] for move in moves) == ("record", "record", across)
 
 
 # --- element types of the region ----------------------------------------
