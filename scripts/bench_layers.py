@@ -35,9 +35,11 @@ Then it sweeps where a tcp typed message is better gathered from and
 scattered into its region's runs than packed and unpacked: for each
 segment count and segment length of a vector layout, the median round trip
 of each path, the two alternating repetition by repetition on one
-connection between two processes on one core.  The shortest segment
-length from which the runs win at every count is the crossover.  A tree
-whose transport has no gather path has no sweep.
+connection between two processes on one core.  Each point has two
+engines, one built to gather and one to pack, through the packer's
+mean-length floor (`packer._RUNS_MEAN_MIN`).  The shortest segment length
+from which the runs win at every count is the crossover.  A packer without
+that floor has no sweep.
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -65,8 +67,10 @@ repetition by repetition on one core, with the kernel the packer's table
 picks and the one the packer used before the table, and for a one-field
 pattern of words the word gather as well; then, per payload size and
 direction, how often the pick is within 10 % of the fastest kernel and
-its worst ratios to the fastest and to the former kernel.  A packer
-without a kernel table has no sweep.
+its worst ratios to the fastest and to the former kernel.  Each kernel's
+move comes from the packer's per-direction builder (`packer._piece_move`)
+and runs through its copy loop (`packer._run_moves`); a packer without
+that builder has no sweep.
 
 With `--setup-only` it times only the set-up stages of every reference
 layout (stored under `setup`) and the set-up share, so the many
@@ -348,31 +352,42 @@ SWEEP_REPS = 31
 
 
 def _sweep_engines() -> list:
-    """One compiled engine per (segments, bytes) of the sweep: a vector of
-    that many blocks of that length, each followed by a gap as long."""
+    """Per (segments, bytes) of the sweep, a vector of that many blocks of
+    that length, each followed by a gap as long, as two compiled engines:
+    one that gathers (index 0) and one that packs (index 1), each path
+    fixed when its engine is built, through the packer's mean-length
+    floor (`packer._RUNS_MEAN_MIN`)."""
     int_ = typecore.Base(typecore.BaseKind.INT)
-    return [packer.make_engine("compiled", typecore.Vector(k, b // 4, b // 2, int_), 1)
-            for k in SWEEP_SEGMENTS for b in SWEEP_BYTES]
+    saved = packer._RUNS_MEAN_MIN
+    pairs = []
+    try:
+        for k in SWEEP_SEGMENTS:
+            for b in SWEEP_BYTES:
+                pair = []
+                for floor in (0, sys.maxsize):
+                    packer._RUNS_MEAN_MIN = floor
+                    eng = packer.make_engine("compiled", typecore.Vector(k, b // 4, b // 2, int_), 1)
+                    eng.runs  # read once, and kept, under this floor
+                    pair.append(eng)
+                pairs.append(pair)
+    finally:
+        packer._RUNS_MEAN_MIN = saved
+    return pairs
 
 
 def _sweep_side(ep, reps: int) -> list:
-    """Round trips of every sweep engine, gathered (index 0) and packed
-    (index 1), alternating which goes first; both parties run this.  The
-    path is chosen through the transport's mean-length floor."""
-    engines = _sweep_engines()
-    regions = [np.zeros(eng.span, dtype=np.uint8) for eng in engines]
-    floors = (0, sys.maxsize)
-    saved = transport._IOV_MIN_MEAN
-    out = [([], []) for _ in engines]
-    try:
-        for rep in range(reps):
-            for i, eng in enumerate(engines):
-                for path in (rep % 2, 1 - rep % 2):
-                    transport._IOV_MIN_MEAN = floors[path]
-                    out[i][path].append(transport.pingpong_typed(
-                        ep, eng.committed, eng.count, regions[i], eng))
-    finally:
-        transport._IOV_MIN_MEAN = saved
+    """Round trips of every sweep point, by its gathering (index 0) and its
+    packing (index 1) engine, alternating which goes first; both parties
+    run this."""
+    pairs = _sweep_engines()
+    regions = [np.zeros(pair[0].span, dtype=np.uint8) for pair in pairs]
+    out = [([], []) for _ in pairs]
+    for rep in range(reps):
+        for i, pair in enumerate(pairs):
+            for path in (rep % 2, 1 - rep % 2):
+                eng = pair[path]
+                out[i][path].append(transport.pingpong_typed(
+                    ep, eng.committed, eng.count, regions[i], eng))
     return out
 
 
@@ -387,8 +402,8 @@ def _sweep_echo(port: int, reps: int) -> None:
 
 def crossover(reps: int = SWEEP_REPS) -> dict | None:
     """The gather-or-pack sweep (see the module docstring), or None for a
-    transport without a gather path."""
-    if not hasattr(transport, "_IOV_MIN_MEAN"):
+    packer without a mean-length floor."""
+    if not hasattr(packer, "_RUNS_MEAN_MIN"):
         return None
     with one_core():
         listener, port = transport.tcp_listener()
@@ -453,7 +468,7 @@ def _kernel_point(piece, shift: int, reps: int) -> dict:
     """Median microseconds of every kernel in every direction for one
     periodic piece starting `shift` bytes into its region, the kernels
     alternating in order repetition by repetition; for a one-field piece of
-    integer words, also the word gather (`np.take` into the payload and an
+    integer words, also the word gather (a take into the payload and an
     indexed store back) the compiled engine runs for a list it cannot
     split."""
     rows, period, width = piece.rows, piece.period, max(piece.pat)
@@ -462,28 +477,28 @@ def _kernel_point(piece, shift: int, reps: int) -> dict:
     dst = np.full(span, 0xAA, dtype=np.uint8)
     payload = np.empty(rows * piece.row_bytes, dtype=np.uint8)
     kernels = packer._KERNEL_NAMES
-    moves = {k: packer._piece_record(piece, shift, 0, (k,) * 3)[8] for k in kernels}
+    moves = {k: [(packer._piece_move(piece, way, shift, 0, k),) for way in range(3)]
+             for k in kernels}
     ends = ((src, payload), (payload, dst), (src, dst))
     times = [{k: [] for k in kernels} for _ in DIRECTIONS]
     gather = len(piece.pat) == 1 and width in (1, 2, 4, 8) and shift % width == 0
     if gather:
-        words = src[: span - span % width].view(f"u{width}")
+        dt = np.dtype(f"u{width}")
         index = np.arange(shift // width, rows * period // width, period // width)
-        times.append({"gather_pack": [], "gather_unpack": []})
+        gathers = {"gather_pack": (("take", index, dt),), "gather_unpack": (("put", index, dt),)}
+        times.append({k: [] for k in gathers})
     for rep in range(reps):
         for k in kernels[:: 1 if rep % 2 == 0 else -1]:
             for way, (a, b) in enumerate(ends):
                 start = time.perf_counter()
-                packer._run_move(moves[k][way], rows, a, b)
+                packer._run_moves(moves[k][way], a, b)
                 times[way][k].append(time.perf_counter() - start)
         if gather:
-            start = time.perf_counter()
-            np.take(words, index)
-            times[3]["gather_pack"].append(time.perf_counter() - start)
-            start = time.perf_counter()
-            words[index] = payload.view(words.dtype)
-            times[3]["gather_unpack"].append(time.perf_counter() - start)
-    picked = packer._piece_record(piece, shift, 0)[8]
+            for (k, moves_k), (a, b) in zip(gathers.items(), ends):
+                start = time.perf_counter()
+                packer._run_moves(moves_k, a, b)
+                times[3][k].append(time.perf_counter() - start)
+    picked = [packer._piece_move(piece, way, shift, 0) for way in range(3)]
     out = {"pattern": list(piece.pat), "period": period, "shift": shift,
            "rows": rows, "payload_bytes": rows * piece.row_bytes}
     for way, name in enumerate(DIRECTIONS):
@@ -497,8 +512,8 @@ def _kernel_point(piece, shift: int, reps: int) -> dict:
 
 def kernel_sweep(reps: int) -> dict | None:
     """The kernel sweep (see the module docstring), on one core, or None
-    for a packer without a kernel table."""
-    if not hasattr(packer, "_piece_record"):
+    for a packer without a per-direction move builder."""
+    if not hasattr(packer, "_piece_move"):
         return None
     points = []
     with one_core():

@@ -29,19 +29,25 @@ a check.  An engine supplies only `_move`, the copy of a non-empty payload:
     uniform byte period.  The region is viewed as `rows` rows `period`
     bytes apart and the payload as the same fields back to back, and a
     periodic piece moves in each direction by one of three kernels, picked
-    once per program from a constant table of the pattern's shape
-    (`_KERNELS`): record (one assignment of whole records, a field of the
-    pattern per record field, or one item per row for a pattern of one
-    segment), blocked word columns (each field split into aligned integer
-    words, the columns copied a block of rows at a time) or a strided
-    column per field (staged through a contiguous copy of it where that is
-    faster).  A tiling whose instances join is a head, one periodic run
+    from a constant table of the pattern's shape (`_KERNELS`): record (one
+    assignment of whole records, a field of the pattern per record field,
+    or one item per row for a pattern of one segment), blocked word
+    columns (each field split into aligned integer words, the columns
+    copied a block of rows at a time) or a strided column per field
+    (staged through a contiguous copy of it where that is faster).  A tiling whose instances join is a head, one periodic run
     and a tail; one row plus one column is two pieces.  A list of at most
     64 segments always runs as pieces, at most one per segment; a longer
     one only when it splits into at most 8;
   - gather: anything else moves as words of width w, the widest of 8, 4, 2
     and 1 bytes that divides every segment's region offset and length,
     through an index of `total_bytes / w` word positions.
+
+  A copy in each direction runs that direction's moves through one loop
+  (`_run_moves`): one per piece, a slice for a lone one and its kernel's
+  for a periodic one, or a gather's one word take or put.  The moves of a
+  direction are built on the program's first copy in it
+  (`CompiledEngine._build`), so a program packed once builds no unpack or
+  across moves.
 
 `unpack_from(src, src_region, region)` copies the payload another engine
 would pack from its region straight into this engine's region, with the
@@ -65,11 +71,12 @@ supplies only the key and the pass:
   gather would still build the payload with `np.take`), so it packs and
   unpacks.  The key is built on the first transfer.
 
-A compiled program of at most `_RUNS_MAX` segments also lists them as
-slices of the region in payload order (`CompiledEngine.runs`, one for a
-view), so a transport can move the payload straight between a socket and
-the region (`run_views`); the interpreted engine lists none, and always
-packs and unpacks.
+A compiled program of at most `_RUNS_MAX` segments averaging at least
+`_RUNS_MEAN_MIN` bytes also lists them as slices of the region in payload
+order (`CompiledEngine.runs`, one for a view), so a transport moves the
+payload straight between a socket and the region (`run_views`).  The
+engine decides this once; any other program, an empty payload and the
+interpreted engine list none, and a transport packs and unpacks them.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
@@ -126,6 +133,13 @@ _PERIOD_CHECK_BLOCK = 1 << 16
 # socket call gathers at most IOV_MAX buffers (1024 on Linux), one of them
 # the frame header
 _RUNS_MAX = 1023
+# ... and the fewest bytes they average.  Each run costs every send and
+# receive a buffer to slice and hand to the kernel, where packing costs a
+# copy per byte: over tcp on one core, 128 or 1023 runs of 2048 bytes
+# round-trip 2-15 % slower gathered than packed, runs of 3072 bytes 1-21 %
+# faster at every count, and 2 to 8 runs faster at any length
+# (`scripts/bench_layers.py` crossover sweep, BENCH_20.json)
+_RUNS_MEAN_MIN = 3072
 # a gather index starts this many bytes past a page boundary (see
 # CompiledEngine.gather_index)
 _INDEX_PAGE_OFFSET = 2048
@@ -425,11 +439,17 @@ class CompiledEngine(_Engine):
     closed form of the list, so building the engine of a tiling and
     choosing its copy path cost the size of the unit, not the instance
     count.
-    What a copy reads (pieces, record dtypes, word width, gather index) is
-    built on the first copy that needs it.
+    What a copy reads (pieces, word width, gather index, each direction's
+    moves) is built on the first copy that needs it.
     """
 
     name = "compiled"
+
+    def __init__(self, t: Datatype | CommittedType, count: int):
+        super().__init__(t, count)
+        # per direction (`_PACK`, `_UNPACK`, `_ACROSS`), its moves, built on
+        # the first copy in that direction (`_build`)
+        self._moves = [None, None, None]
 
     @cached_property
     def _flat(self) -> FlatLayout:
@@ -456,10 +476,13 @@ class CompiledEngine(_Engine):
 
     @cached_property
     def runs(self) -> tuple[slice, ...] | None:
-        """The segments as slices of the region, in payload order: one for
-        a view.  None for a program of more than `_RUNS_MAX` segments,
-        whose list is not built for them."""
-        if self.segment_count > _RUNS_MAX:
+        """The segments as slices of the region, in payload order (one for
+        a view), when a transport moves the payload straight between a
+        socket and them: at most `_RUNS_MAX` segments averaging at least
+        `_RUNS_MEAN_MIN` bytes.  None for any other program, whose list is
+        not built for them, and for an empty payload."""
+        n = self.segment_count
+        if not 0 < n <= _RUNS_MAX or self.total_bytes < _RUNS_MEAN_MIN * n:
             return None
         starts = (self.offsets - self.origin).tolist()
         return tuple(map(slice, starts, map(int.__add__, starts, self.lengths.tolist())))
@@ -513,27 +536,13 @@ class CompiledEngine(_Engine):
         return _split_pieces(self._flat.form)
 
     @cached_property
-    def piece_records(self) -> tuple[tuple, ...]:
-        """Per piece, (region offset, payload offset, payload bytes, rows,
-        period, region dtype, payload dtype, fields, moves), from
-        `_piece_record`; both dtypes are None and the fields and moves
-        empty for a lone segment, which moves as one slice.  Only a program
-        of pieces has them, and they are built on its first copy, so each
-        periodic piece's kernels are picked once per program."""
-        out, pos = [], 0
-        for p in self.pieces:
-            out.append(_piece_record(p, p.first - self.origin, pos))
-            pos += out[-1][2]
-        return tuple(out)
-
-    @cached_property
     def _lone_only(self) -> bool:
         """Whether every piece is a lone segment.  A copy of such a program
         views its region and payload as memoryviews of bytes, which slice
         fastest, and packs into a bytearray; any other views them as uint8
         arrays, which numpy views as records fastest, and packs into an
         uninitialized array."""
-        return all(p.rows == 1 for p in self.pieces)
+        return self.pieces is not None and all(p.rows == 1 for p in self.pieces)
 
     @cached_property
     def copy_key(self) -> tuple | None:
@@ -547,46 +556,38 @@ class CompiledEngine(_Engine):
             return None
         return tuple(p._replace(first=p.first - self.origin) for p in self.pieces)
 
-    def _move_across(self, src_region, region) -> None:
-        """One slice per lone piece, and one move per periodic piece, by
-        the kernel its record picked for copying across."""
-        view = _byte_view if self._lone_only else _as_u8
-        src, dst = view(src_region), view(region)
-        for at, _, size, rows, _, _, _, _, moves in self.piece_records:
-            if moves:
-                _run_move(moves[_ACROSS], rows, src, dst)
-            else:
-                dst[at : at + size] = src[at : at + size]
+    def _build(self, way: int, kernel: str | None = None) -> tuple:
+        """Build and keep the moves of direction `way`, as `_run_moves`
+        runs them: a gather's one word take (packing) or put (unpacking),
+        through `gather_index`, or one move per piece (`_piece_move`), each
+        periodic piece by the kernel the table gives it or, if given, by
+        `kernel`.  A gather has no `copy_key`, so it is never copied
+        across."""
+        if self.pieces is None:
+            moves = (("take" if way == _PACK else "put", self.gather_index,
+                      _WORD_TYPES[self.word_width]),)
+        else:
+            moves, pos = [], 0
+            for p in self.pieces:
+                moves.append(_piece_move(p, way, p.first - self.origin, pos, kernel))
+                pos += p.rows * p.row_bytes
+            moves = tuple(moves)
+        self._moves[way] = moves
+        return moves
 
     def _move(self, region, data):
-        packing = data is None
-        if self.pieces is None:
-            # whole words, any trailing partial word of the region cut
-            reg, w = _as_u8(region), self.word_width
-            words = reg[: len(reg) - len(reg) % w].view(f"u{w}")
-            if packing:
-                return np.take(words, self.gather_index).view(np.uint8)
-            words[self.gather_index] = _as_u8(data).view(words.dtype)
-            return None
-        # per piece, one slice or one move by the piece's kernel for this
-        # direction: row i of the region, `period` bytes apart, is record i
-        # of the payload
-        n = self.total_bytes
-        if self._lone_only:
-            reg, out = _byte_view(region), bytearray(n) if packing else None
-            packed = _byte_view(data if out is None else out)
-        else:
-            reg, out = _as_u8(region), np.empty(n, dtype=np.uint8) if packing else None
-            packed = _as_u8(data) if out is None else out
-        way, src, dst = (_PACK, reg, packed) if packing else (_UNPACK, packed, reg)
-        for at, pos, size, rows, _, _, _, _, moves in self.piece_records:
-            if moves:
-                _run_move(moves[way], rows, src, dst)
-            elif packing:
-                packed[pos : pos + size] = reg[at : at + size]
-            else:
-                reg[at : at + size] = packed[pos : pos + size]
-        return out
+        view = _byte_view if self._lone_only else _as_u8
+        if data is None:
+            out = bytearray(self.total_bytes) if self._lone_only else \
+                np.empty(self.total_bytes, dtype=np.uint8)
+            _run_moves(self._moves[_PACK] or self._build(_PACK), view(region), view(out))
+            return out
+        _run_moves(self._moves[_UNPACK] or self._build(_UNPACK), view(data), view(region))
+        return None
+
+    def _move_across(self, src_region, region) -> None:
+        view = _byte_view if self._lone_only else _as_u8
+        _run_moves(self._moves[_ACROSS] or self._build(_ACROSS), view(src_region), view(region))
 
 
 def _split_pieces(form: ClosedForm) -> tuple[Piece, ...] | None:
@@ -839,72 +840,90 @@ def _words(src, dst, lengths, step: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _piece_record(p: Piece, at: int, pos: int, kernels: tuple[str, ...] | None = None) -> tuple:
-    """`CompiledEngine.piece_records` of piece `p`, whose rows start `at`
-    bytes into the region and whose payload `pos` bytes into the payload.
+def _piece_move(p: Piece, way: int, at: int, pos: int, kernel: str | None = None) -> tuple:
+    """The move of piece `p` in direction `way`, its rows starting `at`
+    bytes into the region and its payload `pos` bytes into the payload, as
+    `_run_moves` runs it.
 
-    A pattern of one segment is one item per row (`_field`), the region and
-    the payload dtype alike.  Otherwise both dtypes have one void field per
-    pattern segment: the region record places field j at its offset within
-    the period and is only as long as the bytes the pattern covers, so a
-    strided view of `rows` records never reaches past the window; the
-    payload record places the fields back to back.  The fields are (offset
-    within the period, item) of each pattern segment.
+    A lone segment is ("slice", source slice, destination slice).  A
+    periodic piece is (kernel, rows, source step, destination step,
+    columns), each column (source offset, source dtype, destination
+    offset, destination dtype), with `_kernel`'s kernel for the direction,
+    or the one `kernel` names (the kernel sweep of
+    `scripts/bench_layers.py`).
 
-    The moves are, for packing, unpacking and copying across in that
-    order, (kernel, source step, destination step, columns), each column
-    (source offset, source dtype, destination offset, destination dtype),
-    as `_run_move` copies them.  Each kernel is `_kernel`'s for the
-    direction, or the one `kernels` names (the kernel sweep of
-    `scripts/bench_layers.py`)."""
-    size = p.rows * p.row_bytes
+    By record, a pattern of one segment is one item per row (`_field`) on
+    both sides.  Otherwise the region record has one void field per
+    pattern segment, at its offset within the period, and is only as long
+    as the bytes the pattern covers, so a strided view of `rows` records
+    never reaches past the window; the payload record places the fields
+    back to back, and copying across assigns the region record to itself
+    under other field names (`_renamed`)."""
     if p.rows == 1:
-        return (at, pos, size, 1, p.period, None, None, (), ())
-    fields = tuple(zip(p.rel, map(_field, p.pat)))
+        s, d = ((at, pos), (pos, at), (at, at))[way]
+        n = p.pat[0]
+        return ("slice", slice(s, s + n), slice(d, d + n))
     prefix = tuple(accumulate(p.pat[:-1], initial=0))
-    if len(fields) == 1:
-        region_rec = packed_rec = fields[0][1]
-    else:
-        region_rec = _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
-        packed_rec = _record(prefix, p.pat, p.row_bytes)
     region = [at + r for r in p.rel]
     payload = [pos + q for q in prefix]
-    sides = ((region, p.period, region_rec, payload, p.row_bytes, packed_rec),
-             (payload, p.row_bytes, packed_rec, region, p.period, region_rec),
-             (region, p.period, region_rec, region, p.period, None))
-    moves = []
-    for way, (src, s_step, s_rec, dst, d_step, d_rec) in enumerate(sides):
-        kernel = kernels[way] if kernels else _kernel(way, (
-            len(p.pat), max(p.pat), p.row_bytes, p.period,
-            _word(reduce(or_, (*src, *dst, *p.pat), s_step | d_step)), p.rows))
-        if kernel == "record":
-            cols = ((src[0], s_rec, dst[0], _renamed(s_rec) if d_rec is None else d_rec),)
-        elif kernel == "words":
-            cols = tuple((s, _field(w), d, _field(w))
-                         for s, d, w in _words(src, dst, p.pat, s_step | d_step))
+    src, s_step, dst, d_step = ((region, p.period, payload, p.row_bytes),
+                                (payload, p.row_bytes, region, p.period),
+                                (region, p.period, region, p.period))[way]
+    kernel = kernel or _kernel(way, (
+        len(p.pat), max(p.pat), p.row_bytes, p.period,
+        _word(reduce(or_, (*src, *dst, *p.pat), s_step | d_step)), p.rows))
+    if kernel == "record":
+        one = len(p.pat) == 1
+        rec = _field(p.pat[0]) if one else \
+            _record(p.rel, p.pat, max(r + n for r, n in zip(p.rel, p.pat)))
+        if way == _ACROSS:
+            s_dt, d_dt = rec, _renamed(rec)
         else:
-            cols = tuple((s, f, d, f) for s, d, (_, f) in zip(src, dst, fields))
-        moves.append((kernel, s_step, d_step, cols))
-    return (at, pos, size, p.rows, p.period, region_rec, packed_rec, fields, tuple(moves))
+            packed = rec if one else _record(prefix, p.pat, p.row_bytes)
+            s_dt, d_dt = (rec, packed) if way == _PACK else (packed, rec)
+        cols = ((src[0], s_dt, dst[0], d_dt),)
+    elif kernel == "words":
+        cols = tuple((s, _field(w), d, _field(w))
+                     for s, d, w in _words(src, dst, p.pat, s_step | d_step))
+    else:
+        cols = tuple((s, _field(n), d, _field(n)) for s, d, n in zip(src, dst, p.pat))
+    return (kernel, p.rows, s_step, d_step, cols)
 
 
-def _run_move(move: tuple, rows: int, src: np.ndarray, dst: np.ndarray) -> None:
-    """Copy `rows` rows of one periodic piece from `src` to `dst` by one
-    of its moves (`_piece_record`)."""
-    kernel, s_step, d_step, cols = move
-    if kernel == "words" and rows > _WORD_BLOCK_ROWS:
-        pairs = [(np.ndarray((rows,), s_dt, src, s_at, (s_step,)),
-                  np.ndarray((rows,), d_dt, dst, d_at, (d_step,)))
-                 for s_at, s_dt, d_at, d_dt in cols]
-        for lo in range(0, rows, _WORD_BLOCK_ROWS):
-            hi = lo + _WORD_BLOCK_ROWS
-            for a, b in pairs:
-                b[lo:hi] = a[lo:hi]
-        return
-    for s_at, s_dt, d_at, d_dt in cols:
-        col = np.ndarray((rows,), s_dt, src, s_at, (s_step,))
-        np.ndarray((rows,), d_dt, dst, d_at, (d_step,))[...] = \
-            col.copy() if kernel == "staged" else col
+def _run_moves(moves: tuple, src, dst) -> None:
+    """Copy from `src` to `dst` by each of `moves` in turn
+    (`CompiledEngine._build`): one slice, one word take or put through a
+    gather index, or `rows` rows of a periodic piece by its kernel."""
+    for move in moves:
+        kernel = move[0]
+        if kernel == "slice":
+            dst[move[2]] = src[move[1]]
+        elif kernel == "take" or kernel == "put":
+            _, index, dt = move
+            region = src if kernel == "take" else dst
+            # whole words, any trailing partial word of the region cut
+            words = region[: len(region) - len(region) % dt.itemsize].view(dt)
+            if kernel == "put":
+                words[index] = src.view(dt)
+            else:
+                # every index is in range; numpy buffers `out` only in the
+                # default mode, which checks that
+                np.take(words, index, out=dst.view(dt), mode="clip")
+        elif kernel == "words" and move[1] > _WORD_BLOCK_ROWS:
+            _, rows, s_step, d_step, cols = move
+            pairs = [(np.ndarray((rows,), s_dt, src, s_at, (s_step,)),
+                      np.ndarray((rows,), d_dt, dst, d_at, (d_step,)))
+                     for s_at, s_dt, d_at, d_dt in cols]
+            for lo in range(0, rows, _WORD_BLOCK_ROWS):
+                hi = lo + _WORD_BLOCK_ROWS
+                for a, b in pairs:
+                    b[lo:hi] = a[lo:hi]
+        else:
+            _, rows, s_step, d_step, cols = move
+            for s_at, s_dt, d_at, d_dt in cols:
+                col = np.ndarray((rows,), s_dt, src, s_at, (s_step,))
+                np.ndarray((rows,), d_dt, dst, d_at, (d_step,))[...] = \
+                    col.copy() if kernel == "staged" else col
 
 
 # --- engines by name ----------------------------------------------------

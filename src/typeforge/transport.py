@@ -13,7 +13,7 @@ into its own region, which is the cost a real receive pays.
 A typed message (`Endpoint.send_typed`/`recv_typed`) travels on tcp in
 the frame a packed one does, its payload the bytes the engine would pack.
 When the engine lists its payload as a few long runs of the region
-(`_Engine.runs`; a view is one run, and `_gathers` says how few and how
+(`_Engine.runs`; a view is one run, and the engine decides how few and how
 long), the sender gathers the header and the runs into one `sendmsg` and
 the receiver scatters the payload straight into them with
 `recvmsg_into`, with no payload buffer in between.  Any other typed
@@ -39,7 +39,6 @@ so raw and byte-level receivers see the packed payload.
 
 from __future__ import annotations
 
-import os
 import socket
 import struct
 import time
@@ -52,16 +51,6 @@ from .typecore import CommittedType, Datatype
 _HEADER = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _MAX_REASONABLE = 1 << 40
-# a tcp typed message moves straight between the socket and its region's
-# runs when there are at most this many, one iovec being the header's
-_IOV_SEGMENTS = os.sysconf("SC_IOV_MAX") - 1
-# ... and they average at least this many bytes.  Each run costs every
-# send and receive a buffer to slice and hand to the kernel, where packing
-# costs a copy per byte: over tcp on one core, 128 or 1023 runs of 2048
-# bytes round-trip 2-15 % slower gathered than packed, runs of 3072 bytes
-# 1-21 % faster at every count, and 2 to 8 runs faster at any length
-# (`scripts/bench_layers.py` crossover sweep, BENCH_20.json)
-_IOV_MIN_MEAN = 3072
 
 
 class TransportUnavailable(OSError):
@@ -203,16 +192,6 @@ class InMemEndpoint(Endpoint):
             self._tx.put(_CLOSED)
 
 
-def _gathers(eng: _Engine) -> bool:
-    """Whether a tcp typed message of `eng` moves straight between the
-    socket and the region's runs (`_Engine.runs`): at most
-    `_IOV_SEGMENTS` of them, at least `_IOV_MIN_MEAN` bytes long on
-    average."""
-    runs = eng.runs
-    return (runs is not None and 0 < len(runs) <= _IOV_SEGMENTS
-            and eng.total_bytes >= _IOV_MIN_MEAN * len(runs))
-
-
 class TcpEndpoint(Endpoint):
     kind = "tcp"
 
@@ -231,9 +210,9 @@ class TcpEndpoint(Endpoint):
         self._send([header, payload], len(header) + len(payload))
 
     def send_typed(self, eng: _Engine, region) -> None:
-        """Header and the region's runs in one `sendmsg` when `eng`
-        gathers (`_gathers`); else the packed payload."""
-        if _gathers(eng):
+        """Header and the region's runs in one `sendmsg` when `eng` lists
+        them (`_Engine.runs`); else the packed payload."""
+        if eng.runs is not None:
             parts = [_HEADER.pack(eng.total_bytes), *eng.run_views(region)]
         else:
             parts = [_HEADER.pack(eng.total_bytes), eng.pack_message(region)]
@@ -303,13 +282,13 @@ class TcpEndpoint(Endpoint):
         return length
 
     def recv_typed(self, eng: _Engine, region) -> None:
-        """Receive straight into the region's runs when `eng` gathers
-        (`_gathers`), else into the endpoint's receive buffer, unpacked
+        """Receive straight into the region's runs when `eng` lists them
+        (`_Engine.runs`), else into the endpoint's receive buffer, unpacked
         from there.  A frame of the wrong size, a region short of the
         window or a read-only one raises what the unpack raises, once the
         frame is read, so the next message reads correctly."""
         length = self._recv_length(eng.total_bytes)
-        if not _gathers(eng):
+        if eng.runs is None:
             if len(self._rx) < length:
                 self._rx = bytearray(length)
             data = memoryview(self._rx)[:length]

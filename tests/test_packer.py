@@ -382,28 +382,75 @@ def test_strategy_names_the_copy_path():
         ["pieces", "pieces", "gather", "view"]
 
 
-def test_piece_records_are_built_once_per_program(monkeypatch):
+_BYTE = Base(BaseKind.BYTE)
+
+
+@pytest.mark.parametrize("t, count, runs", [
+    (Vector(1024, 768, 1536, INT), 1, None),  # one run more than a socket call takes
+    (Vector(1023, 768, 1536, INT), 1, 1023),
+    (Vector(2, 3071, 4000, _BYTE), 1, None),  # runs of 3071 bytes on average
+    (Indexed(((3070, 0), (3073, 5000)), _BYTE), 1, None),
+    (Vector(2, 3072, 4000, _BYTE), 1, 2),
+    (Indexed(((1000, 0), (5144, 2000)), _BYTE), 1, 2),  # the mean, not the shortest
+    (Contiguous(768, INT), 1, 1),  # a view is one run
+    (Contiguous(767, INT), 2, 1),
+    (Contiguous(767, INT), 1, None),
+    (Vector(2, 3072, 4000, _BYTE), 0, None),  # an empty payload
+])
+def test_runs_are_listed_for_few_long_runs_only(t, count, runs):
+    # a transport moves a payload straight between a socket and the region
+    # when it is at most 1023 runs averaging at least 3072 bytes; the
+    # interpreted engine never lists runs
+    eng = CompiledEngine(t, count)
+    assert (None if eng.runs is None else len(eng.runs)) == runs
+    if runs is not None:
+        region = (np.arange(eng.span) % 251).astype(np.uint8)
+        assert b"".join(eng.run_views(region)) == bytes(eng.pack_message(region))
+    assert InterpretedEngine(t, count).runs is None
+
+
+def test_moves_are_built_once_per_engine_and_direction(monkeypatch):
     built = []
     real = packer._record
     monkeypatch.setattr(packer, "_record", lambda *a: built.append(a) or real(*a))
-    # one piece of two fields: a region and a payload record
+    # one piece of two fields, packed and unpacked by record: a region and
+    # a payload record for each direction
     eng = CompiledEngine(HVector(40, 1, 20, Indexed(((1, 0), (1, 2)), INT)), 1)
     assert built == []  # nothing is built with the engine
     region = _fill(eng.span)
     payload = bytes(eng.pack_message(region))
-    records = eng.piece_records
+    moves = eng._moves[packer._PACK]
     assert bytes(eng.pack_message(region)) == payload
+    assert eng._moves[packer._PACK] is moves and len(built) == 2
     eng.unpack_message(payload, bytearray(eng.span))
-    assert eng.piece_records is records
-    assert len(built) == 2
+    unpack_moves = eng._moves[packer._UNPACK]
+    eng.unpack_message(payload, bytearray(eng.span))
+    assert eng._moves[packer._UNPACK] is unpack_moves is not moves
+    assert eng._moves[packer._PACK] is moves and len(built) == 4
+
+
+def test_first_pack_builds_pack_moves_only(monkeypatch):
+    # a program copied once pays for the moves of that direction alone
+    calls = []
+    real_record, real_kernel = packer._record, packer._kernel
+    monkeypatch.setattr(packer, "_record", lambda *a: calls.append("record") or real_record(*a))
+    monkeypatch.setattr(packer, "_kernel",
+                        lambda way, shape: calls.append(way) or real_kernel(way, shape))
+    eng = CompiledEngine(HVector(40, 1, 20, Indexed(((1, 0), (1, 2)), INT)), 1)
+    eng.pack_message(_fill(eng.span))
+    assert calls == [packer._PACK, "record", "record"]
+    assert eng._moves[packer._UNPACK] is None and eng._moves[packer._ACROSS] is None
 
 
 def test_single_field_pieces_move_one_item_per_row():
     # an integer word where one fits, else a void
-    assert CompiledEngine(Vector(100, 1, 2, INT), 1).piece_records[0][5:7] == \
-        (np.dtype("u4"), np.dtype("u4"))
-    assert CompiledEngine(Vector(100, 3, 4, INT), 1).piece_records[0][5:7] == \
-        (np.dtype("V12"), np.dtype("V12"))
+    for t, item in ((Vector(100, 1, 2, INT), "u4"), (Vector(100, 3, 4, INT), "V12")):
+        eng = CompiledEngine(t, 1)
+        for way in (packer._PACK, packer._UNPACK):
+            ((kernel, _, _, _, cols),) = eng._build(way)
+            assert kernel == "record"
+            assert [(s_dt, d_dt) for _, s_dt, _, d_dt in cols] == \
+                [(np.dtype(item), np.dtype(item))]
 
 
 # --- kernels of a periodic piece -----------------------------------------
@@ -420,11 +467,8 @@ def _forced(t, count: int, kernel: str) -> CompiledEngine:
     """A compiled engine of `t` whose periodic pieces move by `kernel` in
     every direction."""
     eng = CompiledEngine(t, count)
-    records, pos = [], 0
-    for p in eng.pieces:
-        records.append(packer._piece_record(p, p.first - eng.origin, pos, (kernel,) * 3))
-        pos += records[-1][2]
-    vars(eng)["piece_records"] = tuple(records)
+    for way in (packer._PACK, packer._UNPACK, packer._ACROSS):
+        eng._build(way, kernel)
     return eng
 
 
@@ -481,6 +525,12 @@ def test_renamed_record_copy_leaves_gaps():
     assert (row[:, ~covered] == 0xAA).all()
 
 
+def _kernels(eng: CompiledEngine) -> list:
+    """Per periodic piece of `eng`, its kernel in each direction."""
+    moves = [eng._build(way) for way in (packer._PACK, packer._UNPACK, packer._ACROSS)]
+    return [tuple(move[0] for move in piece) for piece in zip(*moves) if piece[0][0] != "slice"]
+
+
 def test_engines_of_one_program_pick_the_same_kernels():
     # a description and its normal form are one program, so they copy by
     # the same kernels, whichever the table gives
@@ -493,8 +543,7 @@ def test_engines_of_one_program_pick_the_same_kernels():
                    CompiledEngine(built.committed, built.count),
                    CompiledEngine(normalizer.normalize(built.committed).committed_output,
                                   built.count))
-        kernels = [[tuple(move[0] for move in r[8]) for r in eng.piece_records if r[8]]
-                   for eng in engines]
+        kernels = [_kernels(eng) for eng in engines]
         assert engines[0].copy_key == engines[2].copy_key
         assert kernels[0] == kernels[1] == kernels[2]
         picked[lid] = kernels[0]
@@ -521,8 +570,9 @@ def test_shapes_the_table_gives_no_gain_keep_the_former_kernels(at, rel, pat, pe
     # column, or, for words more than 2048 bytes apart, through a
     # contiguous copy of each column, as before the table
     piece = packer.Piece(4096, period, 0, rel, pat)
-    moves = packer._piece_record(piece, at, 0)[8]
-    assert tuple(move[0] for move in moves) == ("record", "record", across)
+    assert tuple(packer._piece_move(piece, way, at, 0)[0]
+                 for way in (packer._PACK, packer._UNPACK, packer._ACROSS)) == \
+        ("record", "record", across)
 
 
 # --- element types of the region ----------------------------------------
