@@ -36,10 +36,10 @@ scattered into its region's runs than packed and unpacked: for each
 segment count and segment length of a vector layout, the median round trip
 of each path, the two alternating repetition by repetition on one
 connection between two processes on one core.  Each point has two
-engines, one built to gather and one to pack, through the packer's
-mean-length floor (`packer._RUNS_MEAN_MIN`).  The shortest segment length
-from which the runs win at every count is the crossover.  A packer without
-that floor has no sweep.
+engines, one built to gather and one to pack, through the packer's rule
+(`packer._RUNS_MEAN_MIN`, `packer._RUNS_FEW`).  The shortest segment
+length from which the runs win at every count is the crossover, and the
+same per count.  A packer without a mean-length floor has no sweep.
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
@@ -77,7 +77,10 @@ layout (stored under `setup`) and the set-up share, so the many
 alternating runs that set-up figures need are quick.  `--runs N` makes
 N runs of the chosen sections, each in a new process, and
 `--tree LABEL=DIR`, given once per checkout, alternates them between
-checkouts of two trees.
+checkouts of two trees, each run by the checkout's own copy of this
+script when it has one, so each tree's sweeps reach its own packer.
+`--summary FILE` prints, for each tree of a file of such runs, the
+min-max over its runs of every tcp round-trip row and crossover point.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -89,6 +92,7 @@ in the JSON file `--out`, so runs of two trees can sit side by side:
     PYTHONPATH=src python scripts/bench_layers.py --setup-only --label change --out BENCH_22.json
     PYTHONPATH=src python scripts/bench_layers.py --label x --runs 3 \
         --tree parent=../parent --tree change=. --out BENCH_23.json
+    PYTHONPATH=src python scripts/bench_layers.py --summary BENCH_25.json
 """
 
 import argparse
@@ -344,10 +348,11 @@ def round_trips(cases: tuple, carrier: str, r: int = 3) -> list[dict]:
     return rows
 
 
-# segment counts and lengths (bytes) of the gather-or-pack sweep; one
-# count is the most runs a message gathers (IOV_MAX less the header)
-SWEEP_SEGMENTS = (2, 8, 32, 128, 1023)
-SWEEP_BYTES = (64, 256, 512, 1024, 2048, 3072, 4096)
+# segment counts and lengths (bytes) of the gather-or-pack sweep; 80 runs
+# of 40 bytes are coarse_tcp's tiled A=10 at 3.2 KB, and 1023 is the most
+# runs a message gathers (IOV_MAX less the header)
+SWEEP_SEGMENTS = (2, 8, 16, 32, 80, 128, 1023)
+SWEEP_BYTES = (40, 64, 256, 512, 1024, 2048, 3072, 4096)
 SWEEP_REPS = 31
 
 
@@ -355,23 +360,25 @@ def _sweep_engines() -> list:
     """Per (segments, bytes) of the sweep, a vector of that many blocks of
     that length, each followed by a gap as long, as two compiled engines:
     one that gathers (index 0) and one that packs (index 1), each path
-    fixed when its engine is built, through the packer's mean-length
-    floor (`packer._RUNS_MEAN_MIN`)."""
+    fixed when its engine is built, through the packer's rule: a
+    mean-length floor of 0 gathers every point, and a floor no payload
+    reaches, with no runs gathered at any length (`packer._RUNS_FEW` 0),
+    packs every point."""
     int_ = typecore.Base(typecore.BaseKind.INT)
-    saved = packer._RUNS_MEAN_MIN
+    saved = packer._RUNS_MEAN_MIN, getattr(packer, "_RUNS_FEW", 0)
     pairs = []
     try:
         for k in SWEEP_SEGMENTS:
             for b in SWEEP_BYTES:
                 pair = []
-                for floor in (0, sys.maxsize):
-                    packer._RUNS_MEAN_MIN = floor
+                for floor, few in ((0, saved[1]), (sys.maxsize, 0)):
+                    packer._RUNS_MEAN_MIN, packer._RUNS_FEW = floor, few
                     eng = packer.make_engine("compiled", typecore.Vector(k, b // 4, b // 2, int_), 1)
-                    eng.runs  # read once, and kept, under this floor
+                    eng.runs  # read once, and kept, under this rule
                     pair.append(eng)
                 pairs.append(pair)
     finally:
-        packer._RUNS_MEAN_MIN = saved
+        packer._RUNS_MEAN_MIN, packer._RUNS_FEW = saved
     return pairs
 
 
@@ -428,13 +435,21 @@ def crossover(reps: int = SWEEP_REPS) -> dict | None:
         g, p = statistics.median(gathered) * 1e6, statistics.median(packed) * 1e6
         points.append({"segments": k, "segment_bytes": b, "gathered_us": g,
                        "packed_us": p, "gathered_over_packed": g / p})
-    # the shortest length from which the runs win at every count and length
+    return {"reps": reps, "points": points,
+            "floor_bytes": _floor(points, SWEEP_SEGMENTS),
+            "floor_bytes_by_segments": {k: _floor(points, (k,)) for k in SWEEP_SEGMENTS}}
+
+
+def _floor(points: list, counts: tuple) -> int | None:
+    """The shortest segment length from which the runs win at each of
+    `counts` and every longer length of the sweep, or None."""
     floor = None
     for b in reversed(SWEEP_BYTES):
-        if any(pt["gathered_over_packed"] >= 1 for pt in points if pt["segment_bytes"] == b):
+        if any(pt["gathered_over_packed"] >= 1 for pt in points
+               if pt["segment_bytes"] == b and pt["segments"] in counts):
             break
         floor = b
-    return {"reps": reps, "points": points, "floor_bytes": floor}
+    return floor
 
 
 # the kernel sweep: periodic pieces of one field of each width (bytes), of
@@ -693,7 +708,8 @@ def setup_rows(reps: int) -> list[dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--label", help="key of this run in the output file (required "
+                                    "unless --summary)")
     ap.add_argument("--out", default="BENCH.json", help="JSON file to add the run to")
     ap.add_argument("--reps", type=int, default=41, help="timed repetitions per layout")
     ap.add_argument("--setup-only", action="store_true",
@@ -703,9 +719,17 @@ def main(argv=None) -> int:
                          "stored as <label>/1, <label>/2, ...")
     ap.add_argument("--tree", action="append", default=[], metavar="LABEL=DIR",
                     help="with --runs: alternate every run between these typeforge "
-                         "checkouts (DIR/src first on the import path), stored as "
+                         "checkouts (DIR/src first on the import path, and DIR's own "
+                         "scripts/bench_layers.py when it has one), stored as "
                          "LABEL/1, ...; the first tree goes first in odd runs")
+    ap.add_argument("--summary", metavar="FILE",
+                    help="print each tree's min-max over the runs of FILE for every "
+                         "tcp round-trip row and crossover point, and run nothing")
     args = ap.parse_args(argv)
+    if args.summary:
+        return print_summary(args.summary)
+    if not args.label:
+        ap.error("--label is required")
     if args.runs > 1 or args.tree:
         return _alternating_runs(args)
     if args.setup_only:
@@ -748,7 +772,9 @@ def main(argv=None) -> int:
         for k in SWEEP_SEGMENTS:
             print(f"{k:>6}" + "".join(f"{pt['gathered_over_packed']:>8.2f}"
                                       for pt in sweep["points"] if pt["segments"] == k))
-        print(f"runs win from {sweep['floor_bytes']} bytes per segment", flush=True)
+        print(f"runs win from {sweep['floor_bytes']} bytes per segment at every count; "
+              "by count: " + ", ".join(f"{k}: {b}" for k, b in
+                                       sweep["floor_bytes_by_segments"].items()), flush=True)
 
     cost = harness()
     print("tcp harness, real clock (median us): " + ", ".join(
@@ -770,14 +796,52 @@ def _alternating_runs(args) -> int:
     sections = ["--setup-only"] if args.setup_only else []
     for run in range(1, args.runs + 1):
         for label, root in trees if run % 2 else trees[::-1]:
-            env = dict(os.environ)
+            env, script = dict(os.environ), os.path.abspath(__file__)
             if root is not None:
                 env["PYTHONPATH"] = os.pathsep.join(
                     filter(None, (os.path.join(root, "src"), env.get("PYTHONPATH"))))
+                # the tree's own script, whose sweeps reach its own packer
+                own = os.path.join(root, "scripts", "bench_layers.py")
+                script = own if os.path.isfile(own) else script
             print(f"--- run {run} of {label}", flush=True)
-            subprocess.run([sys.executable, os.path.abspath(__file__), "--label",
-                            f"{label}/{run}", "--out", args.out, "--reps", str(args.reps),
-                            *sections], env=env, check=True)
+            subprocess.run([sys.executable, script, "--label", f"{label}/{run}",
+                            "--out", args.out, "--reps", str(args.reps), *sections],
+                           env=env, check=True)
+    return 0
+
+
+def summary(doc: dict) -> dict:
+    """Per row name, per tree, the values of that row over the tree's runs
+    in `doc` (a file of runs stored as LABEL/1, LABEL/2, ...): the raw,
+    typed and packed tcp round trips (us) and their typed/packed ratio,
+    and each crossover point's gathered/packed ratio."""
+    trips, points = {}, {}
+    for label, run in doc.items():
+        tree = label.rsplit("/", 1)[0]
+        for row in run.get("tcp_round_trips") or ():
+            name = f"tcp {row['layout']}/A{row['A']}/n{row['n']}"
+            for key in ("raw_us", "typed_us", "packed_us", "typed_over_packed"):
+                trips.setdefault(f"{name} {key}", {}).setdefault(tree, []).append(row[key])
+        for pt in (run.get("crossover") or {}).get("points", ()):
+            points.setdefault((pt["segments"], pt["segment_bytes"]), {}).setdefault(
+                tree, []).append(pt["gathered_over_packed"])
+    # the crossover points in grid order, whichever tree measured them first
+    return trips | {f"crossover {k}x{b} B gathered/packed": points[k, b]
+                    for k, b in sorted(points)}
+
+
+def print_summary(path: str) -> int:
+    """`summary` of the JSON file `path`, one row per line, one min-max
+    column per tree."""
+    with open(path) as fh:
+        rows = summary(json.load(fh))
+    trees = list(dict.fromkeys(tree for row in rows.values() for tree in row))
+    print(f"{'min-max over runs':<48}" + "".join(f"{tree:>16}" for tree in trees))
+    for name, row in rows.items():
+        digits = 0 if name.endswith("_us") else 2
+        cells = [f"{min(row[t]):.{digits}f}-{max(row[t]):.{digits}f}" if t in row else "-"
+                 for t in trees]
+        print(f"{name:<48}" + "".join(f"{cell:>16}" for cell in cells))
     return 0
 
 

@@ -71,12 +71,14 @@ supplies only the key and the pass:
   gather would still build the payload with `np.take`), so it packs and
   unpacks.  The key is built on the first transfer.
 
-A compiled program of at most `_RUNS_MAX` segments averaging at least
-`_RUNS_MEAN_MIN` bytes also lists them as slices of the region in payload
-order (`CompiledEngine.runs`, one for a view), so a transport moves the
-payload straight between a socket and the region (`run_views`).  The
-engine decides this once; any other program, an empty payload and the
-interpreted engine list none, and a transport packs and unpacks them.
+A compiled program of at most `_RUNS_FEW` segments, or of at most
+`_RUNS_MAX` averaging at least `_RUNS_MEAN_MIN` bytes, also lists them as
+slices of the region in payload order (`CompiledEngine.runs`, one for a
+view), so a transport moves the payload straight between a socket and
+the region (`run_views`, whose views of the last region listed are kept
+for the next message).  The engine decides this once; any other program,
+an empty payload and the interpreted engine list none, and a transport
+packs and unpacks them.
 
 Both read gaps never and write gaps never, so sentinel bytes between
 segments survive a round trip untouched.  Regions and payloads may be any
@@ -133,13 +135,19 @@ _PERIOD_CHECK_BLOCK = 1 << 16
 # socket call gathers at most IOV_MAX buffers (1024 on Linux), one of them
 # the frame header
 _RUNS_MAX = 1023
-# ... and the fewest bytes they average.  Each run costs every send and
-# receive a buffer to slice and hand to the kernel, where packing costs a
-# copy per byte: over tcp on one core, 128 or 1023 runs of 2048 bytes
-# round-trip 2-15 % slower gathered than packed, runs of 3072 bytes 1-21 %
-# faster at every count, and 2 to 8 runs faster at any length
-# (`scripts/bench_layers.py` crossover sweep, BENCH_20.json)
-_RUNS_MEAN_MIN = 3072
+# ... and when it lists them: at most `_RUNS_FEW` runs of any length, or
+# more averaging at least `_RUNS_MEAN_MIN` bytes.  The views of a region's
+# runs are sliced once and kept (`_Engine.run_views`), so what a run still
+# costs every send and receive, about 0.11 us (0.23-0.25 when they were
+# sliced for every message), is handing its buffer to the kernel, where
+# packing costs a copy per byte.  Over tcp on one core (`scripts/
+# bench_layers.py` crossover sweep, three runs in BENCH_25.json), 2 to 16
+# runs round-trip gathered in 0.49-0.90 of the packed time at every length
+# from 40 bytes, and 32 runs in 0.65-0.89 from 64 bytes (0.85-1.08 at 40;
+# no catalog program of 17 to 32 runs averages under 64); 80, 128 and 1023
+# runs read 0.88-1.07 at 1024 bytes and 0.71-0.89 at 2048
+_RUNS_FEW = 32
+_RUNS_MEAN_MIN = 2048
 # a gather index starts this many bytes past a page boundary (see
 # CompiledEngine.gather_index)
 _INDEX_PAGE_OFFSET = 2048
@@ -190,6 +198,10 @@ class _Engine:
     # engine's `copy_key`: keys never change, so it is not compared again,
     # and a weak one, so two engines that copy from each other form no cycle
     _same_key = None
+    # (region, its views) of the last region `run_views` listed, read and
+    # replaced as one attribute, so two threads sharing the engine never
+    # pair one region with the other's views
+    _kept = None
 
     def __init__(self, t: Datatype | CommittedType, count: int):
         count = checked_count(count)
@@ -225,11 +237,21 @@ class _Engine:
     def run_views(self, region, have: int | None = None) -> list[memoryview]:
         """Byte views of `region`'s `runs`, in payload order, after the
         checks of a pack (`have` None) or of an unpack of `have` bytes
-        (`_checked`).  Only an engine with `runs` has them."""
+        (`_checked`).  Only an engine with `runs` has them.
+
+        The views of the last region listed are kept, so a message from
+        or into the same region object slices nothing: the list is new on
+        every call, for the caller may slice it in place, but its views
+        are the kept ones.  Listing another region drops them, and with
+        them the old region's buffer exports, so a `bytearray` listed
+        before can be resized again."""
         view = self._checked(region, have)
         if view is None:
             return []
-        return list(map(_byte_view(view).__getitem__, self.runs))
+        kept = self._kept
+        if kept is None or kept[0] is not region:
+            kept = self._kept = (region, tuple(map(_byte_view(view).__getitem__, self.runs)))
+        return list(kept[1])
 
     def _checked(self, region, have: int | None = None) -> memoryview | None:
         """The checks of every copy.  `have` is the size of the payload to
@@ -478,11 +500,13 @@ class CompiledEngine(_Engine):
     def runs(self) -> tuple[slice, ...] | None:
         """The segments as slices of the region, in payload order (one for
         a view), when a transport moves the payload straight between a
-        socket and them: at most `_RUNS_MAX` segments averaging at least
-        `_RUNS_MEAN_MIN` bytes.  None for any other program, whose list is
-        not built for them, and for an empty payload."""
+        socket and them: at most `_RUNS_FEW` segments, or at most
+        `_RUNS_MAX` averaging at least `_RUNS_MEAN_MIN` bytes.  None for
+        any other program, whose list is not built for them, and for an
+        empty payload."""
         n = self.segment_count
-        if not 0 < n <= _RUNS_MAX or self.total_bytes < _RUNS_MEAN_MIN * n:
+        if not 0 < n <= _RUNS_MAX or \
+                n > _RUNS_FEW and self.total_bytes < _RUNS_MEAN_MIN * n:
             return None
         starts = (self.offsets - self.origin).tolist()
         return tuple(map(slice, starts, map(int.__add__, starts, self.lengths.tolist())))

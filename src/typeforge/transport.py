@@ -12,15 +12,19 @@ into its own region, which is the cost a real receive pays.
 
 A typed message (`Endpoint.send_typed`/`recv_typed`) travels on tcp in
 the frame a packed one does, its payload the bytes the engine would pack.
-When the engine lists its payload as a few long runs of the region
-(`_Engine.runs`; a view is one run, and the engine decides how few and how
-long), the sender gathers the header and the runs into one `sendmsg` and
-the receiver scatters the payload straight into them with
-`recvmsg_into`, with no payload buffer in between.  Any other typed
+When the engine lists its payload as runs of the region (`_Engine.runs`: a
+view is one run, and the engine lists a few runs of any length or more
+long ones), the sender gathers the header and the runs into one `sendmsg`
+and the receiver scatters the payload straight into them with
+`recvmsg_into`, with no payload buffer in between.  The engine keeps the
+views of the last region it listed (`_Engine.run_views`), so a message
+from or into the region of the one before slices nothing.  Any other typed
 message is packed by its sender and received into the endpoint's
-receive buffer, which is reused from frame to frame, then unpacked.  A
-tcp receive that fails mid-frame may leave part of the payload in the
-region's payload bytes, never in its gaps.  On inmem, when the sending
+receive buffer, which is reused from frame to frame, then unpacked.  Each
+tcp receive waits for all the bytes it asks for (MSG_WAITALL), so a payload
+that arrives in parts takes one call, not one per part.  A tcp receive
+that fails mid-frame may leave part of the payload in the region's
+payload bytes, never in its gaps.  On inmem, when the sending
 engine can be copied from
 straight across (it has a `copy_key`: an interpreted engine, or a
 compiled program of pieces), it is a reference to the sender's
@@ -241,14 +245,17 @@ class TcpEndpoint(Endpoint):
     def _fill(self, bufs: list, n: int) -> None:
         """Fill the writable byte views `bufs`, `n` bytes in all, in order
         from the socket, going on across partial receives: `recv_into` the
-        last one, `recvmsg_into` any more."""
+        last one, `recvmsg_into` any more.  Each call waits for all it is
+        given (MSG_WAITALL), so a payload arriving in parts costs one call,
+        not one per part; the views never reach past the frame, so it
+        never waits for the next."""
         i = 0
         while n:
             try:
                 if i == len(bufs) - 1:
-                    got = self._sock.recv_into(bufs[i])
+                    got = self._sock.recv_into(bufs[i], 0, socket.MSG_WAITALL)
                 else:
-                    got = self._sock.recvmsg_into(bufs[i:])[0]
+                    got = self._sock.recvmsg_into(bufs[i:], 0, socket.MSG_WAITALL)[0]
             except OSError as exc:
                 raise PeerClosed(f"recv failed: {exc}") from exc
             if got == 0:
@@ -372,12 +379,12 @@ def tcp_connect(port: int, peer_id: str, host: str = "127.0.0.1", timeout: float
 # (`Endpoint.send_typed`/`recv_typed`).  Over inmem the receiver copies
 # from the sender's region in one pass, for the interpreted engine (one
 # tree walk per direction) and for compiled programs of pieces.  Over tcp
-# a compiled program of few long runs is gathered from the sender's region
-# and scattered into the receiver's, and any other message is packed and
-# unpacked through the endpoint's reused receive buffer.  A packed round
-# trip is the explicit MPI_Pack path on every carrier: pack into a fresh
-# buffer, send those bytes, receive them into a fresh buffer, unpack.  So
-# G2/G3 compare two different paths on both carriers, except for a
+# a compiled program of few runs, or of long ones, is gathered from the
+# sender's region and scattered into the receiver's, and any other message
+# is packed and unpacked through the endpoint's reused receive buffer.  A
+# packed round trip is the explicit MPI_Pack path on every carrier: pack
+# into a fresh buffer, send those bytes, receive them into a fresh buffer,
+# unpack.  So G2/G3 compare two different paths on both carriers, except for a
 # compiled view or gather on inmem.  A raw round trip receives straight
 # into its region over tcp, so it stays the floor of both.
 

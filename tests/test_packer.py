@@ -385,28 +385,90 @@ def test_strategy_names_the_copy_path():
 _BYTE = Base(BaseKind.BYTE)
 
 
+# 33 runs averaging 2047 bytes, and 33 averaging 2048 with one of 1000
+_SHORT_MEAN = tuple((2048 - (i == 0), 4000 * i) for i in range(33))
+_LONG_MEAN = tuple((1000 if i == 0 else 2081, 4000 * i) for i in range(33))
+
+
 @pytest.mark.parametrize("t, count, runs", [
     (Vector(1024, 768, 1536, INT), 1, None),  # one run more than a socket call takes
     (Vector(1023, 768, 1536, INT), 1, 1023),
-    (Vector(2, 3071, 4000, _BYTE), 1, None),  # runs of 3071 bytes on average
-    (Indexed(((3070, 0), (3073, 5000)), _BYTE), 1, None),
+    (Vector(33, 2047, 4000, _BYTE), 1, None),  # more than 32 runs of 2047 bytes
+    (Indexed(_SHORT_MEAN, _BYTE), 1, None),
     (Vector(2, 3072, 4000, _BYTE), 1, 2),
-    (Indexed(((1000, 0), (5144, 2000)), _BYTE), 1, 2),  # the mean, not the shortest
+    (Indexed(((1000, 0), (5144, 2000)), _BYTE), 1, 2),
     (Contiguous(768, INT), 1, 1),  # a view is one run
     (Contiguous(767, INT), 2, 1),
-    (Contiguous(767, INT), 1, None),
+    (Vector(33, 1, 2, _BYTE), 1, None),
     (Vector(2, 3072, 4000, _BYTE), 0, None),  # an empty payload
+    (Vector(33, 2048, 4000, _BYTE), 1, 33),
+    (Indexed(_LONG_MEAN, _BYTE), 1, 33),  # the mean, not the shortest
+    (Vector(32, 1, 2, _BYTE), 1, 32),  # at most 32 runs, of any length
+    (Contiguous(1, _BYTE), 1, 1),
 ])
 def test_runs_are_listed_for_few_long_runs_only(t, count, runs):
     # a transport moves a payload straight between a socket and the region
-    # when it is at most 1023 runs averaging at least 3072 bytes; the
-    # interpreted engine never lists runs
+    # when it is at most 32 runs, or at most 1023 averaging at least 2048
+    # bytes; the interpreted engine never lists runs
     eng = CompiledEngine(t, count)
     assert (None if eng.runs is None else len(eng.runs)) == runs
     if runs is not None:
         region = (np.arange(eng.span) % 251).astype(np.uint8)
         assert b"".join(eng.run_views(region)) == bytes(eng.pack_message(region))
     assert InterpretedEngine(t, count).runs is None
+
+
+_RUNS_TYPE = Vector(4, 1000, 1500, INT)
+
+
+def test_run_views_of_one_region_are_kept():
+    # the same region object gets the same views in a new list (a caller
+    # may slice its list in place); another region gets views of its own
+    eng = CompiledEngine(_RUNS_TYPE, 2)
+    region, other = bytearray(eng.span), bytearray(eng.span)
+    first = eng.run_views(region)
+    again = eng.run_views(region, eng.total_bytes)
+    assert again is not first and len(again) == len(eng.runs) > 1
+    assert all(a is b for a, b in zip(again, first))
+    views = eng.run_views(other)
+    assert not any(a is b for a, b in zip(views, first))
+    assert all(v.obj is other for v in views)
+    assert all(a is b for a, b in zip(eng.run_views(other), views))
+
+
+def test_listing_another_region_releases_the_first():
+    # a region's buffer stays exported while its views are kept, and only
+    # then: once the engine lists another region, it can be resized again
+    eng = CompiledEngine(_RUNS_TYPE, 2)
+    region = bytearray(eng.span)
+    eng.run_views(region)
+    with pytest.raises(BufferError):
+        region.extend(b"x")
+    eng.run_views(bytearray(eng.span))
+    region.extend(b"x")
+    assert len(region) == eng.span + 1
+
+
+def _raised(eng, region, have) -> tuple:
+    with pytest.raises((SizeMismatch, RegionTooSmall, TypeError)) as info:
+        eng.run_views(region, have)
+    return info.type, str(info.value)
+
+
+def test_kept_views_skip_no_check():
+    # an engine that keeps a region's views raises, for that region and
+    # for a short one, what a fresh engine raises, and keeps its views
+    eng = CompiledEngine(_RUNS_TYPE, 2)
+    readonly, short = bytes(eng.span), bytearray(eng.span - 1)
+    kept = eng.run_views(readonly)
+    for region, have, error in ((readonly, eng.total_bytes - 1, SizeMismatch),
+                                (readonly, eng.total_bytes, TypeError),
+                                (short, None, RegionTooSmall),
+                                (short, eng.total_bytes, RegionTooSmall)):
+        raised = _raised(eng, region, have)
+        assert raised[0] is error
+        assert raised == _raised(CompiledEngine(_RUNS_TYPE, 2), region, have)
+    assert all(a is b for a, b in zip(eng.run_views(readonly), kept))
 
 
 def test_moves_are_built_once_per_engine_and_direction(monkeypatch):
