@@ -39,13 +39,12 @@ connection between two processes on one core.  Each point has two
 engines, one built to gather and one to pack, through the packer's rule
 (`packer._RUNS_MEAN_MIN`, `packer._RUNS_FEW`).  The shortest segment
 length from which the runs win at every count is the crossover, and the
-same per count.  A packer without a mean-length floor has no sweep.
+same per count.
 
 It then times the harness's fixed cost on the tcp carrier under the real
 clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
 and stops an echo process of its own; the same measurement within an open
-`bench.echo_session`, whose process is already running (a library
-without echo sessions starts one per measurement here too); and one tcp
+`bench.echo_session`, whose process is already running; and one tcp
 `basic_layouts` experiment over the grid of perfbench's coarse_tcp sweep.
 
 Then it times the set-up share of all 11 experiments: each runs at r=1,
@@ -69,8 +68,7 @@ pattern of words the word gather as well; then, per payload size and
 direction, how often the pick is within 10 % of the fastest kernel and
 its worst ratios to the fastest and to the former kernel.  Each kernel's
 move comes from the packer's per-direction builder (`packer._piece_move`)
-and runs through its copy loop (`packer._run_moves`); a packer without
-that builder has no sweep.
+and runs through its copy loop (`packer._run_moves`).
 
 With `--setup-only` it times only the set-up stages of every reference
 layout (stored under `setup`) and the set-up share, so the many
@@ -275,7 +273,7 @@ def harness() -> dict:
 
     out = {}
     out["lone_run_case"], _ = _timed(measure_once, 5)
-    with getattr(bench, "echo_session", contextlib.nullcontext)():
+    with bench.echo_session():
         measure_once()
         out["run_case_in_session"], _ = _timed(measure_once, 21)
     out["coarse_tcp_experiment"], _ = _timed(lambda: experiments.run_experiment(plan), 3)
@@ -365,7 +363,7 @@ def _sweep_engines() -> list:
     reaches, with no runs gathered at any length (`packer._RUNS_FEW` 0),
     packs every point."""
     int_ = typecore.Base(typecore.BaseKind.INT)
-    saved = packer._RUNS_MEAN_MIN, getattr(packer, "_RUNS_FEW", 0)
+    saved = packer._RUNS_MEAN_MIN, packer._RUNS_FEW
     pairs = []
     try:
         for k in SWEEP_SEGMENTS:
@@ -407,11 +405,8 @@ def _sweep_echo(port: int, reps: int) -> None:
         ep.close()
 
 
-def crossover(reps: int = SWEEP_REPS) -> dict | None:
-    """The gather-or-pack sweep (see the module docstring), or None for a
-    packer without a mean-length floor."""
-    if not hasattr(packer, "_RUNS_MEAN_MIN"):
-        return None
+def crossover(reps: int = SWEEP_REPS) -> dict:
+    """The gather-or-pack sweep (see the module docstring)."""
     with one_core():
         listener, port = transport.tcp_listener()
         child = multiprocessing.get_context("spawn").Process(target=_sweep_echo,
@@ -525,11 +520,8 @@ def _kernel_point(piece, shift: int, reps: int) -> dict:
     return out
 
 
-def kernel_sweep(reps: int) -> dict | None:
-    """The kernel sweep (see the module docstring), on one core, or None
-    for a packer without a per-direction move builder."""
-    if not hasattr(packer, "_piece_move"):
-        return None
+def kernel_sweep(reps: int) -> dict:
+    """The kernel sweep (see the module docstring), on one core."""
     points = []
     with one_core():
         for payload in KERNEL_PAYLOADS:
@@ -579,11 +571,9 @@ def _point_name(pt: dict) -> str:
             f" rows={pt['rows']}")
 
 
-def print_kernel_sweep(reps: int) -> dict | None:
+def print_kernel_sweep(reps: int) -> dict:
     """`kernel_sweep`, printed as its summary."""
     sweep = kernel_sweep(reps)
-    if sweep is None:
-        return None
     print(f"{'kernel sweep, one core':<24}{'points':>7}{'~fastest':>9}{'max/fast':>9}"
           f"{'max/former':>11}{'med/former':>11}  worst against former")
     for key, row in sweep["summary"].items():
@@ -766,15 +756,14 @@ def main(argv=None) -> int:
                   + f"{row['typed_over_packed']:>14.2f}", flush=True)
 
     sweep = crossover()
-    if sweep is not None:
-        print("tcp typed round trip, gathered/packed, one core "
-              f"(rows: segments; columns: segment bytes {SWEEP_BYTES})")
-        for k in SWEEP_SEGMENTS:
-            print(f"{k:>6}" + "".join(f"{pt['gathered_over_packed']:>8.2f}"
-                                      for pt in sweep["points"] if pt["segments"] == k))
-        print(f"runs win from {sweep['floor_bytes']} bytes per segment at every count; "
-              "by count: " + ", ".join(f"{k}: {b}" for k, b in
-                                       sweep["floor_bytes_by_segments"].items()), flush=True)
+    print("tcp typed round trip, gathered/packed, one core "
+          f"(rows: segments; columns: segment bytes {SWEEP_BYTES})")
+    for k in SWEEP_SEGMENTS:
+        print(f"{k:>6}" + "".join(f"{pt['gathered_over_packed']:>8.2f}"
+                                  for pt in sweep["points"] if pt["segments"] == k))
+    print(f"runs win from {sweep['floor_bytes']} bytes per segment at every count; "
+          "by count: " + ", ".join(f"{k}: {b}" for k, b in
+                                   sweep["floor_bytes_by_segments"].items()), flush=True)
 
     cost = harness()
     print("tcp harness, real clock (median us): " + ", ".join(

@@ -1,7 +1,7 @@
 """Ping-pong timing harness with median-of-runs reduction.
 
 One scheduler measures every case.  It takes groups of cases, each group
-one comparison (one case, or lhs then rhs), and runs the groups one after
+one comparison (its cases, each once), and runs the groups one after
 another.  A group gets `r` independent runs over fresh endpoints; each run
 alternates single repetitions of its cases on one channel, first a few
 untimed warmups, then `nrep` timed repetitions per case.  Both parties

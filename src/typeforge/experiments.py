@@ -12,8 +12,12 @@ one call:
 
 * bench experiments time a set of layouts side by side and emit only
   timing rows, one comparison with no guideline case per layout;
-* guideline experiments additionally compare two ways of moving the same
-  layout and emit verdict rows.
+* guideline experiments additionally compare ways of moving the same
+  layout (two, or a family's reference and all its alternatives) and emit
+  verdict rows, each judged from the stats of its own two cases.
+
+A point measures each of its cases once, and its stats rows list them in
+measuring order.
 
 Grid points whose parameters do not divide evenly (a byte size is not a
 whole number of elements, count would not be a whole number, or a
@@ -30,7 +34,7 @@ from .guidelines import (
     DEFAULT_THRESHOLD,
     GuidelineVerdict,
     Measured,
-    _alternatives_comparisons,
+    _alternatives_comparison,
     _bench_case,
     _bench_row,
     _g1_comparison,
@@ -105,21 +109,11 @@ class ExperimentResult:
     stats: list[RunStats] = field(default_factory=list)
     verdicts: list[GuidelineVerdict] = field(default_factory=list)
 
-    _seen: set = field(default_factory=set, repr=False)
-
-    def add_stats(self, *rows: RunStats) -> None:
-        for row in rows:
-            if row.case.case_id not in self._seen:
-                self._seen.add(row.case.case_id)
-                self.stats.append(row)
-
     def add(self, measured: Measured) -> None:
-        """Each comparison's verdicts and stats rows, lhs first, except that
-        G4_ALT lists its reference (the rhs) first."""
+        """Each comparison's stats rows, in measuring order, and verdicts."""
         for stats, verdicts in measured:
+            self.stats.extend(stats)
             self.verdicts.extend(verdicts)
-            alt = any(v.case.guideline == "G4_ALT_DESCRIPTION" for v in verdicts)
-            self.add_stats(*(reversed(stats) if alt else stats))
 
 
 # --- grid points and their comparisons ------------------------------------
@@ -191,7 +185,7 @@ def _contig(plan: ExperimentPlan, a: int, n: int, tag: str):
 
 
 def _family(plan: ExperimentPlan, a: int, n: int, tag: str, **fields):
-    """One measurement: each alternative against the reference, then G4 of
+    """One measurement: the reference and every alternative, then G4 of
     every member."""
     try:
         family = build_alternatives(_spec(plan, _EXPERIMENTS[plan.experiment].layout,
@@ -200,7 +194,7 @@ def _family(plan: ExperimentPlan, a: int, n: int, tag: str, **fields):
         return
     how = (plan.engine, plan.transport, plan.threshold)
     case_id = f"{plan.experiment}/{tag}"
-    yield _alternatives_comparisons(family, *how, case_id, a) + [
+    yield [_alternatives_comparison(family, *how, case_id, a)] + [
         _g4_comparison(m.committed, m.count, *how, f"{case_id}/{m.spec.id}", a)
         for m in family]
 

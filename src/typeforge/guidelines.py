@@ -18,11 +18,13 @@ Relations: "similar" is violated when max(ratio, 1/ratio) exceeds the
 threshold, "no_slower" when ratio alone does.  Both sides must describe
 byte-identical layouts; anything else is a comparison error, not a verdict.
 
-Each guideline has a builder that makes its comparison (the cases to
-measure together and the guideline cases to judge from them), and one
-measuring call, `_judge_all`, returns every comparison's stats and
-verdicts.  Each `check_*` is its builder plus that call; the experiments
-combine the builders per grid point.
+Each guideline has a builder that makes its comparison: the cases to
+measure together, each once (two, or a family's reference and all its
+alternatives), and the guideline cases to judge from them.  One measuring
+call, `_judge_all`, returns every comparison's stats and verdicts, each
+verdict judged from the stats of its own two sides.  Each `check_*` is its
+builder plus that call; the experiments combine the builders per grid
+point.
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ def _bench_case(case_id: str, ct: CommittedType, count: int, variant: str, engin
     )
 
 
-# One comparison: the cases measured together (one case, or lhs then rhs)
-# and the guideline cases judged from their stats.  A plain bench row is a
+# One comparison: the cases measured together, each once, and the
+# guideline cases judged from their stats.  A plain bench row is a
 # comparison with no guideline case.
 Comparison = tuple[list[BenchCase], list[GuidelineCase]]
 
@@ -170,23 +172,18 @@ def _g4_comparison(ct: CommittedType, c: int, engine: str, transport: str,
     return ([lhs, rhs] if report.changed else [lhs]), [case]
 
 
-def _alternatives_comparisons(family: list[BuiltLayout], engine: str, transport: str,
-                              threshold: float, case_id: str, A: Optional[int]
-                              ) -> list[Comparison]:
-    """(alternative, reference) for every member after the reference."""
+def _alternatives_comparison(family: list[BuiltLayout], engine: str, transport: str,
+                             threshold: float, case_id: str, A: Optional[int]) -> Comparison:
+    """The family's reference, then every other member, measured together;
+    each member after the reference is judged against it."""
     ref = family[0]
-    ref_case = _bench_case(f"{case_id}/{ref.spec.id}", ref.committed, ref.count,
-                           "typed", engine, transport, A)
-    out = []
     for member in family[1:]:
         _require_same_layout(member.committed, member.count,
                              ref.committed, ref.count, "G4_ALT_DESCRIPTION")
-        alt_case = _bench_case(f"{case_id}/{member.spec.id}", member.committed,
-                               member.count, "typed", engine, transport, A)
-        case = GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR,
-                             alt_case, ref_case, threshold)
-        out.append(([alt_case, ref_case], [case]))
-    return out
+    group = [_bench_case(f"{case_id}/{m.spec.id}", m.committed, m.count,
+                         "typed", engine, transport, A) for m in family]
+    return group, [GuidelineCase("G4_ALT_DESCRIPTION", case_id, SIMILAR, alt, group[0], threshold)
+                   for alt in group[1:]]
 
 
 # What one measuring call found for each of its comparisons: the stats of
@@ -197,10 +194,16 @@ Measured = list[tuple[list[RunStats], list[GuidelineVerdict]]]
 def _judge_all(comparisons: Sequence[Comparison], r: int, nrep: Optional[int],
                clock: Optional[Callable[[], float]], seed: int) -> Measured:
     """Measure the comparisons in one call, each with runs of its own, and
-    judge each guideline case from its comparison's first and last case."""
+    judge each guideline case from the stats of its own lhs and rhs."""
     stats = _measure([group for group, _ in comparisons], r, nrep, WARMUP_REPS, clock, seed)
-    return [(group_stats, [judge(case, group_stats[0], group_stats[-1]) for case in cases])
-            for (_, cases), group_stats in zip(comparisons, stats)]
+    measured = []
+    for (group, cases), group_stats in zip(comparisons, stats):
+        of = {id(case): s for case, s in zip(group, group_stats)}
+        # an already-normal G4 measures only its lhs, which its rhs reads too
+        measured.append((group_stats, [judge(case, of[id(case.lhs)],
+                                             of.get(id(case.rhs), of[id(case.lhs)]))
+                                       for case in cases]))
+    return measured
 
 
 def _check(comparisons: Sequence[Comparison], r: int, nrep: Optional[int],
@@ -285,8 +288,8 @@ def check_alternatives(
     A: Optional[int] = None,
 ) -> list[GuidelineVerdict]:
     """Compare every family member against the family's reference."""
-    return _check(_alternatives_comparisons(build_alternatives(spec), engine, transport,
-                                            threshold, case_id, A), r, nrep, clock, seed)
+    return _check([_alternatives_comparison(build_alternatives(spec), engine, transport,
+                                            threshold, case_id, A)], r, nrep, clock, seed)
 
 
 # --- CSV output ---------------------------------------------------------

@@ -1,10 +1,11 @@
 """Two-party message transports and single-repetition ping-pong operations.
 
-Endpoints exchange length-prefixed messages ([u64 little-endian length]
-[payload]) over one of two carriers:
+Endpoints exchange whole messages over one of two carriers:
 
-* inmem: a pair of queues between two threads of one process.
-* tcp: a loopback socket, one process (or thread) on each side.
+* inmem: a pair of queues between two threads of one process, one queue
+  item per message, so the queue keeps message boundaries.
+* tcp: a loopback socket, one process (or thread) on each side, each
+  message framed as [u64 little-endian length][payload].
 
 A ping-pong repetition is strictly sequential, so in-memory payloads are
 handed over by reference without copying; the receiving side always copies
@@ -76,9 +77,9 @@ class Endpoint:
         raise NotImplementedError
 
     def recv_msg(self, limit: int | None = None):
-        """The next message.  A frame announcing more than `limit` bytes
-        (by default a sanity cap of 1 TiB) raises PeerClosed before any
-        buffer is allocated for it."""
+        """The next message.  One of more than `limit` bytes (by default a
+        sanity cap of 1 TiB) raises PeerClosed; on tcp, before any buffer
+        is allocated for it."""
         raise NotImplementedError
 
     def send_typed(self, eng: _Engine, region) -> None:
@@ -143,27 +144,23 @@ class InMemEndpoint(Endpoint):
         self._tx = tx
         self._open = True
 
-    def _put(self, length: int, payload) -> None:
+    def _put(self, payload) -> None:
         if not self._open:
             raise PeerClosed("endpoint is closed")
-        self._tx.put(_HEADER.pack(length))
         self._tx.put(payload)
 
     def _get(self, limit: int | None):
-        header = self._rx.get()
-        if header is _CLOSED:
-            raise PeerClosed("peer closed the channel")
-        (length,) = _HEADER.unpack(header)
-        _check_length(length, limit)
+        """The next queue item, one whole message: a payload or a
+        `_TypedRef`, bounded by its own length."""
         payload = self._rx.get()
         if payload is _CLOSED:
-            raise PeerClosed("peer closed the channel mid-message")
-        if not isinstance(payload, _TypedRef) and len(payload) != length:
-            raise PeerClosed(f"framing error: announced {length}, got {len(payload)}")
+            raise PeerClosed("peer closed the channel")
+        _check_length(payload.engine.total_bytes if isinstance(payload, _TypedRef)
+                      else len(payload), limit)
         return payload
 
     def send_msg(self, payload) -> None:
-        self._put(len(payload), payload)
+        self._put(payload)
 
     def recv_msg(self, limit: int | None = None):
         """The next message; a typed one arrives as the bytes its sender
@@ -179,7 +176,7 @@ class InMemEndpoint(Endpoint):
         if eng.copy_key is None:
             super().send_typed(eng, region)
         else:
-            self._put(eng.total_bytes, _TypedRef(eng, region))
+            self._put(_TypedRef(eng, region))
 
     def recv_typed(self, eng: _Engine, region) -> None:
         """Copy a typed message straight from the sender's region into

@@ -32,8 +32,8 @@ fuses with it, so `HVector(64000, 1, 80, Vector(5, 2, 4, INT))` and 320000
 instances of `Resized(0, 16, Contiguous(2, INT))` hold one form, and only
 a step that does not builds the inner tiling's list.  Segment counts and
 payload bounds are read off the form; `equivalent` compares two tilings of
-as many copies at one stride by their units and a tiling against any other
-list row by row.  `bounds` reads (lb, ub) from the tree, or from a
+as many copies at one stride by their units, and any other two lists a
+window at a time.  `bounds` reads (lb, ub) from the tree, or from a
 committed node's stored unit, without building segments.  So commit,
 normalization and comparison of a regular description grow with the size
 of the description, not with its instance count; irregular indexed
@@ -116,15 +116,16 @@ _BLOCKLENS = "_table_blocklens"
 
 class _Node:
     """What every constructor node shares: a pickle or a copy of a node
-    holds its fields only, not the unit `commit` or the period
-    `table_period` stored on it, so the copy derives its own."""
+    holds its fields only, not the unit `commit` stored on it, so the copy
+    derives its own.  `Indexed` and `IndexedBlock`, which also store a
+    period (`table_period`) and blocklens, pickle and copy through their
+    own `__reduce__`, which passes their fields alone."""
 
     __slots__ = ()
 
     def __getstate__(self):
         state = dict(vars(self))
         state.pop(_UNIT, None)
-        state.pop(_PERIOD, None)
         return state
 
 
@@ -357,25 +358,6 @@ class ClosedForm(NamedTuple):
         """The list as explicit (offsets, lengths) arrays."""
         return self.between(0, self.segment_count)
 
-    def rows_match(self, off: np.ndarray, ln: np.ndarray) -> bool:
-        """Whether the explicit list (`off`, `ln`), of as many segments as
-        this one, holds the same segments: compared part by part, the rows
-        of the pattern column by column on a (rows, pattern length)
-        reshape of the list, so no tiling is built and no temporary is
-        larger than one column."""
-        (h_off, h_len), (p_off, p_len), rows, (t_off, t_len) = self.runs()
-        h = len(h_off)
-        end = h + rows * len(p_off)
-        ends = ((off[:h], h_off), (ln[:h], h_len), (off[end:], t_off), (ln[end:], t_len))
-        if h and not all(bool((x == y).all()) for x, y in ends):
-            return False
-        body_off = off[h:end].reshape(rows, len(p_off))
-        body_len = ln[h:end].reshape(body_off.shape)
-        shifts = np.arange(rows, dtype=np.int64) * self.stride
-        return all(bool((body_len[:, j] == p_len[j]).all())
-                   and np.array_equal(body_off[:, j] - p_off[j], shifts)
-                   for j in range(len(p_off)))
-
 
 _NO_SEGMENTS = ClosedForm(_EMPTY, _EMPTY)
 
@@ -446,17 +428,23 @@ class FlatLayout:
 
     def same_segments(self, other: "FlatLayout") -> bool:
         """Whether both lists hold the same segments in the same order.
-        Two tilings of as many copies at one stride compare their units; a
-        tiling and any other list compare row by row (`ClosedForm.rows_match`),
-        the other list built if it is a tiling too; only two explicit lists
-        compare whole arrays."""
-        tiled, rest = (self, other) if self.form.copies > 1 else (other, self)
-        a, b = tiled.form, rest.form
-        if a.copies == 1 or (a.copies, a.stride) == (b.copies, b.stride):
+        Two lists of as many copies at one stride compare their units; any
+        other two compare `_CHECK_ENTRIES` segments at a time
+        (`ClosedForm.between`), so no tiling is built whole."""
+        a, b = self.form, other.form
+        if (a.copies, a.stride) == (b.copies, b.stride):
             # two tilings of as many copies at one stride hold one list
             # exactly when they hold one unit
             return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.lengths, b.lengths)
-        return self.segment_count == other.segment_count and a.rows_match(rest.offsets, rest.lengths)
+        n = a.segment_count
+        if n != b.segment_count:
+            return False
+        for lo in range(0, n, _CHECK_ENTRIES):
+            hi = min(lo + _CHECK_ENTRIES, n)
+            (a_off, a_len), (b_off, b_len) = a.between(lo, hi), b.between(lo, hi)
+            if not (np.array_equal(a_off, b_off) and np.array_equal(a_len, b_len)):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -590,8 +578,9 @@ def block_table(t: Indexed | IndexedBlock, ext: int = 1,
     return lens, displs if ext == 1 else displs * ext
 
 
-# longest period `table_period` looks for, and the table entries its full
-# check compares at a time (a multiple of both row widths)
+# longest period `table_period` looks for; and how much a full check
+# compares at a time: table entries in `table_period` (a multiple of both
+# row widths), segments in `FlatLayout.same_segments`
 _PERIOD_MAX = 4
 _CHECK_ENTRIES = 32768
 

@@ -1,7 +1,7 @@
-"""Tests of `scripts/bench_layers.py`: its hooks into the packer (a
-renamed hook would make the script's sweeps return None and drop out of
-its output without an error), its summary of a file of runs, and the
-script each checkout of `--tree` runs."""
+"""Tests of `scripts/bench_layers.py`: its hooks into the packer (the
+script names them directly, so a renamed hook fails here, and fails the
+script, instead of dropping a sweep from its output), its summary of a
+file of runs, and the script each checkout of `--tree` runs."""
 
 import importlib.util
 import os

@@ -6,12 +6,11 @@ from collections import Counter
 import pytest
 
 import typeforge.bench as bench
+import typeforge.guidelines as guidelines
 import typeforge.typecore as typecore
-from typeforge.bench import BenchCase
 from typeforge.experiments import (
     EXPERIMENT_IDS,
     ExperimentPlan,
-    ExperimentResult,
     make_plan,
     run_experiment,
 )
@@ -111,16 +110,35 @@ def test_plan_rejects_an_unknown_variant():
 # --- result assembly ----------------------------------------------------
 
 
-def _stats_row(case_id, mean=1.0):
-    case = BenchCase(case_id, None, 0, "raw", "compiled", "inmem", 8)
-    return bench._reduce(case, 1, [(mean,)])
+def test_family_point_measures_each_case_once(monkeypatch, fake_clock, tmp_path):
+    measured = []
+    real = guidelines._measure
 
+    def recording(groups, *args):
+        measured.extend(case for group in groups for case in group)
+        return real(groups, *args)
 
-def test_duplicate_case_ids_keep_the_first_row():
-    result = ExperimentResult(make_plan("basic_layouts"))
-    result.add_stats(_stats_row("x", 1.0), _stats_row("y", 2.0), _stats_row("x", 3.0))
-    assert [s.case.case_id for s in result.stats] == ["x", "y"]
-    assert result.stats[0].mean_s == 1.0
+    monkeypatch.setattr(guidelines, "_measure", recording)
+    plan = make_plan("rowcol", A_values=(2,), sizes=(6,), r=2, nrep=3)
+    result = run_experiment(plan, clock=fake_clock)
+    # one reference for both alternatives
+    assert len({id(case) for case in measured}) == len(measured) == 8
+    ids = [s.case.case_id for s in result.stats]
+    assert len(set(ids)) == len(ids) == len(measured)
+    assert [id(s.case) for s in result.stats] == [id(case) for case in measured]
+
+    # every G4_ALT verdict reads the rows of its own two sides, and the
+    # sidecar holds their samples
+    path = tmp_path / "raw.json"
+    bench.write_raw_json(str(path), result.stats)
+    raw = {entry["case_id"]: entry["runs"] for entry in json.loads(path.read_text())}
+    rows = {s.case.case_id: s for s in result.stats}
+    alts = [v for v in result.verdicts if v.case.guideline == "G4_ALT_DESCRIPTION"]
+    assert len(alts) == 2
+    for v in alts:
+        for case, stats in ((v.case.lhs, v.lhs_stats), (v.case.rhs, v.rhs_stats)):
+            assert rows[case.case_id] is stats
+            assert raw[case.case_id] == [list(run) for run in stats.raw_samples]
 
 
 # --- tiny grids through the real pipeline -------------------------------

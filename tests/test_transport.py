@@ -356,6 +356,27 @@ def test_receive_bound_is_the_expected_length(kind):
         pong.close()
 
 
+def test_inmem_typed_reference_is_bounded_by_its_payload():
+    # one queue item per message: a typed reference is refused by its
+    # engine's payload size, as a packed message by its length, and the
+    # next message arrives whole
+    big = make_engine("compiled", Vector(8, 1, 2, INT), 1)
+    small = make_engine("compiled", Vector(4, 1, 2, INT), 1)
+    assert big.copy_key is not None
+    ping, pong = make_pair("inmem")
+    try:
+        ping.send_typed(big, _fill(big.span))
+        with pytest.raises(PeerClosed, match=f"frame announces {big.total_bytes} bytes"):
+            pong.recv_typed(small, bytearray(small.span))
+        sent, region = _fill(small.span, salt=5), bytearray(small.span)
+        ping.send_typed(small, sent)
+        pong.recv_typed(small, region)
+        assert bytes(small.pack_message(region)) == bytes(small.pack_message(sent))
+    finally:
+        ping.close()
+        pong.close()
+
+
 @pytest.mark.parametrize("path", TCP_PATHS)
 @pytest.mark.parametrize("fault", ["short_frame", "short_region", "read_only_region"])
 def test_tcp_typed_receive_errors_leave_the_framing_intact(path, fault):

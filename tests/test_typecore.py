@@ -304,6 +304,55 @@ def test_tilings_of_different_strides_compare_row_by_row():
     assert equivalent(Vector(4, 1, 2, INT), 1, Resized(0, 16, Indexed(((1, 0), (1, 2)), INT)), 2)
 
 
+@st.composite
+def _segment_list_pairs(draw):
+    """Two (type, count) descriptions at counts 1 to 3 whose lists often
+    agree in closed forms that do not: a tiling against the explicit list
+    of a struct that places its instances, and tilings of different copies
+    and strides.  The instances are spread apart so that none join, and a
+    struct with one of them moved differs from the tiling in that
+    instance's segments only."""
+    t = draw(datatypes().filter(lambda t: commit(t).size > 0))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("regrouped", "listed", "moved", "recount", "random")))
+    if kind == "regrouped":
+        return (Contiguous(a, t), b), (Contiguous(b, t), a)
+    if kind in ("listed", "moved"):
+        lb, ub = bounds(t)
+        step = 2 * (ub - lb) + 1
+        displs = [i * step for i in range(a)]
+        if kind == "moved":
+            displs[draw(st.integers(0, a - 1))] += draw(st.integers(1, 2))
+        return (Composite(tuple((1, d, t) for d in displs)), 1), (Resized(lb, step, t), a)
+    if kind == "recount":
+        return (t, a), (t, b)
+    return (t, a), (draw(datatypes()), b)
+
+
+@given(_segment_list_pairs(), st.sampled_from((1, 2, 3, typecore._CHECK_ENTRIES)))
+def test_same_segments_agrees_with_the_materialized_lists(pair, window):
+    (t1, c1), (t2, c2) = pair
+    with mock.patch.object(typecore, "_CHECK_ENTRIES", window):
+        same = flatten(t1, c1).same_segments(flatten(t2, c2))
+        back = flatten(t2, c2).same_segments(flatten(t1, c1))
+    off1, ln1 = flatten(t1, c1).form.materialize()
+    off2, ln2 = flatten(t2, c2).form.materialize()
+    expected = np.array_equal(off1, off2) and np.array_equal(ln1, ln2)
+    assert same == back == expected
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, typecore._CHECK_ENTRIES])
+def test_same_segments_finds_one_moved_segment_in_any_window(window):
+    # five words 8 bytes apart, as a tiling and as struct members
+    tiling = flatten(Resized(0, 8, INT), 5)
+    with mock.patch.object(typecore, "_CHECK_ENTRIES", window):
+        assert tiling.same_segments(flatten(Composite(tuple((1, 8 * i, INT) for i in range(5)))))
+        for moved in range(5):
+            members = tuple((1, 8 * i + (i == moved), INT) for i in range(5))
+            listed = flatten(Composite(members))
+            assert not tiling.same_segments(listed) and not listed.same_segments(tiling)
+
+
 def test_nested_levels_fuse_when_the_outer_step_continues_the_inner():
     # vector_tiled A=2 and its reference at 2.56 MB: one tiling each
     alternative = commit(HVector(64_000, 1, 80, Vector(5, 2, 4, INT))).flat
