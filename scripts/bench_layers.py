@@ -42,7 +42,7 @@ length from which the runs win at every count is the crossover, and the
 same per count.
 
 It then times the harness's fixed cost on the tcp carrier under the real
-clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which starts
+clock: a 64-byte raw `run_case` (r=1, nrep=1) on its own, which forks
 and stops an echo process of its own; the same measurement within an open
 `bench.echo_session`, whose process is already running; and one tcp
 `basic_layouts` experiment over the grid of perfbench's coarse_tcp sweep.
@@ -78,7 +78,8 @@ N runs of the chosen sections, each in a new process, and
 checkouts of two trees, each run by the checkout's own copy of this
 script when it has one, so each tree's sweeps reach its own packer.
 `--summary FILE` prints, for each tree of a file of such runs, the
-min-max over its runs of every tcp round-trip row and crossover point.
+min-max over its runs of every tcp round-trip row, of the median of each
+tcp harness row and of every crossover point.
 
 The results, with the host, CPU count, Python and numpy versions, the git
 sha of the tree `typeforge` is imported from (with "-dirty" when it has
@@ -714,7 +715,8 @@ def main(argv=None) -> int:
                          "LABEL/1, ...; the first tree goes first in odd runs")
     ap.add_argument("--summary", metavar="FILE",
                     help="print each tree's min-max over the runs of FILE for every "
-                         "tcp round-trip row and crossover point, and run nothing")
+                         "tcp round-trip row, tcp harness median and crossover point, "
+                         "and run nothing")
     args = ap.parse_args(argv)
     if args.summary:
         return print_summary(args.summary)
@@ -803,7 +805,8 @@ def summary(doc: dict) -> dict:
     """Per row name, per tree, the values of that row over the tree's runs
     in `doc` (a file of runs stored as LABEL/1, LABEL/2, ...): the raw,
     typed and packed tcp round trips (us) and their typed/packed ratio,
-    and each crossover point's gathered/packed ratio."""
+    the median (us) of each tcp harness row, and each crossover point's
+    gathered/packed ratio."""
     trips, points = {}, {}
     for label, run in doc.items():
         tree = label.rsplit("/", 1)[0]
@@ -811,6 +814,9 @@ def summary(doc: dict) -> dict:
             name = f"tcp {row['layout']}/A{row['A']}/n{row['n']}"
             for key in ("raw_us", "typed_us", "packed_us", "typed_over_packed"):
                 trips.setdefault(f"{name} {key}", {}).setdefault(tree, []).append(row[key])
+        for name, q in (run.get("tcp_harness") or {}).items():
+            trips.setdefault(f"tcp harness {name} median_us", {}).setdefault(
+                tree, []).append(q["median_us"])
         for pt in (run.get("crossover") or {}).get("points", ()):
             points.setdefault((pt["segments"], pt["segment_bytes"]), {}).setdefault(
                 tree, []).append(pt["gathered_over_packed"])

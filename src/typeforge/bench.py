@@ -20,11 +20,11 @@ windows start zeroed and its first touch falls in the untimed warmups.
 The wall clock is injectable so the whole pipeline can be exercised with a
 deterministic fake.  With an injected clock, or on the inmem carrier, the
 echo side is a thread of this process.  With the real clock the tcp carrier
-places it in a spawned echo process, one per `echo_session`: every
-measurement of an experiment is a job for the same process, and a lone
-`run_case` or `run_pair` is a session of one job.  A failure on the echo
-side is raised to the caller with its cause, and the session's process is
-stopped with it.
+places it in an echo process forked from the caller, one per
+`echo_session`: every measurement of an experiment is a job for the same
+process, and a lone `run_case` or `run_pair` is a session of one job.  A
+failure on the echo side is raised to the caller with its cause, and the
+session's process is stopped with it.
 """
 
 from __future__ import annotations
@@ -217,6 +217,16 @@ def _echo_process_main(port, jobs) -> None:
         raise
 
 
+def _echo_child(port, jobs, inherited) -> None:
+    """Entry of the forked echo process: close the handles it inherits but
+    does not own, the ping's end of the job pipe and the listener, so a
+    ping that dies leaves it an end of file and a refused connection
+    rather than a wait without end; then serve."""
+    for handle in inherited:
+        handle.close()
+    _echo_process_main(port, jobs)
+
+
 def _thread_runs(groups, sides, nreps, warmups, clock, r) -> list:
     pairs = [tp.make_pair(groups[0][0].transport) for _ in range(r * len(groups))]
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -247,19 +257,24 @@ def _accept_echo(listener, child) -> tp.TcpEndpoint:
 
 
 class EchoProcess:
-    """The ping side's hold on one spawned echo process: the listener the
-    echo side connects to, the job pipe and the child.  The child starts
-    with the first job and serves every later one; a failed job stops it
-    and forgets it, so the next job starts a fresh one."""
+    """The ping side's hold on one echo process: the listener the echo side
+    connects to, the job pipe and the child.  The child starts with the
+    first job and serves every later one; a failed job stops it and
+    forgets it, so the next job starts a fresh one.
+
+    The child is forked from the caller's thread, so it starts with the
+    library already imported; the tcp path needs POSIX anyway.  Jobs still
+    reach it pickled over the pipe."""
 
     def __init__(self):
         self._child = None
 
     def _start(self) -> None:
-        ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("fork")
         self._listener, port = tp.tcp_listener()
         self._jobs, child_end = ctx.Pipe()
-        child = ctx.Process(target=_echo_process_main, args=(port, child_end), daemon=True)
+        child = ctx.Process(target=_echo_child, daemon=True,
+                            args=(port, child_end, (self._jobs, self._listener)))
         child.start()
         child_end.close()
         self._child = child

@@ -114,7 +114,7 @@ class Endpoint:
 def _check_length(length: int, limit: int | None) -> None:
     cap = _MAX_REASONABLE if limit is None else limit
     if length > cap:
-        raise PeerClosed(f"frame announces {length} bytes, at most {cap} expected")
+        raise PeerClosed(f"message of {length} bytes, at most {cap} expected")
 
 
 def _recv_bounded(ep, limit: int):

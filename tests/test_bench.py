@@ -1,7 +1,13 @@
 """Timing harness: schedules, reduction, determinism and output files."""
 
+import contextlib
 import json
 import multiprocessing
+import os
+import pathlib
+import select
+import signal
+import subprocess
 import sys
 import time
 
@@ -297,6 +303,11 @@ def test_echo_process_that_dies_before_connecting_is_reported_at_once(monkeypatc
     assert time.monotonic() - started < 5.0
 
 
+# the echo process body itself: a forked child sees the module's name
+# patched to the stand-in below
+_ECHO_PROCESS_MAIN = bench._echo_process_main
+
+
 def _echo_with_broken_prepare(port, jobs):
     """Echo process body whose echo side cannot prepare its cases."""
 
@@ -304,7 +315,7 @@ def _echo_with_broken_prepare(port, jobs):
         raise RuntimeError("no region for this case")
 
     bench._prepare = broken
-    bench._echo_process_main(port, jobs)
+    _ECHO_PROCESS_MAIN(port, jobs)
 
 
 def test_echo_process_reports_its_cause(monkeypatch):
@@ -536,6 +547,40 @@ def test_session_starts_afresh_after_an_echo_failure(monkeypatch, starts):
         assert run_case(_tcp_raw(), r=1, nrep=2).nrep == 2
     assert len(starts) == 3
     assert multiprocessing.active_children() == []
+
+
+_KILLED_PING = """
+import multiprocessing, time
+from typeforge.bench import BenchCase, echo_session, run_case
+with echo_session():
+    run_case(BenchCase("raw", None, 0, "raw", "compiled", "tcp", 64), r=1, nrep=1)
+    (child,) = multiprocessing.active_children()
+    print(child.pid, flush=True)
+    time.sleep(60)
+"""
+
+
+def test_killed_ping_leaves_no_echo_process():
+    # a ping killed within a session leaves its echo process waiting for the
+    # next job; the process must see the end of the job pipe and exit.  It
+    # shares the ping's stdout, whose end of file comes once both are gone
+    src = pathlib.Path(bench.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    ping = subprocess.Popen([sys.executable, "-c", _KILLED_PING], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        echo_pid = int(ping.stdout.readline())
+    finally:
+        ping.kill()
+        ping.wait()
+    with ping.stdout:
+        ready, _, _ = select.select([ping.stdout], [], [], 5.0)
+        gone = bool(ready) and os.read(ping.stdout.fileno(), 1) == b""
+    if not gone:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(echo_pid, signal.SIGKILL)
+    assert gone
 
 
 def test_ping_side_failure_stops_the_echo_process(monkeypatch, starts):

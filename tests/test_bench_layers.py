@@ -85,6 +85,23 @@ def test_summary_ranges_each_tree_over_its_runs():
     assert rows["crossover 80x64 B gathered/packed"] == {"change": [1.1, 0.9]}
 
 
+def test_summary_ranges_the_tcp_harness_medians():
+    # one row per harness measurement, its medians over each tree's runs;
+    # a run without the section adds nothing
+    def run(lone, session):
+        return {"tcp_harness": {
+            "lone_run_case": {"p25_us": lone - 1, "median_us": lone, "p75_us": lone + 1},
+            "run_case_in_session": {"p25_us": 1.0, "median_us": session, "p75_us": 9.0}}}
+
+    rows = _bench_layers().summary({
+        "parent/1": run(280e3, 500.0), "change/1": run(10e3, 480.0),
+        "parent/2": run(270e3, 520.0), "change/2": {}})
+    assert rows == {
+        "tcp harness lone_run_case median_us": {"parent": [280e3, 270e3], "change": [10e3]},
+        "tcp harness run_case_in_session median_us": {"parent": [500.0, 520.0],
+                                                      "change": [480.0]}}
+
+
 def test_each_tree_runs_its_own_script(monkeypatch, tmp_path):
     # a checkout with a script of its own runs it; one without runs this one
     bench_layers = _bench_layers()

@@ -330,11 +330,11 @@ def test_oversized_frame_is_refused_before_allocation():
         for eng in engines:
             region = bytearray(eng.span)
             peer.sendall(struct.pack("<Q", 1 << 40))
-            with pytest.raises(PeerClosed, match="frame announces"):
+            with pytest.raises(PeerClosed, match="message of"):
                 pingpong_typed(ep, eng.committed, eng.count, region, eng)
             assert len(ep._rx) == 0
         peer.sendall(struct.pack("<Q", eng.span + 1))
-        with pytest.raises(PeerClosed, match="frame announces"):
+        with pytest.raises(PeerClosed, match="message of"):
             pingpong_raw(ep, region)
         assert time.perf_counter() - started < 5
     finally:
@@ -349,7 +349,7 @@ def test_receive_bound_is_the_expected_length(kind):
         ping.send_msg(bytes(16))
         assert len(pong.recv_msg(16)) == 16
         ping.send_msg(bytes(17))
-        with pytest.raises(PeerClosed, match="frame announces 17 bytes"):
+        with pytest.raises(PeerClosed, match="message of 17 bytes"):
             pong.recv_msg(16)
     finally:
         ping.close()
@@ -366,7 +366,7 @@ def test_inmem_typed_reference_is_bounded_by_its_payload():
     ping, pong = make_pair("inmem")
     try:
         ping.send_typed(big, _fill(big.span))
-        with pytest.raises(PeerClosed, match=f"frame announces {big.total_bytes} bytes"):
+        with pytest.raises(PeerClosed, match=f"message of {big.total_bytes} bytes"):
             pong.recv_typed(small, bytearray(small.span))
         sent, region = _fill(small.span, salt=5), bytearray(small.span)
         ping.send_typed(small, sent)

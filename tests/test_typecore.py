@@ -292,7 +292,7 @@ def test_equivalent_agrees_with_the_eager_lists(pair):
     assert equivalent(t2, c2, t1, c1) == same
 
 
-def test_tilings_of_different_strides_compare_row_by_row():
+def test_tilings_of_different_strides_compare_window_by_window():
     # four copies of one segment 8 bytes apart, against two copies of two
     # segments 16 bytes apart: one list, two closed forms
     words = flatten(Vector(4, 1, 2, INT))
