@@ -13,6 +13,13 @@ A, the layout's `spec_dumps` and `datatype_dumps`, and what `typeforge
 normalize` and `typeforge flatten` print (exit code, stdout and stderr)
 for the spec JSON and for the tree JSON.
 
+Last it writes OUT/codec/catalog.txt: for each spec of a fixed grid (every
+catalog id and an unknown one; variants 1, 2, explicit and an unknown
+one; A of 0 to 3; n that divides, that does not, and 0; each stride
+override and S1/S2; contig_subtype over each basic subtype and bad ones;
+tiled_het with and without kinds), what `derive_params`, `unit_elems`,
+`build` and `build_alternatives` return, or the BadParams they raise.
+
 Two trees produce the same output when `diff -r` of their OUT directories
 is empty.  To compare two trees, run one copy of this script against each
 tree's library:
@@ -23,6 +30,7 @@ tree's library:
 import argparse
 import contextlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -31,8 +39,8 @@ from bench_layers import FakeClock
 
 import typeforge
 from typeforge import bench, cli, experiments, layouts
-from typeforge.layouts import spec_dumps
-from typeforge.typecore import datatype_dumps
+from typeforge.layouts import BadParams, LayoutSpec, spec_dumps
+from typeforge.typecore import BaseKind, datatype_dumps
 
 
 @contextlib.contextmanager
@@ -108,6 +116,45 @@ def _codec_dump(experiment: str, tmp: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _catalog_specs():
+    """The fixed grid of specs the catalog dump covers."""
+    overrides = [{}, *({name: 7} for name in ("B", "A1", "A2", "B1", "B2")),
+                 {"B": 9, "A1": 1, "A2": 3, "B1": 5, "B2": 6}, {"S1": 2, "S2": 3}, {"S1": 0}]
+    extras = {
+        layouts.CONTIG_SUBTYPE: [{"subtype": s} for s in (*layouts.BASIC_IDS, "rowcol_struct", None)],
+        layouts.TILED_HET: [{"kinds": (BaseKind.CHAR, BaseKind.INT, BaseKind.DOUBLE,
+                                       BaseKind.SHORT)}, {}],
+    }
+    for layout_id in (*layouts.ALL_IDS, "mosaic"):
+        for variant, a, n, override, extra in itertools.product(
+                (1, 2, layouts.VARIANT_EXPLICIT, 7), (0, 1, 2, 3), (0, 7, 60), overrides,
+                extras.get(layout_id, [{}])):
+            yield LayoutSpec(id=layout_id, n=n, A=a, variant=variant, **override, **extra)
+
+
+def _built_line(layout) -> str:
+    return (f"{layout.spec.id} count={layout.count} elem_size={layout.elem_size} "
+            f"extent={layout.total_extent_elems} {datatype_dumps(layout.datatype)}")
+
+
+def _catalog_dump() -> str:
+    calls = (
+        ("derive_params", lambda spec: [repr(layouts.derive_params(spec))]),
+        ("unit_elems", lambda spec: [str(layouts.unit_elems(spec))]),
+        ("build", lambda spec: [_built_line(layouts.build(spec))]),
+        ("build_alternatives", lambda spec: map(_built_line, layouts.build_alternatives(spec))),
+    )
+    lines = []
+    for spec in _catalog_specs():
+        lines.append(f"spec {spec_dumps(spec)}")
+        for name, call in calls:
+            try:
+                lines += [f"{name} {text}" for text in call(spec)]
+            except BadParams as exc:
+                lines.append(f"{name} BadParams: {exc}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="directory for the 33 files, measure_calls.txt and codec/")
@@ -131,6 +178,8 @@ def main(argv=None) -> int:
         for experiment in experiments.EXPERIMENT_IDS:
             with open(os.path.join(codec_dir, f"{experiment}.txt"), "w") as fh:
                 fh.write(_codec_dump(experiment, tmp))
+    with open(os.path.join(codec_dir, "catalog.txt"), "w") as fh:
+        fh.write(_catalog_dump())
     return 0
 
 

@@ -560,27 +560,32 @@ with echo_session():
 """
 
 
-def test_killed_ping_leaves_no_echo_process():
+def test_killed_ping_leaves_no_echo_process(tmp_path):
     # a ping killed within a session leaves its echo process waiting for the
-    # next job; the process must see the end of the job pipe and exit.  It
-    # shares the ping's stdout, whose end of file comes once both are gone
+    # next job; the process must see the end of the job pipe and exit
+    # quietly.  It shares the ping's stdout, whose end of file comes once
+    # both are gone, and its stderr
     src = pathlib.Path(bench.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    ping = subprocess.Popen([sys.executable, "-c", _KILLED_PING], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    try:
-        echo_pid = int(ping.stdout.readline())
-    finally:
-        ping.kill()
-        ping.wait()
-    with ping.stdout:
-        ready, _, _ = select.select([ping.stdout], [], [], 5.0)
-        gone = bool(ready) and os.read(ping.stdout.fileno(), 1) == b""
-    if not gone:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(echo_pid, signal.SIGKILL)
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        ping = subprocess.Popen([sys.executable, "-c", _KILLED_PING], env=env,
+                                stdout=subprocess.PIPE, stderr=stderr)
+        try:
+            echo_pid = int(ping.stdout.readline())
+        finally:
+            ping.kill()
+            ping.wait()
+        with ping.stdout:
+            ready, _, _ = select.select([ping.stdout], [], [], 5.0)
+            gone = bool(ready) and os.read(ping.stdout.fileno(), 1) == b""
+        if not gone:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(echo_pid, signal.SIGKILL)
+        stderr.seek(0)
+        err = stderr.read().decode(errors="replace")
     assert gone
+    assert "Traceback" not in err, err
 
 
 def test_ping_side_failure_stops_the_echo_process(monkeypatch, starts):

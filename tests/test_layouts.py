@@ -197,11 +197,36 @@ def test_families_are_equivalent_to_reference(family_id, extra, A):
         assert equivalent(ref.datatype, ref.count, alt.datatype, alt.count)
 
 
-def test_family_reference_comes_first():
-    alts = build_alternatives(LayoutSpec(id="tiled_vector", n=12, A=3, variant=1))
-    assert [m.spec.id for m in alts] == ["tiled", "tiled_vector"]
-    rep = build_alternatives(LayoutSpec(id="alternating_struct", n=12, A=3, variant=1))
-    assert [m.spec.id for m in rep] == ["alternating_repeated", "alternating_struct"]
+# the reference description of each layout that has a family
+FAMILY_REFERENCES = {
+    "contig_subtype": "tiled",
+    "tiled_struct": "tiled",
+    "tiled_vector": "tiled",
+    "vector_tiled": "tiled",
+    "block_indexed": "block",
+    "alternating_indexed": "alternating",
+    "alternating_repeated": "alternating_repeated",
+    "alternating_struct": "alternating_repeated",
+    "rowcol_fully_indexed": "rowcol_fully_indexed",
+    "rowcol_contig_indexed": "rowcol_fully_indexed",
+    "rowcol_struct": "rowcol_fully_indexed",
+}
+
+
+def _family_ids(layout_id):
+    spec = LayoutSpec(id=layout_id, n=30, A=3, variant=1, subtype="tiled")
+    return [m.spec.id for m in build_alternatives(spec)]
+
+
+@pytest.mark.parametrize("layout_id", sorted(FAMILY_REFERENCES))
+def test_family_reference_comes_first(layout_id):
+    family = _family_ids(layout_id)
+    assert family[0] == FAMILY_REFERENCES[layout_id]
+    assert layout_id in family
+    # every member that has a family names this one, in the same order
+    for member in family:
+        if member in FAMILY_REFERENCES:
+            assert _family_ids(member) == family
 
 
 def test_rowcol_family_lists_all_three():
@@ -213,8 +238,9 @@ def test_rowcol_family_lists_all_three():
 
 
 def test_layouts_without_family_are_rejected():
-    with pytest.raises(BadParams):
-        build_alternatives(LayoutSpec(id="bucket", n=12, A=3, variant=1))
+    for layout_id in set(ALL_IDS) - set(FAMILY_REFERENCES):
+        with pytest.raises(BadParams):
+            _family_ids(layout_id)
 
 
 # --- rejected parameter sets --------------------------------------------
